@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from gtprob.extreal import ext
-from gtprob.functionals import check_axioms
+from gtprob.functionals import UnknownGambleError, check_axioms
 from gtprob.gametree import (
     EMPTY,
     GameSpec,
@@ -40,7 +40,6 @@ from gtprob.expectation import (
     lower_expectation,
     sup_variant_upper_expectation,
     upper_expectation,
-    upper_table,
 )
 from gtprob.forecaster import Protocol2Spec
 from gtprob.laws import (
@@ -229,7 +228,6 @@ def cmd_simulate(args) -> int:
             raise SchemaError("/payoff", "the levy construction needs --payoff")
         res = levy_strategy(game, xi, a, b, slack=slack)
         built = (res.table, res.trace)
-        cond_table = upper_table(game, xi if res.shift == 0 else xi.shifted(-res.shift))
         for n in range(len(path) + 1):
             s = path[:n]
             note = ""
@@ -239,7 +237,7 @@ def cmd_simulate(args) -> int:
                 if k < len(res.trace.tau) and s in res.trace.tau[k]:
                     note = f"enter {k}"
             rows.append(
-                [str(n), format_situation(s, game.outcomes), str(res.table.value(s)), str(cond_table.value(s)), note]
+                [str(n), format_situation(s, game.outcomes), str(res.table.value(s)), str(res.cond_table.value(s)), note]
             )
     else:
         raise SchemaError(
@@ -291,8 +289,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_law(args) -> int:
-    game_or_spec = load_spec(args.spec)
     mode = args.mode
+    for flag in {"levy": ["payoff"], "mixing": ["system", "events"]}.get(mode, ["event"]):
+        if getattr(args, flag) is None:
+            raise SchemaError(f"/{flag}", f"law {mode} needs --{flag}")
+    game_or_spec = load_spec(args.spec)
     if mode == "mixing":
         if not isinstance(game_or_spec, Protocol2Spec):
             raise SchemaError("/", "mixing needs a forecaster spec with a 'predictions' field")
@@ -416,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except SchemaError as exc:
         return _fail(str(exc))
+    except UnknownGambleError as exc:
+        return _fail(exc.args[0])
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     except ValueError as exc:

@@ -18,6 +18,11 @@ The resulting table prices its own children exactly at every node, i.e.
 the conditional upper expectation is a martingale in the situation
 argument; tests assert this identity rather than assuming it.
 
+One kernel runs every dense sweep.  Measure, envelope and supremum rounds
+work on integer numerators over a common denominator, with a ``Fraction``
+built only at read-out and no finite value ever in a float; any other
+functional is priced node by node through its own ``eval_seq``.
+
 Lower expectation is the negation dual.  Upper/lower probability route an
 event's indicator through the same machinery; the complement identity
 ``lower(E) = 1 - upper(complement of E)`` is asserted on every call.
@@ -32,11 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import ExtReal, ONE, ZERO, ext
-from gtprob.functionals import OutcomeSet
+from gtprob.extreal import INF, NEG_INF, ExtReal, ONE, ZERO, _NInf, _PInf, ext
+from gtprob.functionals import Envelope, Measure, OutcomeSet, OuterContent, SupContent
 from gtprob.gametree import EMPTY, GameSpec, Situation, Supermartingale
 
 __all__ = [
@@ -249,6 +257,115 @@ def indicator(event: EventWindow) -> Payoff:
 
 
 # -- backward induction -------------------------------------------------
+#
+# A level is a list in base-K rank order: the children of node ``i`` are
+# entries ``i*K .. i*K+K-1`` of the level below.
+
+
+def _integer_form(content: OuterContent):
+    """``(q, rows)`` such that the round's price of children ``c`` is
+    ``max(sum(a*c) for a in rows) / q``; ``rows`` is None for the plain
+    maximum.  None when the functional has no integer form here."""
+    kind = type(content)
+    if kind is SupContent:
+        return 1, None
+    if kind is Measure:
+        measures = (content,)
+    elif kind is Envelope and all(type(m) is Measure for m in content.measures):
+        measures = content.measures
+    else:
+        return None
+    q = lcm(*(p.denominator for m in measures for p in m.probs))
+    return q, [[p.numerator * (q // p.denominator) for p in m.probs] for m in measures]
+
+
+def _numerators(values: list[ExtReal]) -> tuple[list, int]:
+    """Numerators over the least common denominator; infinities stay."""
+    raw = [v._v for v in values]
+    den = lcm(*{r.denominator for r in raw if r.__class__ is not float})
+    if den == 1:
+        return [r if r.__class__ is float else r.numerator for r in raw], den
+    return [r if r.__class__ is float else r.numerator * (den // r.denominator) for r in raw], den
+
+
+def _read_out(nums: list, den: int) -> list[ExtReal]:
+    """One ExtReal per distinct numerator, shared by the nodes holding it."""
+    memo = {
+        n: (INF if n > 0 else NEG_INF) if n.__class__ is float else ExtReal(Fraction(n, den))
+        for n in set(nums)
+    }
+    return [memo[n] for n in nums]
+
+
+def _price_with_infinities(rows: list[list[int]], children: list) -> int | float:
+    """``Measure.eval_seq`` on numerators, per row, then the maximum:
+    ``+inf`` if a child of nonzero weight is ``+inf``, else ``-inf`` if
+    one is ``-inf``, else the weighted sum."""
+    prices = []
+    for row in rows:
+        pairs = [(a, v) for a, v in zip(row, children) if a]
+        live = [v for _, v in pairs]
+        prices.append(_PInf if _PInf in live else _NInf if _NInf in live else sum(a * v for a, v in pairs))
+    return max(prices)
+
+
+def _int_round(rows: list[list[int]] | None, nums: list, k: int) -> list:
+    """One round of an integer form on a level of numerators."""
+    cols = [nums[i::k] for i in range(k)]
+    if rows is None:
+        return cols[0] if k == 1 else list(map(max, *cols))
+    # Nodes with an infinite child are priced one by one.  The rest of the
+    # level sees those children as 0, so no numerator is added to a float.
+    hit = {i // k for i, v in enumerate(nums) if v.__class__ is float}
+    if hit:
+        cols = [[0 if v.__class__ is float else v for v in col] for col in cols]
+    sums = []
+    for row in rows:
+        acc = repeat(0, len(cols[0]))
+        for a, col in zip(row, cols):
+            if a:
+                acc = map(add, acc, col if a == 1 else map(mul, col, repeat(a)))
+        sums.append(list(acc))
+    new = sums[0] if len(sums) == 1 else list(map(max, *sums))
+    for i in hit:
+        new[i] = _price_with_infinities(rows, nums[i * k : (i + 1) * k])
+    return new
+
+
+def _sweep(
+    game: GameSpec, leaves: list[ExtReal], top: int, bottom: int, keep: int, negate: bool = False
+) -> list[list[ExtReal]]:
+    """Back ``leaves`` (negated if asked), the values at depth ``bottom``
+    below one situation of depth ``top``, up to depth ``top``.  Returns
+    the levels of depths ``top..keep`` as ExtReal lists, index 0 being
+    depth ``top``."""
+    k = len(game.outcomes)
+    vals, nums, den = leaves, None, 1
+    if negate:
+        nums, den = _numerators(leaves)
+        vals, nums = None, [-n for n in nums]
+    kept = []
+    for d in range(bottom, top - 1, -1):
+        if d < bottom:
+            content = game.content_at(d + 1)
+            form = _integer_form(content)
+            if form is None:
+                if vals is None:
+                    vals = _read_out(nums, den)
+                vals = [content.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)]
+                nums = None
+            else:
+                if nums is None:
+                    nums, den = _numerators(vals)
+                nums = _int_round(form[1], nums, k)
+                den *= form[0]
+                vals = None
+        if d <= keep:
+            if vals is None:
+                vals = _read_out(nums, den)
+            kept.append(vals)
+    kept.reverse()
+    return kept
 
 
 def _level_values(
@@ -257,15 +374,9 @@ def _level_values(
     """Backward induction over the subtree below ``s``."""
     span = xi.depth - len(s)
     config.require_dense(span, depth_cap, what="conditional expectation sweep")
-    level = [xi.value(s + rest) for rest in game.outcomes.tuples(span)]
-    k = len(game.outcomes)
-    for d in range(xi.depth - 1, len(s) - 1, -1):
-        content = game.content_at(d + 1)
-        level = [
-            content.eval_seq(level[i * k : (i + 1) * k]) for i in range(len(level) // k)
-        ]
-    assert len(level) == 1
-    return level[0]
+    fn = xi._fn
+    leaves = [fn(s + rest) for rest in game.outcomes.tuples(span)]
+    return _sweep(game, leaves, len(s), xi.depth, len(s))[0][0]
 
 
 def upper_expectation(
@@ -299,17 +410,11 @@ def upper_table(
     This is the exact cover of ``xi`` with the least start, and it prices
     its own children exactly at every node.
     """
-    config.require_dense(xi.depth, depth_cap, what="conditional expectation table")
+    leaves = xi.leaf_values(game, depth_cap)
+    levels = _sweep(game, leaves, 0, xi.depth, xi.depth)
     table: dict[Situation, ExtReal] = {}
-    level = {s: xi.value(s) for s in game.outcomes.tuples(xi.depth)}
-    table.update(level)
-    for d in range(xi.depth - 1, -1, -1):
-        content = game.content_at(d + 1)
-        level = {
-            s: content.eval_seq([table[s + (x,)] for x in game.outcomes.labels])
-            for s in game.outcomes.tuples(d)
-        }
-        table.update(level)
+    for d in range(xi.depth, -1, -1):
+        table.update(zip(game.outcomes.tuples(d), levels[d]))
     return Supermartingale(table, xi.depth)
 
 
@@ -372,17 +477,6 @@ def sup_variant_upper_expectation(
     for d in range(span - 1, -1, -1):
         for s in game.outcomes.tuples(d):
             submax[s] = max(submax[s + (x,)] for x in game.outcomes.labels)
-
-    def canon(q: Fraction) -> int:
-        # Largest threshold index not above q; q >= 0 always holds here.
-        lo, hi = 0, len(thresholds) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if thresholds[mid] <= q:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
     memo: dict[tuple[Situation, int], ExtReal] = {}
 
@@ -451,12 +545,13 @@ def determinacy_check(
     truncation."""
     if depth > xi.depth:
         depth = xi.depth
-    up = upper_table(game, xi, depth_cap)
-    down = upper_table(game, xi.negate(), depth_cap)
+    leaves = xi.leaf_values(game, depth_cap)
+    up = _sweep(game, leaves, 0, xi.depth, depth)
+    down = _sweep(game, leaves, 0, xi.depth, depth, negate=True)
     report = DeterminacyReport(depth=depth)
-    for s in game.all_situations(depth, depth_cap):
-        u = up.value(s)
-        l = -down.value(s)
-        if u != l:
-            report.gaps.append((s, u, l))
+    for d in range(depth + 1):
+        for s, u, neg_l in zip(game.outcomes.tuples(d), up[d], down[d]):
+            l = -neg_l
+            if u != l:
+                report.gaps.append((s, u, l))
     return report

@@ -114,10 +114,8 @@ class ExtReal:
 
     def __neg__(self) -> "ExtReal":
         v = self._v
-        if v == _PInf:
-            return NEG_INF
-        if v == _NInf:
-            return INF
+        if v.__class__ is float:
+            return NEG_INF if v > 0 else INF
         return ExtReal(-v)
 
     def __sub__(self, other: "ExtReal") -> "ExtReal":
@@ -158,11 +156,10 @@ class ExtReal:
     # -- formatting ------------------------------------------------------
 
     def __str__(self) -> str:
-        if self._v == _PInf:
-            return "inf"
-        if self._v == _NInf:
-            return "-inf"
-        return str(self._v)
+        v = self._v
+        if v.__class__ is float:
+            return "inf" if v > 0 else "-inf"
+        return str(v)
 
     def __repr__(self) -> str:
         return f"ExtReal({str(self)!r})"

@@ -115,11 +115,10 @@ class Cut:
 
     def __init__(self, members: Iterable[Situation]):
         members = frozenset(tuple(m) for m in members)
-        by_depth = sorted(members, key=len)
-        for i, s in enumerate(by_depth):
-            for t in by_depth[i + 1 :]:
-                if is_prefix(s, t):
-                    raise ValueError(f"cut members must be pairwise incomparable: {s} < {t}")
+        for t in members:
+            for k in range(len(t)):
+                if t[:k] in members:
+                    raise ValueError(f"cut members must be pairwise incomparable: {t[:k]} < {t}")
         self.members = members
 
     def member_above(self, s: Situation) -> Situation | None:
@@ -293,13 +292,6 @@ class Supermartingale:
             return self.table[s]
         except KeyError:
             raise KeyError(f"table has no entry for situation {s!r}")
-
-    def restrict_depth(self, depth: int) -> "Supermartingale":
-        if depth >= self.depth:
-            return self
-        return Supermartingale(
-            {s: v for s, v in self.table.items() if len(s) <= depth}, depth
-        )
 
     def __add__(self, other: "Supermartingale") -> "Supermartingale":
         if self.depth != other.depth or self.table.keys() != other.table.keys():

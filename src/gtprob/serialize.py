@@ -390,6 +390,9 @@ def forecasting_system_from_json(
         mapping = obj.get("map")
         if not isinstance(mapping, Mapping):
             raise SchemaError(f"{where}/map", "last-outcome system needs an outcome map")
+        missing = [x for x in spec.outcomes.labels if x not in mapping]
+        if missing:
+            raise SchemaError(f"{where}/map", f"last-outcome map misses outcomes {missing}")
         return ForecastingSystem.last_outcome(
             spec, {str(k): str(v) for k, v in mapping.items()}, str(obj.get("initial"))
         )

@@ -229,6 +229,8 @@ class LevyResult:
     shift: Fraction
     slack: str
     halted: frozenset[Situation]
+    # The conditional upper expectations of the shifted payoff it rode.
+    cond_table: Supermartingale
 
 
 def _levy_shift(game: GameSpec, xi: Payoff, depth_cap: int | None) -> Fraction:
@@ -368,12 +370,17 @@ def levy_strategy(
     for s in game.all_situations(game.horizon, depth_cap):
         if s not in values:
             values[s] = values[s[:-1]]
+    # The result keeps both tables; keyed by the same situation tuples,
+    # the conditional one costs its dict and values only.
+    cond = cond_table.table
+    cond_table = Supermartingale({s: cond[s] for s in values if s in cond}, cond_table.depth)
     return LevyResult(
         Supermartingale(values, game.horizon),
         machine.trace(),
         shift,
         slack,
         frozenset(machine.halted),
+        cond_table,
     )
 
 

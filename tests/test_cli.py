@@ -271,3 +271,49 @@ def test_unknown_flag_exits_two(coin_file):
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_law_without_its_flag_exits_two(coin_file, capsys):
+    for mode in ("kolmogorov", "ergodic", "classify"):
+        code, out, err = run(capsys, ["law", coin_file, mode])
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: /event: law {mode} needs --event"
+    code, _, err = run(capsys, ["law", coin_file, "levy", "--paths", "1,1"])
+    assert code == 2 and "/payoff" in err
+
+
+def test_last_outcome_map_missing_an_outcome_exits_two(tmp_path, capsys):
+    spec = {
+        "outcomes": ["0", "1"],
+        "predictions": [["a", "b"]] * 3,
+        "contents": {
+            "a": {"type": "measure", "probs": {"0": "1/2", "1": "1/2"}},
+            "b": {"type": "measure", "probs": {"0": "1/3", "1": "2/3"}},
+        },
+    }
+    spec_path = tmp_path / "p2.json"
+    spec_path.write_text(json.dumps(spec))
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"kind": "last-outcome", "map": {"0": "a"}, "initial": "b"}))
+    event = tmp_path / "evt.json"
+    event.write_text(json.dumps({"start": 3, "end": 3, "accepts": [["1"]]}))
+    argv = ["law", str(spec_path), "mixing", "--system", str(system), "--events", str(event)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: /system/map: last-outcome map misses outcomes ['1']"
+
+
+def test_table_functional_missing_an_entry_exits_two(tmp_path, capsys):
+    spec = {
+        "outcomes": ["0", "1"],
+        "horizon": 2,
+        "content": {
+            "type": "table",
+            "entries": [{"gamble": {"0": "0", "1": "1"}, "value": "1/2"}],
+        },
+    }
+    path = tmp_path / "table_gap.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, ["expect", str(path), "--payoff", "e_w2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: no table entry for gamble values")

@@ -331,3 +331,90 @@ def test_monotone_in_the_payoff():
         hi = Payoff.from_rule(lambda l: lo.value(l) + ONE, depth)
         for s in [EMPTY, ("0",)]:
             assert upper_expectation(game, lo, s) <= upper_expectation(game, hi, s)
+
+
+# -- the level kernel against a node-by-node reference ---------------------
+
+from hypothesis import settings
+
+from gtprob.extreal import NEG_INF
+from gtprob.functionals import Gamble, TableContent, extend_bounded_below
+
+
+def reference_table(game, leaves):
+    """Node-by-node backward recursion through each round's own eval_seq."""
+    table = dict(leaves)
+    depth = len(next(iter(leaves)))
+    for d in range(depth - 1, -1, -1):
+        content = game.content_at(d + 1)
+        for s in game.outcomes.tuples(d):
+            table[s] = content.eval_seq([table[s + (x,)] for x in game.outcomes.labels])
+    return table
+
+
+odd_weight = st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(-5, 2)])
+
+
+@st.composite
+def kernel_cases(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    depth = draw(st.integers(1, 4 if k < 4 else 3))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+
+    def measure():
+        w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        return Measure(outcomes, [Fraction(x, sum(w)) for x in w])
+
+    def unchecked():
+        return Measure.unchecked(outcomes, draw(st.lists(odd_weight, min_size=k, max_size=k)))
+
+    def envelope():
+        members = [measure() for _ in range(draw(st.integers(1, 3)))]
+        return Envelope(outcomes, members + ([unchecked()] if draw(st.booleans()) else []))
+
+    makers = {
+        "measure": measure,
+        "unchecked": unchecked,
+        "envelope": envelope,
+        "sup": lambda: SupContent(outcomes),
+        "extended": lambda: extend_bounded_below(outcomes, measure()),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=depth, max_size=depth))
+    contents = [makers[kind]() for kind in kinds]
+    finite = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    # Numerators past 1e308 beside an infinity overflow any float sum.
+    special = st.sampled_from([INF, NEG_INF, Fraction(10**400), Fraction(-(10**400), 7)])
+    leaf = (finite | special) if draw(st.booleans()) else finite
+    leaves = {s: ext(draw(leaf)) for s in outcomes.tuples(depth)}
+    if draw(st.booleans()):
+        # A price list on the last round, covering every gamble it meets
+        # for the payoff and for its negation.
+        groups = set()
+        for s in outcomes.tuples(depth - 1):
+            values = [leaves[s + (x,)] for x in outcomes.labels]
+            groups |= {tuple(values), tuple(-v for v in values)}
+        gambles = [Gamble(outcomes, g) for g in sorted(groups, key=repr)]
+        contents[-1] = TableContent.from_rule(outcomes, gambles, measure().eval)
+    game = GameSpec(outcomes, contents, depth)
+    situations = draw(st.lists(st.sampled_from(list(game.all_situations(depth))), min_size=1, max_size=4))
+    return game, leaves, situations, draw(st.integers(0, depth))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases())
+def test_level_kernel_matches_node_by_node_recursion(case):
+    game, leaves, situations, det_depth = case
+    depth = game.horizon
+    xi = Payoff.from_table(leaves, depth)
+    up = reference_table(game, leaves)
+    down = reference_table(game, {s: -v for s, v in leaves.items()})
+    assert upper_table(game, xi).table == up
+    for s in situations:
+        assert upper_expectation(game, xi, s) == up[s]
+        assert lower_expectation(game, xi, s) == -down[s]
+    gaps = [
+        (s, up[s], -down[s])
+        for s in game.all_situations(det_depth)
+        if up[s] != -down[s]
+    ]
+    assert determinacy_check(game, xi, det_depth).gaps == gaps

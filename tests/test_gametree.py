@@ -62,11 +62,23 @@ def test_situation_string_round_trip():
 
 
 def test_cut_rejects_comparable_members():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\('1',\) < \('1', '0'\)"):
         Cut([("1",), ("1", "0")])
+    level = list(BIN.tuples(6))
+    with pytest.raises(ValueError, match=r"\(\) < "):
+        Cut(level[:5] + [EMPTY])
+    with pytest.raises(ValueError, match=r"\('0', '1', '1'\) < \('0', '1', '1', "):
+        Cut([("0", "1", "1")] + level[20:40])
     cut = Cut([("0",), ("1", "0"), ("1", "1")])
     assert cut.member_above(("1", "0", "1")) == ("1", "0")
     assert cut.member_above(EMPTY) is None
+
+
+def test_cut_accepts_a_whole_level():
+    level = list(BIN.tuples(12))
+    cut = Cut(level)
+    assert len(cut) == 4096
+    assert cut.member_above(level[-1] + ("0",)) == level[-1]
 
 
 def test_cut_order_and_intervals():
