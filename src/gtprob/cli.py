@@ -219,7 +219,7 @@ def cmd_simulate(args) -> int:
                     note = f"upcross {k}"
                 if k < len(res.trace.tau) and s in res.trace.tau[k]:
                     note = f"drop {k}"
-            rows.append([str(n), format_situation(s, game.outcomes), str(res.table.value(s)), cond_at(s) if xi else "", note])
+            rows.append([str(n), format_situation(s, game.outcomes), str(res.table.value(s)), cond_at(s), note])
     elif name.startswith("levy:"):
         parts = name.split(":", 1)[1].split(",")
         a, b = Fraction(parts[0]), Fraction(parts[1])

@@ -23,14 +23,17 @@ work on integer numerators over a common denominator, with a ``Fraction``
 built only at read-out and no finite value ever in a float; any other
 functional is priced node by node through its own ``eval_seq``.
 
-Lower expectation is the negation dual.  Upper/lower probability route an
-event's indicator through the same machinery; the complement identity
-``lower(E) = 1 - upper(complement of E)`` is asserted on every call.
+Lower expectation is the negation dual, swept on negated numerators.
+Upper/lower probability route an event's indicator through the same
+machinery; the complement identity ``lower(E) = 1 - upper(complement of
+E)`` is asserted on every call.
 
 A separate functional prices coverage in the running-maximum sense (the
 capital must merely have touched the payoff's level at some time).  It is
-computed by a two-argument dynamic program over (situation, best level
-touched so far) and never exceeds the terminal-coverage price.
+a two-argument dynamic program over (situation, best level touched so
+far), swept bottom-up through the same round step with one numerator
+array per touched level and an O(T) combine per node over the T levels.
+It never exceeds the terminal-coverage price.
 """
 
 from __future__ import annotations
@@ -316,7 +319,7 @@ def _int_round(rows: list[list[int]] | None, nums: list, k: int) -> list:
         return cols[0] if k == 1 else list(map(max, *cols))
     # Nodes with an infinite child are priced one by one.  The rest of the
     # level sees those children as 0, so no numerator is added to a float.
-    hit = {i // k for i, v in enumerate(nums) if v.__class__ is float}
+    hit = {i // k for i, v in enumerate(nums) if v.__class__ is float} if float in map(type, nums) else ()
     if hit:
         cols = [[0 if v.__class__ is float else v for v in col] for col in cols]
     sums = []
@@ -330,6 +333,21 @@ def _int_round(rows: list[list[int]] | None, nums: list, k: int) -> list:
     for i in hit:
         new[i] = _price_with_infinities(rows, nums[i * k : (i + 1) * k])
     return new
+
+
+def _round(content: OuterContent, k: int, vals: list | None, nums: list | None, den: int):
+    """One round of backward induction on a level held as ExtReals
+    (``vals``) or as numerators over ``den`` (``nums``); returns the
+    parent level as ``(vals, nums, den)``, with one of the two lists
+    None.  Integer forms run on numerators, anything else on ExtReals."""
+    form = _integer_form(content)
+    if form is None:
+        if vals is None:
+            vals = _read_out(nums, den)
+        return [content.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)], None, den
+    if nums is None:
+        nums, den = _numerators(vals)
+    return None, _int_round(form[1], nums, k), den * form[0]
 
 
 def _sweep(
@@ -347,19 +365,7 @@ def _sweep(
     kept = []
     for d in range(bottom, top - 1, -1):
         if d < bottom:
-            content = game.content_at(d + 1)
-            form = _integer_form(content)
-            if form is None:
-                if vals is None:
-                    vals = _read_out(nums, den)
-                vals = [content.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)]
-                nums = None
-            else:
-                if nums is None:
-                    nums, den = _numerators(vals)
-                nums = _int_round(form[1], nums, k)
-                den *= form[0]
-                vals = None
+            vals, nums, den = _round(game.content_at(d + 1), k, vals, nums, den)
         if d <= keep:
             if vals is None:
                 vals = _read_out(nums, den)
@@ -369,14 +375,22 @@ def _sweep(
 
 
 def _level_values(
-    game: GameSpec, xi: Payoff, s: Situation, depth_cap: int | None = None
+    game: GameSpec, xi: Payoff, s: Situation, depth_cap: int | None = None, negate: bool = False
 ) -> ExtReal:
-    """Backward induction over the subtree below ``s``."""
+    """Backward induction over the subtree below ``s``, of ``-xi`` if
+    ``negate``."""
     span = xi.depth - len(s)
     config.require_dense(span, depth_cap, what="conditional expectation sweep")
     fn = xi._fn
     leaves = [fn(s + rest) for rest in game.outcomes.tuples(span)]
-    return _sweep(game, leaves, len(s), xi.depth, len(s))[0][0]
+    return _sweep(game, leaves, len(s), xi.depth, len(s), negate)[0][0]
+
+
+def _check_situation(game: GameSpec, xi: Payoff, s: Situation) -> Situation:
+    s = game.validate_situation(s)
+    if xi.depth > game.horizon:
+        raise ValueError("payoff settles beyond the game horizon")
+    return s
 
 
 def upper_expectation(
@@ -387,9 +401,7 @@ def upper_expectation(
     At depth ``xi.depth`` this is the payoff itself; above it, the round
     price of the children's values.
     """
-    s = game.validate_situation(s)
-    if xi.depth > game.horizon:
-        raise ValueError("payoff settles beyond the game horizon")
+    s = _check_situation(game, xi, s)
     if len(s) >= xi.depth:
         return xi.value(s[: xi.depth])
     return _level_values(game, xi, s, depth_cap)
@@ -398,8 +410,11 @@ def upper_expectation(
 def lower_expectation(
     game: GameSpec, xi: Payoff, s: Situation = EMPTY, depth_cap: int | None = None
 ) -> ExtReal:
-    """Negation dual: ``-upper(-xi)``."""
-    return -upper_expectation(game, xi.negate(), s, depth_cap)
+    """Negation dual ``-upper(-xi)``; the sweep negates the numerators."""
+    s = _check_situation(game, xi, s)
+    if len(s) >= xi.depth:
+        return xi.value(s[: xi.depth])
+    return -_level_values(game, xi, s, depth_cap, negate=True)
 
 
 def upper_table(
@@ -447,13 +462,17 @@ def sup_variant_upper_expectation(
     """Least start of a nonnegative capital table whose running maximum
     reaches the payoff's level on every path.
 
-    Two-argument dynamic program: the state is (situation, best level
-    already touched), where only levels in the payoff's finite value set
-    matter.  The value is the least ``c`` with
-    ``c >= price(children at best level max(theta, c))``; since the price
-    side is a step function of ``c`` with breakpoints in the value set,
-    the least fixed point is found by an ascending scan over the
-    breakpoint regions, returning the smallest admissible ``c``.
+    The state is (situation, best level already touched), and only the
+    touched levels ``t`` (0, then the payoff's positive values, in
+    increasing order) matter.  At touched level ``theta`` a node is worth
+    the least ``c`` with ``c >= G(max(theta, level of c))``, ``G(j)`` being
+    the round's price of the children at touched level ``j``.  The sweep
+    runs bottom-up with one numerator array per touched level, each
+    priced by the kernel's round step, and resolves every node for all T
+    levels in O(T): ``max(0, G(theta))`` if ``G(theta) < t[theta]``, else
+    ``W(theta)``, where ``W(j) = max(t[j], G(j))`` if ``G(j) < t[j+1]``
+    or ``j`` is the top level, and ``W(j+1)`` otherwise.  This assumes no
+    monotonicity of the round prices.
 
     Terminal-coverage price always dominates this one.  Payoffs must be
     finite-valued; nonpositive levels are covered for free because capital
@@ -463,56 +482,37 @@ def sup_variant_upper_expectation(
         raise ValueError("payoff settles beyond the game horizon")
     span = xi.depth
     config.require_dense(span, depth_cap, what="running-maximum dynamic program")
-    leaf_vals: dict[Situation, ExtReal] = {
-        s: xi.value(s) for s in game.outcomes.tuples(span)
-    }
-    for s, v in leaf_vals.items():
+    leaves = xi.leaf_values(game, depth_cap)
+    for s, v in zip(game.outcomes.tuples(span), leaves):
         if not v.is_finite:
             raise ValueError(f"payoff must be finite-valued, got {v} at {s!r}")
-    thresholds = sorted({Fraction(0)} | {v.finite for v in leaf_vals.values() if v.finite > 0})
-
-    # Largest level needed anywhere below each node; a state whose touched
-    # level already covers its whole subtree is worth zero outright.
-    submax: dict[Situation, Fraction] = {s: v.finite for s, v in leaf_vals.items()}
+    nums, den = _numerators(leaves)
+    t = sorted({0} | {n for n in nums if n > 0})
+    levels = [[n if n > tj else 0 for n in nums] for tj in t]
+    k = len(game.outcomes)
     for d in range(span - 1, -1, -1):
-        for s in game.outcomes.tuples(d):
-            submax[s] = max(submax[s + (x,)] for x in game.outcomes.labels)
-
-    memo: dict[tuple[Situation, int], ExtReal] = {}
-
-    def value(s: Situation, theta_idx: int) -> ExtReal:
-        key = (s, theta_idx)
-        if key in memo:
-            return memo[key]
-        if thresholds[theta_idx] >= submax[s]:
-            memo[key] = ZERO
-            return ZERO
-        if len(s) == span:
-            target = leaf_vals[s]
-            out = ZERO if ext(thresholds[theta_idx]) >= target else target
-            memo[key] = out
-            return out
-        content = game.content_at(len(s) + 1)
-        result: ExtReal | None = None
-        for j in range(len(thresholds)):
-            eff = max(theta_idx, j)
-            kids = [value(s + (x,), eff) for x in game.outcomes.labels]
-            g = content.eval_seq(kids)
-            candidate = max(ext(thresholds[j]), g)
-            if j + 1 < len(thresholds) and not (candidate < ext(thresholds[j + 1])):
-                continue
-            result = candidate
-            break
-        assert result is not None
-        memo[key] = result
-        return result
-
-    if span == 0:
-        v = xi.value(EMPTY)
-        if not v.is_finite:
-            raise ValueError("payoff must be finite-valued")
-        return v if v > ZERO else ZERO
-    return value(EMPTY, 0)
+        priced = [_round(game.content_at(d + 1), k, None, level, den) for level in levels]
+        if priced[0][1] is None:
+            # Priced through eval_seq: bring every level and the touched
+            # levels back onto one denominator.
+            n = len(priced[0][0])
+            flat, new_den = _numerators(
+                [x for vals, _, _ in priced for x in vals] + [ExtReal(Fraction(tj, den)) for tj in t]
+            )
+            g = [flat[j * n : (j + 1) * n] for j in range(len(t))]
+            t = flat[len(t) * n :]
+        else:
+            g = [p[1] for p in priced]
+            new_den = priced[0][2]
+            t = [tj * (new_den // den) for tj in t]
+        den = new_den
+        above, w = _PInf, repeat(_PInf)
+        for j in range(len(t) - 1, -1, -1):
+            tj = t[j]
+            w = [(x if x > tj else tj) if x < above else y for x, y in zip(g[j], w)]
+            levels[j] = [(x if x > 0 else 0) if x < tj else y for x, y in zip(g[j], w)]
+            above = tj
+    return _read_out(levels[0], den)[0]
 
 
 # -- determinacy -----------------------------------------------------------

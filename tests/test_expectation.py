@@ -418,3 +418,145 @@ def test_level_kernel_matches_node_by_node_recursion(case):
         if up[s] != -down[s]
     ]
     assert determinacy_check(game, xi, det_depth).gaps == gaps
+
+
+# -- the running-maximum sweep against two slow oracles ----------------------
+
+import itertools
+import random
+
+
+def snell_touch_price(game, xi):
+    """Brute force: assign each positive leaf to one of its prefixes, where
+    capital must reach the leaf's level.  For an assignment the least
+    nonnegative capital table is the Snell envelope
+    ``K(u) = max(r(u), E(K(u.)))`` of the requirement ``r``; the price is
+    the minimum over all assignments."""
+    depth = xi.depth
+    positive = [(s, xi.value(s).finite) for s in game.outcomes.tuples(depth) if xi.value(s) > ZERO]
+
+    def root_value(assign):
+        req = {}
+        for (_, v), u in zip(positive, assign):
+            req[u] = max(req.get(u, Fraction(0)), v)
+
+        def envelope(u):
+            floor = ext(req.get(u, Fraction(0)))
+            if len(u) == depth:
+                return floor
+            kids = [envelope(u + (x,)) for x in game.outcomes.labels]
+            return max(floor, game.content_at(len(u) + 1).eval_seq(kids))
+
+        return envelope(EMPTY)
+
+    prefixes = [[s[:j] for j in range(depth + 1)] for s, _ in positive]
+    return min(map(root_value, itertools.product(*prefixes)))
+
+
+def test_sup_variant_matches_snell_envelope_oracle():
+    rng = random.Random(20090)
+    for k, depth in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+        outcomes = OutcomeSet([str(i) for i in range(k)])
+        contents = [
+            Measure(outcomes, [Fraction(i + 1, k * (k + 1) // 2) for i in range(k)]),
+            SupContent(outcomes),
+            Envelope(
+                outcomes,
+                [Measure.uniform(outcomes), [Fraction(1, 2)] + [Fraction(1, 2 * (k - 1))] * (k - 1)],
+            ),
+        ]
+        for content in contents:
+            for _ in range(3):
+                leaves = list(outcomes.tuples(depth))
+                # At most five positive leaves keep the enumeration small;
+                # the rest are zero or negative.
+                values = [Fraction(rng.randint(-4, 0), rng.choice([1, 2])) for _ in leaves]
+                for i in rng.sample(range(len(values)), min(5, len(values))):
+                    values[i] = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3]))
+                xi = Payoff.from_table(dict(zip(leaves, values)), depth)
+                game = GameSpec(outcomes, content, depth)
+                assert sup_variant_upper_expectation(game, xi) == snell_touch_price(game, xi)
+
+
+def scan_touch_price(game, xi):
+    """The memoized top-down recursion the level sweep replaced: for each
+    (situation, touched level) state, an ascending scan over the touched
+    levels returns the first admissible value, pricing the children
+    through each round's own ``eval_seq``."""
+    span = xi.depth
+    leaf_vals = {s: xi.value(s) for s in game.outcomes.tuples(span)}
+    thresholds = sorted({Fraction(0)} | {v.finite for v in leaf_vals.values() if v.finite > 0})
+    submax = {s: v.finite for s, v in leaf_vals.items()}
+    for d in range(span - 1, -1, -1):
+        for s in game.outcomes.tuples(d):
+            submax[s] = max(submax[s + (x,)] for x in game.outcomes.labels)
+    memo = {}
+
+    def value(s, theta):
+        if (s, theta) not in memo:
+            if thresholds[theta] >= submax[s]:
+                memo[s, theta] = ZERO
+            elif len(s) == span:
+                memo[s, theta] = leaf_vals[s]
+            else:
+                content = game.content_at(len(s) + 1)
+                for j in range(len(thresholds)):
+                    kids = [value(s + (x,), max(theta, j)) for x in game.outcomes.labels]
+                    candidate = max(ext(thresholds[j]), content.eval_seq(kids))
+                    if j + 1 == len(thresholds) or candidate < ext(thresholds[j + 1]):
+                        break
+                memo[s, theta] = candidate
+        return memo[s, theta]
+
+    return value(EMPTY, 0)
+
+
+@st.composite
+def touch_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(1, 4 if k == 2 else 3))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+
+    def measure():
+        w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        return Measure(outcomes, [Fraction(x, sum(w)) for x in w])
+
+    def unchecked():
+        return Measure.unchecked(outcomes, draw(st.lists(odd_weight, min_size=k, max_size=k)))
+
+    makers = {
+        "measure": measure,
+        "unchecked": unchecked,
+        "envelope": lambda: Envelope(
+            outcomes,
+            [measure() for _ in range(draw(st.integers(1, 2)))]
+            + ([unchecked()] if draw(st.booleans()) else []),
+        ),
+        "sup": lambda: SupContent(outcomes),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=depth, max_size=depth))
+    contents = [makers[kind]() for kind in kinds]
+    if draw(st.booleans()):
+        # One round priced through eval_seq rather than on numerators.
+        contents[draw(st.integers(0, depth - 1))] = extend_bounded_below(outcomes, measure())
+    # A small pool of levels with mixed denominators keeps the scan quick.
+    level = st.fractions(min_value=-6, max_value=12, max_denominator=6)
+    pool = draw(st.lists(level, min_size=1, max_size=6))
+    leaves = {s: draw(st.sampled_from(pool + [Fraction(0)])) for s in outcomes.tuples(depth)}
+    return GameSpec(outcomes, contents, depth), Payoff.from_table(leaves, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(touch_cases())
+def test_sup_variant_sweep_matches_memoized_scan(case):
+    game, xi = case
+    assert sup_variant_upper_expectation(game, xi) == scan_touch_price(game, xi)
+
+
+def test_sup_variant_price_equal_to_the_next_level_moves_on():
+    # Touched level 0 prices the children at exactly the next level 1, so
+    # the scan moves on to level 1, where the children are worth 3/2.  A
+    # round with a negative weight makes this differ from stopping at 1.
+    game = GameSpec(BIN, Measure.unchecked(BIN, [Fraction(-1, 2), Fraction(1, 2)]), 1)
+    xi = Payoff.from_table({("0",): 1, ("1",): 3}, 1)
+    assert sup_variant_upper_expectation(game, xi) == scan_touch_price(game, xi) == ext("3/2")
