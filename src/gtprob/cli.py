@@ -180,6 +180,22 @@ def cmd_expect(args) -> int:
     return 0
 
 
+def _cut_rows(game, path, table, trace, cond_at, sigma_word: str, tau_word: str) -> list[list[str]]:
+    """Trace rows of a construction along ``path``; the note names the
+    last of the trace's sigma/tau cuts that holds the situation."""
+    rows = []
+    for n in range(len(path) + 1):
+        s = path[:n]
+        note = ""
+        for k in range(1, len(trace.sigma)):
+            if s in trace.sigma[k]:
+                note = f"{sigma_word} {k}"
+            if k < len(trace.tau) and s in trace.tau[k]:
+                note = f"{tau_word} {k}"
+        rows.append([str(n), format_situation(s, game.outcomes), str(table.value(s)), cond_at(s), note])
+    return rows
+
+
 def cmd_simulate(args) -> int:
     game = _load_game(args.spec)
     path = _parse_path(args.path, game)
@@ -211,15 +227,7 @@ def cmd_simulate(args) -> int:
             base = _default_base(game)
         res = doob_upcrossing(game, base, a, b)
         built = (res.table, res.trace)
-        for n in range(len(path) + 1):
-            s = path[:n]
-            note = ""
-            for k in range(1, len(res.trace.sigma)):
-                if s in res.trace.sigma[k]:
-                    note = f"upcross {k}"
-                if k < len(res.trace.tau) and s in res.trace.tau[k]:
-                    note = f"drop {k}"
-            rows.append([str(n), format_situation(s, game.outcomes), str(res.table.value(s)), cond_at(s), note])
+        rows = _cut_rows(game, path, res.table, res.trace, cond_at, "upcross", "drop")
     elif name.startswith("levy:"):
         parts = name.split(":", 1)[1].split(",")
         a, b = Fraction(parts[0]), Fraction(parts[1])
@@ -228,17 +236,7 @@ def cmd_simulate(args) -> int:
             raise SchemaError("/payoff", "the levy construction needs --payoff")
         res = levy_strategy(game, xi, a, b, slack=slack)
         built = (res.table, res.trace)
-        for n in range(len(path) + 1):
-            s = path[:n]
-            note = ""
-            for k in range(1, len(res.trace.sigma)):
-                if s in res.trace.sigma[k]:
-                    note = f"exit {k}"
-                if k < len(res.trace.tau) and s in res.trace.tau[k]:
-                    note = f"enter {k}"
-            rows.append(
-                [str(n), format_situation(s, game.outcomes), str(res.table.value(s)), str(res.cond_table.value(s)), note]
-            )
+        rows = _cut_rows(game, path, res.table, res.trace, lambda s: str(res.cond_table.value(s)), "exit", "enter")
     else:
         raise SchemaError(
             "/strategy",

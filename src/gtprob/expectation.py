@@ -120,6 +120,7 @@ class Payoff:
             raise ValueError("cap must be at least 1")
         if Fraction(2) ** depth < cap:
             raise ValueError(f"depth {depth} too shallow for cap {cap}")
+        values = [ext(min(Fraction(2**n), cap)) for n in range(depth + 1)]
 
         def fn(s: Situation) -> ExtReal:
             n = 0
@@ -127,7 +128,7 @@ class Payoff:
                 if x != one_label:
                     break
                 n += 1
-            return ext(min(Fraction(2) ** n, cap))
+            return values[n]
 
         return cls(depth, fn, kind="leading_ones_capped", meta=cap)
 

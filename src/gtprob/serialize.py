@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -321,21 +322,29 @@ def supermartingale_from_csv(text: str, outcomes: OutcomeSet) -> Supermartingale
     rows = list(reader)
     if not rows or rows[0] != ["situation", "value"]:
         raise SchemaError("/csv", "expected header 'situation,value'")
+    single, known = all(len(lab) == 1 for lab in outcomes.labels), set(outcomes.labels)
+    values: dict[str, ExtReal] = {}
     table: dict[Situation, ExtReal] = {}
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise SchemaError(f"/csv/{i}", f"expected two columns, got {row!r}")
-        try:
-            s = parse_situation(row[0], outcomes)
-        except ValueError as exc:
-            raise SchemaError(f"/csv/{i}", str(exc)) from exc
-        table[s] = _extreal(row[1], f"/csv/{i}")
+        key, raw = row
+        s = tuple(key) if single else tuple(key.split(","))
+        if not known.issuperset(s):
+            # The root under multi-character labels, or an unknown label.
+            try:
+                s = parse_situation(key, outcomes)
+            except ValueError as exc:
+                raise SchemaError(f"/csv/{i}", str(exc)) from exc
+        if raw not in values:
+            values[raw] = _extreal(raw, f"/csv/{i}")
+        table[s] = values[raw]
     if not table:
         raise SchemaError("/csv", "table is empty")
-    depth = max(len(s) for s in table)
+    counts = Counter(map(len, table))
+    depth = max(counts)
     for d in range(depth + 1):
-        level = [s for s in table if len(s) == d]
-        if len(level) != len(outcomes) ** d:
+        if counts[d] != len(outcomes) ** d:
             raise SchemaError("/csv", f"table is not total at depth {d}")
     return Supermartingale(table, depth)
 

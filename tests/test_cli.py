@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gtprob.cli import main
+
+# A subprocess finds the package source whether or not it is installed.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 COIN_SPEC = {
     "outcomes": ["0", "1"],
@@ -259,6 +264,7 @@ def test_console_script_entry_point(coin_file):
         [sys.executable, "-m", "gtprob.cli", "expect", coin_file, "--payoff", "e_w1"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1/2"
@@ -269,6 +275,7 @@ def test_unknown_flag_exits_two(coin_file):
         [sys.executable, "-m", "gtprob.cli", "expect", coin_file, "--bogus"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 2
 

@@ -333,3 +333,115 @@ def test_depth_cap_guards_dense_sweeps(monkeypatch):
         list(game.all_situations())
     monkeypatch.setenv("GTP_MAX_DEPTH", "41")
     assert sum(1 for _ in game.all_situations(3)) == 15
+
+
+# -- the level-by-level check against the node-by-node loop ------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtprob.config import DepthCapError
+from gtprob.expectation import Payoff, upper_table
+from gtprob.extreal import NEG_INF
+from gtprob.functionals import Envelope, TableContent, extend_bounded_below
+
+
+def node_by_node_verify(game, sm):
+    """Every interior node priced through its round's own eval_seq."""
+    equality = True
+    for d in range(sm.depth):
+        content = game.content_at(d + 1)
+        for s in game.outcomes.tuples(d):
+            lhs = content.eval_seq([sm.value(s + (x,)) for x in game.outcomes.labels])
+            rhs = sm.value(s)
+            if lhs > rhs:
+                return False, False, (s, lhs, rhs)
+            if lhs != rhs:
+                equality = False
+    return True, equality, None
+
+
+odd_weight = st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(-5, 2)])
+
+
+@st.composite
+def verify_cases(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    depth = draw(st.integers(1, 4))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+
+    def measure():
+        w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        return Measure(outcomes, [Fraction(x, sum(w)) for x in w])
+
+    def unchecked():
+        return Measure.unchecked(outcomes, draw(st.lists(odd_weight, min_size=k, max_size=k)))
+
+    def envelope():
+        members = [measure() for _ in range(draw(st.integers(1, 3)))]
+        return Envelope(outcomes, members + ([unchecked()] if draw(st.booleans()) else []))
+
+    makers = {
+        "measure": measure,
+        "unchecked": unchecked,
+        "envelope": envelope,
+        "sup": lambda: SupContent(outcomes),
+        "extended": lambda: extend_bounded_below(outcomes, measure()),
+        "table": measure,  # priced by this measure, then swapped for a price list
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=depth, max_size=depth))
+    contents = [makers[kind]() for kind in kinds]
+    finite = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    leaf = (finite | st.sampled_from([INF, NEG_INF])) if draw(st.booleans()) else finite
+    game = GameSpec(outcomes, contents, depth)
+    leaves = {s: ext(draw(leaf)) for s in outcomes.tuples(depth)}
+    table = dict(upper_table(game, Payoff.from_table(leaves, depth)).table)
+    nodes = list(game.all_situations(depth))
+    bump = st.fractions(min_value=-3, max_value=3, max_denominator=9).map(ext) | st.sampled_from([INF, NEG_INF])
+    for s, b in draw(st.lists(st.tuples(st.sampled_from(nodes), bump), max_size=4)):
+        table[s] = b if not b.is_finite else table[s] + b
+    for d, kind in enumerate(kinds):
+        if kind == "table":
+            # A price list holding every gamble this round meets.
+            groups = {tuple(table[s + (x,)] for x in outcomes.labels) for s in outcomes.tuples(d)}
+            gambles = [Gamble(outcomes, g) for g in sorted(groups, key=repr)]
+            contents[d] = TableContent.from_rule(outcomes, gambles, contents[d].eval)
+    return GameSpec(outcomes, contents, depth), Supermartingale(table, depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_cases())
+def test_level_check_matches_node_by_node_loop(case):
+    game, sm = case
+    res = verify_supermartingale(game, sm)
+    ok, martingale, witness = node_by_node_verify(game, sm)
+    assert (res.ok, res.martingale, res.witness) == (ok, martingale, witness)
+    if witness is not None:
+        s, lhs, rhs = witness
+        assert res.witness_str(game.outcomes) == f"{format_situation(s, game.outcomes) or '□'}: {lhs} > {rhs}"
+
+
+def test_violation_below_a_martingale_prefix_is_found_at_its_node():
+    game = coin_game(horizon=3)
+    sm = doubling_table(game)
+    sm.table[("1", "0", "1")] = ext("1/3")
+    res = verify_supermartingale(game, sm)
+    assert not res.ok and not res.martingale
+    assert res.witness == (("1", "0"), ext("1/6"), ZERO)
+    assert res.witness_str(BIN) == "10: 1/6 > 0"
+
+
+def test_only_interior_levels_count_against_the_depth_cap():
+    game = coin_game(horizon=4)
+    table = doubling_table(game)
+    assert verify_supermartingale(game, Supermartingale({s: v for s, v in table.table.items() if len(s) <= 3}, 3), depth_cap=2).ok
+    with pytest.raises(DepthCapError):
+        verify_supermartingale(game, table, depth_cap=2)
+
+
+def test_missing_node_keeps_the_table_error():
+    game = coin_game(horizon=2)
+    sm = Supermartingale.constant(game, 1)
+    del sm.table[("1", "0")]
+    with pytest.raises(KeyError, match=r"table has no entry for situation \('1', '0'\)"):
+        verify_supermartingale(game, sm)

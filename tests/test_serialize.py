@@ -98,6 +98,40 @@ def test_supermartingale_csv_rejects_partial_tables():
         supermartingale_from_csv("situation,value\n,1\n0,1\n", BIN)
 
 
+WORDS = OutcomeSet(["up", "down", "flat"])
+
+
+def test_supermartingale_csv_round_trip_with_multi_character_labels():
+    game = GameSpec(WORDS, Measure.uniform(WORDS), 2)
+    sm = Supermartingale.from_fn(game, lambda s: ext(s.count("up")) + ext("2/7"))
+    text = supermartingale_to_csv(sm, WORDS)
+    assert '\n"up,down",9/7\n' in text and "\n,2/7\n" in text
+    back = supermartingale_from_csv(text, WORDS)
+    assert back.depth == 2 and back.table == sm.table
+    assert supermartingale_to_csv(back, WORDS) == text
+
+
+@pytest.mark.parametrize(
+    "labels, text, where, message",
+    [
+        (BIN, "situation,value\n,1\n0,1\n2,1\n", "/csv/4", "situation '2' uses unknown outcome '2'"),
+        (WORDS, 'situation,value\n,1\nup,1\n"up,side",1\n', "/csv/4", "situation 'up,side' uses unknown outcome 'side'"),
+        (BIN, "situation,value\n,1\n0,1/0x\n1,1/0x\n", "/csv/3", "not an extended rational: '1/0x'"),
+        (BIN, "situation,value\n,1\n0,1,2\n", "/csv/3", "expected two columns, got ['0', '1', '2']"),
+        (BIN, "situation,price\n,1\n", "/csv", "expected header 'situation,value'"),
+        (BIN, "", "/csv", "expected header 'situation,value'"),
+        (BIN, "situation,value\n", "/csv", "table is empty"),
+        (BIN, "situation,value\n,1\n0,1\n1,1\n00,1\n01,1\n11,1\n", "/csv", "table is not total at depth 2"),
+        (BIN, "situation,value\n0,1\n1,1\n", "/csv", "table is not total at depth 0"),
+    ],
+)
+def test_supermartingale_csv_errors_name_their_row(labels, text, where, message):
+    with pytest.raises(SchemaError) as info:
+        supermartingale_from_csv(text, labels)
+    assert info.value.where == where
+    assert str(info.value) == f"{where}: {message}"
+
+
 def test_protocol2_parsing_and_errors():
     spec = protocol2_from_json(
         {
