@@ -226,13 +226,6 @@ class GameSpec:
             raise ValueError(f"round {n} outside 1..{self.horizon}")
         return self.contents[n - 1]
 
-    def children(self, s: Situation) -> list[Situation]:
-        return [s + (x,) for x in self.outcomes.labels]
-
-    def situations_at(self, depth: int, depth_cap: int | None = None) -> Iterator[Situation]:
-        config.require_dense(depth, depth_cap, what="level sweep")
-        return self.outcomes.tuples(depth)
-
     def all_situations(self, max_depth: int | None = None, depth_cap: int | None = None):
         """All situations of depth 0..max_depth (default horizon), by level."""
         top = self.horizon if max_depth is None else max_depth

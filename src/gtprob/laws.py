@@ -34,6 +34,7 @@ from gtprob.gametree import (
 from gtprob.expectation import (
     EventWindow,
     Payoff,
+    _check_situation,
     indicator,
     lower_probability,
     upper_probability,
@@ -180,23 +181,25 @@ def kolmogorov_invariance(
     n = event.start
     prefix_depth = n - 1
     config.require_dense(prefix_depth, depth_cap, what="prefix sweep")
-    values: dict[Situation, ExtReal] = {}
-    for s in game.outcomes.tuples(prefix_depth):
-        values[s] = upper_probability(game, event, s, depth_cap)
+    xi = indicator(event)
+    prefixes = list(game.outcomes.tuples(prefix_depth))
+    # One prefix's checks and cap, then every value from the witness's table.
+    _check_situation(game, xi, prefixes[0])
+    config.require_dense(xi.depth - prefix_depth, depth_cap, what="conditional expectation sweep")
+    table = upper_table(game, xi, depth_cap)
+    values: dict[Situation, ExtReal] = {s: table.value(s) for s in prefixes}
     distinct = {str(v) for v in values.values()}
     invariant = len(distinct) == 1
 
     witness_pair = None
     witness_ok = None
-    prefixes = sorted(values)
+    prefixes.sort()
     if len(prefixes) >= 2:
         s, t = prefixes[0], prefixes[1]
         witness_pair = (s, t)
-        table = upper_table(game, indicator(event), depth_cap)
         moved = translate_strategy(table, s, t)
         ok = verify_supermartingale(game, moved, depth_cap).ok
         ok = ok and moved.value(t) == values[s]
-        xi = indicator(event)
         for rest in game.outcomes.tuples(event.end - prefix_depth):
             leaf = t + rest
             ok = ok and moved.value(leaf) == xi.value(s + rest)
@@ -471,14 +474,13 @@ def zero_one_classify(
     almost certain ({1}), almost impossible ({0}), fully unprobabilized
     ([0, 1]), or honestly undetermined."""
     hs = list(horizons) if horizons is not None else [game.horizon]
-    rows = []
     for h in hs:
         if h < event.end or h > game.horizon:
             raise ValueError(
                 f"horizon {h} must cover the event window end {event.end} "
                 f"and stay within the game horizon {game.horizon}"
             )
-        hi = upper_probability(game, event, EMPTY, depth_cap)
-        lo = lower_probability(game, event, EMPTY, depth_cap)
-        rows.append((h, lo, hi, _classify(lo, hi)))
-    return ClassifyReport(rows)
+    # A window event settles at its window's end, so every row is the same.
+    hi = upper_probability(game, event, EMPTY, depth_cap)
+    lo = lower_probability(game, event, EMPTY, depth_cap)
+    return ClassifyReport([(h, lo, hi, _classify(lo, hi)) for h in hs])

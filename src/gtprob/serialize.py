@@ -44,13 +44,7 @@ from gtprob.functionals import (
     SupContent,
     TableContent,
 )
-from gtprob.gametree import (
-    GameSpec,
-    Situation,
-    Supermartingale,
-    format_situation,
-    parse_situation,
-)
+from gtprob.gametree import GameSpec, Situation, Supermartingale, parse_situation
 from gtprob.expectation import EventWindow, Payoff, indicator
 from gtprob.forecaster import ForecastingSystem, Protocol2Spec
 
@@ -312,8 +306,8 @@ def supermartingale_to_csv(sm: Supermartingale, outcomes: OutcomeSet) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["situation", "value"])
-    for s in sorted(sm.table, key=lambda u: (len(u), u)):
-        writer.writerow([format_situation(s, outcomes), str(sm.table[s])])
+    join = "".join if all(len(lab) == 1 for lab in outcomes.labels) else ",".join
+    writer.writerows([join(s), str(sm.table[s])] for s in sorted(sm.table, key=lambda u: (len(u), u)))
     return buf.getvalue()
 
 

@@ -24,26 +24,34 @@ pass :func:`gtprob.gametree.verify_supermartingale`.
 weight form (a single nonnegative multiple of the base increment), which
 establishes the supermartingale property without any appeal to countable
 subadditivity of the pricing functionals.
+
+All three run top-down in level order (base-K rank within a level) on
+integer numerators over one denominator, as the kernel in
+:mod:`gtprob.expectation` does, and build a ``Fraction`` once per value
+at read-out.  A Lévy ride telescopes: its capital is a factor fixed at
+entry times the ridden witness, one step rule for table and path trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product, repeat
 from math import gcd
+from operator import add, lshift, mul
 from typing import Callable, Iterator, Sequence
 
-from gtprob.extreal import ExtReal, INF, ONE, ZERO, ext, scale
+from gtprob import config
+from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, ext, scale
 from gtprob.gametree import (
     EMPTY,
     Cut,
     GameSpec,
     Situation,
     Supermartingale,
-    is_prefix,
     verify_supermartingale,
 )
-from gtprob.expectation import Payoff, upper_table
+from gtprob.expectation import Payoff, _numerators, _read_out, _sweep, upper_table
 
 __all__ = [
     "enumerate_rationals",
@@ -125,6 +133,14 @@ class CutTrace:
         }
 
 
+def _cut_trace(sigma: dict[int, set[Situation]], tau: dict[int, set[Situation]]) -> CutTrace:
+    cycles = max(list(sigma) + list(tau) + [0])
+    return CutTrace(
+        sigma=[Cut(sigma.get(k, set())) for k in range(cycles + 1)],
+        tau=[Cut(tau.get(k, set())) for k in range(cycles + 1)],
+    )
+
+
 @dataclass
 class DoobResult:
     table: Supermartingale
@@ -150,7 +166,8 @@ def doob_upcrossing(
     Off the origin's subtree the table is ``+inf``.  Within it, the result
     mirrors the base's increments while hunting an upcross and freezes
     while hunting the next drop; each completed upcross banks at least
-    ``b - a``.
+    ``b - a``.  One pass runs down the origin's subtree with the base,
+    ``a`` and ``b`` over one denominator.
     """
     a, b = Fraction(a), Fraction(b)
     if not (0 <= a < b):
@@ -165,57 +182,44 @@ def doob_upcrossing(
         if not res.ok:
             raise ValueError(f"base table fails verification: {res}")
 
-    ea, eb = ext(a), ext(b)
-    values: dict[Situation, ExtReal] = {}
-    # phase: ("active", k) hunting the k-th upcross, or ("frozen", k)
-    # hunting the k-th drop.
-    phases: dict[Situation, tuple[str, int]] = {}
-    sigma: dict[int, set[Situation]] = {}
+    k, span = len(game.outcomes), base.depth - len(origin)
+    sits = [origin + t for d in range(span + 1) for t in game.outcomes.tuples(d)]
+    nums, den = _numerators(list(map(base.value, sits)) + [ExtReal(a), ExtReal(b)])
+    an, bn = nums[-2:]
+    # The phase p is odd while hunting upcross (p + 1) // 2 and even while
+    # hunting drop p // 2; the base is 1 at the origin.  In level order the
+    # children of node g are nodes g*K+1 .. g*K+K.
+    sigma: dict[int, set[Situation]] = {1: {origin}} if b < 1 else {}
     tau: dict[int, set[Situation]] = {0: {origin}}
-    active: set[Situation] = set()
-
-    def settle(s: Situation, phase: tuple[str, int]) -> tuple[str, int]:
-        kind, k = phase
-        v = base.value(s)
-        if kind == "active" and v > eb:
-            sigma.setdefault(k, set()).add(s)
-            return ("frozen", k)
-        if kind == "frozen" and v < ea:
-            tau.setdefault(k, set()).add(s)
-            return ("active", k + 1)
-        return phase
-
-    values[origin] = ONE
-    phases[origin] = settle(origin, ("active", 1))
-    if phases[origin][0] == "active" and values[origin].is_finite:
-        active.add(origin)
-
-    for s in sorted(base.table, key=lambda u: (len(u), u)):
-        if len(s) >= base.depth:
-            continue
-        if not is_prefix(origin, s):
-            continue
-        for x in game.outcomes.labels:
-            sx = s + (x,)
-            kind, _k = phases[s]
-            if kind == "active" and values[s].is_finite:
-                values[sx] = values[s] + base.value(sx) - base.value(s)
+    phases, active = ([2], set()) if b < 1 else ([1], {origin})
+    caps = [den]
+    for g in range((len(sits) - 1) // k):
+        v, p, bs = caps[g], phases[g], nums[g]
+        moving = p & 1 and v.__class__ is int
+        for c in range(g * k + 1, g * k + k + 1):
+            bx, q = nums[c], p
+            if not moving:
+                x = v
+            elif bx.__class__ is int and bs.__class__ is int:
+                x = v + bx - bs
             else:
-                values[sx] = values[s]
-            phases[sx] = settle(sx, phases[s])
-            if phases[sx][0] == "active" and values[sx].is_finite:
-                active.add(sx)
+                x = _PInf if _PInf in (bx, -bs) else _NInf
+            if q & 1:
+                if bx > bn:
+                    sigma.setdefault((q + 1) // 2, set()).add(sits[c])
+                    q += 1
+            elif bx < an:
+                tau.setdefault(q // 2, set()).add(sits[c])
+                q += 1
+            if q & 1 and x.__class__ is int:
+                active.add(sits[c])
+            caps.append(x)
+            phases.append(q)
 
-    table = {u: values.get(u, INF) for u in base.table}
-    cycles = max(
-        [k for k in sigma] + [k for k in tau if k > 0] + [0]
-    )
-    trace = CutTrace(
-        sigma=[Cut(sigma.get(k, set())) for k in range(cycles + 1)],
-        tau=[Cut(tau.get(k, set())) for k in range(cycles + 1)],
-    )
+    table = dict.fromkeys(base.table, INF)
+    table.update(zip(sits, _read_out(caps, den)))
     return DoobResult(
-        Supermartingale(table, base.depth), trace, frozenset(active), base, (a, b), origin
+        Supermartingale(table, base.depth), _cut_trace(sigma, tau), frozenset(active), base, (a, b), origin
     )
 
 
@@ -233,99 +237,91 @@ class LevyResult:
     cond_table: Supermartingale
 
 
-def _levy_shift(game: GameSpec, xi: Payoff, depth_cap: int | None) -> Fraction:
-    """Shift constant making the payoff nonnegative.
+def _levy_shift(values: list[ExtReal]) -> Fraction:
+    """Shift constant making a payoff with these leaf values nonnegative.
 
     Payoffs that are already nonnegative are not shifted, so entry and exit
     react to the payoff's own conditional values; otherwise the least leaf
     value minus one is subtracted, making the shifted payoff strictly
     positive.
     """
-    values = xi.leaf_values(game, depth_cap)
     if any(v.is_neg_inf for v in values):
         raise ValueError("payoff must be bounded below")
-    finite = [v.finite for v in values if v.is_finite]
-    if not finite:
-        return Fraction(0)
-    m = min(finite)
+    m = min((v.finite for v in values if v.is_finite), default=Fraction(0))
     return Fraction(0) if m >= 0 else m - 1
 
 
 class _LevyMachine:
     """Shared entry/ride/exit state machine.
 
-    ``cond`` returns the conditional upper expectation of the shifted
-    payoff.  In dyadic mode the ridden witness is the conditional plus
-    ``2**-(entry depth + 1)``, which keeps it strictly positive and within
-    the padded start bound; in plain mode the witness is the conditional
-    itself and a ride that reaches a worthless witness halts on the spot
-    (capital stays put on that subtree).
+    Conditional upper expectations of the shifted payoff arrive as
+    numerators over one denominator ``den`` that also carries ``a``, ``b``
+    and every dyadic pad.  In dyadic mode the ridden witness is the
+    conditional plus ``2**-(entry depth + 1)``, which keeps it strictly
+    positive and within the padded start bound; in plain mode the witness
+    is the conditional itself and a ride that reaches a worthless witness
+    halts on the spot (capital stays put on that subtree).
+
+    A ride telescopes: its capital is ``F * w`` for the witness ``w`` and
+    the factor ``F`` = capital / witness at entry.  Past the entry a
+    riding capital is held as the int numerator of ``w`` and becomes a
+    ``Fraction`` only in :meth:`value`; every other capital is an ExtReal.
+    A state is ``(mode, cycle, pad numerator, F)``.
     """
 
-    def __init__(self, cond: Callable[[Situation], ExtReal], a: Fraction, b: Fraction, slack: str):
+    def __init__(self, a: Fraction, b: Fraction, slack: str):
         if not (0 <= a < b):
             raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
         if slack not in ("none", "dyadic"):
             raise ValueError(f"slack must be 'none' or 'dyadic', got {slack!r}")
-        self.cond = cond
-        self.ea, self.eb = ext(Fraction(a)), ext(Fraction(b))
-        self.slack = slack
+        self.a, self.b = a, b
+        self.dyadic = slack == "dyadic"
         self.sigma: dict[int, set[Situation]] = {}
         self.tau: dict[int, set[Situation]] = {}
         self.halted: set[Situation] = set()
 
-    def start(self, s: Situation):
-        """State at the root: (mode, cycle, entry, delta, event)."""
-        return self._settle(s, ("waiting", 0, None, None))
+    def numerators(self, conds: list[ExtReal], depth: int) -> list:
+        """``conds`` over one denominator with ``a``, ``b`` and the pads of
+        entries down to ``depth``."""
+        pads = [ExtReal(Fraction(1, 2 ** (depth + 1)))] if self.dyadic else []
+        nums, self.den = _numerators(conds + [ExtReal(self.a), ExtReal(self.b)] + pads)
+        self.an, self.bn = nums[len(conds) : len(conds) + 2]
+        return nums[: len(conds)]
 
-    def _settle(self, s: Situation, state):
-        mode, k, entry, delta = state
-        event = None
-        if mode == "waiting":
-            if self.cond(s) < self.ea:
-                k += 1
-                self.tau.setdefault(k, set()).add(s)
-                entry = s
-                delta = (
-                    ext(Fraction(1, 2 ** (len(s) + 1))) if self.slack == "dyadic" else ZERO
-                )
-                mode = "riding"
-                event = ("enter", k)
-                # Degenerate immediate exit: the padded witness already
-                # tops the bar.  Exit on the spot; re-entry resumes below.
-                if self.cond(s) + delta > self.eb:
-                    self.sigma.setdefault(k, set()).add(s)
-                    mode, entry, delta = "waiting", None, None
-                    event = ("enter+exit", k)
-        elif mode == "riding":
-            if self.cond(s) + delta > self.eb:
-                self.sigma.setdefault(k, set()).add(s)
-                mode, entry, delta = "waiting", None, None
-                event = ("exit", k)
-        return (mode, k, entry, delta), event
-
-    def step(self, s: Situation, state, capital: ExtReal, sx: Situation):
-        """Capital and state for the child ``sx`` of ``s``."""
-        mode, k, entry, delta = state
-        new_cap = capital
-        if mode == "riding" and capital.is_finite:
-            w_here = self.cond(s) + delta
-            if w_here == ZERO:
+    def step(self, state, cap, c, cx, sx: Situation):
+        """State, capital and event at the child ``sx`` of a node holding
+        ``state``, ``cap`` and conditional numerator ``c``; ``cx`` is the
+        child's.  From the start state (``c`` unused) it settles the root."""
+        mode, k, dn, f = state
+        if mode == "halted":
+            return state, cap, None
+        if mode == "riding" and (cap.__class__ is int or cap.is_finite):
+            if c + dn == 0:
                 self.halted.add(sx)
-            else:
-                ratio = capital.finite / w_here.finite
-                new_cap = scale(ratio, self.cond(sx) + delta)
-        if mode == "halted" or sx in self.halted:
-            return new_cap, ("halted", k, None, None), None
-        new_state, event = self._settle(sx, state)
-        return new_cap, new_state, event
+                return ("halted", k, 0, None), self.value(state, cap), None
+            cap = cx + dn if cx.__class__ is int else scale(f, INF if cx > 0 else NEG_INF)
+        event = None
+        if mode == "waiting" and cx < self.an:
+            k += 1
+            self.tau.setdefault(k, set()).add(sx)
+            dn = self.den >> (len(sx) + 1) if self.dyadic else 0
+            f = cap.finite * self.den / (cx + dn) if cap.is_finite and cx + dn else None
+            if f is not None and f < 0:
+                raise ValueError("scale only accepts nonnegative finite multipliers")
+            mode, state, event = "riding", ("riding", k, dn, f), ("enter", k)
+        if mode == "riding" and cx > self.bn - dn:
+            # An entry whose padded witness already tops the bar exits on
+            # the spot; re-entry resumes below.
+            self.sigma.setdefault(k, set()).add(sx)
+            event = ("exit", k) if event is None else ("enter+exit", k)
+            return ("waiting", k, 0, None), self.value(state, cap), event
+        return state, cap, event
 
-    def trace(self) -> CutTrace:
-        cycles = max(list(self.sigma) + list(self.tau) + [0])
-        return CutTrace(
-            sigma=[Cut(self.sigma.get(i, set())) for i in range(cycles + 1)],
-            tau=[Cut(self.tau.get(i, set())) for i in range(cycles + 1)],
-        )
+    def value(self, state, cap) -> ExtReal:
+        if cap.__class__ is not int:
+            return cap
+        f = state[3]
+        return ExtReal(Fraction(f.numerator * cap, f.denominator * self.den))
 
 
 def levy_strategy(
@@ -346,41 +342,41 @@ def levy_strategy(
     carries the stated product floor.
     """
     a, b = Fraction(a), Fraction(b)
-    shift = _levy_shift(game, xi, depth_cap)
-    shifted = xi if shift == 0 else xi.shifted(-shift)
-    cond_table = upper_table(game, shifted, depth_cap)
-    machine = _LevyMachine(cond_table.value, a, b, slack)
-
-    values: dict[Situation, ExtReal] = {EMPTY: ONE}
-    states: dict[Situation, tuple] = {}
-    states[EMPTY], _ = machine.start(EMPTY)
-    for s in game.all_situations(game.horizon - 1, depth_cap):
-        cap = values[s]
-        st = states[s]
-        for x in game.outcomes.labels:
-            sx = s + (x,)
-            if len(sx) > cond_table.depth:
-                values[sx] = cap
-                states[sx] = st
-                continue
-            new_cap, new_state, _event = machine.step(s, st, cap, sx)
-            values[sx] = new_cap
-            states[sx] = new_state
+    leaves = xi.leaf_values(game, depth_cap)
+    shift = _levy_shift(leaves)
+    if shift:
+        pad = ext(-shift)
+        leaves = [v + pad for v in leaves]
+    depth, k = xi.depth, len(game.outcomes)
+    conds = _sweep(game, leaves, 0, depth, depth)
+    machine = _LevyMachine(a, b, slack)
+    for top in (game.horizon - 1, game.horizon):
+        config.require_dense(top, depth_cap, what="tree sweep")
+    nums = machine.numerators(list(chain.from_iterable(conds)), depth)
+    sits = [s for d in range(game.horizon + 1) for s in game.outcomes.tuples(d)]
+    # In level order the children of node g are nodes g*K+1 .. g*K+K.
+    state, cap, _ = machine.step(("waiting", 0, 0, None), ONE, None, nums[0], EMPTY)
+    states, caps = [state], [cap]
+    for g in range((len(nums) - 1) // k):
+        st, cp, c = states[g], caps[g], nums[g]
+        for x in range(g * k + 1, g * k + k + 1):
+            st_x, cp_x, _ = machine.step(st, cp, c, nums[x], sits[x])
+            states.append(st_x)
+            caps.append(cp_x)
+    values = list(map(machine.value, states, caps))
     # Beyond the payoff depth the ride has nothing to follow; keep constant.
-    for s in game.all_situations(game.horizon, depth_cap):
-        if s not in values:
-            values[s] = values[s[:-1]]
+    for g in range(len(values), len(sits)):
+        values.append(values[(g - 1) // k])
     # The result keeps both tables; keyed by the same situation tuples,
     # the conditional one costs its dict and values only.
-    cond = cond_table.table
-    cond_table = Supermartingale({s: cond[s] for s in values if s in cond}, cond_table.depth)
+    cond_table = dict(zip(sits, chain.from_iterable(conds)))
     return LevyResult(
-        Supermartingale(values, game.horizon),
-        machine.trace(),
+        Supermartingale(dict(zip(sits, values)), game.horizon),
+        _cut_trace(machine.sigma, machine.tau),
         shift,
         slack,
         frozenset(machine.halted),
-        cond_table,
+        Supermartingale(cond_table, depth),
     )
 
 
@@ -410,13 +406,14 @@ def levy_capital_trace(
     cap.  Provide either the payoff (conditionals are then computed, dense
     caps apply) or a ``cond`` callable returning conditional upper
     expectations of the unshifted payoff together with its ``shift``
-    (defaults to 0 for nonnegative payoffs).
+    (defaults to 0 for nonnegative payoffs).  Steps through the same rule
+    as :func:`levy_strategy`.
     """
     path = game.validate_situation(tuple(path))
     if cond is None:
         if xi is None:
             raise ValueError("need a payoff or a cond callable")
-        c = _levy_shift(game, xi, depth_cap) if shift is None else Fraction(shift)
+        c = _levy_shift(xi.leaf_values(game, depth_cap)) if shift is None else Fraction(shift)
         shifted = xi if c == 0 else xi.shifted(-c)
         table = upper_table(game, shifted, depth_cap)
         cond_fn = table.value
@@ -427,16 +424,14 @@ def levy_capital_trace(
         else:
             cond_fn = lambda s: cond(s) - ext(c)
 
-    machine = _LevyMachine(cond_fn, Fraction(a), Fraction(b), slack)
-    state, event = machine.start(EMPTY)
-    steps = [LevyTraceStep(0, EMPTY, ONE, cond_fn(EMPTY), event)]
-    s: Situation = EMPTY
-    cap = ONE
-    for n, x in enumerate(path, start=1):
-        sx = s + (x,)
-        cap, state, event = machine.step(s, state, cap, sx)
-        steps.append(LevyTraceStep(n, sx, cap, cond_fn(sx), event))
-        s = sx
+    machine = _LevyMachine(Fraction(a), Fraction(b), slack)
+    sits = [path[:n] for n in range(len(path) + 1)]
+    conds = [cond_fn(s) for s in sits]
+    nums = machine.numerators(conds, len(path))
+    state, cap, steps = ("waiting", 0, 0, None), ONE, []
+    for n, s in enumerate(sits):
+        state, cap, event = machine.step(state, cap, nums[n - 1], nums[n], s)
+        steps.append(LevyTraceStep(n, s, machine.value(state, cap), conds[n], event))
     return steps
 
 
@@ -468,6 +463,10 @@ def mixture(
     beyond the base being a supermartingale.  The report carries the bound
     ``2**-I * omitted_start_sup`` on what truncating the series at index
     I discards at the start.
+
+    The parts and the base share one denominator ``D``; the sum is held
+    over ``D * 2**I`` and each increment is compared with the pooled
+    weight's numerator times the base increment, as integers.
     """
     if not parts:
         raise ValueError("mixture needs at least one part")
@@ -498,34 +497,46 @@ def mixture(
         if t.depth != depth or t.table.keys() != keys:
             raise ValueError("mixture parts must share the same game tree")
 
-    weights = [Fraction(1, 2**i) for i in range(1, len(tables) + 1)]
-    combined: dict[Situation, ExtReal] = {}
-    for s in keys:
-        acc = ZERO
-        for w, t in zip(weights, tables):
-            acc = acc + scale(w, t.table[s])
-        combined[s] = acc
+    # Level order over the sorted labels is the old (depth, situation)
+    # order; the children of node g are nodes g*K+1 .. g*K+K.
+    n, labels = len(tables), sorted({u[-1] for u in keys if len(u) == 1})
+    sits = [u for d in range(depth + 1) for u in product(labels, repeat=d)]
+    cols = [t.table for t in tables] + ([] if base is None else [base.table])
+    flat, den = _numerators([v for t in cols for v in map(t.__getitem__, sits)])
+    size = len(sits)
+    sums, hit = [0] * size, set()
+    for i in range(n):
+        col = flat[i * size : (i + 1) * size]
+        if float in map(type, col):
+            hit.update(j for j, v in enumerate(col) if v.__class__ is float)
+            col = [0 if v.__class__ is float else v for v in col]
+        sums = list(map(add, sums, map(lshift, col, repeat(n - 1 - i))))
+    for j in hit:
+        sums[j] = _PInf if _PInf in flat[j::size][:n] else _NInf
+    den <<= n
+    combined = dict.fromkeys(keys)
+    combined.update(zip(sits, _read_out(sums, den)))
 
     # Increment certificate in the pooled-weight form.
     if base is not None:
-        labels = sorted({u[-1] for u in keys if len(u) == 1})
-        for s in sorted(keys, key=lambda u: (len(u), u)):
-            if len(s) >= depth:
+        k, moves = len(labels), flat[n * size :]
+        pooled = [0] * (size - k**depth)
+        for i, act in enumerate(activities):
+            if act:
+                weight = repeat(1 << (n - 1 - i))
+                pooled = list(map(add, pooled, map(mul, map(act.__contains__, sits[: len(pooled)]), weight)))
+        for g, p in enumerate(pooled):
+            cs, bs = sums[g], moves[g]
+            if cs.__class__ is float or bs.__class__ is float:
                 continue
-            if not combined[s].is_finite or not base.value(s).is_finite:
-                continue
-            pooled = sum(
-                (w for w, act in zip(weights, activities) if s in act), Fraction(0)
-            )
-            for sx in (s + (x,) for x in labels):
-                if not combined[sx].is_finite or not base.value(sx).is_finite:
+            for c in range(g * k + 1, g * k + k + 1):
+                cx, bx = sums[c], moves[c]
+                if cx.__class__ is float or bx.__class__ is float or cx - cs == p * (bx - bs):
                     continue
-                expected = ext(pooled * (base.value(sx).finite - base.value(s).finite))
-                got = combined[sx] - combined[s]
-                if got != expected:
-                    raise AssertionError(
-                        f"increment certificate failed at {s!r}->{sx!r}: {got} != {expected}"
-                    )
+                got, expected = Fraction(cx - cs, den), Fraction(p * (bx - bs), den)
+                raise AssertionError(
+                    f"increment certificate failed at {sits[g]!r}->{sits[c]!r}: {got} != {expected}"
+                )
 
     bound = scale(Fraction(1, 2 ** len(tables)), ext(Fraction(omitted_start_sup)))
     note = (
