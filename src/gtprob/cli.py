@@ -51,6 +51,8 @@ from gtprob.laws import (
 from gtprob.strategies import doob_upcrossing, levy_strategy
 from gtprob.serialize import (
     SchemaError,
+    _extreal,
+    _fraction,
     forecasting_system_from_json,
     load_spec,
     payoff_from_json,
@@ -85,9 +87,9 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
             raise SchemaError("/payoff", "e_w shorthand needs an outcome labeled '1'")
         return indicator(EventWindow.coordinate_is(k, "1"))
     if raw.startswith("leading_ones:"):
-        return Payoff.leading_ones_capped(Fraction(raw.split(":", 1)[1]), game.horizon)
+        return Payoff.leading_ones_capped(_fraction(raw.split(":", 1)[1], "/payoff"), game.horizon)
     if raw.startswith("const:"):
-        return Payoff.constant(ext(raw.split(":", 1)[1]), game.horizon)
+        return Payoff.constant(_extreal(raw.split(":", 1)[1], "/payoff"), game.horizon)
     raise SchemaError("/payoff", f"no such file and not a recognized shorthand: {raw!r}")
 
 
@@ -219,7 +221,7 @@ def cmd_simulate(args) -> int:
         for n, k in enumerate(capitals):
             rows.append([str(n), format_situation(path[:n], game.outcomes), str(k), cond_at(path[:n]), ""])
     elif name.startswith("doob:"):
-        a, b = (Fraction(t) for t in name.split(":", 1)[1].split(","))
+        a, b = (_fraction(t, "/strategy") for t in name.split(":", 1)[1].split(","))
         if args.base:
             with open(args.base) as fh:
                 base = supermartingale_from_csv(fh.read(), game.outcomes)
@@ -230,7 +232,7 @@ def cmd_simulate(args) -> int:
         rows = _cut_rows(game, path, res.table, res.trace, cond_at, "upcross", "drop")
     elif name.startswith("levy:"):
         parts = name.split(":", 1)[1].split(",")
-        a, b = Fraction(parts[0]), Fraction(parts[1])
+        a, b = _fraction(parts[0], "/strategy"), _fraction(parts[1], "/strategy")
         slack = parts[2] if len(parts) > 2 else "none"
         if xi is None:
             raise SchemaError("/payoff", "the levy construction needs --payoff")
@@ -306,7 +308,7 @@ def cmd_law(args) -> int:
 
         report = delta_mixing_check(
             phi,
-            Fraction(args.delta),
+            _fraction(args.delta, "/delta"),
             lambda n: args.gap,
             events,
             max_prefix=args.max_prefix,

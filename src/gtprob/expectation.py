@@ -336,19 +336,27 @@ def _int_round(rows: list[list[int]] | None, nums: list, k: int) -> list:
     return new
 
 
-def _round(content: OuterContent, k: int, vals: list | None, nums: list | None, den: int):
-    """One round of backward induction on a level held as ExtReals
-    (``vals``) or as numerators over ``den`` (``nums``); returns the
-    parent level as ``(vals, nums, den)``, with one of the two lists
-    None.  Integer forms run on numerators, anything else on ExtReals."""
+def _round(content: OuterContent, k: int, nums: list, den: int) -> tuple[list, int]:
+    """One round of backward induction on a level of numerators over
+    ``den``; returns the parent level as ``(nums, den)``.  Integer forms
+    run on the numerators; any other functional reads the level out,
+    prices each node through ``eval_seq`` and turns the prices back into
+    numerators."""
     form = _integer_form(content)
     if form is None:
-        if vals is None:
-            vals = _read_out(nums, den)
-        return [content.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)], None, den
-    if nums is None:
-        nums, den = _numerators(vals)
-    return None, _int_round(form[1], nums, k), den * form[0]
+        vals = _read_out(nums, den)
+        return _numerators([content.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)])
+    return _int_round(form[1], nums, k), den * form[0]
+
+
+def _over(levels: list[tuple[list, int]]) -> tuple[list[list], int]:
+    """Levels of numerators, each over its own denominator, put over
+    their least common one."""
+    den = lcm(*(d for _, d in levels))
+    return [
+        nums if d == den else [n if n.__class__ is float else n * (den // d) for n in nums]
+        for nums, d in levels
+    ], den
 
 
 def _sweep(
@@ -359,18 +367,15 @@ def _sweep(
     the levels of depths ``top..keep`` as ExtReal lists, index 0 being
     depth ``top``."""
     k = len(game.outcomes)
-    vals, nums, den = leaves, None, 1
+    nums, den = _numerators(leaves)
     if negate:
-        nums, den = _numerators(leaves)
-        vals, nums = None, [-n for n in nums]
+        nums = [-n for n in nums]
     kept = []
     for d in range(bottom, top - 1, -1):
         if d < bottom:
-            vals, nums, den = _round(game.content_at(d + 1), k, vals, nums, den)
+            nums, den = _round(game.content_at(d + 1), k, nums, den)
         if d <= keep:
-            if vals is None:
-                vals = _read_out(nums, den)
-            kept.append(vals)
+            kept.append(leaves if d == bottom and not negate else _read_out(nums, den))
     kept.reverse()
     return kept
 
@@ -492,21 +497,9 @@ def sup_variant_upper_expectation(
     levels = [[n if n > tj else 0 for n in nums] for tj in t]
     k = len(game.outcomes)
     for d in range(span - 1, -1, -1):
-        priced = [_round(game.content_at(d + 1), k, None, level, den) for level in levels]
-        if priced[0][1] is None:
-            # Priced through eval_seq: bring every level and the touched
-            # levels back onto one denominator.
-            n = len(priced[0][0])
-            flat, new_den = _numerators(
-                [x for vals, _, _ in priced for x in vals] + [ExtReal(Fraction(tj, den)) for tj in t]
-            )
-            g = [flat[j * n : (j + 1) * n] for j in range(len(t))]
-            t = flat[len(t) * n :]
-        else:
-            g = [p[1] for p in priced]
-            new_den = priced[0][2]
-            t = [tj * (new_den // den) for tj in t]
-        den = new_den
+        priced = [_round(game.content_at(d + 1), k, level, den) for level in levels]
+        g, den = _over(priced + [(t, den)])
+        t = g.pop()
         above, w = _PInf, repeat(_PInf)
         for j in range(len(t) - 1, -1, -1):
             tj = t[j]

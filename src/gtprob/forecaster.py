@@ -16,12 +16,16 @@ coincide with upper expectations of the lifted payoff in the embedded
 game; tests assert the round trip exactly.
 
 A forecasting system is a rule mapping outcome histories to predictions.
-Fixing one turns outcome sequences into embedded paths, and events over
-outcome sequences into embedded events that also pin every prediction
-coordinate to the rule.  The mixing check quantifies over all outcome
-prefixes (minus an explicit exception list) and all supplied events whose
-window clears the declared gap; the quantifier over *all* sufficiently
-remote events is not finitely checkable and the report says so.
+Fixing one turns the protocol back into the outcome tree.  An outcome
+event's upper probability, that of the embedded event pinning every
+prediction coordinate up to the window's end to the rule, is swept there:
+a node takes the largest over its menu symbols ``q`` of the price under
+``q`` of its children, a child off the rule being worth the off-rule
+constant ``Z(d+1)``: ``Z(end) = 0``, ``Z(d) = max over q of c_q(Z(d+1)·1)``.
+The mixing check quantifies over all outcome prefixes (minus an explicit
+exception list) and all supplied events whose window clears the declared
+gap; the quantifier over *all* sufficiently remote events is not finitely
+checkable and the report says so.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, ext
 from gtprob.functionals import OutcomeSet, OuterContent
 from gtprob.gametree import GameSpec, Situation, Supermartingale
-from gtprob.expectation import EventWindow, Payoff, upper_expectation
+from gtprob.expectation import EventWindow, Payoff, _over, _read_out, _round
 
 __all__ = [
     "Protocol2Spec",
@@ -46,7 +50,6 @@ __all__ = [
     "lift_payoff",
     "upper_expectation_p2",
     "chi_phi",
-    "lift_event",
     "upper_prob_phi",
     "lower_prob_phi",
     "restrict_to_clearing",
@@ -226,7 +229,7 @@ class ForecastingSystem:
             try:
                 return fixed[tuple(s)]
             except KeyError:
-                raise KeyError(f"forecasting table has no entry for history {s!r}")
+                raise ValueError(f"forecasting table has no entry for history {s!r}")
 
         return cls(spec, rule, name="table")
 
@@ -263,28 +266,40 @@ def chi_phi(phi: ForecastingSystem, chi: Sequence[str]) -> PairPath:
     return tuple(out)
 
 
-def _pair_situation(pairs: PairPath) -> Situation:
-    return tuple(pair_label(p, x) for p, x in pairs)
-
-
-def lift_event(phi: ForecastingSystem, event: EventWindow) -> EventWindow:
-    """The event over embedded paths: the outcome part belongs to the
-    original event and every prediction coordinate matches the rule.
-
-    The prediction-match constraint is imposed on coordinates 1..window
-    end; deeper rounds are beyond the truncation and the lift is therefore
-    a finite-horizon surrogate of the fully constrained event.
-    """
-
-    def member(window: tuple[str, ...]) -> bool:
-        pairs = tuple(split_label(lab) for lab in window)
-        chi = tuple(x for _p, x in pairs)
-        for n, (p, _x) in enumerate(pairs):
-            if phi.predict(chi[:n]) != p:
-                return False
-        return event.member_window(chi[event.start - 1 : event.end])
-
-    return EventWindow(1, event.end, predicate=member, label=f"lift({event.label})")
+def _phi_levels(
+    phi: ForecastingSystem, event: EventWindow, prefix: Situation, depth_cap: int | None = None
+) -> list[list[ExtReal]]:
+    """Upper probabilities of ``event`` under ``phi`` at the outcome
+    histories from ``prefix`` to the window's end, one level per depth in
+    base-K rank order.  A child off the rule is worth ``Z(d+1)``, carried
+    as one extra parent wherever the embedded game holds nodes off the
+    rule, so each functional is asked for the embedded sweep's gambles."""
+    spec, top, end = phi.spec, len(prefix), event.end
+    if end > spec.horizon:
+        raise ValueError("payoff settles beyond the game horizon")
+    config.require_dense(end - top, depth_cap, what="conditional expectation sweep")
+    k, rules, nums = len(spec.outcomes), {}, []
+    for rest in spec.outcomes.tuples(max(end - top, 0)):
+        # Ask the rule in the order the embedded event's leaf scan does.
+        for h in (prefix + rest[:n] for n in range(len(rest))):
+            if h not in rules:
+                rules[h] = phi.predict(h)
+        nums.append(int(event.member(prefix + rest)))
+    den, z = 1, 0
+    kept = [_read_out(nums, den)]
+    for d in range(end - 1, top - 1, -1):
+        extra = [z] * k if d > top and len(spec.all_predictions) > 1 else []
+        preds = [rules[prefix + h] for h in spec.outcomes.tuples(d - top)]
+        priced = []
+        for q in dict.fromkeys(spec.menu_at(d + 1)):
+            children = [x if preds[j // k] == q else z for j, x in enumerate(nums)]
+            priced.append(_round(spec.contents[q], k, children + extra, den))
+        levels, den = _over(priced)
+        nums = levels[0] if len(levels) == 1 else list(map(max, *levels))
+        if extra:
+            z = nums.pop()
+        kept.append(_read_out(nums, den))
+    return kept[::-1]
 
 
 def upper_prob_phi(
@@ -294,13 +309,12 @@ def upper_prob_phi(
     depth_cap: int | None = None,
 ) -> ExtReal:
     """Upper probability of an outcome event under a fixed forecasting
-    system, evaluated in the embedded game at the interleaved prefix."""
-    game = embed(phi.spec)
-    lifted = lift_event(phi, event)
-    at = _pair_situation(chi_phi(phi, chi_prefix))
-    from gtprob.expectation import indicator
-
-    return upper_expectation(game, indicator(lifted), at, depth_cap)
+    system, conditional on an outcome prefix: the embedded game's value at
+    the interleaved prefix, swept on the outcome tree below the prefix."""
+    for p, x in chi_phi(phi, chi_prefix):
+        if x not in phi.spec.outcomes:
+            raise ValueError(f"situation uses unknown outcome {pair_label(p, x)!r}")
+    return _phi_levels(phi, event, tuple(chi_prefix), depth_cap)[0][0]
 
 
 def lower_prob_phi(
@@ -385,7 +399,8 @@ def delta_mixing_check(
     """Check, exactly, that conditioning on any outcome prefix of length
     ``n <= max_prefix`` raises the upper probability of each supplied
     event whose window starts at or past ``n + gap(n)`` by at most
-    ``delta``.
+    ``delta``.  Each event is swept once from the root, and every prefix
+    reads its conditional from that table (past the window's end, its leaf).
 
     Also evaluates the two-sided dichotomy on the supplied events: upper
     probability 0 or at least ``1 - delta``.  Both checks are finite
@@ -395,9 +410,8 @@ def delta_mixing_check(
     gap_fn = (lambda n: gap[n]) if isinstance(gap, Mapping) else gap
     skip = {tuple(s) for s in exceptions}
     report = MixingReport(delta=delta)
-    uncond: dict[int, ExtReal] = {}
-    for idx, event in enumerate(events):
-        uncond[idx] = upper_prob_phi(phi, event, (), depth_cap)
+    tables = [_phi_levels(phi, event, (), depth_cap) for event in events]
+    k = len(phi.spec.outcomes)
     worst: ExtReal | None = None
     for n in range(1, max_prefix + 1):
         remote = [
@@ -405,12 +419,13 @@ def delta_mixing_check(
         ]
         if not remote:
             continue
-        for prefix in phi.spec.outcomes.tuples(n):
+        for rank, prefix in enumerate(phi.spec.outcomes.tuples(n)):
             if prefix in skip:
                 continue
+            chi_phi(phi, prefix)
             for idx, event in remote:
-                cond = upper_prob_phi(phi, event, prefix, depth_cap)
-                margin = cond - uncond[idx]
+                cond = tables[idx][min(n, event.end)][rank // k ** max(n - event.end, 0)]
+                margin = cond - tables[idx][0][0]
                 report.rows.append((n, event.label or f"event{idx}", prefix, cond, margin))
                 if worst is None or margin > worst:
                     worst = margin
@@ -419,7 +434,7 @@ def delta_mixing_check(
                     report.violations += 1
     report.worst_margin = worst if worst is not None else ZERO
     for idx, event in enumerate(events):
-        v = uncond[idx]
+        v = tables[idx][0][0]
         ok = v == ZERO or v >= ONE - ext(delta)
         report.dichotomy.append((event.label or f"event{idx}", v, ok))
     return report

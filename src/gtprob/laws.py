@@ -270,16 +270,17 @@ def ergodic_bound(
     if counterexample is not None:
         return ShiftBoundReport(s, False, counterexample, None, None, None, None)
 
-    unconditional = upper_probability(game, event, EMPTY, depth_cap)
+    if m > game.horizon:
+        raise ValueError("payoff settles beyond the game horizon")
+    table = upper_table(game, indicator(event), depth_cap)
+    unconditional = table.value(EMPTY)
     deep = GameSpec(game.outcomes, game.contents[0], len(s) + m)
     conditional = upper_probability(deep, event, s, depth_cap)
     bound_holds = conditional <= unconditional
 
-    table = upper_table(game, indicator(event), depth_cap)
     moved = shift_strategy(deep, table, s)
     ok = verify_supermartingale(deep, moved, depth_cap).ok
     ok = ok and moved.value(s) == unconditional
-    xi = indicator(event)
     for w in game.outcomes.tuples(m):
         leaf = s + w
         covered = moved.value(leaf) >= (ONE if event.member(leaf) else ZERO)

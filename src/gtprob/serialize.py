@@ -160,7 +160,7 @@ def content_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/content") -
                 raise SchemaError(f"{where}/entries", "table needs an entry list")
             pairs = []
             for i, e in enumerate(entries):
-                gam = e.get("gamble")
+                gam = e.get("gamble") if isinstance(e, Mapping) else None
                 if not isinstance(gam, Mapping):
                     raise SchemaError(f"{where}/entries/{i}", "entry needs a gamble object")
                 g = Gamble.of(
@@ -252,7 +252,7 @@ def window_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/window") -> 
         if not isinstance(t, list) or len(t) != width:
             raise SchemaError(f"{where}/accepts/{i}", f"accept tuples must have length {width}")
         for lab in t:
-            if lab not in outcomes:
+            if not isinstance(lab, str) or lab not in outcomes:
                 raise SchemaError(f"{where}/accepts/{i}", f"unknown outcome {lab!r}")
         tuples.append(tuple(t))
     try:
@@ -359,6 +359,9 @@ def protocol2_from_json(obj: Any, where: str = "") -> Protocol2Spec:
     menus = obj.get("predictions")
     if not isinstance(menus, list) or not menus:
         raise SchemaError(f"{where}/predictions", "need one prediction menu per round")
+    for i, menu in enumerate(menus):
+        if not isinstance(menu, list) or not all(isinstance(p, str) for p in menu):
+            raise SchemaError(f"{where}/predictions/{i}", "a prediction menu is a list of symbols")
     raw_contents = obj.get("contents")
     if not isinstance(raw_contents, Mapping):
         raise SchemaError(f"{where}/contents", "need a symbol -> functional object")

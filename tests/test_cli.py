@@ -324,3 +324,119 @@ def test_table_functional_missing_an_entry_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, ["expect", str(path), "--payoff", "e_w2"])
     assert code == 2 and out == ""
     assert err.startswith("error: no table entry for gamble values")
+
+
+P2_SPEC = {
+    "outcomes": ["0", "1"],
+    "predictions": [["a", "b"]] * 3,
+    "contents": {"a": COIN_SPEC["content"], "b": {"type": "measure", "probs": {"0": "1/3", "1": "2/3"}}},
+}
+
+
+def write_json(tmp_path, name, obj) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def mixing_argv(tmp_path, *flags, spec=P2_SPEC, system=None, events=None):
+    """``law … mixing`` on a three-round forecaster spec, by default with
+    the constant system ``a`` and the event "third outcome is 1"."""
+    system = {"kind": "constant", "value": "a"} if system is None else system
+    events = [{"start": 3, "end": 3, "accepts": [["1"]]}] if events is None else events
+    files = [write_json(tmp_path, f"e{i}.json", e) for i, e in enumerate(events)]
+    return [
+        "law", write_json(tmp_path, "p2.json", spec), "mixing",
+        "--system", write_json(tmp_path, "sys.json", system), "--events", ";".join(files), *flags,
+    ]
+
+
+TABLE_GAP_SPEC = {"outcomes": ["0", "1"], "horizon": 2, "content": {"type": "table", "entries": ["x"]}}
+
+# Input errors that must exit 2 with a message: case -> (argv from tmp_path
+# and the coin spec's path, the message).
+INPUT_ERRORS = {
+    "table_system_gap": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "table", "rule": {"": "a"}}),
+        "forecasting table has no entry for history ('0',)",
+    ),
+    "menu_not_a_list": (
+        lambda tmp, coin: mixing_argv(tmp, spec=dict(P2_SPEC, predictions=[["a"], 5, ["a"]])),
+        "/predictions/1: a prediction menu is a list of symbols",
+    ),
+    "accept_not_a_label": (
+        lambda tmp, coin: mixing_argv(tmp, events=[{"start": 3, "end": 3, "accepts": [[["1"]]]}]),
+        "/window/accepts/0: unknown outcome ['1']",
+    ),
+    "table_entry_not_an_object": (
+        lambda tmp, coin: ["expect", write_json(tmp, "t.json", TABLE_GAP_SPEC), "--payoff", "e_w1"],
+        "/content/entries/0: entry needs a gamble object",
+    ),
+    "doob_zero_denominator": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doob:1/0,1", "--path", "0"],
+        "/strategy: not an exact rational: '1/0'",
+    ),
+    "levy_zero_denominator": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "levy:0,1/0", "--payoff", "e_w1", "--path", "0"],
+        "/strategy: not an exact rational: '1/0'",
+    ),
+    "const_zero_denominator": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "const:1/0"],
+        "/payoff: not an extended rational: '1/0'",
+    ),
+    "leading_ones_zero_denominator": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "leading_ones:1/0"],
+        "/payoff: not an exact rational: '1/0'",
+    ),
+    "delta_zero_denominator": (
+        lambda tmp, coin: mixing_argv(tmp, "--delta", "1/0"),
+        "/delta: not an exact rational: '1/0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_input_errors_exit_two(case, coin_file, tmp_path, capsys):
+    argv, message = INPUT_ERRORS[case]
+    code, out, err = run(capsys, argv(tmp_path, coin_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+MIXING_NOTE = (
+    "finite-horizon surrogate: the bound is checked on the supplied event list only, "
+    "not on every sufficiently remote event, and prefixes in the exception list are skipped\n"
+)
+
+
+def test_law_mixing_reads_prefixes_past_a_window_end(tmp_path, capsys):
+    events = [{"start": 1, "end": 1, "accepts": [["1"]]}, {"start": 3, "end": 3, "accepts": [["1"]]}]
+    code, out, _ = run(capsys, mixing_argv(tmp_path, "--gap", "-3", "--max-prefix", "3", events=events))
+    assert code == 1
+    assert out == (
+        "delta=0: 11 violation(s) over 28 checks; worst margin 1/2 at (1, 'event0', ('1',))\n"
+        "dichotomy on supplied events: event0: upper=1/2 outside, event1: upper=1/2 outside\n"
+        + MIXING_NOTE
+    )
+
+
+def test_law_mixing_prefix_past_the_horizon_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, mixing_argv(tmp_path, "--gap", "-3", "--max-prefix", "4"))
+    assert (code, out, err) == (2, "", "error: outcome path longer than the horizon\n")
+
+
+def test_law_mixing_with_a_table_system(tmp_path, capsys):
+    rule = {"": "b", "0": "a", "1": "b", "00": "a", "01": "b", "10": "b", "11": "a"}
+    events = [
+        {"start": 3, "end": 3, "accepts": [["1"]]},
+        {"start": 2, "end": 3, "accepts": [["1", "1"], ["0", "1"]]},
+    ]
+    argv = mixing_argv(tmp_path, "--delta", "1/10", system={"kind": "table", "rule": rule}, events=events)
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out == (
+        "delta=1/10: 2 violation(s) over 8 checks; worst margin 11/108 at (2, 'event0', ('0', '1'))\n"
+        "dichotomy on supplied events: event0: upper=61/108 outside, event1: upper=61/108 outside\n"
+        + MIXING_NOTE
+    )

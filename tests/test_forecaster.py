@@ -1,14 +1,28 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtprob.extreal import ONE, ZERO, ext
-from gtprob.functionals import Gamble, Measure, OutcomeSet, SupContent
+from gtprob.functionals import (
+    Envelope,
+    ExtendedContent,
+    Gamble,
+    Measure,
+    OutcomeSet,
+    SupContent,
+    TableContent,
+    UnknownGambleError,
+    extend_bounded_below,
+)
 from gtprob.gametree import verify_supermartingale
-from gtprob.expectation import EventWindow, Payoff, upper_expectation, upper_table
+from gtprob.expectation import EventWindow, Payoff, indicator, upper_expectation, upper_table
 from gtprob.forecaster import (
     ForecastingSystem,
+    MixingReport,
     Protocol2Spec,
     chi_phi,
     delta_mixing_check,
@@ -17,6 +31,7 @@ from gtprob.forecaster import (
     lower_prob_phi,
     pair_label,
     restrict_to_clearing,
+    split_label,
     upper_expectation_p2,
     upper_prob_phi,
     verify_p2_supermartingale,
@@ -221,3 +236,210 @@ def test_mixing_exception_list_skips_prefixes():
         phi, Fraction(1, 2), lambda n: 1, [event], max_prefix=1, exceptions=[("1",)]
     )
     assert report.violations == 0
+
+
+# -- the outcome-tree sweep against the embedded game ------------------------
+
+
+def lift_event(phi, event):
+    """The event over embedded paths: the outcome part belongs to the
+    original event and every prediction coordinate matches the rule."""
+
+    def member(window):
+        pairs = [split_label(lab) for lab in window]
+        chi = tuple(x for _p, x in pairs)
+        for n, (p, _x) in enumerate(pairs):
+            if phi.predict(chi[:n]) != p:
+                return False
+        return event.member_window(chi[event.start - 1 : event.end])
+
+    return EventWindow(1, event.end, predicate=member)
+
+
+def embedded_upper_prob(phi, event, prefix=()):
+    at = tuple(pair_label(p, x) for p, x in chi_phi(phi, prefix))
+    return upper_expectation(embed(phi.spec), indicator(lift_event(phi, event)), at)
+
+
+def embedded_mixing(phi, delta, gap, events, max_prefix, exceptions=()):
+    """The mixing check as one embedded sweep per (prefix, event) pair."""
+    uncond = [embedded_upper_prob(phi, e) for e in events]
+    rows, worst, worst_at, violations = [], None, None, 0
+    for n in range(1, max_prefix + 1):
+        remote = [(i, e) for i, e in enumerate(events) if e.start >= n + gap]
+        if not remote:
+            continue
+        for prefix in phi.spec.outcomes.tuples(n):
+            if prefix in exceptions:
+                continue
+            for i, e in remote:
+                cond = embedded_upper_prob(phi, e, prefix)
+                margin = cond - uncond[i]
+                rows.append((n, e.label or f"event{i}", prefix, cond, margin))
+                if worst is None or margin > worst:
+                    worst, worst_at = margin, (n, e.label or f"event{i}", prefix)
+                violations += margin > ext(delta)
+    dichotomy = [
+        (e.label or f"event{i}", v, v == ZERO or v >= ONE - ext(delta))
+        for i, (e, v) in enumerate(zip(events, uncond))
+    ]
+    return MixingReport(delta, rows, worst if worst is not None else ZERO, worst_at, violations, dichotomy)
+
+
+def settle(fn):
+    """A value, or the exception's type with its text; an unknown gamble
+    is compared by type only."""
+    try:
+        return fn()
+    except UnknownGambleError:
+        return UnknownGambleError
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def forecaster_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+    symbols = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    horizon = draw(st.integers(1, 4 if k * len(symbols) <= 6 else 3))
+    weight = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1)])
+    odd = st.sampled_from([Fraction(-1, 2), Fraction(3, 4), Fraction(2), Fraction(-5, 3)])
+
+    def measure():
+        w = draw(st.lists(weight, min_size=k, max_size=k).filter(any))
+        return Measure(outcomes, [x / sum(w) for x in w])
+
+    def table():
+        # A price list on a small grid of values: gambles off the grid, or
+        # the constant 0 when it is left out, raise UnknownGambleError.
+        extra = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2)])
+        grid = [Fraction(0), Fraction(1)] + draw(st.lists(extra, max_size=1))
+        rule = draw(st.sampled_from([max, lambda g: g[0]]))
+        entries = {g: rule(g) for g in itertools.product(grid, repeat=k)}
+        zero = (Fraction(0),) * k
+        if draw(st.booleans()):
+            del entries[zero]
+        elif draw(st.booleans()):
+            entries[zero] = draw(st.sampled_from(grid))
+        return TableContent(
+            outcomes, [(Gamble(outcomes, [ext(v) for v in g]), ext(p)) for g, p in entries.items()]
+        )
+
+    makers = {
+        "measure": measure,
+        "unchecked": lambda: Measure.unchecked(outcomes, draw(st.lists(odd, min_size=k, max_size=k))),
+        "envelope": lambda: Envelope(outcomes, [measure(), measure()]),
+        "sup": lambda: SupContent(outcomes),
+        "table": table,
+        "extended": lambda: extend_bounded_below(outcomes, measure()),
+    }
+    contents = {p: makers[draw(st.sampled_from(sorted(makers)))]() for p in symbols}
+    menus = [
+        tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=3)))
+        for _ in range(horizon)
+    ]
+    spec = Protocol2Spec(outcomes, menus, contents, horizon)
+    rule = {h: draw(st.sampled_from(menus[len(h)])) for d in range(horizon) for h in outcomes.tuples(d)}
+    # Now and then a history whose symbol is off the round's menu, or
+    # which the table lacks.
+    histories = sorted(rule)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        h = draw(st.sampled_from(histories))
+        if draw(st.booleans()):
+            rule[h] = draw(st.sampled_from(symbols))
+        else:
+            rule.pop(h, None)
+    phi = ForecastingSystem.from_table(spec, rule)
+    start = draw(st.integers(1, horizon))
+    end = draw(st.integers(start, horizon))
+    windows = list(outcomes.tuples(end - start + 1))
+    events = [
+        EventWindow(start, end, accepts=draw(st.lists(st.sampled_from(windows), unique=True)), label=label)
+        for label in draw(st.sampled_from([[""], ["", "x"], ["x", ""]]))
+    ]
+    return phi, events
+
+
+@settings(max_examples=150, deadline=None)
+@given(forecaster_cases(), st.data())
+def test_outcome_tree_sweep_matches_the_embedded_game(case, data):
+    phi, events = case
+    labels = phi.spec.outcomes.labels
+    prefix = tuple(data.draw(st.lists(st.sampled_from(labels), max_size=phi.spec.horizon + 1)))
+    for at in ((), prefix):
+        for event in events:
+            assert settle(lambda: upper_prob_phi(phi, event, at)) == settle(
+                lambda: embedded_upper_prob(phi, event, at)
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(forecaster_cases(), st.data())
+def test_mixing_report_matches_the_embedded_game(case, data):
+    phi, events = case
+    horizon = phi.spec.horizon
+    gap = data.draw(st.integers(-3, 1))
+    max_prefix = data.draw(st.integers(1, horizon + 1))
+    delta = data.draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2)]))
+    skip = data.draw(st.lists(st.tuples(st.sampled_from(phi.spec.outcomes.labels)), max_size=1))
+    expected = settle(lambda: embedded_mixing(phi, delta, gap, events, max_prefix, skip))
+    got = settle(lambda: delta_mixing_check(phi, delta, lambda n: gap, events, max_prefix, skip))
+    assert got == expected
+    if isinstance(got, MixingReport):
+        assert str(got) == str(expected)
+
+
+def test_off_rule_constant_is_priced_where_the_embedded_game_prices_it():
+    # The price list lacks the constant 0, the off-rule value at the leaves.
+    grid = [ZERO, ONE]
+    gaps = TableContent(
+        BIN, [(Gamble(BIN, g), max(g)) for g in itertools.product(grid, repeat=2) if ONE in g]
+    )
+    window = EventWindow(1, 2, accepts=[("0", "1"), ("1", "0"), ("1", "1")])
+    # Two symbols, one per round: the embedded game still holds off-rule
+    # nodes (pair labels whose symbol is off the menu) and prices them.
+    spec = spec_with([("a",), ("b",)], {"a": COIN, "b": gaps})
+    phi = ForecastingSystem(spec, lambda s: "b" if s else "a")
+    assert settle(lambda: upper_prob_phi(phi, window)) == UnknownGambleError
+    assert settle(lambda: embedded_upper_prob(phi, window)) == UnknownGambleError
+    # One symbol: no off-rule node, so the missing entry is never asked for.
+    phi = ForecastingSystem.constant(spec_with([("b",)] * 2, {"b": gaps}), "b")
+    assert upper_prob_phi(phi, window) == embedded_upper_prob(phi, window) == ONE
+    # Below a prefix the off-rule constant is priced from the next depth
+    # on, so the rule's symbol is never asked for it at the prefix.
+    phi = ForecastingSystem.constant(spec_with([("a", "b")] * 2, {"a": gaps, "b": COIN}), "a")
+    assert upper_prob_phi(phi, window, ("0",)) == embedded_upper_prob(phi, window, ("0",)) == ONE
+
+
+def test_off_rule_constant_carries_up_the_tree():
+    # A functional that prices the constant 0 at 1/4 makes the off-rule
+    # constant 0, 1/4, 1/2 at depths 3, 2, 1; the root then takes the
+    # off-rule symbol's price 3/4 over the rule's 1/2.
+    shifted = ExtendedContent(BIN, lambda g: max(g.values) + ext("1/4"))
+    phi = ForecastingSystem.constant(spec_with([("a", "b")] * 3, {"a": COIN, "b": shifted}), "a")
+    event = EventWindow.coordinate_is(3, "1")
+    assert upper_prob_phi(phi, event) == embedded_upper_prob(phi, event) == ext("3/4")
+
+
+def test_first_failing_history_matches_the_embedded_scan():
+    spec = spec_with([("a",)] * 3, {"a": COIN})
+    rule = {h: "a" for d in range(3) for h in BIN.tuples(d)}
+    rule[("1",)] = "x"
+    rule[("0", "1")] = "x"
+    phi = ForecastingSystem.from_table(spec, rule)
+    event = EventWindow.coordinate_is(3, "1")
+    expected = (ValueError, "rule returned 'x' at round 3, menu is ('a',)")
+    assert settle(lambda: upper_prob_phi(phi, event)) == expected
+    assert settle(lambda: embedded_upper_prob(phi, event)) == expected
+    del rule[("0",)]
+    phi = ForecastingSystem.from_table(spec, rule)
+    expected = (ValueError, "forecasting table has no entry for history ('0',)")
+    assert settle(lambda: upper_prob_phi(phi, event)) == expected
+    assert settle(lambda: embedded_upper_prob(phi, event)) == expected
+
+
+def test_unknown_outcome_in_a_prefix_is_named_with_its_prediction():
+    phi = ForecastingSystem.constant(coin_sup_spec(2), "c")
+    with pytest.raises(ValueError, match="^situation uses unknown outcome 'c:z'$"):
+        upper_prob_phi(phi, EventWindow.coordinate_is(2, "1"), ("z",))
