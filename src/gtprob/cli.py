@@ -415,13 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        return _fail(str(exc))
     except UnknownGambleError as exc:
         return _fail(exc.args[0])
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # SchemaError, DepthCapError and JSONDecodeError too
         return _fail(str(exc))
 
 

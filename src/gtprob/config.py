@@ -5,8 +5,8 @@ over K outcomes touches K**N nodes.  Operations that sweep whole levels
 refuse to run past the caps below.  Path-local operations (capital traces,
 conditional values along a single path) are not capped.
 
-The depth cap can be raised through the ``GTP_MAX_DEPTH`` environment
-variable or per call where a ``depth_cap`` argument is accepted.
+The depth cap has one source: the ``GTP_MAX_DEPTH`` environment variable,
+read at every check, with ``DEFAULT_DEPTH_CAP`` when it is unset.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ class DepthCapError(ValueError):
     """A dense enumeration would exceed the configured depth cap."""
 
 
-def depth_cap(explicit: int | None = None) -> int:
-    """Effective dense-depth cap: explicit override, else env, else default."""
-    if explicit is not None:
-        return int(explicit)
+def depth_cap() -> int:
+    """Effective dense-depth cap: the environment variable, else the default."""
     env = os.environ.get(ENV_DEPTH_VAR)
     if env is not None:
         try:
@@ -36,10 +34,9 @@ def depth_cap(explicit: int | None = None) -> int:
     return DEFAULT_DEPTH_CAP
 
 
-def require_dense(depth: int, explicit_cap: int | None = None, what: str = "enumeration") -> None:
-    cap = depth_cap(explicit_cap)
+def require_dense(depth: int, what: str) -> None:
+    cap = depth_cap()
     if depth > cap:
         raise DepthCapError(
-            f"dense {what} to depth {depth} exceeds the cap {cap}; "
-            f"raise {ENV_DEPTH_VAR} or pass an explicit depth_cap to allow it"
+            f"dense {what} to depth {depth} exceeds the cap {cap}; raise {ENV_DEPTH_VAR} to allow it"
         )

@@ -107,8 +107,8 @@ class Payoff:
         return cls(depth, lambda s: v, kind="constant", meta=v)
 
     @classmethod
-    def leading_ones_capped(cls, cap, depth: int, one_label: str = "1") -> "Payoff":
-        """Doubling run payoff: ``2**n`` for ``n`` leading ``one_label``
+    def leading_ones_capped(cls, cap, depth: int) -> "Payoff":
+        """Doubling run payoff: ``2**n`` for ``n`` leading ``"1"``
         outcomes, truncated at ``cap``.
 
         Needs ``2**depth >= cap`` so the all-ones leaf already tops the
@@ -125,7 +125,7 @@ class Payoff:
         def fn(s: Situation) -> ExtReal:
             n = 0
             for x in s:
-                if x != one_label:
+                if x != "1":
                     break
                 n += 1
             return values[n]
@@ -145,8 +145,8 @@ class Payoff:
         d = ext(c)
         return Payoff(self.depth, lambda s: self._fn(s) + d, kind=f"shift({self.kind})")
 
-    def leaf_values(self, game: GameSpec, depth_cap: int | None = None) -> list[ExtReal]:
-        config.require_dense(self.depth, depth_cap, what="payoff tabulation")
+    def leaf_values(self, game: GameSpec) -> list[ExtReal]:
+        config.require_dense(self.depth, what="payoff tabulation")
         return [self._fn(s) for s in game.outcomes.tuples(self.depth)]
 
     def __repr__(self) -> str:
@@ -198,10 +198,10 @@ class EventWindow:
             raise ValueError("prefix does not cover the event window")
         return self.member_window(tuple(outcomes_prefix[self.start - 1 : self.end]))
 
-    def accepts(self, outcomes: OutcomeSet, depth_cap: int | None = None) -> frozenset:
+    def accepts(self, outcomes: OutcomeSet) -> frozenset:
         if self._accepts is not None:
             return self._accepts
-        config.require_dense(self.width, depth_cap, what="event materialization")
+        config.require_dense(self.width, what="event materialization")
         return frozenset(t for t in outcomes.tuples(self.width) if self._pred(t))
 
     def complement(self) -> "EventWindow":
@@ -380,13 +380,11 @@ def _sweep(
     return kept
 
 
-def _level_values(
-    game: GameSpec, xi: Payoff, s: Situation, depth_cap: int | None = None, negate: bool = False
-) -> ExtReal:
+def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False) -> ExtReal:
     """Backward induction over the subtree below ``s``, of ``-xi`` if
     ``negate``."""
     span = xi.depth - len(s)
-    config.require_dense(span, depth_cap, what="conditional expectation sweep")
+    config.require_dense(span, what="conditional expectation sweep")
     fn = xi._fn
     leaves = [fn(s + rest) for rest in game.outcomes.tuples(span)]
     return _sweep(game, leaves, len(s), xi.depth, len(s), negate)[0][0]
@@ -399,9 +397,7 @@ def _check_situation(game: GameSpec, xi: Payoff, s: Situation) -> Situation:
     return s
 
 
-def upper_expectation(
-    game: GameSpec, xi: Payoff, s: Situation = EMPTY, depth_cap: int | None = None
-) -> ExtReal:
+def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
     """Conditional upper expectation of ``xi`` given situation ``s``.
 
     At depth ``xi.depth`` this is the payoff itself; above it, the round
@@ -410,28 +406,24 @@ def upper_expectation(
     s = _check_situation(game, xi, s)
     if len(s) >= xi.depth:
         return xi.value(s[: xi.depth])
-    return _level_values(game, xi, s, depth_cap)
+    return _level_values(game, xi, s)
 
 
-def lower_expectation(
-    game: GameSpec, xi: Payoff, s: Situation = EMPTY, depth_cap: int | None = None
-) -> ExtReal:
+def lower_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
     """Negation dual ``-upper(-xi)``; the sweep negates the numerators."""
     s = _check_situation(game, xi, s)
     if len(s) >= xi.depth:
         return xi.value(s[: xi.depth])
-    return -_level_values(game, xi, s, depth_cap, negate=True)
+    return -_level_values(game, xi, s, negate=True)
 
 
-def upper_table(
-    game: GameSpec, xi: Payoff, depth_cap: int | None = None
-) -> Supermartingale:
+def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     """The full table of conditional upper expectations, depths 0..xi.depth.
 
     This is the exact cover of ``xi`` with the least start, and it prices
     its own children exactly at every node.
     """
-    leaves = xi.leaf_values(game, depth_cap)
+    leaves = xi.leaf_values(game)
     levels = _sweep(game, leaves, 0, xi.depth, xi.depth)
     table: dict[Situation, ExtReal] = {}
     for d in range(xi.depth, -1, -1):
@@ -439,19 +431,15 @@ def upper_table(
     return Supermartingale(table, xi.depth)
 
 
-def upper_probability(
-    game: GameSpec, event: EventWindow, s: Situation = EMPTY, depth_cap: int | None = None
-) -> ExtReal:
-    return upper_expectation(game, indicator(event), s, depth_cap)
+def upper_probability(game: GameSpec, event: EventWindow, s: Situation = EMPTY) -> ExtReal:
+    return upper_expectation(game, indicator(event), s)
 
 
-def lower_probability(
-    game: GameSpec, event: EventWindow, s: Situation = EMPTY, depth_cap: int | None = None
-) -> ExtReal:
+def lower_probability(game: GameSpec, event: EventWindow, s: Situation = EMPTY) -> ExtReal:
     """Lower probability via the negation dual, with the complement
     identity ``lower(E) = 1 - upper(E^c)`` asserted on every call."""
-    low = lower_expectation(game, indicator(event), s, depth_cap)
-    dual = ONE - upper_probability(game, event.complement(), s, depth_cap)
+    low = lower_expectation(game, indicator(event), s)
+    dual = ONE - upper_probability(game, event.complement(), s)
     if low != dual:
         raise AssertionError(
             f"complement identity violated at {s!r}: lower={low}, 1-upper(complement)={dual}"
@@ -462,9 +450,7 @@ def lower_probability(
 # -- running-maximum coverage ---------------------------------------------
 
 
-def sup_variant_upper_expectation(
-    game: GameSpec, xi: Payoff, depth_cap: int | None = None
-) -> ExtReal:
+def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     """Least start of a nonnegative capital table whose running maximum
     reaches the payoff's level on every path.
 
@@ -487,8 +473,8 @@ def sup_variant_upper_expectation(
     if xi.depth > game.horizon:
         raise ValueError("payoff settles beyond the game horizon")
     span = xi.depth
-    config.require_dense(span, depth_cap, what="running-maximum dynamic program")
-    leaves = xi.leaf_values(game, depth_cap)
+    config.require_dense(span, what="running-maximum dynamic program")
+    leaves = xi.leaf_values(game)
     for s, v in zip(game.outcomes.tuples(span), leaves):
         if not v.is_finite:
             raise ValueError(f"payoff must be finite-valued, got {v} at {s!r}")
@@ -531,15 +517,13 @@ class DeterminacyReport:
         return "\n".join(lines)
 
 
-def determinacy_check(
-    game: GameSpec, xi: Payoff, depth: int, depth_cap: int | None = None
-) -> DeterminacyReport:
+def determinacy_check(game: GameSpec, xi: Payoff, depth: int) -> DeterminacyReport:
     """List every situation up to ``depth`` where upper and lower
     expectations disagree; an empty list certifies determinacy at this
     truncation."""
     if depth > xi.depth:
         depth = xi.depth
-    leaves = xi.leaf_values(game, depth_cap)
+    leaves = xi.leaf_values(game)
     up = _sweep(game, leaves, 0, xi.depth, depth)
     down = _sweep(game, leaves, 0, xi.depth, depth, negate=True)
     report = DeterminacyReport(depth=depth)

@@ -82,6 +82,9 @@ class Protocol2Spec:
         contents: Mapping[str, OuterContent],
         horizon: int | None = None,
     ):
+        for m in prediction_menus:
+            if isinstance(m, str):
+                raise ValueError(f"a prediction menu must be a sequence of symbols, not {m!r}")
         menus = tuple(tuple(m) for m in prediction_menus)
         if not menus or any(not m for m in menus):
             raise ValueError("every round needs a non-empty prediction menu")
@@ -177,7 +180,6 @@ def upper_expectation_p2(
     xi2: Callable[[PairPath], ExtReal],
     depth: int,
     at: PairPath = (),
-    depth_cap: int | None = None,
 ) -> ExtReal:
     """Native two-phase dynamic program on clearing situations.
 
@@ -189,7 +191,7 @@ def upper_expectation_p2(
     at = tuple(at)
     if len(at) > depth:
         raise ValueError("conditioning history longer than the payoff depth")
-    config.require_dense(depth - len(at), depth_cap, what="native two-phase sweep")
+    config.require_dense(depth - len(at), what="native two-phase sweep")
 
     def value(s: PairPath) -> ExtReal:
         if len(s) == depth:
@@ -256,19 +258,21 @@ class ForecastingSystem:
 
 def chi_phi(phi: ForecastingSystem, chi: Sequence[str]) -> PairPath:
     """Interleave a forecasting system with an outcome path:
-    prediction, outcome, prediction, outcome, ..., truncated."""
+    prediction, outcome, prediction, outcome, ..., truncated.  An unknown
+    outcome is refused before the rule is asked for the history after it."""
     chi = tuple(chi)
     if len(chi) > phi.spec.horizon:
         raise ValueError("outcome path longer than the horizon")
     out: list[tuple[str, str]] = []
     for n, x in enumerate(chi):
-        out.append((phi.predict(chi[:n]), x))
+        p = phi.predict(chi[:n])
+        if x not in phi.spec.outcomes:
+            raise ValueError(f"situation uses unknown outcome {pair_label(p, x)!r}")
+        out.append((p, x))
     return tuple(out)
 
 
-def _phi_levels(
-    phi: ForecastingSystem, event: EventWindow, prefix: Situation, depth_cap: int | None = None
-) -> list[list[ExtReal]]:
+def _phi_levels(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -> list[list[ExtReal]]:
     """Upper probabilities of ``event`` under ``phi`` at the outcome
     histories from ``prefix`` to the window's end, one level per depth in
     base-K rank order.  A child off the rule is worth ``Z(d+1)``, carried
@@ -277,7 +281,7 @@ def _phi_levels(
     spec, top, end = phi.spec, len(prefix), event.end
     if end > spec.horizon:
         raise ValueError("payoff settles beyond the game horizon")
-    config.require_dense(end - top, depth_cap, what="conditional expectation sweep")
+    config.require_dense(end - top, what="conditional expectation sweep")
     k, rules, nums = len(spec.outcomes), {}, []
     for rest in spec.outcomes.tuples(max(end - top, 0)):
         # Ask the rule in the order the embedded event's leaf scan does.
@@ -303,28 +307,20 @@ def _phi_levels(
 
 
 def upper_prob_phi(
-    phi: ForecastingSystem,
-    event: EventWindow,
-    chi_prefix: Sequence[str] = (),
-    depth_cap: int | None = None,
+    phi: ForecastingSystem, event: EventWindow, chi_prefix: Sequence[str] = ()
 ) -> ExtReal:
     """Upper probability of an outcome event under a fixed forecasting
     system, conditional on an outcome prefix: the embedded game's value at
     the interleaved prefix, swept on the outcome tree below the prefix."""
-    for p, x in chi_phi(phi, chi_prefix):
-        if x not in phi.spec.outcomes:
-            raise ValueError(f"situation uses unknown outcome {pair_label(p, x)!r}")
-    return _phi_levels(phi, event, tuple(chi_prefix), depth_cap)[0][0]
+    chi_phi(phi, chi_prefix)  # refuses unknown outcomes and off-menu predictions
+    return _phi_levels(phi, event, tuple(chi_prefix))[0][0]
 
 
 def lower_prob_phi(
-    phi: ForecastingSystem,
-    event: EventWindow,
-    chi_prefix: Sequence[str] = (),
-    depth_cap: int | None = None,
+    phi: ForecastingSystem, event: EventWindow, chi_prefix: Sequence[str] = ()
 ) -> ExtReal:
     """Defined as one minus the upper probability of the complement."""
-    return ONE - upper_prob_phi(phi, event.complement(), chi_prefix, depth_cap)
+    return ONE - upper_prob_phi(phi, event.complement(), chi_prefix)
 
 
 def restrict_to_clearing(spec: Protocol2Spec, sm: Supermartingale) -> dict[PairPath, ExtReal]:
@@ -394,7 +390,6 @@ def delta_mixing_check(
     events: Sequence[EventWindow],
     max_prefix: int,
     exceptions: Sequence[Situation] = (),
-    depth_cap: int | None = None,
 ) -> MixingReport:
     """Check, exactly, that conditioning on any outcome prefix of length
     ``n <= max_prefix`` raises the upper probability of each supplied
@@ -410,7 +405,7 @@ def delta_mixing_check(
     gap_fn = (lambda n: gap[n]) if isinstance(gap, Mapping) else gap
     skip = {tuple(s) for s in exceptions}
     report = MixingReport(delta=delta)
-    tables = [_phi_levels(phi, event, (), depth_cap) for event in events]
+    tables = [_phi_levels(phi, event, ()) for event in events]
     k = len(phi.spec.outcomes)
     worst: ExtReal | None = None
     for n in range(1, max_prefix + 1):

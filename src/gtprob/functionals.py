@@ -441,6 +441,7 @@ GRID_VALUES = (NEG_INF, ext(-1), ZERO, ext("1/2"), ONE, ext(2), INF)
 SMALL_GRID_VALUES = (NEG_INF, ZERO, ONE, INF)
 AUDIT_SCALARS = (Fraction(1, 2), Fraction(2), Fraction(3))
 AUDIT_CONSTANTS = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+SURROGATE = "countable-subadditive (finite surrogate)"
 
 
 def default_grid(outcomes: OutcomeSet) -> list[Gamble]:
@@ -482,31 +483,26 @@ class AxiomReport:
         lines.append(f"claimed level: {self.level_claimed}; audited level: {self.level_audited}")
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "results": {
-                k: {
-                    "passed": r.passed,
-                    "checked": r.checked,
-                    "skipped": r.skipped,
-                    "witness": r.witness,
-                }
-                for k, r in sorted(self.results.items())
-            },
-            "level_claimed": self.level_claimed,
-            "level_audited": self.level_audited,
-        }
-
 
 def _gamble_str(g: Gamble) -> str:
     return "(" + ", ".join(str(v) for v in g.values) + ")"
 
 
-def check_axioms(
-    content: OuterContent,
-    gambles: Sequence[Gamble] | None = None,
-    scalars: Sequence[Fraction] = AUDIT_SCALARS,
-) -> AxiomReport:
+def _tally(name: str, checks: Iterable[tuple[bool, Callable[[], str]] | None]) -> AxiomResult:
+    """Count checked and skipped cases; the first failure's witness is kept."""
+    checked = skipped = 0
+    witness = None
+    for case in checks:
+        if case is None:
+            skipped += 1
+            continue
+        checked += 1
+        if not case[0] and witness is None:
+            witness = case[1]()
+    return AxiomResult(name, witness is None, checked, skipped, witness)
+
+
+def check_axioms(content: OuterContent, gambles: Sequence[Gamble] | None = None) -> AxiomReport:
     """Audit a functional against the four axioms plus the finite surrogate
     of countable subadditivity.
 
@@ -531,125 +527,81 @@ def check_axioms(
                 cache[key] = None
         return cache[key]
 
-    report = AxiomReport(level_claimed=content.declared_level)
+    # Each axiom yields None for a skipped case, else (holds, witness thunk).
+    def monotone():
+        for f, g in itertools.combinations_with_replacement(suite, 2):
+            for lo, hi in ((f, g), (g, f)):
+                if lo.le(hi):
+                    a, b = price(lo), price(hi)
+                    yield None if a is None or b is None else (
+                        a <= b,
+                        lambda: f"f={_gamble_str(lo)} <= g={_gamble_str(hi)} but E(f)={a} > E(g)={b}",
+                    )
 
-    # Axiom 1: monotone.
-    checked = skipped = 0
-    witness = None
-    for f, g in itertools.combinations_with_replacement(suite, 2):
-        for lo, hi in ((f, g), (g, f)):
-            if not lo.le(hi):
-                continue
-            a, b = price(lo), price(hi)
-            if a is None or b is None:
-                skipped += 1
-                continue
-            checked += 1
-            if not (a <= b) and witness is None:
-                witness = f"f={_gamble_str(lo)} <= g={_gamble_str(hi)} but E(f)={a} > E(g)={b}"
-    report.results["monotone"] = AxiomResult("monotone", witness is None, checked, skipped, witness)
+    def homogeneous():
+        for f in suite:
+            ef = price(f)
+            for c in AUDIT_SCALARS:
+                cf = None if ef is None else price(f.scaled(c))
+                yield None if cf is None else (
+                    cf == scale(c, ef),
+                    lambda: f"E({c}*{_gamble_str(f)})={cf} but {c}*E(f)={scale(c, ef)}",
+                )
 
-    # Axiom 2: positive homogeneity.
-    checked = skipped = 0
-    witness = None
-    for f in suite:
-        ef = price(f)
-        if ef is None:
-            skipped += len(scalars)
-            continue
-        for c in scalars:
-            cf = price(f.scaled(c))
-            if cf is None:
-                skipped += 1
-                continue
-            checked += 1
-            if cf != scale(c, ef) and witness is None:
-                witness = f"E({c}*{_gamble_str(f)})={cf} but {c}*E(f)={scale(c, ef)}"
-    report.results["homogeneous"] = AxiomResult(
-        "homogeneous", witness is None, checked, skipped, witness
-    )
-
-    # Axiom 3: subadditive.
-    checked = skipped = 0
-    witness = None
-    for f, g in itertools.product(suite, repeat=2):
-        ef, eg = price(f), price(g)
-        s = price(f + g)
-        if ef is None or eg is None or s is None:
-            skipped += 1
-            continue
-        checked += 1
-        if not (s <= ef + eg) and witness is None:
-            witness = (
-                f"f={_gamble_str(f)}, g={_gamble_str(g)}: "
-                f"E(f+g)={s} > E(f)+E(g)={ef + eg}"
+    def subadditive():
+        for f, g in itertools.product(suite, repeat=2):
+            ef, eg, s = price(f), price(g), price(f + g)
+            yield None if ef is None or eg is None or s is None else (
+                s <= ef + eg,
+                lambda: f"f={_gamble_str(f)}, g={_gamble_str(g)}: E(f+g)={s} > E(f)+E(g)={ef + eg}",
             )
-    report.results["subadditive"] = AxiomResult(
-        "subadditive", witness is None, checked, skipped, witness
-    )
 
-    # Axiom 4: normalized on finite constants.
-    checked = skipped = 0
-    witness = None
-    for c in AUDIT_CONSTANTS:
-        v = price(Gamble.constant(content.outcomes, c))
-        if v is None:
-            skipped += 1
-            continue
-        checked += 1
-        if v != ext(c) and witness is None:
-            witness = f"E({c})={v} != {c}"
-    report.results["normalized"] = AxiomResult(
-        "normalized", witness is None, checked, skipped, witness
-    )
+    def normalized():
+        for c in AUDIT_CONSTANTS:
+            v = price(Gamble.constant(content.outcomes, c))
+            yield None if v is None else (v == ext(c), lambda: f"E({c})={v} != {c}")
 
     # Finite surrogate of countable subadditivity on nonnegative gambles:
     # finite families and truncated increasing partial sums.  The countable
     # form itself is not finitely checkable.
-    checked = skipped = 0
-    witness = None
-    nonneg = [f for f in suite if f.is_nonnegative]
-    triples = list(itertools.islice(itertools.combinations(nonneg, 3), 400))
-    for family in triples:
-        total = family[0] + family[1] + family[2]
-        parts = [price(f) for f in family]
-        whole = price(total)
-        if whole is None or any(p is None for p in parts):
-            skipped += 1
-            continue
-        rhs = parts[0] + parts[1] + parts[2]
-        checked += 1
-        if not (whole <= rhs) and witness is None:
-            witness = (
-                "family "
-                + ", ".join(_gamble_str(f) for f in family)
-                + f": E(sum)={whole} > sum E={rhs}"
-            )
-    for f in nonneg[:50]:
-        run = f
-        run_price = price(f)
-        for k in (2, 3):
-            run = run + f
-            cur = price(run)
-            ef = price(f)
-            if cur is None or ef is None or run_price is None:
-                skipped += 1
+    def surrogate():
+        nonneg = [f for f in suite if f.is_nonnegative]
+        for family in itertools.islice(itertools.combinations(nonneg, 3), 400):
+            total = family[0] + family[1] + family[2]
+            parts = [price(f) for f in family]
+            whole = price(total)
+            if whole is None or any(p is None for p in parts):
+                yield None
                 continue
-            run_price = run_price + ef
-            checked += 1
-            if not (cur <= run_price) and witness is None:
-                witness = f"partial sum of {k} copies of {_gamble_str(f)}: E={cur} > {run_price}"
-    report.results["countable-subadditive (finite surrogate)"] = AxiomResult(
-        "countable-subadditive (finite surrogate)", witness is None, checked, skipped, witness
-    )
+            rhs = parts[0] + parts[1] + parts[2]
+            yield whole <= rhs, lambda: (
+                "family " + ", ".join(map(_gamble_str, family)) + f": E(sum)={whole} > sum E={rhs}"
+            )
+        for f in nonneg[:50]:
+            run, run_price = f, price(f)
+            for k in (2, 3):
+                run = run + f
+                cur, ef = price(run), price(f)
+                if cur is None or ef is None or run_price is None:
+                    yield None
+                    continue
+                run_price = run_price + ef
+                yield cur <= run_price, lambda: (
+                    f"partial sum of {k} copies of {_gamble_str(f)}: E={cur} > {run_price}"
+                )
 
-    core_ok = all(
-        report.results[k].passed for k in ("monotone", "homogeneous", "subadditive", "normalized")
-    )
-    surrogate_ok = report.results["countable-subadditive (finite surrogate)"].passed
-    if not core_ok:
+    report = AxiomReport(level_claimed=content.declared_level)
+    for name, checks in (
+        ("monotone", monotone()),
+        ("homogeneous", homogeneous()),
+        ("subadditive", subadditive()),
+        ("normalized", normalized()),
+        (SURROGATE, surrogate()),
+    ):
+        report.results[name] = _tally(name, checks)
+    if not all(r.passed for name, r in report.results.items() if name != SURROGATE):
         report.level_audited = "not-an-outer-content"
-    elif surrogate_ok and content.declared_level == SUPEREXPECTATION:
+    elif report.results[SURROGATE].passed and content.declared_level == SUPEREXPECTATION:
         report.level_audited = SUPEREXPECTATION
     else:
         report.level_audited = OUTER_CONTENT

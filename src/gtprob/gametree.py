@@ -226,10 +226,10 @@ class GameSpec:
             raise ValueError(f"round {n} outside 1..{self.horizon}")
         return self.contents[n - 1]
 
-    def all_situations(self, max_depth: int | None = None, depth_cap: int | None = None):
+    def all_situations(self, max_depth: int | None = None):
         """All situations of depth 0..max_depth (default horizon), by level."""
         top = self.horizon if max_depth is None else max_depth
-        config.require_dense(top, depth_cap, what="tree sweep")
+        config.require_dense(top, what="tree sweep")
         for d in range(top + 1):
             yield from self.outcomes.tuples(d)
 
@@ -265,11 +265,10 @@ class Supermartingale:
 
     @classmethod
     def from_fn(
-        cls, game: GameSpec, fn: Callable[[Situation], ExtReal], depth: int | None = None,
-        depth_cap: int | None = None,
+        cls, game: GameSpec, fn: Callable[[Situation], ExtReal], depth: int | None = None
     ) -> "Supermartingale":
         d = game.horizon if depth is None else depth
-        table = {s: fn(s) for s in game.all_situations(d, depth_cap)}
+        table = {s: fn(s) for s in game.all_situations(d)}
         return cls(table, d)
 
     @classmethod
@@ -390,9 +389,7 @@ class VerifyResult:
         return f"violated at {s!r}: price of children {lhs} > value {rhs}"
 
 
-def verify_supermartingale(
-    game: GameSpec, sm: Supermartingale, depth_cap: int | None = None
-) -> VerifyResult:
+def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     """Check ``E_n(S(s .)) <= S(s)`` at every interior node of the table.
 
     Runs top-down one level at a time.  Rounds with an integer form
@@ -411,7 +408,7 @@ def verify_supermartingale(
     equality = True
     for d in range(top):
         content = game.content_at(d + 1)
-        config.require_dense(d, depth_cap, what="level sweep")
+        config.require_dense(d, what="level sweep")
         parents = children if d else [sm.value(EMPTY)]
         try:
             children = list(map(sm.table.__getitem__, game.outcomes.tuples(d + 1)))

@@ -115,12 +115,10 @@ class LevyExperimentReport:
         return "\n".join(lines)
 
 
-def levy_experiment(
-    game: GameSpec, xi: Payoff, paths: Sequence[Situation], depth_cap: int | None = None
-) -> LevyExperimentReport:
+def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> LevyExperimentReport:
     """Conditional upper expectations along each path, with the exact
     terminal check, plus event-reaching flags for indicator payoffs."""
-    table = upper_table(game, xi, depth_cap)
+    table = upper_table(game, xi)
     report = LevyExperimentReport()
     event = xi.meta if xi.kind == "indicator" else None
     for raw in paths:
@@ -157,19 +155,8 @@ class InvarianceReport:
         wit = "" if self.witness_ok is None else f"; relocation witness ok: {self.witness_ok}"
         return f"{head} at prefix depth {self.start_depth - 1} [{vals}]{wit}; {self.note}"
 
-    def to_json(self) -> dict:
-        return {
-            "start_depth": self.start_depth,
-            "values": {"".join(s): str(v) for s, v in sorted(self.values.items())},
-            "invariant": self.invariant,
-            "witness_ok": self.witness_ok,
-            "note": self.note,
-        }
 
-
-def kolmogorov_invariance(
-    game: GameSpec, event: EventWindow, depth_cap: int | None = None
-) -> InvarianceReport:
+def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceReport:
     """Conditional upper probability of an event that ignores the first
     ``start - 1`` coordinates, computed at every prefix of that depth.
 
@@ -180,13 +167,13 @@ def kolmogorov_invariance(
     """
     n = event.start
     prefix_depth = n - 1
-    config.require_dense(prefix_depth, depth_cap, what="prefix sweep")
+    config.require_dense(prefix_depth, what="prefix sweep")
     xi = indicator(event)
     prefixes = list(game.outcomes.tuples(prefix_depth))
     # One prefix's checks and cap, then every value from the witness's table.
     _check_situation(game, xi, prefixes[0])
-    config.require_dense(xi.depth - prefix_depth, depth_cap, what="conditional expectation sweep")
-    table = upper_table(game, xi, depth_cap)
+    config.require_dense(xi.depth - prefix_depth, what="conditional expectation sweep")
+    table = upper_table(game, xi)
     values: dict[Situation, ExtReal] = {s: table.value(s) for s in prefixes}
     distinct = {str(v) for v in values.values()}
     invariant = len(distinct) == 1
@@ -198,7 +185,7 @@ def kolmogorov_invariance(
         s, t = prefixes[0], prefixes[1]
         witness_pair = (s, t)
         moved = translate_strategy(table, s, t)
-        ok = verify_supermartingale(game, moved, depth_cap).ok
+        ok = verify_supermartingale(game, moved).ok
         ok = ok and moved.value(t) == values[s]
         for rest in game.outcomes.tuples(event.end - prefix_depth):
             leaf = t + rest
@@ -236,22 +223,8 @@ class ShiftBoundReport:
             f"{self.bound_holds}; replay witness ok: {self.witness_ok}; {self.note}"
         )
 
-    def to_json(self) -> dict:
-        return {
-            "situation": "".join(self.situation),
-            "condition_holds": self.condition_holds,
-            "counterexample": None if self.counterexample is None else "".join(self.counterexample),
-            "conditional": None if self.conditional is None else str(self.conditional),
-            "unconditional": None if self.unconditional is None else str(self.unconditional),
-            "bound_holds": self.bound_holds,
-            "witness_ok": self.witness_ok,
-            "note": self.note,
-        }
 
-
-def ergodic_bound(
-    game: GameSpec, event: EventWindow, s: Situation, depth_cap: int | None = None
-) -> ShiftBoundReport:
+def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoundReport:
     """For a game priced identically at every round, check by enumeration
     that prefixing ``s`` can only leave the event (membership of ``s + w``
     implies membership of ``w``), then assert that conditioning on ``s``
@@ -261,7 +234,7 @@ def ergodic_bound(
         raise ValueError("shift bound needs the same pricing functional at every round")
     s = game.validate_situation(s)
     m = event.end
-    config.require_dense(m, depth_cap, what="shift condition enumeration")
+    config.require_dense(m, what="shift condition enumeration")
     counterexample = None
     for w in game.outcomes.tuples(m):
         if event.member(s + w) and not event.member(w):
@@ -272,14 +245,14 @@ def ergodic_bound(
 
     if m > game.horizon:
         raise ValueError("payoff settles beyond the game horizon")
-    table = upper_table(game, indicator(event), depth_cap)
+    table = upper_table(game, indicator(event))
     unconditional = table.value(EMPTY)
     deep = GameSpec(game.outcomes, game.contents[0], len(s) + m)
-    conditional = upper_probability(deep, event, s, depth_cap)
+    conditional = upper_probability(deep, event, s)
     bound_holds = conditional <= unconditional
 
     moved = shift_strategy(deep, table, s)
-    ok = verify_supermartingale(deep, moved, depth_cap).ok
+    ok = verify_supermartingale(deep, moved).ok
     ok = ok and moved.value(s) == unconditional
     for w in game.outcomes.tuples(m):
         leaf = s + w
@@ -466,10 +439,7 @@ def _classify(lo: ExtReal, hi: ExtReal) -> str:
 
 
 def zero_one_classify(
-    game: GameSpec,
-    event: EventWindow,
-    horizons: Sequence[int] | None = None,
-    depth_cap: int | None = None,
+    game: GameSpec, event: EventWindow, horizons: Sequence[int] | None = None
 ) -> ClassifyReport:
     """Probability interval of the event at each horizon, classified as
     almost certain ({1}), almost impossible ({0}), fully unprobabilized
@@ -482,6 +452,6 @@ def zero_one_classify(
                 f"and stay within the game horizon {game.horizon}"
             )
     # A window event settles at its window's end, so every row is the same.
-    hi = upper_probability(game, event, EMPTY, depth_cap)
-    lo = lower_probability(game, event, EMPTY, depth_cap)
+    hi = upper_probability(game, event, EMPTY)
+    lo = lower_probability(game, event, EMPTY)
     return ClassifyReport([(h, lo, hi, _classify(lo, hi)) for h in hs])

@@ -330,7 +330,6 @@ def levy_strategy(
     a: Fraction,
     b: Fraction,
     slack: str = "none",
-    depth_cap: int | None = None,
 ) -> LevyResult:
     """Full-tree multiplicative ride on the conditional expectations of a
     bounded-below payoff.
@@ -342,7 +341,7 @@ def levy_strategy(
     carries the stated product floor.
     """
     a, b = Fraction(a), Fraction(b)
-    leaves = xi.leaf_values(game, depth_cap)
+    leaves = xi.leaf_values(game)
     shift = _levy_shift(leaves)
     if shift:
         pad = ext(-shift)
@@ -351,7 +350,7 @@ def levy_strategy(
     conds = _sweep(game, leaves, 0, depth, depth)
     machine = _LevyMachine(a, b, slack)
     for top in (game.horizon - 1, game.horizon):
-        config.require_dense(top, depth_cap, what="tree sweep")
+        config.require_dense(top, what="tree sweep")
     nums = machine.numerators(list(chain.from_iterable(conds)), depth)
     sits = [s for d in range(game.horizon + 1) for s in game.outcomes.tuples(d)]
     # In level order the children of node g are nodes g*K+1 .. g*K+K.
@@ -398,7 +397,6 @@ def levy_capital_trace(
     xi: Payoff | None = None,
     cond: Callable[[Situation], ExtReal] | None = None,
     shift: Fraction | None = None,
-    depth_cap: int | None = None,
 ) -> list[LevyTraceStep]:
     """Capital of the multiplicative ride along a single path.
 
@@ -413,9 +411,9 @@ def levy_capital_trace(
     if cond is None:
         if xi is None:
             raise ValueError("need a payoff or a cond callable")
-        c = _levy_shift(xi.leaf_values(game, depth_cap)) if shift is None else Fraction(shift)
+        c = _levy_shift(xi.leaf_values(game)) if shift is None else Fraction(shift)
         shifted = xi if c == 0 else xi.shifted(-c)
-        table = upper_table(game, shifted, depth_cap)
+        table = upper_table(game, shifted)
         cond_fn = table.value
     else:
         c = Fraction(0) if shift is None else Fraction(shift)

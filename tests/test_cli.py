@@ -280,6 +280,22 @@ def test_unknown_flag_exits_two(coin_file):
     assert proc.returncode == 2
 
 
+def test_depth_cap_exits_two_and_names_its_variable(tmp_path):
+    spec = tmp_path / "coin5.json"
+    spec.write_text(json.dumps(dict(COIN_SPEC, horizon=5)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtprob.cli", "expect", str(spec), "--payoff", "e_w5"],
+        capture_output=True,
+        text=True,
+        env=dict(SRC_ENV, GTP_MAX_DEPTH="3"),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: dense conditional expectation sweep to depth 5 exceeds the cap 3; "
+        "raise GTP_MAX_DEPTH to allow it\n"
+    )
+
+
 def test_law_without_its_flag_exits_two(coin_file, capsys):
     for mode in ("kolmogorov", "ergodic", "classify"):
         code, out, err = run(capsys, ["law", coin_file, mode])

@@ -443,3 +443,12 @@ def test_unknown_outcome_in_a_prefix_is_named_with_its_prediction():
     phi = ForecastingSystem.constant(coin_sup_spec(2), "c")
     with pytest.raises(ValueError, match="^situation uses unknown outcome 'c:z'$"):
         upper_prob_phi(phi, EventWindow.coordinate_is(2, "1"), ("z",))
+    sticky = ForecastingSystem.last_outcome(coin_sup_spec(2), {"0": "c", "1": "s"}, initial="s")
+    for prefix, named in ((("0", "z"), "c:z"), (("z", "0"), "s:z")):
+        with pytest.raises(ValueError, match=f"^situation uses unknown outcome '{named}'$"):
+            upper_prob_phi(sticky, EventWindow.coordinate_is(2, "1"), prefix)
+
+
+def test_a_string_prediction_menu_is_refused():
+    with pytest.raises(ValueError, match="^a prediction menu must be a sequence of symbols, not 'cs'$"):
+        spec_with(["cs", ("c",)], {"c": COIN, "s": SUP})

@@ -431,12 +431,13 @@ def test_violation_below_a_martingale_prefix_is_found_at_its_node():
     assert res.witness_str(BIN) == "10: 1/6 > 0"
 
 
-def test_only_interior_levels_count_against_the_depth_cap():
+def test_only_interior_levels_count_against_the_depth_cap(monkeypatch):
     game = coin_game(horizon=4)
     table = doubling_table(game)
-    assert verify_supermartingale(game, Supermartingale({s: v for s, v in table.table.items() if len(s) <= 3}, 3), depth_cap=2).ok
+    monkeypatch.setenv("GTP_MAX_DEPTH", "2")
+    assert verify_supermartingale(game, Supermartingale({s: v for s, v in table.table.items() if len(s) <= 3}, 3)).ok
     with pytest.raises(DepthCapError):
-        verify_supermartingale(game, table, depth_cap=2)
+        verify_supermartingale(game, table)
 
 
 def test_missing_node_keeps_the_table_error():
