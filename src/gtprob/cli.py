@@ -15,6 +15,7 @@ dense-table depth cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -22,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from gtprob.extreal import ext
-from gtprob.functionals import UnknownGambleError, check_axioms
+from gtprob.functionals import Measure, UnknownGambleError, check_axioms
 from gtprob.gametree import (
     EMPTY,
     GameSpec,
@@ -40,8 +41,9 @@ from gtprob.expectation import (
     lower_expectation,
     sup_variant_upper_expectation,
     upper_expectation,
+    upper_table,
 )
-from gtprob.forecaster import Protocol2Spec
+from gtprob.forecaster import Protocol2Spec, delta_mixing_check
 from gtprob.laws import (
     ergodic_bound,
     kolmogorov_invariance,
@@ -56,21 +58,22 @@ from gtprob.serialize import (
     forecasting_system_from_json,
     load_spec,
     payoff_from_json,
+    read_file,
     supermartingale_from_csv,
+    supermartingale_to_csv,
     window_from_json,
 )
-
-TRACE_COLUMNS = ["n", "situation", "capital", "conditional_upper", "note"]
-
 
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
 
 
-def _load_game(path: str) -> GameSpec:
-    spec = load_spec(path)
+def _load_game(args) -> GameSpec:
+    spec = load_spec(args.spec)
     if isinstance(spec, Protocol2Spec):
+        if args.command == "law":
+            raise SchemaError("/", f"law {args.mode} needs a basic game spec")
         raise SchemaError("/", "this command needs a basic game spec, not a forecaster spec")
     return spec
 
@@ -79,8 +82,7 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
     """A payoff file, or a shorthand: e_w<k> (indicator of coordinate k
     being "1"), leading_ones:<cap>, const:<value>."""
     if os.path.exists(raw):
-        with open(raw) as fh:
-            return payoff_from_json(json.load(fh), game)
+        return payoff_from_json(read_file(raw, "/payoff"), game)
     if raw.startswith("e_w"):
         k = int(raw[3:])
         if "1" not in game.outcomes:
@@ -95,8 +97,7 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
 
 def _parse_event(raw: str, game: GameSpec) -> EventWindow:
     if os.path.exists(raw):
-        with open(raw) as fh:
-            return window_from_json(json.load(fh), game.outcomes)
+        return window_from_json(read_file(raw, "/event"), game.outcomes)
     if raw == "omega":
         return EventWindow.whole_space()
     if raw == "empty":
@@ -116,11 +117,19 @@ def _parse_path(raw: str, game: GameSpec) -> tuple[str, ...]:
     return game.validate_situation(parts)
 
 
+def _strategy_numbers(name: str, usage: str) -> tuple[Fraction, Fraction, list[str]]:
+    """The rationals ``a,b`` of a construction named ``kind:a,b[,more]``,
+    and the parts after them, as many as ``usage`` allows."""
+    parts = name.split(":", 1)[1].split(",")
+    if not 2 <= len(parts) <= usage.count(",") + 1:
+        raise SchemaError("/strategy", f"expected {usage}, got {name!r}")
+    a, b = (_fraction(t, "/strategy") for t in parts[:2])
+    return a, b, parts[2:]
+
+
 def _default_base(game: GameSpec) -> Supermartingale:
     """Step-multiplier base when the first round is a measure putting mass
     at most 2/3 on the last outcome; constant 1 otherwise."""
-    from gtprob.functionals import Measure
-
     content = game.content_at(1)
     if game.depth_independent and isinstance(content, Measure):
         p_last = content.probs[-1]
@@ -139,10 +148,11 @@ def _default_base(game: GameSpec) -> Supermartingale:
     return Supermartingale.constant(game, 1)
 
 
-def _write_trace(path: str, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(path: str | None, header: list[str], rows: list) -> None:
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -150,7 +160,7 @@ def _write_trace(path: str, rows: list[list[str]]) -> None:
 
 
 def cmd_axioms(args) -> int:
-    game = _load_game(args.spec)
+    game = _load_game(args)
     distinct = []
     for c in game.contents:
         if all(c != d for d in distinct):
@@ -165,7 +175,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    game = _load_game(args.spec)
+    game = _load_game(args)
     xi = _parse_payoff(args.payoff, game)
     s = parse_situation(args.situation, game.outcomes)
     if args.variant == "sup":
@@ -182,103 +192,72 @@ def cmd_expect(args) -> int:
     return 0
 
 
-def _cut_rows(game, path, table, trace, cond_at, sigma_word: str, tau_word: str) -> list[list[str]]:
-    """Trace rows of a construction along ``path``; the note names the
-    last of the trace's sigma/tau cuts that holds the situation."""
-    rows = []
-    for n in range(len(path) + 1):
-        s = path[:n]
-        note = ""
-        for k in range(1, len(trace.sigma)):
-            if s in trace.sigma[k]:
-                note = f"{sigma_word} {k}"
-            if k < len(trace.tau) and s in trace.tau[k]:
-                note = f"{tau_word} {k}"
-        rows.append([str(n), format_situation(s, game.outcomes), str(table.value(s)), cond_at(s), note])
-    return rows
-
-
 def cmd_simulate(args) -> int:
-    game = _load_game(args.spec)
+    game = _load_game(args)
     path = _parse_path(args.path, game)
     xi = _parse_payoff(args.payoff, game) if args.payoff else None
-    rows: list[list[str]] = []
-    built = None  # (table, trace) for the named constructions
-
-    def cond_at(s) -> str:
-        if xi is None:
-            return ""
-        return str(upper_expectation(game, xi, s))
-
+    prefixes = [path[:n] for n in range(len(path) + 1)]
     name = args.strategy
+    res = cond = None  # the construction's result; the conditional column's table
     if name in ("doubling", "donothing"):
-        strat = (
-            Strategy.double_on(game, game.outcomes.labels[-1])
-            if name == "doubling"
-            else Strategy.do_nothing(game)
-        )
+        last = game.outcomes.labels[-1]
+        strat = Strategy.double_on(game, last) if name == "doubling" else Strategy.do_nothing(game)
         capitals = capital_process(game, strat, path)
-        for n, k in enumerate(capitals):
-            rows.append([str(n), format_situation(path[:n], game.outcomes), str(k), cond_at(path[:n]), ""])
     elif name.startswith("doob:"):
-        a, b = (_fraction(t, "/strategy") for t in name.split(":", 1)[1].split(","))
+        a, b, _ = _strategy_numbers(name, "doob:a,b")
         if args.base:
-            with open(args.base) as fh:
-                base = supermartingale_from_csv(fh.read(), game.outcomes)
+            base = supermartingale_from_csv(read_file(args.base, "/base", str), game.outcomes)
         else:
             base = _default_base(game)
         res = doob_upcrossing(game, base, a, b)
-        built = (res.table, res.trace)
-        rows = _cut_rows(game, path, res.table, res.trace, cond_at, "upcross", "drop")
+        words = ("upcross", "drop")
     elif name.startswith("levy:"):
-        parts = name.split(":", 1)[1].split(",")
-        a, b = _fraction(parts[0], "/strategy"), _fraction(parts[1], "/strategy")
-        slack = parts[2] if len(parts) > 2 else "none"
+        a, b, slack = _strategy_numbers(name, "levy:a,b[,dyadic]")
         if xi is None:
             raise SchemaError("/payoff", "the levy construction needs --payoff")
-        res = levy_strategy(game, xi, a, b, slack=slack)
-        built = (res.table, res.trace)
-        rows = _cut_rows(game, path, res.table, res.trace, lambda s: str(res.cond_table.value(s)), "exit", "enter")
+        res = levy_strategy(game, xi, a, b, slack=slack[0] if slack else "none")
+        cond = res.cond_table
+        words = ("exit", "enter")
     else:
         raise SchemaError(
             "/strategy",
             f"unknown strategy {name!r}; use doubling, donothing, doob:a,b or levy:a,b[,dyadic]",
         )
+    if res is not None:
+        capitals = [res.table.value(s) for s in prefixes]
+    if cond is None and xi is not None:
+        cond = upper_table(game, xi)
+
+    rows = []
+    for n, s in enumerate(prefixes):
+        # The note names the last of the construction's cuts that holds s.
+        note = ""
+        for k in range(1, len(res.trace.sigma) if res else 0):
+            if s in res.trace.sigma[k]:
+                note = f"{words[0]} {k}"
+            if k < len(res.trace.tau) and s in res.trace.tau[k]:
+                note = f"{words[1]} {k}"
+        value = "" if cond is None else str(cond.value(s))
+        rows.append([str(n), format_situation(s, game.outcomes), str(capitals[n]), value, note])
 
     if args.table or args.cuts:
-        if built is None:
-            raise SchemaError(
-                "/strategy", "--table and --cuts apply to the doob/levy constructions only"
-            )
-        from gtprob.serialize import supermartingale_to_csv
-
-        table, trace = built
+        if res is None:
+            raise SchemaError("/strategy", "--table and --cuts apply to the doob/levy constructions only")
         if args.table:
             with open(args.table, "w") as fh:
-                fh.write(supermartingale_to_csv(table, game.outcomes))
+                fh.write(supermartingale_to_csv(res.table, game.outcomes))
         if args.cuts:
+            cuts = res.trace.to_json(lambda s: format_situation(s, game.outcomes))
             with open(args.cuts, "w") as fh:
-                json.dump(
-                    trace.to_json(lambda s: format_situation(s, game.outcomes)),
-                    fh,
-                    sort_keys=True,
-                    indent=2,
-                )
-                fh.write("\n")
+                fh.write(json.dumps(cuts, sort_keys=True, indent=2) + "\n")
 
-    if args.trace:
-        _write_trace(args.trace, rows)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(args.trace, ["n", "situation", "capital", "conditional_upper", "note"], rows)
     return 0
 
 
 def cmd_verify(args) -> int:
-    game = _load_game(args.spec)
-    with open(args.supermartingale) as fh:
-        sm = supermartingale_from_csv(fh.read(), game.outcomes)
+    game = _load_game(args)
+    sm = supermartingale_from_csv(read_file(args.supermartingale, "/supermartingale", str), game.outcomes)
     res = verify_supermartingale(game, sm)
     if res.ok:
         kind = "martingale" if res.martingale else "supermartingale"
@@ -288,73 +267,54 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def cmd_law(args) -> int:
-    mode = args.mode
-    for flag in {"levy": ["payoff"], "mixing": ["system", "events"]}.get(mode, ["event"]):
-        if getattr(args, flag) is None:
-            raise SchemaError(f"/{flag}", f"law {mode} needs --{flag}")
-    game_or_spec = load_spec(args.spec)
-    if mode == "mixing":
-        if not isinstance(game_or_spec, Protocol2Spec):
-            raise SchemaError("/", "mixing needs a forecaster spec with a 'predictions' field")
-        spec = game_or_spec
-        with open(args.system) as fh:
-            phi = forecasting_system_from_json(json.load(fh), spec)
-        events = []
-        for raw in args.events.split(";"):
-            with open(raw) as fh:
-                events.append(window_from_json(json.load(fh), spec.outcomes))
-        from gtprob.forecaster import delta_mixing_check
+def cmd_law_levy(args) -> int:
+    game = _load_game(args)
+    xi = _parse_payoff(args.payoff, game)
+    paths = [_parse_path(p, game) for p in args.paths.split(";")] if args.paths else []
+    report = levy_experiment(game, xi, paths)
+    print(json.dumps(report.to_json(game.outcomes), sort_keys=True, indent=2))
+    if args.trace:
+        _write_csv(args.trace, ["n", "situation", "value"], report.trace_rows(game.outcomes))
+    return 0 if report.all_terminal_ok else 1
 
-        report = delta_mixing_check(
-            phi,
-            _fraction(args.delta, "/delta"),
-            lambda n: args.gap,
-            events,
-            max_prefix=args.max_prefix,
-        )
-        print(str(report))
-        return 0 if report.violations == 0 else 1
 
-    if isinstance(game_or_spec, Protocol2Spec):
-        raise SchemaError("/", f"law {mode} needs a basic game spec")
-    game = game_or_spec
-    if mode == "levy":
-        xi = _parse_payoff(args.payoff, game)
-        paths = [
-            _parse_path(p, game) for p in (args.paths.split(";") if args.paths else [])
-        ]
-        report = levy_experiment(game, xi, paths)
-        print(json.dumps(report.to_json(game.outcomes), sort_keys=True, indent=2))
-        if args.trace:
-            rows = [[str(n), s, v] for n, s, v in report.trace_rows(game.outcomes)]
-            with open(args.trace, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["n", "situation", "value"])
-                writer.writerows(rows)
-        return 0 if report.all_terminal_ok else 1
-    if mode == "kolmogorov":
-        event = _parse_event(args.event, game)
-        report = kolmogorov_invariance(game, event)
-        print(str(report))
-        ok = report.invariant and report.witness_ok in (True, None)
-        return 0 if ok else 1
-    if mode == "ergodic":
-        event = _parse_event(args.event, game)
-        s = parse_situation(args.situation, game.outcomes)
-        report = ergodic_bound(game, event, s)
-        print(str(report))
-        ok = report.condition_holds and report.bound_holds and report.witness_ok
-        return 0 if ok else 1
-    if mode == "classify":
-        event = _parse_event(args.event, game)
-        horizons = (
-            [int(h) for h in args.horizons.split(",")] if args.horizons else None
-        )
-        report = zero_one_classify(game, event, horizons)
-        print(json.dumps(report.to_json(), sort_keys=True, indent=2))
-        return 0
-    raise SchemaError("/mode", f"unknown law mode {mode!r}")
+def cmd_law_kolmogorov(args) -> int:
+    game = _load_game(args)
+    report = kolmogorov_invariance(game, _parse_event(args.event, game))
+    print(str(report))
+    ok = report.invariant and report.witness_ok in (True, None)
+    return 0 if ok else 1
+
+
+def cmd_law_ergodic(args) -> int:
+    game = _load_game(args)
+    event = _parse_event(args.event, game)
+    report = ergodic_bound(game, event, parse_situation(args.situation, game.outcomes))
+    print(str(report))
+    ok = report.condition_holds and report.bound_holds and report.witness_ok
+    return 0 if ok else 1
+
+
+def cmd_law_classify(args) -> int:
+    game = _load_game(args)
+    event = _parse_event(args.event, game)
+    horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else None
+    report = zero_one_classify(game, event, horizons)
+    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+    return 0
+
+
+def cmd_law_mixing(args) -> int:
+    spec = load_spec(args.spec)
+    if not isinstance(spec, Protocol2Spec):
+        raise SchemaError("/", "mixing needs a forecaster spec with a 'predictions' field")
+    phi = forecasting_system_from_json(read_file(args.system, "/system"), spec)
+    events = [window_from_json(read_file(raw, "/events"), spec.outcomes) for raw in args.events.split(";")]
+    report = delta_mixing_check(
+        phi, _fraction(args.delta, "/delta"), lambda n: args.gap, events, max_prefix=args.max_prefix
+    )
+    print(str(report))
+    return 0 if report.violations == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,19 +354,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("law", help="finite-horizon law experiments")
     p.add_argument("spec")
-    p.add_argument("mode", choices=["levy", "kolmogorov", "ergodic", "mixing", "classify"])
-    p.add_argument("--payoff")
-    p.add_argument("--paths", help="semicolon-separated comma paths")
-    p.add_argument("--event")
-    p.add_argument("--situation", default="")
-    p.add_argument("--horizons")
-    p.add_argument("--system", help="forecasting system JSON (mixing)")
-    p.add_argument("--events", help="semicolon-separated window files (mixing)")
-    p.add_argument("--delta", default="0")
-    p.add_argument("--gap", type=int, default=1)
-    p.add_argument("--max-prefix", type=int, default=2)
-    p.add_argument("--trace")
-    p.set_defaults(fn=cmd_law)
+    modes = p.add_subparsers(dest="mode", required=True)
+    event = argparse.ArgumentParser(add_help=False)
+    event.add_argument("--event", required=True)
+    m = modes.add_parser("levy", help="conditional expectations along paths")
+    m.add_argument("--payoff", required=True)
+    m.add_argument("--paths", help="semicolon-separated comma paths")
+    m.add_argument("--trace", help="write the path values as CSV here")
+    m.set_defaults(fn=cmd_law_levy)
+    m = modes.add_parser("kolmogorov", parents=[event], help="invariance across ignored prefixes")
+    m.set_defaults(fn=cmd_law_kolmogorov)
+    m = modes.add_parser("ergodic", parents=[event], help="shift bound for a weakly invariant event")
+    m.add_argument("--situation", default="")
+    m.set_defaults(fn=cmd_law_ergodic)
+    m = modes.add_parser("mixing", help="delta-mixing under a forecasting system")
+    m.add_argument("--system", required=True, help="forecasting system JSON")
+    m.add_argument("--events", required=True, help="semicolon-separated window files")
+    m.add_argument("--delta", default="0")
+    m.add_argument("--gap", type=int, default=1)
+    m.add_argument("--max-prefix", type=int, default=2)
+    m.set_defaults(fn=cmd_law_mixing)
+    m = modes.add_parser("classify", parents=[event], help="zero-one classification over horizons")
+    m.add_argument("--horizons", help="comma-separated horizons")
+    m.set_defaults(fn=cmd_law_classify)
     return parser
 
 

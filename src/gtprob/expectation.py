@@ -423,6 +423,7 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     This is the exact cover of ``xi`` with the least start, and it prices
     its own children exactly at every node.
     """
+    _check_situation(game, xi, EMPTY)
     leaves = xi.leaf_values(game)
     levels = _sweep(game, leaves, 0, xi.depth, xi.depth)
     table: dict[Situation, ExtReal] = {}

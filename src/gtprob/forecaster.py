@@ -405,6 +405,7 @@ def delta_mixing_check(
     gap_fn = (lambda n: gap[n]) if isinstance(gap, Mapping) else gap
     skip = {tuple(s) for s in exceptions}
     report = MixingReport(delta=delta)
+    config.require_dense(max_prefix, what="mixing prefix enumeration")
     tables = [_phi_levels(phi, event, ()) for event in events]
     k = len(phi.spec.outcomes)
     worst: ExtReal | None = None

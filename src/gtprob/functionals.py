@@ -77,13 +77,13 @@ class OutcomeSet:
         labels = tuple(labels)
         if not labels:
             raise ValueError("outcome set must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"outcome labels must be distinct: {labels}")
         for lab in labels:
             if not isinstance(lab, str) or not lab:
                 raise ValueError(f"outcome labels must be non-empty strings: {lab!r}")
             if "," in lab:
                 raise ValueError(f"outcome labels must not contain commas: {lab!r}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"outcome labels must be distinct: {labels}")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
 

@@ -243,8 +243,6 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
     if counterexample is not None:
         return ShiftBoundReport(s, False, counterexample, None, None, None, None)
 
-    if m > game.horizon:
-        raise ValueError("payoff settles beyond the game horizon")
     table = upper_table(game, indicator(event))
     unconditional = table.value(EMPTY)
     deep = GameSpec(game.outcomes, game.contents[0], len(s) + m)

@@ -31,8 +31,9 @@ import csv
 import io
 import json
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from gtprob.extreal import ExtReal, ext
 from gtprob.functionals import (
@@ -61,6 +62,7 @@ __all__ = [
     "supermartingale_from_csv",
     "protocol2_from_json",
     "forecasting_system_from_json",
+    "read_file",
     "load_spec",
 ]
 
@@ -85,6 +87,26 @@ def _extreal(raw: Any, where: str) -> ExtReal:
         return ext(str(raw))
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(where, f"not an extended rational: {raw!r}") from exc
+
+
+@contextmanager
+def _at(where: str):
+    """Report a constructor's ``ValueError`` as a :class:`SchemaError` at
+    ``where``; schema errors raised inside pass through unchanged."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(where, str(exc)) from exc
+
+
+def _outcomes(obj: Mapping, where: str) -> OutcomeSet:
+    labels = obj.get("outcomes")
+    if not isinstance(labels, list) or not labels:
+        raise SchemaError(f"{where}/outcomes", "need a non-empty outcome list")
+    with _at(f"{where}/outcomes"):
+        return OutcomeSet(labels)
 
 
 # -- pricing functionals ------------------------------------------------
@@ -138,7 +160,7 @@ def content_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/content") -
     if not isinstance(obj, Mapping) or "type" not in obj:
         raise SchemaError(where, "functional must be an object with a 'type' field")
     kind = obj["type"]
-    try:
+    with _at(where):
         if kind == "measure":
             return Measure(outcomes, _probs_map(obj.get("probs"), outcomes, f"{where}/probs"))
         if kind == "sup":
@@ -169,10 +191,6 @@ def content_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/content") -
                 )
                 pairs.append((g, _extreal(e.get("value"), f"{where}/entries/{i}/value")))
             return TableContent(outcomes, pairs, obj.get("declared_level", "outer-content"))
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from exc
     raise SchemaError(f"{where}/type", f"unknown functional type {kind!r}")
 
 
@@ -194,17 +212,11 @@ def game_to_json(game: GameSpec) -> dict:
 def game_from_json(obj: Any, where: str = "") -> GameSpec:
     if not isinstance(obj, Mapping):
         raise SchemaError(where or "/", "game must be an object")
-    labels = obj.get("outcomes")
-    if not isinstance(labels, list) or not labels:
-        raise SchemaError(f"{where}/outcomes", "need a non-empty outcome list")
-    try:
-        outcomes = OutcomeSet(labels)
-    except ValueError as exc:
-        raise SchemaError(f"{where}/outcomes", str(exc)) from exc
+    outcomes = _outcomes(obj, where)
     horizon = obj.get("horizon")
     if not isinstance(horizon, int) or horizon < 1:
         raise SchemaError(f"{where}/horizon", "horizon must be a positive integer")
-    try:
+    with _at(where or "/"):
         if "content" in obj:
             return GameSpec(outcomes, content_from_json(obj["content"], outcomes, f"{where}/content"), horizon)
         if "contents" in obj:
@@ -219,10 +231,6 @@ def game_from_json(obj: Any, where: str = "") -> GameSpec:
                 ],
                 horizon,
             )
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(where or "/", str(exc)) from exc
     raise SchemaError(where or "/", "game needs a 'content' or 'contents' field")
 
 
@@ -255,21 +263,20 @@ def window_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/window") -> 
             if not isinstance(lab, str) or lab not in outcomes:
                 raise SchemaError(f"{where}/accepts/{i}", f"unknown outcome {lab!r}")
         tuples.append(tuple(t))
-    try:
+    with _at(where):
         return EventWindow(start, end, accepts=tuples)
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from exc
 
 
 def payoff_from_json(obj: Any, game: GameSpec, where: str = "/payoff") -> Payoff:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise SchemaError(where, "payoff must be an object with a 'kind' field")
     kind = obj["kind"]
-    try:
+    depth = obj.get("depth", None if kind == "table" else game.horizon)
+    bad_depth = not (isinstance(depth, int) and depth >= 0)
+    if bad_depth and kind in ("table", "leading_ones_capped", "constant"):
+        raise SchemaError(f"{where}/depth", f"{kind} payoff needs a non-negative integer depth")
+    with _at(where):
         if kind == "table":
-            depth = obj.get("depth")
-            if not isinstance(depth, int) or depth < 0:
-                raise SchemaError(f"{where}/depth", "table payoff needs a depth")
             raw = obj.get("values")
             if not isinstance(raw, Mapping):
                 raise SchemaError(f"{where}/values", "table payoff needs a values object")
@@ -285,17 +292,11 @@ def payoff_from_json(obj: Any, game: GameSpec, where: str = "/payoff") -> Payoff
             return Payoff.from_table(values, depth)
         if kind == "leading_ones_capped":
             cap = _fraction(obj.get("cap"), f"{where}/cap")
-            depth = obj.get("depth", game.horizon)
             return Payoff.leading_ones_capped(cap, depth)
         if kind == "indicator":
             return indicator(window_from_json(obj.get("window"), game.outcomes, f"{where}/window"))
         if kind == "constant":
-            depth = obj.get("depth", game.horizon)
             return Payoff.constant(_extreal(obj.get("value"), f"{where}/value"), depth)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(where, str(exc)) from exc
     raise SchemaError(f"{where}/kind", f"unknown payoff kind {kind!r}")
 
 
@@ -349,13 +350,7 @@ def supermartingale_from_csv(text: str, outcomes: OutcomeSet) -> Supermartingale
 def protocol2_from_json(obj: Any, where: str = "") -> Protocol2Spec:
     if not isinstance(obj, Mapping):
         raise SchemaError(where or "/", "forecaster spec must be an object")
-    labels = obj.get("outcomes")
-    if not isinstance(labels, list) or not labels:
-        raise SchemaError(f"{where}/outcomes", "need a non-empty outcome list")
-    try:
-        outcomes = OutcomeSet(labels)
-    except ValueError as exc:
-        raise SchemaError(f"{where}/outcomes", str(exc)) from exc
+    outcomes = _outcomes(obj, where)
     menus = obj.get("predictions")
     if not isinstance(menus, list) or not menus:
         raise SchemaError(f"{where}/predictions", "need one prediction menu per round")
@@ -370,10 +365,8 @@ def protocol2_from_json(obj: Any, where: str = "") -> Protocol2Spec:
         for p, c in raw_contents.items()
     }
     horizon = obj.get("horizon", len(menus))
-    try:
+    with _at(where or "/"):
         return Protocol2Spec(outcomes, menus, contents, horizon)
-    except ValueError as exc:
-        raise SchemaError(where or "/", str(exc)) from exc
 
 
 def forecasting_system_from_json(
@@ -405,16 +398,23 @@ def forecasting_system_from_json(
     raise SchemaError(f"{where}/kind", f"unknown system kind {kind!r}")
 
 
+def read_file(path: str, where: str, parse: Callable[[str], Any] = json.loads) -> Any:
+    """The text of the file at ``path``, parsed by ``parse`` (JSON by
+    default); a file that cannot be read or is not JSON is a
+    :class:`SchemaError` at ``where``."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(where, f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(where, f"invalid JSON in {path}: {exc}") from exc
+
+
 def load_spec(path: str) -> GameSpec | Protocol2Spec:
     """Parse a spec file: a forecaster spec when a 'predictions' field is
     present, otherwise a basic game."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise SchemaError("/", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON in {path}: {exc}") from exc
+    obj = read_file(path, "/spec")
     if isinstance(obj, Mapping) and "predictions" in obj:
         return protocol2_from_json(obj)
     return game_from_json(obj)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtprob.cli import main
 
@@ -296,13 +301,64 @@ def test_depth_cap_exits_two_and_names_its_variable(tmp_path):
     )
 
 
+def parser_exit(capsys, argv):
+    """Exit code, stdout and stderr of a command line the parser ends."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
 def test_law_without_its_flag_exits_two(coin_file, capsys):
-    for mode in ("kolmogorov", "ergodic", "classify"):
-        code, out, err = run(capsys, ["law", coin_file, mode])
-        assert code == 2 and out == ""
-        assert err.strip() == f"error: /event: law {mode} needs --event"
-    code, _, err = run(capsys, ["law", coin_file, "levy", "--paths", "1,1"])
-    assert code == 2 and "/payoff" in err
+    missing = {
+        ("kolmogorov",): "--event",
+        ("ergodic", "--situation", "0"): "--event",
+        ("classify",): "--event",
+        ("levy", "--paths", "1,1"): "--payoff",
+        ("mixing", "--delta", "0"): "--system, --events",
+    }
+    for (mode, *flags), names in missing.items():
+        code, out, err = parser_exit(capsys, ["law", coin_file, mode, *flags])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"gtprob law spec {mode}: error: the following arguments are required: {names}"
+        )
+
+
+def test_a_flag_another_law_mode_owns_exits_two(coin_file, capsys):
+    code, out, err = parser_exit(capsys, ["law", coin_file, "levy", "--payoff", "e_w2", "--event", "w1=1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "gtprob: error: unrecognized arguments: --event w1=1"
+
+
+def test_every_command_and_law_mode_has_help(capsys):
+    commands = [[], ["axioms"], ["expect"], ["simulate"], ["verify"], ["law"]]
+    commands += [["law", "spec", mode] for mode in ("levy", "kolmogorov", "ergodic", "classify", "mixing")]
+    for argv in commands:
+        code, out, _ = parser_exit(capsys, [*argv, "--help"])
+        assert code == 0 and out.startswith("usage: gtprob")
+
+
+def test_file_errors_name_their_flag(coin_file, tmp_path, capsys):
+    missing, bad, binary = (str(tmp_path / name) for name in ("missing.json", "bad.json", "binary.csv"))
+    Path(bad).write_text("{not json")
+    Path(binary).write_bytes(b"situation,value\n,\xff\n")
+    mixing = mixing_argv(tmp_path)
+    cases = {
+        "spec": ["expect", missing, "--payoff", "e_w1"],
+        "payoff": ["expect", coin_file, "--payoff", bad],
+        "event": ["law", coin_file, "kolmogorov", "--event", bad],
+        "supermartingale": ["verify", coin_file, "--supermartingale", binary],
+        "base": ["simulate", coin_file, "--strategy", "doob:1/2,2", "--base", missing, "--path", "0"],
+        "system": [*mixing[:4], missing, *mixing[5:]],
+        "events": [*mixing[:6], bad],
+    }
+    for flag, argv in cases.items():
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        path = next(p for p in (missing, bad, binary) if p in argv)
+        what = "invalid JSON in" if path == bad else "cannot read"
+        assert err.startswith(f"error: /{flag}: {what} {path}: ")
 
 
 def test_last_outcome_map_missing_an_outcome_exits_two(tmp_path, capsys):
@@ -404,6 +460,18 @@ INPUT_ERRORS = {
         lambda tmp, coin: ["expect", coin, "--payoff", "leading_ones:1/0"],
         "/payoff: not an exact rational: '1/0'",
     ),
+    "levy_one_number": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "levy:1", "--payoff", "e_w1", "--path", "0"],
+        "/strategy: expected levy:a,b[,dyadic], got 'levy:1'",
+    ),
+    "doob_one_number": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doob:1", "--path", "0"],
+        "/strategy: expected doob:a,b, got 'doob:1'",
+    ),
+    "payoff_depth_not_an_integer": (
+        lambda tmp, coin: ["expect", coin, "--payoff", write_json(tmp, "p.json", {"kind": "constant", "value": "1", "depth": "x"})],
+        "/payoff/depth: constant payoff needs a non-negative integer depth",
+    ),
     "delta_zero_denominator": (
         lambda tmp, coin: mixing_argv(tmp, "--delta", "1/0"),
         "/delta: not an exact rational: '1/0'",
@@ -456,3 +524,128 @@ def test_law_mixing_with_a_table_system(tmp_path, capsys):
         "dichotomy on supplied events: event0: upper=61/108 outside, event1: upper=61/108 outside\n"
         + MIXING_NOTE
     )
+
+
+# -- the exit-code contract under fuzzed input ---------------------------------
+
+FUZZ_FILES = {
+    "coin.json": COIN_SPEC,
+    "p2.json": dict(P2_SPEC, horizon=3),
+    "payoff.json": {"kind": "table", "depth": 2, "values": {"00": "0", "01": "1/2", "10": "1", "11": "inf"}},
+    "event.json": {"start": 2, "end": 3, "accepts": [["1", "1"], ["0", "1"]]},
+    "system.json": {"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": "a"},
+    "rule.json": {"kind": "table", "rule": {"": "b", "0": "a", "1": "b", "00": "a", "01": "b", "10": "b", "11": "a"}},
+}
+# Stand-ins for a dropped key and for values of every JSON type.
+DROP = object()
+SWAPS = [DROP, None, True, 0, -1, 7, 1.5, "x", "1/0", "-inf", [], ["1"], {}, {"0": "1"}]
+STRINGS = st.text(alphabet="01a,;:=/x-", max_size=6)
+PATHS = st.one_of(st.sampled_from(["", "1", "1,0", "0,1,1", "1,0,1,1", "1,,0", "2", "11"]), STRINGS)
+SITUATIONS = st.one_of(st.sampled_from(["", "0", "01", "0,1", "011", "0111", "2", "p"]), STRINGS)
+STRATEGIES = st.one_of(
+    st.sampled_from(
+        ["doubling", "donothing", "doob:4/5,6/5", "levy:3/5,9/10", "levy:1/4,1/2,dyadic", "doob:", "levy:",
+         "doob:1", "levy:1", "doob:1,2,3", "levy:1,2,3", "doob:6/5,4/5", "levy:2,1", "levy:x,1", "nope"]
+    ),
+    st.builds("{}:{}".format, st.sampled_from(["doob", "levy"]), STRINGS),
+)
+PAYOFFS = st.sampled_from(["payoff.json", "e_w1", "e_w3", "e_w9", "e_wx", "leading_ones:2", "const:-1/2", "const:x", "x"])
+EVENTS = st.sampled_from(["event.json", "w1=1", "w3=0", "w9=1", "w1=z", "wx=1", "omega", "empty", "x"])
+# Each law mode's flags; a command line may borrow one flag of another mode.
+LAW_FLAGS = {
+    "levy": {"--payoff": PAYOFFS, "--paths": st.lists(PATHS, max_size=3).map(";".join), "--trace": st.just("out.csv")},
+    "kolmogorov": {"--event": EVENTS},
+    "ergodic": {"--event": EVENTS, "--situation": SITUATIONS},
+    "classify": {"--event": EVENTS, "--horizons": st.sampled_from(["1,2", "3", "0", "-1", "9", "x", "1,,2"])},
+    "mixing": {
+        "--system": st.sampled_from(["system.json", "rule.json"]),
+        "--events": st.sampled_from(["event.json", "event.json;event.json"]),
+        "--delta": st.sampled_from(["0", "1/10", "1/0", "x", "-1"]),
+        "--gap": st.integers(-6, 6).map(str),
+        "--max-prefix": st.integers(0, 6).map(str),
+    },
+}
+
+
+def json_nodes(value, at=()):
+    """The paths to every node of a JSON value."""
+    yield at
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_nodes(child, (*at, key))
+
+
+def replaced(value, at, new):
+    """``value`` with the node at ``at`` replaced by ``new``, or dropped."""
+    if not at:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if new is DROP and len(at) == 1:
+        del copy[at[0]]
+    else:
+        copy[at[0]] = replaced(value[at[0]], at[1:], new)
+    return copy
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """Fixture files, one of them perhaps mutated, and a command line."""
+    files = dict(FUZZ_FILES)
+    if draw(st.integers(0, 2)) == 0:
+        name = draw(st.sampled_from(sorted(files)))
+        at = draw(st.sampled_from(list(json_nodes(files[name]))))
+        new = draw(st.sampled_from(SWAPS[1:] if not at else SWAPS))
+        files[name] = replaced(files[name], at, new)
+    command = draw(st.sampled_from(["axioms", "expect", "simulate", "verify", "law", "law", "law"]))
+    mode = draw(st.sampled_from(sorted(LAW_FLAGS)))
+    # Mostly the kind of spec the command needs.
+    specs = ["coin.json", "p2.json"][:: -1 if command == "law" and mode == "mixing" else 1]
+    spec = specs[draw(st.integers(0, 5)) == 0]
+    if command == "axioms":
+        argv = ["axioms", spec]
+    elif command == "expect":
+        argv = ["expect", spec, "--payoff", draw(PAYOFFS), "--situation", draw(SITUATIONS)]
+        argv += draw(st.sampled_from([[], ["--lower"], ["--variant", "sup"]]))
+    elif command == "simulate":
+        argv = ["simulate", spec, "--strategy", draw(STRATEGIES), "--path", draw(PATHS)]
+        argv += draw(st.sampled_from([[], ["--payoff", draw(PAYOFFS)]]))
+    elif command == "verify":
+        argv = ["verify", spec, "--supermartingale", "table.csv"]
+    else:
+        flags = dict(LAW_FLAGS[mode])
+        if draw(st.integers(0, 3)) == 0:
+            other = draw(st.sampled_from(sorted(set(LAW_FLAGS) - {mode})))
+            flag = draw(st.sampled_from(sorted(LAW_FLAGS[other])))
+            flags[flag] = LAW_FLAGS[other][flag]
+        argv = ["law", spec, mode]
+        for flag, values in flags.items():
+            if draw(st.integers(0, 7)) > 0:
+                argv += [flag, draw(values)]
+    return files, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_inputs())
+# Escapes that ended in a traceback once.
+@example((FUZZ_FILES, ["simulate", "coin.json", "--strategy", "levy:1", "--payoff", "e_w1", "--path", "0"]))
+@example((dict(FUZZ_FILES, **{"payoff.json": {"kind": "constant", "value": "1", "depth": "x"}}),
+          ["expect", "coin.json", "--payoff", "payoff.json"]))
+@example((dict(FUZZ_FILES, **{"coin.json": dict(COIN_SPEC, outcomes=["0", []])}), ["axioms", "coin.json"]))
+def test_any_input_keeps_the_exit_code_contract(inputs):
+    files, argv = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            Path(tmp, name).write_text(json.dumps(obj))
+        Path(tmp, "table.csv").write_text("situation,value\n,1\n0,0\n1,2\n00,0\n01,0\n10,2\n11,2\n")
+        # File names, alone or joined with ";", become paths in tmp.
+        names = {*files, "table.csv", "out.csv"}
+        argv = [";".join(str(Path(tmp, n)) for n in a.split(";")) if set(a.split(";")) <= names else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or out.getvalue(), argv

@@ -251,6 +251,13 @@ def test_martingale_identity_at_every_interior_node():
             assert res.ok and res.martingale
 
 
+def test_a_payoff_past_the_horizon_is_refused_by_every_sweep():
+    game, xi = coin_game(2), indicator(EventWindow.coordinate_is(3, "1"))
+    for sweep in (upper_expectation, upper_table):
+        with pytest.raises(ValueError, match="^payoff settles beyond the game horizon$"):
+            sweep(game, xi)
+
+
 def test_conditional_upper_is_an_outer_content_in_the_payoff():
     # Monotone, homogeneous, subadditive, normalized, as a functional of
     # the payoff at a fixed situation.

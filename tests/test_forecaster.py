@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtprob.config import DepthCapError
 from gtprob.extreal import ONE, ZERO, ext
 from gtprob.functionals import (
     Envelope,
@@ -236,6 +237,16 @@ def test_mixing_exception_list_skips_prefixes():
         phi, Fraction(1, 2), lambda n: 1, [event], max_prefix=1, exceptions=[("1",)]
     )
     assert report.violations == 0
+
+
+def test_mixing_prefix_enumeration_is_held_to_the_depth_cap(monkeypatch):
+    spec = coin_sup_spec(6)
+    phi = ForecastingSystem.constant(spec, "c")
+    events = [EventWindow.coordinate_is(2, "1")]
+    monkeypatch.setenv("GTP_MAX_DEPTH", "3")
+    delta_mixing_check(phi, Fraction(0), lambda n: -6, events, max_prefix=3)
+    with pytest.raises(DepthCapError, match="dense mixing prefix enumeration to depth 6 exceeds the cap 3"):
+        delta_mixing_check(phi, Fraction(0), lambda n: -6, events, max_prefix=6)
 
 
 # -- the outcome-tree sweep against the embedded game ------------------------

@@ -84,6 +84,23 @@ def test_payoff_table_must_be_total():
         payoff_from_json({"kind": "table", "depth": 1, "values": {"0": "0"}}, game)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "constant", "value": "1", "depth": "x"},
+        {"kind": "leading_ones_capped", "cap": "4", "depth": "x"},
+        {"kind": "table", "depth": "x", "values": {}},
+        {"kind": "constant", "value": "1", "depth": -1},
+    ],
+)
+def test_payoff_depth_must_be_a_non_negative_integer(obj):
+    game = GameSpec(BIN, Measure.uniform(BIN), 2)
+    with pytest.raises(SchemaError) as info:
+        payoff_from_json(obj, game)
+    assert info.value.where == "/payoff/depth"
+    assert str(info.value) == f"/payoff/depth: {obj['kind']} payoff needs a non-negative integer depth"
+
+
 def test_supermartingale_csv_round_trip():
     game = GameSpec(BIN, Measure.uniform(BIN), 2)
     sm = Supermartingale.from_fn(game, lambda s: ext(len(s)) + ext("1/3"))
