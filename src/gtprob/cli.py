@@ -55,6 +55,7 @@ from gtprob.serialize import (
     SchemaError,
     _extreal,
     _fraction,
+    _integer,
     forecasting_system_from_json,
     load_spec,
     payoff_from_json,
@@ -84,7 +85,7 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
     if os.path.exists(raw):
         return payoff_from_json(read_file(raw, "/payoff"), game)
     if raw.startswith("e_w"):
-        k = int(raw[3:])
+        k = _integer(raw[3:], "/payoff")
         if "1" not in game.outcomes:
             raise SchemaError("/payoff", "e_w shorthand needs an outcome labeled '1'")
         return indicator(EventWindow.coordinate_is(k, "1"))
@@ -106,7 +107,7 @@ def _parse_event(raw: str, game: GameSpec) -> EventWindow:
         idx, lab = raw[1:].split("=", 1)
         if lab not in game.outcomes:
             raise SchemaError("/event", f"unknown outcome {lab!r}")
-        return EventWindow.coordinate_is(int(idx), lab)
+        return EventWindow.coordinate_is(_integer(idx, "/event"), lab)
     raise SchemaError("/event", f"no such file and not a recognized shorthand: {raw!r}")
 
 
@@ -298,7 +299,7 @@ def cmd_law_ergodic(args) -> int:
 def cmd_law_classify(args) -> int:
     game = _load_game(args)
     event = _parse_event(args.event, game)
-    horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else None
+    horizons = [_integer(h, "/horizons") for h in args.horizons.split(",")] if args.horizons else None
     report = zero_one_classify(game, event, horizons)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0

@@ -145,9 +145,14 @@ class Payoff:
         d = ext(c)
         return Payoff(self.depth, lambda s: self._fn(s) + d, kind=f"shift({self.kind})")
 
-    def leaf_values(self, game: GameSpec) -> list[ExtReal]:
-        config.require_dense(self.depth, what="payoff tabulation")
-        return [self._fn(s) for s in game.outcomes.tuples(self.depth)]
+    def leaf_values(self, game: GameSpec, s: Situation = EMPTY) -> list[ExtReal]:
+        """The payoff at every leaf below ``s``, in rank order, once the horizon and cap hold."""
+        if self.depth > game.horizon:
+            raise ValueError("payoff settles beyond the game horizon")
+        span = self.depth - len(s)
+        config.require_dense(span, what="payoff tabulation")
+        fn = self._fn
+        return [fn(s + rest) for rest in game.outcomes.tuples(span)]
 
     def __repr__(self) -> str:
         return f"Payoff(depth={self.depth}, kind={self.kind})"
@@ -383,18 +388,8 @@ def _sweep(
 def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False) -> ExtReal:
     """Backward induction over the subtree below ``s``, of ``-xi`` if
     ``negate``."""
-    span = xi.depth - len(s)
-    config.require_dense(span, what="conditional expectation sweep")
-    fn = xi._fn
-    leaves = [fn(s + rest) for rest in game.outcomes.tuples(span)]
+    leaves = xi.leaf_values(game, s)
     return _sweep(game, leaves, len(s), xi.depth, len(s), negate)[0][0]
-
-
-def _check_situation(game: GameSpec, xi: Payoff, s: Situation) -> Situation:
-    s = game.validate_situation(s)
-    if xi.depth > game.horizon:
-        raise ValueError("payoff settles beyond the game horizon")
-    return s
 
 
 def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
@@ -403,7 +398,7 @@ def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtRe
     At depth ``xi.depth`` this is the payoff itself; above it, the round
     price of the children's values.
     """
-    s = _check_situation(game, xi, s)
+    s = game.validate_situation(s)
     if len(s) >= xi.depth:
         return xi.value(s[: xi.depth])
     return _level_values(game, xi, s)
@@ -411,7 +406,7 @@ def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtRe
 
 def lower_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
     """Negation dual ``-upper(-xi)``; the sweep negates the numerators."""
-    s = _check_situation(game, xi, s)
+    s = game.validate_situation(s)
     if len(s) >= xi.depth:
         return xi.value(s[: xi.depth])
     return -_level_values(game, xi, s, negate=True)
@@ -423,7 +418,6 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     This is the exact cover of ``xi`` with the least start, and it prices
     its own children exactly at every node.
     """
-    _check_situation(game, xi, EMPTY)
     leaves = xi.leaf_values(game)
     levels = _sweep(game, leaves, 0, xi.depth, xi.depth)
     table: dict[Situation, ExtReal] = {}
@@ -471,10 +465,7 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     finite-valued; nonpositive levels are covered for free because capital
     is nonnegative.
     """
-    if xi.depth > game.horizon:
-        raise ValueError("payoff settles beyond the game horizon")
     span = xi.depth
-    config.require_dense(span, what="running-maximum dynamic program")
     leaves = xi.leaf_values(game)
     for s, v in zip(game.outcomes.tuples(span), leaves):
         if not v.is_finite:

@@ -386,7 +386,7 @@ class MixingReport:
 def delta_mixing_check(
     phi: ForecastingSystem,
     delta: Fraction,
-    gap: Callable[[int], int] | Mapping[int, int],
+    gap: Callable[[int], int],
     events: Sequence[EventWindow],
     max_prefix: int,
     exceptions: Sequence[Situation] = (),
@@ -402,7 +402,6 @@ def delta_mixing_check(
     surrogates and the report names the quantifier gap.
     """
     delta = Fraction(delta)
-    gap_fn = (lambda n: gap[n]) if isinstance(gap, Mapping) else gap
     skip = {tuple(s) for s in exceptions}
     report = MixingReport(delta=delta)
     config.require_dense(max_prefix, what="mixing prefix enumeration")
@@ -411,7 +410,7 @@ def delta_mixing_check(
     worst: ExtReal | None = None
     for n in range(1, max_prefix + 1):
         remote = [
-            (idx, e) for idx, e in enumerate(events) if e.start >= n + gap_fn(n)
+            (idx, e) for idx, e in enumerate(events) if e.start >= n + gap(n)
         ]
         if not remote:
             continue

@@ -392,36 +392,31 @@ class VerifyResult:
 def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     """Check ``E_n(S(s .)) <= S(s)`` at every interior node of the table.
 
-    Runs top-down one level at a time.  Rounds with an integer form
-    (measure, envelope, supremum) compare the children's integer price with
-    the parent numerator over one denominator per pair of levels; any other
-    functional prices node by node through its ``eval_seq``.  Returns the
+    Runs top-down one level at a time: the kernel's round step prices the
+    children's numerators, and the prices are compared with the parent
+    numerators over one denominator per pair of levels.  Returns the
     first violation in (depth, rank) order as a witness rather than
     raising, its price recomputed by ``eval_seq`` on that node's children.
     A second flag reports whether equality holds everywhere (a martingale).
     """
-    from gtprob.expectation import _int_round, _integer_form, _numerators
+    from gtprob.expectation import _numerators, _over, _round
 
     if sm.depth > game.horizon:
         raise ValueError("table is deeper than the game horizon")
     top, k, labels = sm.depth, len(game.outcomes), game.outcomes.labels
     equality = True
+    children = [sm.value(EMPTY)]
+    below = _numerators(children)
     for d in range(top):
         content = game.content_at(d + 1)
         config.require_dense(d, what="level sweep")
-        parents = children if d else [sm.value(EMPTY)]
+        parents, above = children, below
         try:
             children = list(map(sm.table.__getitem__, game.outcomes.tuples(d + 1)))
         except KeyError:
             children = [sm.value(s) for s in game.outcomes.tuples(d + 1)]
-        form = _integer_form(content)
-        if form is None:
-            lhs = (content.eval_seq(children[i * k : (i + 1) * k]) for i in range(len(parents)))
-            rhs = parents
-        else:
-            nums = _numerators(parents + children)[0]
-            lhs = _int_round(form[1], nums[len(parents) :], k)
-            rhs = [v * form[0] for v in nums[: len(parents)]]
+        below = _numerators(children)
+        (lhs, rhs), _ = _over([_round(content, k, *below), above])
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if a > b:
                 s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d))

@@ -34,7 +34,6 @@ from gtprob.gametree import (
 from gtprob.expectation import (
     EventWindow,
     Payoff,
-    _check_situation,
     indicator,
     lower_probability,
     upper_probability,
@@ -167,13 +166,10 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
     """
     n = event.start
     prefix_depth = n - 1
-    config.require_dense(prefix_depth, what="prefix sweep")
     xi = indicator(event)
-    prefixes = list(game.outcomes.tuples(prefix_depth))
-    # One prefix's checks and cap, then every value from the witness's table.
-    _check_situation(game, xi, prefixes[0])
-    config.require_dense(xi.depth - prefix_depth, what="conditional expectation sweep")
+    # The table's checks cover the prefixes, which sit above the window.
     table = upper_table(game, xi)
+    prefixes = list(game.outcomes.tuples(prefix_depth))
     values: dict[Situation, ExtReal] = {s: table.value(s) for s in prefixes}
     distinct = {str(v) for v in values.values()}
     invariant = len(distinct) == 1
@@ -245,8 +241,9 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
 
     table = upper_table(game, indicator(event))
     unconditional = table.value(EMPTY)
+    # Every round prices alike, so the table holds the conditional below s.
+    conditional = table.value(s)
     deep = GameSpec(game.outcomes, game.contents[0], len(s) + m)
-    conditional = upper_probability(deep, event, s)
     bound_holds = conditional <= unconditional
 
     moved = shift_strategy(deep, table, s)

@@ -31,7 +31,7 @@ import csv
 import io
 import json
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
@@ -80,6 +80,16 @@ def _fraction(raw: Any, where: str) -> Fraction:
         return Fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(where, f"not an exact rational: {raw!r}") from exc
+
+
+def _integer(raw: Any, where: str, message: str = "", least: int | None = None) -> int:
+    """An integer written as a JSON number or a decimal string, at least
+    ``least`` if given; a boolean is not an integer here."""
+    with suppress(ValueError):
+        n = int(str(raw))
+        if least is None or n >= least:
+            return n
+    raise SchemaError(where, message or f"not an integer: {raw!r}")
 
 
 def _extreal(raw: Any, where: str) -> ExtReal:
@@ -213,9 +223,7 @@ def game_from_json(obj: Any, where: str = "") -> GameSpec:
     if not isinstance(obj, Mapping):
         raise SchemaError(where or "/", "game must be an object")
     outcomes = _outcomes(obj, where)
-    horizon = obj.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise SchemaError(f"{where}/horizon", "horizon must be a positive integer")
+    horizon = _integer(obj.get("horizon"), f"{where}/horizon", "horizon must be a positive integer", least=1)
     with _at(where or "/"):
         if "content" in obj:
             return GameSpec(outcomes, content_from_json(obj["content"], outcomes, f"{where}/content"), horizon)
@@ -248,9 +256,7 @@ def window_to_json(event: EventWindow, outcomes: OutcomeSet) -> dict:
 def window_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/window") -> EventWindow:
     if not isinstance(obj, Mapping):
         raise SchemaError(where, "window must be an object")
-    start, end = obj.get("start"), obj.get("end")
-    if not (isinstance(start, int) and isinstance(end, int)):
-        raise SchemaError(where, "window needs integer start and end")
+    start, end = (_integer(obj.get(k), where, "window needs integer start and end") for k in ("start", "end"))
     accepts = obj.get("accepts")
     if not isinstance(accepts, list):
         raise SchemaError(f"{where}/accepts", "window needs an accept list")
@@ -271,10 +277,9 @@ def payoff_from_json(obj: Any, game: GameSpec, where: str = "/payoff") -> Payoff
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise SchemaError(where, "payoff must be an object with a 'kind' field")
     kind = obj["kind"]
-    depth = obj.get("depth", None if kind == "table" else game.horizon)
-    bad_depth = not (isinstance(depth, int) and depth >= 0)
-    if bad_depth and kind in ("table", "leading_ones_capped", "constant"):
-        raise SchemaError(f"{where}/depth", f"{kind} payoff needs a non-negative integer depth")
+    if kind in ("table", "leading_ones_capped", "constant"):
+        given = obj.get("depth", None if kind == "table" else game.horizon)
+        depth = _integer(given, f"{where}/depth", f"{kind} payoff needs a non-negative integer depth", least=0)
     with _at(where):
         if kind == "table":
             raw = obj.get("values")
@@ -331,6 +336,8 @@ def supermartingale_from_csv(text: str, outcomes: OutcomeSet) -> Supermartingale
                 s = parse_situation(key, outcomes)
             except ValueError as exc:
                 raise SchemaError(f"/csv/{i}", str(exc)) from exc
+        if s in table:
+            raise SchemaError(f"/csv/{i}", f"duplicate situation {key!r}")
         if raw not in values:
             values[raw] = _extreal(raw, f"/csv/{i}")
         table[s] = values[raw]

@@ -41,7 +41,6 @@ from math import gcd
 from operator import add, lshift, mul
 from typing import Callable, Iterator, Sequence
 
-from gtprob import config
 from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, ext, scale
 from gtprob.gametree import (
     EMPTY,
@@ -349,10 +348,8 @@ def levy_strategy(
     depth, k = xi.depth, len(game.outcomes)
     conds = _sweep(game, leaves, 0, depth, depth)
     machine = _LevyMachine(a, b, slack)
-    for top in (game.horizon - 1, game.horizon):
-        config.require_dense(top, what="tree sweep")
+    sits = list(game.all_situations())
     nums = machine.numerators(list(chain.from_iterable(conds)), depth)
-    sits = [s for d in range(game.horizon + 1) for s in game.outcomes.tuples(d)]
     # In level order the children of node g are nodes g*K+1 .. g*K+K.
     state, cap, _ = machine.step(("waiting", 0, 0, None), ONE, None, nums[0], EMPTY)
     states, caps = [state], [cap]
@@ -447,10 +444,7 @@ class MixtureResult:
         return f"mixture of {self.parts} parts; {self.note}"
 
 
-def mixture(
-    parts: Sequence[DoobResult | Supermartingale],
-    omitted_start_sup: Fraction | int = 1,
-) -> MixtureResult:
+def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
     """Weighted sum ``sum_i 2**-i * part_i`` over finitely many parts.
 
     Parts are upcross constructions over one shared base, or constant
@@ -459,8 +453,8 @@ def mixture(
     each increment is recomputed as (pooled weight) * (base increment)
     with a pooled weight in [0, 1], so the certificate needs nothing
     beyond the base being a supermartingale.  The report carries the bound
-    ``2**-I * omitted_start_sup`` on what truncating the series at index
-    I discards at the start.
+    ``2**-I`` on what truncating the series at index I discards at the
+    start, for omitted parts that start at 1.
 
     The parts and the base share one denominator ``D``; the sum is held
     over ``D * 2**I`` and each increment is compared with the pooled
@@ -536,7 +530,7 @@ def mixture(
                     f"increment certificate failed at {sits[g]!r}->{sits[c]!r}: {got} != {expected}"
                 )
 
-    bound = scale(Fraction(1, 2 ** len(tables)), ext(Fraction(omitted_start_sup)))
+    bound = ext(Fraction(1, 2 ** len(tables)))
     note = (
         f"series truncated at {len(tables)} parts; omitted tail starts below "
         f"{bound} (weight 2**-{len(tables)} times the omitted parts' start bound)"

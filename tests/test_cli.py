@@ -296,7 +296,7 @@ def test_depth_cap_exits_two_and_names_its_variable(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "error: dense conditional expectation sweep to depth 5 exceeds the cap 3; "
+        "error: dense payoff tabulation to depth 5 exceeds the cap 3; "
         "raise GTP_MAX_DEPTH to allow it\n"
     )
 
@@ -405,10 +405,14 @@ P2_SPEC = {
 }
 
 
-def write_json(tmp_path, name, obj) -> str:
+def write_text(tmp_path, name, text) -> str:
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(text)
     return str(path)
+
+
+def write_json(tmp_path, name, obj) -> str:
+    return write_text(tmp_path, name, json.dumps(obj))
 
 
 def mixing_argv(tmp_path, *flags, spec=P2_SPEC, system=None, events=None):
@@ -475,6 +479,22 @@ INPUT_ERRORS = {
     "delta_zero_denominator": (
         lambda tmp, coin: mixing_argv(tmp, "--delta", "1/0"),
         "/delta: not an exact rational: '1/0'",
+    ),
+    "csv_duplicate_row": (
+        lambda tmp, coin: ["verify", coin, "--supermartingale", write_text(tmp, "t.csv", "situation,value\n,1\n0,0\n1,2\n0,5\n")],
+        "/csv/5: duplicate situation '0'",
+    ),
+    "payoff_coordinate_not_an_integer": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "e_wx"],
+        "/payoff: not an integer: 'x'",
+    ),
+    "event_coordinate_not_an_integer": (
+        lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "wx=1"],
+        "/event: not an integer: 'x'",
+    ),
+    "horizons_not_integers": (
+        lambda tmp, coin: ["law", coin, "classify", "--event", "w1=1", "--horizons", "1,x"],
+        "/horizons: not an integer: 'x'",
     ),
 }
 
@@ -567,6 +587,11 @@ LAW_FLAGS = {
 }
 
 
+TABLE_ROWS = ["situation,value", ",1", "0,0", "1,2", "00,0", "01,0", "10,2", "11,2"]
+TABLE = "\n".join(TABLE_ROWS) + "\n"
+ROW_EDITS = ["drop", "duplicate", "move", "label", "header", "value", "column"]
+
+
 def json_nodes(value, at=()):
     """The paths to every node of a JSON value."""
     yield at
@@ -587,15 +612,41 @@ def replaced(value, at, new):
     return copy
 
 
+def edited_table(draw):
+    """The fixture capital table with one row dropped, duplicated or moved,
+    or one label, header, value or column spoiled."""
+    rows, edit = list(TABLE_ROWS), draw(st.sampled_from(ROW_EDITS))
+    i = draw(st.integers(1, len(rows) - 1))
+    if edit == "drop":
+        del rows[i]
+    elif edit == "duplicate":
+        rows.insert(draw(st.integers(1, len(rows))), rows[i])
+    elif edit == "move":
+        rows.insert(draw(st.integers(1, len(rows) - 1)), rows.pop(i))
+    elif edit == "label":
+        rows[i] = "2" + rows[i]
+    elif edit == "header":
+        rows[0] = draw(st.sampled_from(["", "situation", "value,situation", "situation,value,x"]))
+    elif edit == "value":
+        rows[i] = rows[i].split(",")[0] + "," + draw(st.sampled_from(["", "x", "1/0", "inf", "-inf", "-1"]))
+    else:
+        rows[i] += ",0"
+    return "\n".join(rows) + "\n"
+
+
 @st.composite
 def fuzzed_inputs(draw):
-    """Fixture files, one of them perhaps mutated, and a command line."""
-    files = dict(FUZZ_FILES)
-    if draw(st.integers(0, 2)) == 0:
+    """Fixture files and capital table, one of them perhaps mutated, and a
+    command line."""
+    files, table = dict(FUZZ_FILES), TABLE
+    mutate = draw(st.integers(0, 3))
+    if mutate == 0:
         name = draw(st.sampled_from(sorted(files)))
         at = draw(st.sampled_from(list(json_nodes(files[name]))))
         new = draw(st.sampled_from(SWAPS[1:] if not at else SWAPS))
         files[name] = replaced(files[name], at, new)
+    elif mutate == 1:
+        table = edited_table(draw)
     command = draw(st.sampled_from(["axioms", "expect", "simulate", "verify", "law", "law", "law"]))
     mode = draw(st.sampled_from(sorted(LAW_FLAGS)))
     # Mostly the kind of spec the command needs.
@@ -609,6 +660,7 @@ def fuzzed_inputs(draw):
     elif command == "simulate":
         argv = ["simulate", spec, "--strategy", draw(STRATEGIES), "--path", draw(PATHS)]
         argv += draw(st.sampled_from([[], ["--payoff", draw(PAYOFFS)]]))
+        argv += draw(st.sampled_from([[], ["--base", "table.csv"]]))
     elif command == "verify":
         argv = ["verify", spec, "--supermartingale", "table.csv"]
     else:
@@ -621,31 +673,63 @@ def fuzzed_inputs(draw):
         for flag, values in flags.items():
             if draw(st.integers(0, 7)) > 0:
                 argv += [flag, draw(values)]
-    return files, argv
+    return files, table, argv
+
+
+def run_quietly(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, parser exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
 @given(fuzzed_inputs())
 # Escapes that ended in a traceback once.
-@example((FUZZ_FILES, ["simulate", "coin.json", "--strategy", "levy:1", "--payoff", "e_w1", "--path", "0"]))
-@example((dict(FUZZ_FILES, **{"payoff.json": {"kind": "constant", "value": "1", "depth": "x"}}),
+@example((FUZZ_FILES, TABLE, ["simulate", "coin.json", "--strategy", "levy:1", "--payoff", "e_w1", "--path", "0"]))
+@example((dict(FUZZ_FILES, **{"payoff.json": {"kind": "constant", "value": "1", "depth": "x"}}), TABLE,
           ["expect", "coin.json", "--payoff", "payoff.json"]))
-@example((dict(FUZZ_FILES, **{"coin.json": dict(COIN_SPEC, outcomes=["0", []])}), ["axioms", "coin.json"]))
+@example((dict(FUZZ_FILES, **{"coin.json": dict(COIN_SPEC, outcomes=["0", []])}), TABLE, ["axioms", "coin.json"]))
 def test_any_input_keeps_the_exit_code_contract(inputs):
-    files, argv = inputs
+    files, table, argv = inputs
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
             Path(tmp, name).write_text(json.dumps(obj))
-        Path(tmp, "table.csv").write_text("situation,value\n,1\n0,0\n1,2\n00,0\n01,0\n10,2\n11,2\n")
+        Path(tmp, "table.csv").write_text(table)
         # File names, alone or joined with ";", become paths in tmp.
         names = {*files, "table.csv", "out.csv"}
         argv = [";".join(str(Path(tmp, n)) for n in a.split(";")) if set(a.split(";")) <= names else a for a in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        code, out, err = run_quietly(argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue()
-    assert code != 1 or out.getvalue(), argv
+    assert "Traceback" not in err
+    assert code != 1 or out, argv
+
+
+@st.composite
+def reordered_tables(draw):
+    """The fixture table's rows with drawn values, perhaps one situation
+    twice, in two orders."""
+    value = st.sampled_from(["0", "1/2", "1", "2", "5"])
+    rows = [row.split(",")[0] + "," + draw(value) for row in TABLE_ROWS[1:]]
+    if draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)).split(",")[0] + "," + draw(value))
+    return [draw(st.permutations(rows)) for _ in range(2)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(reordered_tables())
+@example([[",1", "0,0", "1,2", "0,5"], [",1", "0,5", "1,2", "0,0"]])
+def test_verify_does_not_depend_on_row_order(orders):
+    results = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, table = Path(tmp, "coin.json"), Path(tmp, "table.csv")
+        spec.write_text(json.dumps(COIN_SPEC))
+        for rows in orders:
+            table.write_text("\n".join(["situation,value", *rows]) + "\n")
+            code, out, _ = run_quietly(["verify", str(spec), "--supermartingale", str(table)])
+            results.add((code, out))
+    assert len(results) == 1, (orders, results)

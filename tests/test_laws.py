@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtprob.extreal import ONE, ZERO, ext
 from gtprob.functionals import Envelope, Measure, OutcomeSet, SupContent
 from gtprob.gametree import EMPTY, GameSpec
-from gtprob.expectation import EventWindow, Payoff, indicator, upper_probability
+from gtprob.expectation import EventWindow, Payoff, determinacy_check, indicator, upper_probability
 from gtprob.laws import (
     ergodic_bound,
     kolmogorov_invariance,
@@ -13,6 +15,7 @@ from gtprob.laws import (
     scripted_conditional_game,
     zero_one_classify,
 )
+from gtprob.strategies import levy_strategy
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -165,6 +168,54 @@ def test_shift_bound_rejects_round_dependent_games():
     game = GameSpec(BIN, [Measure.uniform(BIN), Measure(BIN, {"0": "1/3", "1": "2/3"})], 2)
     with pytest.raises(ValueError):
         ergodic_bound(game, EventWindow.whole_space(), ("1",))
+
+
+@st.composite
+def shift_cases(draw):
+    """A game on K <= 3 outcomes priced alike at each of its three rounds,
+    and an event on a window inside the horizon."""
+    k = draw(st.integers(1, 3))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    measure = Measure(outcomes, [Fraction(w, sum(weights)) for w in weights])
+    contents = [measure, SupContent(outcomes), Envelope(outcomes, [measure, Measure.uniform(outcomes)])]
+    end = draw(st.integers(1, 3))
+    start = draw(st.integers(1, end))
+    window = list(outcomes.tuples(end - start + 1))
+    accepts = draw(st.lists(st.sampled_from(window), unique=True))
+    return GameSpec(outcomes, draw(st.sampled_from(contents)), 3), EventWindow(start, end, accepts=accepts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_cases())
+def test_shift_bound_conditional_equals_the_sweep_on_the_deeper_game(case):
+    # The conditional is read off the unconditional table; the sweep of the
+    # game deepened by len(s) rounds is the oracle.
+    game, event = case
+    passed = 0
+    for s in game.all_situations(3):
+        report = ergodic_bound(game, event, s)
+        if report.condition_holds:
+            deep = GameSpec(game.outcomes, game.contents[0], len(s) + event.end)
+            assert report.conditional == upper_probability(deep, event, s)
+            passed += 1
+    assert passed  # the root always meets the condition
+
+
+def test_a_payoff_past_the_horizon_is_refused_before_its_rule_runs():
+    def rule(_):
+        raise AssertionError("the payoff rule ran")
+
+    game = coin_game(3)
+    xi = Payoff.from_rule(rule, 5)
+    refusals = [
+        lambda: determinacy_check(game, xi, 2),
+        lambda: levy_strategy(game, xi, Fraction(1, 2), Fraction(3, 4)),
+        lambda: kolmogorov_invariance(game, EventWindow(5, 5, predicate=rule)),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match="^payoff settles beyond the game horizon$"):
+            refuse()
 
 
 # -- scripted fixtures -------------------------------------------------------------

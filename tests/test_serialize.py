@@ -101,6 +101,23 @@ def test_payoff_depth_must_be_a_non_negative_integer(obj):
     assert str(info.value) == f"/payoff/depth: {obj['kind']} payoff needs a non-negative integer depth"
 
 
+@pytest.mark.parametrize(
+    "read, where, message",
+    [
+        (lambda: game_from_json({"outcomes": ["0", "1"], "horizon": True, "content": {"type": "sup"}}),
+         "/horizon", "horizon must be a positive integer"),
+        (lambda: window_from_json({"start": True, "end": 1, "accepts": []}, BIN),
+         "/window", "window needs integer start and end"),
+        (lambda: payoff_from_json({"kind": "constant", "value": "1", "depth": False}, GameSpec(BIN, SupContent(BIN), 2)),
+         "/payoff/depth", "constant payoff needs a non-negative integer depth"),
+    ],
+)
+def test_json_integers_are_not_booleans(read, where, message):
+    with pytest.raises(SchemaError) as info:
+        read()
+    assert str(info.value) == f"{where}: {message}"
+
+
 def test_supermartingale_csv_round_trip():
     game = GameSpec(BIN, Measure.uniform(BIN), 2)
     sm = Supermartingale.from_fn(game, lambda s: ext(len(s)) + ext("1/3"))
@@ -140,6 +157,8 @@ def test_supermartingale_csv_round_trip_with_multi_character_labels():
         (BIN, "situation,value\n", "/csv", "table is empty"),
         (BIN, "situation,value\n,1\n0,1\n1,1\n00,1\n01,1\n11,1\n", "/csv", "table is not total at depth 2"),
         (BIN, "situation,value\n0,1\n1,1\n", "/csv", "table is not total at depth 0"),
+        (BIN, "situation,value\n,1\n0,0\n1,2\n0,5\n", "/csv/5", "duplicate situation '0'"),
+        (WORDS, 'situation,value\n,1\nup,1\n"",2\n', "/csv/4", "duplicate situation ''"),
     ],
 )
 def test_supermartingale_csv_errors_name_their_row(labels, text, where, message):
