@@ -66,7 +66,6 @@ steps = levy_capital_trace(
     Fraction(3, 5),
     Fraction(9, 10),
     cond=scripted.cond,
-    shift=Fraction(0),
 )
 for st in steps:
     if st.event:

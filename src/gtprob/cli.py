@@ -70,15 +70,6 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _load_game(args) -> GameSpec:
-    spec = load_spec(args.spec)
-    if isinstance(spec, Protocol2Spec):
-        if args.command == "law":
-            raise SchemaError("/", f"law {args.mode} needs a basic game spec")
-        raise SchemaError("/", "this command needs a basic game spec, not a forecaster spec")
-    return spec
-
-
 def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
     """A payoff file, or a shorthand: e_w<k> (indicator of coordinate k
     being "1"), leading_ones:<cap>, const:<value>."""
@@ -160,8 +151,7 @@ def _write_csv(path: str | None, header: list[str], rows: list) -> None:
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_axioms(args) -> int:
-    game = _load_game(args)
+def cmd_axioms(args, game: GameSpec) -> int:
     distinct = []
     for c in game.contents:
         if all(c != d for d in distinct):
@@ -175,8 +165,7 @@ def cmd_axioms(args) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_expect(args) -> int:
-    game = _load_game(args)
+def cmd_expect(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game)
     s = parse_situation(args.situation, game.outcomes)
     if args.variant == "sup":
@@ -193,8 +182,7 @@ def cmd_expect(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    game = _load_game(args)
+def cmd_simulate(args, game: GameSpec) -> int:
     path = _parse_path(args.path, game)
     xi = _parse_payoff(args.payoff, game) if args.payoff else None
     prefixes = [path[:n] for n in range(len(path) + 1)]
@@ -256,8 +244,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    game = _load_game(args)
+def cmd_verify(args, game: GameSpec) -> int:
     sm = supermartingale_from_csv(read_file(args.supermartingale, "/supermartingale", str), game.outcomes)
     res = verify_supermartingale(game, sm)
     if res.ok:
@@ -268,8 +255,7 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def cmd_law_levy(args) -> int:
-    game = _load_game(args)
+def cmd_law_levy(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game)
     paths = [_parse_path(p, game) for p in args.paths.split(";")] if args.paths else []
     report = levy_experiment(game, xi, paths)
@@ -279,16 +265,14 @@ def cmd_law_levy(args) -> int:
     return 0 if report.all_terminal_ok else 1
 
 
-def cmd_law_kolmogorov(args) -> int:
-    game = _load_game(args)
+def cmd_law_kolmogorov(args, game: GameSpec) -> int:
     report = kolmogorov_invariance(game, _parse_event(args.event, game))
     print(str(report))
     ok = report.invariant and report.witness_ok in (True, None)
     return 0 if ok else 1
 
 
-def cmd_law_ergodic(args) -> int:
-    game = _load_game(args)
+def cmd_law_ergodic(args, game: GameSpec) -> int:
     event = _parse_event(args.event, game)
     report = ergodic_bound(game, event, parse_situation(args.situation, game.outcomes))
     print(str(report))
@@ -296,8 +280,7 @@ def cmd_law_ergodic(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_law_classify(args) -> int:
-    game = _load_game(args)
+def cmd_law_classify(args, game: GameSpec) -> int:
     event = _parse_event(args.event, game)
     horizons = [_integer(h, "/horizons") for h in args.horizons.split(",")] if args.horizons else None
     report = zero_one_classify(game, event, horizons)
@@ -305,10 +288,7 @@ def cmd_law_classify(args) -> int:
     return 0
 
 
-def cmd_law_mixing(args) -> int:
-    spec = load_spec(args.spec)
-    if not isinstance(spec, Protocol2Spec):
-        raise SchemaError("/", "mixing needs a forecaster spec with a 'predictions' field")
+def cmd_law_mixing(args, spec: Protocol2Spec) -> int:
     phi = forecasting_system_from_json(read_file(args.system, "/system"), spec)
     events = [window_from_json(read_file(raw, "/events"), spec.outcomes) for raw in args.events.split(";")]
     report = delta_mixing_check(
@@ -382,10 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, load the spec once and check its kind, then run the
+    handler on it; an input error at any of these steps exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        spec = load_spec(args.spec)
+        if args.fn is cmd_law_mixing:
+            if not isinstance(spec, Protocol2Spec):
+                raise SchemaError("/", "mixing needs a forecaster spec with a 'predictions' field")
+        elif isinstance(spec, Protocol2Spec):
+            if args.command == "law":
+                raise SchemaError("/", f"law {args.mode} needs a basic game spec")
+            raise SchemaError("/", "this command needs a basic game spec, not a forecaster spec")
+        return args.fn(args, spec)
     except UnknownGambleError as exc:
         return _fail(exc.args[0])
     except (OSError, ValueError) as exc:  # SchemaError, DepthCapError and JSONDecodeError too

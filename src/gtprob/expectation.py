@@ -210,17 +210,11 @@ class EventWindow:
         return frozenset(t for t in outcomes.tuples(self.width) if self._pred(t))
 
     def complement(self) -> "EventWindow":
-        if self._accepts is not None:
-            # Complement within the window's tuple space; materialized lazily
-            # through the predicate to stay outcome-set agnostic.
-            acc = self._accepts
-            return EventWindow(
-                self.start, self.end, predicate=lambda w: w not in acc,
-                label=f"not({self.label})" if self.label else "",
-            )
-        pred = self._pred
+        # Always a predicate window, so an accept set's complement stays
+        # outcome-set agnostic and is materialized lazily.
+        member = self._pred if self._accepts is None else self._accepts.__contains__
         return EventWindow(
-            self.start, self.end, predicate=lambda w: not pred(w),
+            self.start, self.end, predicate=lambda w: not member(w),
             label=f"not({self.label})" if self.label else "",
         )
 

@@ -475,19 +475,15 @@ def stop_when_covered(sm: Supermartingale, level: ExtReal) -> Supermartingale:
     some time into coverage at the truncation depth.
     """
     level = ext(level)
-    frozen_at: dict[Situation, ExtReal] = {}
+    frozen: set[Situation] = set()
     table: dict[Situation, ExtReal] = {}
+    # Parents come first, and a node below a frozen one is frozen too.
     for u in sorted(sm.table, key=lambda s: (len(s), s)):
-        holder = None
-        for k in range(len(u)):
-            if u[:k] in frozen_at:
-                holder = u[:k]
-                break
-        if holder is not None:
-            table[u] = frozen_at[holder]
+        if u[:-1] in frozen:
+            table[u] = table[u[:-1]]
+            frozen.add(u)
             continue
-        v = sm.table[u]
-        table[u] = v
+        v = table[u] = sm.table[u]
         if v > level:
-            frozen_at[u] = v
+            frozen.add(u)
     return Supermartingale(table, sm.depth)

@@ -9,7 +9,7 @@ scripted oscillations.  Report vocabulary says "finite-horizon surrogate"
 wherever the asymptotic statement itself is out of reach.
 
 :func:`scripted_conditional_game` manufactures a measure game and an event
-whose conditional upper probability along a distinguished path follows a
+whose conditional upper probability along the all-ones path follows a
 prescribed target sequence exactly; it feeds the growth checks.
 """
 
@@ -276,15 +276,12 @@ class ScriptedGame:
     cond: Callable[[Situation], ExtReal]
 
 
-def scripted_conditional_game(
-    targets: Sequence[Fraction | str | int],
-    distinguished: Sequence[str] | None = None,
-) -> ScriptedGame:
+def scripted_conditional_game(targets: Sequence[Fraction | str | int]) -> ScriptedGame:
     """Build a binary measure game realizing a prescribed conditional
-    sequence along a distinguished path.
+    sequence along the all-ones path.
 
     Each step splits the current target into the next one on the
-    distinguished branch and a closed-form value off it: 0 under a rise, 1
+    ``"1"`` branch and a closed-form value off it: 0 under a rise, 1
     under a fall, and the unchanged value (carried forward) under a flat
     step.  Carried values must eventually coincide with a step probability
     to resolve into event membership; if one survives to the horizon the
@@ -297,11 +294,9 @@ def scripted_conditional_game(
         raise ValueError(f"targets must lie strictly inside (0, 1): {targets}")
     n_steps = len(targets)
     outcomes = OutcomeSet(["0", "1"])
-    path = tuple(distinguished) if distinguished is not None else ("1",) * n_steps
-    if len(path) != n_steps or any(x not in ("0", "1") for x in path):
-        raise ValueError("distinguished path must be binary with one move per target")
+    path = ("1",) * n_steps
 
-    # Step probabilities of the distinguished branch, and the off-branch
+    # Step probabilities of the "1" branch, and the off-branch
     # state introduced at each step: 0, 1, or a carried fraction.
     probs: list[Fraction] = []
     off_state: list[Fraction | int] = []
@@ -316,7 +311,7 @@ def scripted_conditional_game(
         else:
             probs.append((1 - prev) / (1 - cur))
             off_state.append(1)
-    # Resolution step: the distinguished leaf joins the event.
+    # Resolution step: the all-ones leaf joins the event.
     probs.append(targets[-1])
     off_state.append(0)
 
@@ -328,12 +323,8 @@ def scripted_conditional_game(
             depth = i + 1  # carried from this step's off-branch
             for m in range(depth + 1, n_steps + 1):
                 p_d = probs[m - 1]
-                if state == p_d:
-                    resolution[depth] = (m, path[m - 1])
-                    break
-                if state == 1 - p_d:
-                    other = "0" if path[m - 1] == "1" else "1"
-                    resolution[depth] = (m, other)
+                if state in (p_d, 1 - p_d):
+                    resolution[depth] = (m, "1" if state == p_d else "0")
                     break
             else:
                 raise ValueError(
@@ -344,7 +335,7 @@ def scripted_conditional_game(
     def walk(seq: Situation) -> tuple[str, object]:
         """State after playing ``seq``: on-path, absorbed 0/1, or carried."""
         for i, x in enumerate(seq):
-            if x == path[i]:
+            if x == "1":
                 continue
             state = off_state[i]
             if state in (0, 1):
@@ -355,14 +346,6 @@ def scripted_conditional_game(
                 return ("carried", (state, m, in_branch))
             return ("absorbed", 1 if seq[m - 1] == in_branch else 0)
         return ("on-path", None)
-
-    def member(window: tuple[str, ...]) -> bool:
-        kind, info = walk(window)
-        if kind == "on-path":
-            return True
-        if kind == "absorbed":
-            return bool(info)
-        raise AssertionError("full windows always resolve")
 
     def cond(s: Situation) -> ExtReal:
         s = tuple(s)
@@ -376,17 +359,11 @@ def scripted_conditional_game(
         value, _m, _branch = info
         return ext(value)
 
-    contents = [
-        Measure(outcomes, {path[i]: probs[i], _other(path[i]): 1 - probs[i]})
-        for i in range(n_steps)
-    ]
+    contents = [Measure(outcomes, {"1": p, "0": 1 - p}) for p in probs]
     game = GameSpec(outcomes, contents, n_steps)
-    event = EventWindow(1, n_steps, predicate=member, label="scripted")
+    # A full window always resolves, so its conditional is 0 or 1.
+    event = EventWindow(1, n_steps, predicate=lambda w: cond(w) == ONE, label="scripted")
     return ScriptedGame(game, event, path, targets, cond)
-
-
-def _other(label: str) -> str:
-    return "0" if label == "1" else "1"
 
 
 # -- interval classification -----------------------------------------------

@@ -50,7 +50,7 @@ from gtprob.gametree import (
     Supermartingale,
     verify_supermartingale,
 )
-from gtprob.expectation import Payoff, _numerators, _read_out, _sweep, upper_table
+from gtprob.expectation import Payoff, _numerators, _read_out, _sweep
 
 __all__ = [
     "enumerate_rationals",
@@ -391,37 +391,21 @@ def levy_capital_trace(
     a: Fraction,
     b: Fraction,
     slack: str = "none",
-    xi: Payoff | None = None,
-    cond: Callable[[Situation], ExtReal] | None = None,
-    shift: Fraction | None = None,
+    *,
+    cond: Callable[[Situation], ExtReal],
 ) -> list[LevyTraceStep]:
     """Capital of the multiplicative ride along a single path.
 
     Path-local: never materializes the tree, so it works beyond the dense
-    cap.  Provide either the payoff (conditionals are then computed, dense
-    caps apply) or a ``cond`` callable returning conditional upper
-    expectations of the unshifted payoff together with its ``shift``
-    (defaults to 0 for nonnegative payoffs).  Steps through the same rule
+    cap.  ``cond`` returns the conditional upper expectations the ride
+    follows, already shifted to be nonnegative (for a dense game,
+    ``levy_strategy(...).cond_table.value``).  Steps through the same rule
     as :func:`levy_strategy`.
     """
     path = game.validate_situation(tuple(path))
-    if cond is None:
-        if xi is None:
-            raise ValueError("need a payoff or a cond callable")
-        c = _levy_shift(xi.leaf_values(game)) if shift is None else Fraction(shift)
-        shifted = xi if c == 0 else xi.shifted(-c)
-        table = upper_table(game, shifted)
-        cond_fn = table.value
-    else:
-        c = Fraction(0) if shift is None else Fraction(shift)
-        if c == 0:
-            cond_fn = cond
-        else:
-            cond_fn = lambda s: cond(s) - ext(c)
-
     machine = _LevyMachine(Fraction(a), Fraction(b), slack)
     sits = [path[:n] for n in range(len(path) + 1)]
-    conds = [cond_fn(s) for s in sits]
+    conds = [cond(s) for s in sits]
     nums = machine.numerators(conds, len(path))
     state, cap, steps = ("waiting", 0, 0, None), ONE, []
     for n, s in enumerate(sits):

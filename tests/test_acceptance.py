@@ -283,7 +283,6 @@ def test_acceptance_6():
                 b,
                 slack=slack,
                 cond=scripted.cond,
-                shift=Fraction(0),
             )
             entries = [st for st in steps if st.event and st.event[0] == "enter"]
             exits = [st for st in steps if st.event and st.event[0] == "exit"]
@@ -301,9 +300,7 @@ def test_acceptance_6():
         # construction.
         if k <= 3:
             res = levy_strategy(scripted.game, indicator(scripted.event), a, b)
-            steps = levy_capital_trace(
-                scripted.game, scripted.path, a, b, cond=scripted.cond, shift=Fraction(0)
-            )
+            steps = levy_capital_trace(scripted.game, scripted.path, a, b, cond=scripted.cond)
             for st in steps:
                 assert st.capital == res.table.value(st.situation)
             assert verify_supermartingale(scripted.game, res.table).ok

@@ -546,6 +546,49 @@ def test_law_mixing_with_a_table_system(tmp_path, capsys):
     )
 
 
+def test_law_levy_writes_its_path_trace(coin_file, tmp_path, capsys):
+    trace = tmp_path / "levy.csv"
+    argv = ["law", coin_file, "levy", "--payoff", "e_w2", "--paths", "1,1;0,0", "--trace", str(trace)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["paths"][1] == {
+        "in_event": False, "path": "00", "reaches_one": False, "terminal_ok": True, "values": ["1/2", "1/2", "0"]
+    }
+    assert trace.read_text() == "n,situation,value\n0,,1/2\n1,1,1/2\n2,11,1\n0,,1/2\n1,0,1/2\n2,00,0\n"
+
+
+def test_simulate_doob_prints_the_payoff_conditional(coin_file, capsys):
+    argv = ["simulate", coin_file, "--strategy", "doob:1/2,1", "--payoff", "e_w3", "--path", "1,0,1"]
+    assert run(capsys, argv) == (0, (
+        "n,situation,capital,conditional_upper,note\n"
+        "0,,1,1/2,\n1,1,3/2,1/2,upcross 1\n2,10,3/2,1/2,\n3,101,3/2,1,\n"
+    ), "")
+
+
+def test_doob_without_a_step_multiplier_rides_the_constant_base(tmp_path, capsys):
+    contents = {
+        "biased": {"type": "measure", "probs": {"0": "1/4", "1": "3/4"}},
+        "envelope": {"type": "envelope", "measures": [{"0": "1/3", "1": "2/3"}, {"0": "1/2", "1": "1/2"}]},
+    }
+    for name, content in contents.items():
+        spec = write_json(tmp_path, f"{name}.json", dict(COIN_SPEC, content=content))
+        argv = ["simulate", spec, "--strategy", "doob:1/2,1", "--path", "1,0,1"]
+        assert run(capsys, argv) == (
+            0, "n,situation,capital,conditional_upper,note\n0,,1,,\n1,1,1,,\n2,10,1,,\n3,101,1,,\n", ""
+        )
+
+
+def test_a_spec_of_the_wrong_kind_exits_two(coin_file, tmp_path, capsys):
+    forecaster = write_json(tmp_path, "forecaster.json", dict(P2_SPEC, horizon=3))
+    cases = [
+        (["axioms", forecaster], "this command needs a basic game spec, not a forecaster spec"),
+        (["law", forecaster, "classify", "--event", "w1=1"], "law classify needs a basic game spec"),
+        (mixing_argv(tmp_path, spec=COIN_SPEC), "mixing needs a forecaster spec with a 'predictions' field"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, argv) == (2, "", f"error: /: {message}\n")
+
+
 # -- the exit-code contract under fuzzed input ---------------------------------
 
 FUZZ_FILES = {

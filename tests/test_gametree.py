@@ -446,3 +446,43 @@ def test_missing_node_keeps_the_table_error():
     del sm.table[("1", "0")]
     with pytest.raises(KeyError, match=r"table has no entry for situation \('1', '0'\)"):
         verify_supermartingale(game, sm)
+
+
+# -- stopping in one pass against the prefix scan -----------------------------
+
+
+def prefix_scan_stop(sm, level):
+    """Each node takes the value of its shortest strict prefix above
+    ``level``, if any, else keeps its own."""
+    level = ext(level)
+    frozen_at, table = {}, {}
+    for u in sorted(sm.table, key=lambda s: (len(s), s)):
+        holder = next((u[:k] for k in range(len(u)) if u[:k] in frozen_at), None)
+        if holder is not None:
+            table[u] = frozen_at[holder]
+            continue
+        table[u] = sm.table[u]
+        if table[u] > level:
+            frozen_at[u] = table[u]
+    return table
+
+
+@st.composite
+def stop_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(0, 6 - k))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+    nodes = [s for d in range(depth + 1) for s in outcomes.tuples(d)]
+    value = st.sampled_from([NEG_INF, ext(-1), ZERO, ext("1/2"), ONE, ext("3/2"), ext(2), INF])
+    # Inserted out of level order, so the pass must sort.
+    table = {s: draw(value) for s in draw(st.permutations(nodes))}
+    return Supermartingale(table, depth), draw(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stop_cases())
+def test_stop_in_one_pass_matches_the_prefix_scan(case):
+    sm, level = case
+    stopped = stop_when_covered(sm, level)
+    assert list(stopped.table.items()) == list(prefix_scan_stop(sm, level).items())
+    assert stopped.depth == sm.depth

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtprob.extreal import ONE, ZERO, ext
 from gtprob.functionals import Envelope, Measure, OutcomeSet, SupContent
 from gtprob.gametree import EMPTY, GameSpec
-from gtprob.expectation import EventWindow, Payoff, determinacy_check, indicator, upper_probability
+from gtprob.expectation import EventWindow, Payoff, determinacy_check, indicator, upper_probability, upper_table
 from gtprob.laws import (
     ergodic_bound,
     kolmogorov_invariance,
@@ -260,6 +260,31 @@ def test_scripted_oscillation_crosses_band():
     assert vals == targets
     for s in list(BIN.tuples(2)) + list(BIN.tuples(4)):
         assert scripted.cond(s) == upper_probability(scripted.game, scripted.event, s)
+
+
+@st.composite
+def scripted_targets(draw):
+    """Target lists of up to six steps, about half of them flat."""
+    values = st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)])
+    targets = [draw(values)]
+    for _ in range(draw(st.integers(0, 5))):
+        targets.append(targets[-1] if draw(st.booleans()) else draw(values))
+    return targets
+
+
+@settings(max_examples=150, deadline=None)
+@example([Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)])  # carried 1/3 resolved by 1 - 2/3
+@example([Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)])  # carried 1/2 resolved by 1/2
+@given(scripted_targets())
+def test_scripted_conditionals_match_the_kernel_everywhere(targets):
+    try:
+        scripted = scripted_conditional_game(targets)
+    except ValueError as exc:
+        assert "infeasible prescription" in str(exc)
+        assume(False)
+    table = upper_table(scripted.game, indicator(scripted.event))
+    for s in scripted.game.all_situations():
+        assert scripted.cond(s) == table.value(s)
 
 
 # -- classification -----------------------------------------------------------------

@@ -249,8 +249,9 @@ def test_levy_table_matches_path_trace():
             res = levy_strategy(game, xi, a, b, slack=slack)
             assert verify_supermartingale(game, res.table).ok
             assert len(res.trace.sigma) > 1
+            cond = upper_table(game, xi.shifted(-res.shift)).value
             for path in game.outcomes.tuples(game.horizon):
-                steps = levy_capital_trace(game, path, a, b, slack=slack, xi=xi)
+                steps = levy_capital_trace(game, path, a, b, slack=slack, cond=cond)
                 assert len(steps) == game.horizon + 1
                 for st in steps:
                     assert st.capital == res.table.value(st.situation)
@@ -595,7 +596,9 @@ def test_constructions_match_node_by_node_loops(case):
     assert res.trace.sigma == sigma and res.trace.tau == tau
     assert res.halted == halted and res.shift == shift
     assert res.cond_table.table == cond and res.cond_table.depth == xi.depth
-    steps = levy_capital_trace(game, path, a, b, slack=slack, xi=xi)
+    steps = levy_capital_trace(
+        game, path, a, b, slack=slack, cond=upper_table(game, xi.shifted(-shift)).value
+    )
     shifted = res.cond_table.value
     assert [(st.situation, st.capital, st.event) for st in steps] == reference_levy_trace(
         game, path, a, b, slack, shifted
@@ -662,7 +665,7 @@ def test_dyadic_entry_exits_on_the_spot():
     game = coin_game(2)
     xi = indicator(EventWindow.coordinate_is(2, "1"))
     a, b = Fraction(3, 5), Fraction(9, 10)
-    steps = levy_capital_trace(game, ("0", "1"), a, b, slack="dyadic", xi=xi)
+    steps = levy_capital_trace(game, ("0", "1"), a, b, slack="dyadic", cond=upper_table(game, xi).value)
     assert [st.event for st in steps] == [("enter+exit", 1), ("enter", 2), ("exit", 2)]
     assert [st.capital for st in steps] == [ONE, ONE, ext("5/3")]
     want = reference_levy_trace(game, ("0", "1"), a, b, "dyadic", upper_table(game, xi).value)
