@@ -18,10 +18,12 @@ The resulting table prices its own children exactly at every node, i.e.
 the conditional upper expectation is a martingale in the situation
 argument; tests assert this identity rather than assuming it.
 
-One kernel runs every dense sweep.  Measure, envelope and supremum rounds
-work on integer numerators over a common denominator, with a ``Fraction``
-built only at read-out and no finite value ever in a float; any other
-functional is priced node by node through its own ``eval_seq``.
+One kernel runs every dense sweep, and each round's functional prices
+its level through ``OuterContent.price_level``.  Measure, envelope and
+supremum rounds work on integer numerators over a common denominator,
+with a ``Fraction`` built only at read-out and no finite value ever in a
+float; any other functional is priced node by node through its own
+``eval_seq``.
 
 Lower expectation is the negation dual, swept on negated numerators.
 Upper/lower probability route an event's indicator through the same
@@ -41,13 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
-from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import INF, NEG_INF, ExtReal, ONE, ZERO, _NInf, _PInf, ext
-from gtprob.functionals import Envelope, Measure, OutcomeSet, OuterContent, SupContent
+from gtprob.extreal import ExtReal, ONE, ZERO, _PInf, _numerators, _over, _read_out, ext
+from gtprob.functionals import OutcomeSet
 from gtprob.gametree import EMPTY, GameSpec, Situation, Supermartingale
 
 __all__ = [
@@ -265,99 +265,6 @@ def indicator(event: EventWindow) -> Payoff:
 # entries ``i*K .. i*K+K-1`` of the level below.
 
 
-def _integer_form(content: OuterContent):
-    """``(q, rows)`` such that the round's price of children ``c`` is
-    ``max(sum(a*c) for a in rows) / q``; ``rows`` is None for the plain
-    maximum.  None when the functional has no integer form here."""
-    kind = type(content)
-    if kind is SupContent:
-        return 1, None
-    if kind is Measure:
-        measures = (content,)
-    elif kind is Envelope and all(type(m) is Measure for m in content.measures):
-        measures = content.measures
-    else:
-        return None
-    q = lcm(*(p.denominator for m in measures for p in m.probs))
-    return q, [[p.numerator * (q // p.denominator) for p in m.probs] for m in measures]
-
-
-def _numerators(values: list[ExtReal]) -> tuple[list, int]:
-    """Numerators over the least common denominator; infinities stay."""
-    raw = [v._v for v in values]
-    den = lcm(*{r.denominator for r in raw if r.__class__ is not float})
-    if den == 1:
-        return [r if r.__class__ is float else r.numerator for r in raw], den
-    return [r if r.__class__ is float else r.numerator * (den // r.denominator) for r in raw], den
-
-
-def _read_out(nums: list, den: int) -> list[ExtReal]:
-    """One ExtReal per distinct numerator, shared by the nodes holding it."""
-    memo = {
-        n: (INF if n > 0 else NEG_INF) if n.__class__ is float else ExtReal(Fraction(n, den))
-        for n in set(nums)
-    }
-    return [memo[n] for n in nums]
-
-
-def _price_with_infinities(rows: list[list[int]], children: list) -> int | float:
-    """``Measure.eval_seq`` on numerators, per row, then the maximum:
-    ``+inf`` if a child of nonzero weight is ``+inf``, else ``-inf`` if
-    one is ``-inf``, else the weighted sum."""
-    prices = []
-    for row in rows:
-        pairs = [(a, v) for a, v in zip(row, children) if a]
-        live = [v for _, v in pairs]
-        prices.append(_PInf if _PInf in live else _NInf if _NInf in live else sum(a * v for a, v in pairs))
-    return max(prices)
-
-
-def _int_round(rows: list[list[int]] | None, nums: list, k: int) -> list:
-    """One round of an integer form on a level of numerators."""
-    cols = [nums[i::k] for i in range(k)]
-    if rows is None:
-        return cols[0] if k == 1 else list(map(max, *cols))
-    # Nodes with an infinite child are priced one by one.  The rest of the
-    # level sees those children as 0, so no numerator is added to a float.
-    hit = {i // k for i, v in enumerate(nums) if v.__class__ is float} if float in map(type, nums) else ()
-    if hit:
-        cols = [[0 if v.__class__ is float else v for v in col] for col in cols]
-    sums = []
-    for row in rows:
-        acc = repeat(0, len(cols[0]))
-        for a, col in zip(row, cols):
-            if a:
-                acc = map(add, acc, col if a == 1 else map(mul, col, repeat(a)))
-        sums.append(list(acc))
-    new = sums[0] if len(sums) == 1 else list(map(max, *sums))
-    for i in hit:
-        new[i] = _price_with_infinities(rows, nums[i * k : (i + 1) * k])
-    return new
-
-
-def _round(content: OuterContent, k: int, nums: list, den: int) -> tuple[list, int]:
-    """One round of backward induction on a level of numerators over
-    ``den``; returns the parent level as ``(nums, den)``.  Integer forms
-    run on the numerators; any other functional reads the level out,
-    prices each node through ``eval_seq`` and turns the prices back into
-    numerators."""
-    form = _integer_form(content)
-    if form is None:
-        vals = _read_out(nums, den)
-        return _numerators([content.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)])
-    return _int_round(form[1], nums, k), den * form[0]
-
-
-def _over(levels: list[tuple[list, int]]) -> tuple[list[list], int]:
-    """Levels of numerators, each over its own denominator, put over
-    their least common one."""
-    den = lcm(*(d for _, d in levels))
-    return [
-        nums if d == den else [n if n.__class__ is float else n * (den // d) for n in nums]
-        for nums, d in levels
-    ], den
-
-
 def _sweep(
     game: GameSpec, leaves: list[ExtReal], top: int, bottom: int, keep: int, negate: bool = False
 ) -> list[list[ExtReal]]:
@@ -372,7 +279,7 @@ def _sweep(
     kept = []
     for d in range(bottom, top - 1, -1):
         if d < bottom:
-            nums, den = _round(game.content_at(d + 1), k, nums, den)
+            nums, den = game.content_at(d + 1).price_level(k, nums, den)
         if d <= keep:
             kept.append(leaves if d == bottom and not negate else _read_out(nums, den))
     kept.reverse()
@@ -449,7 +356,7 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     the least ``c`` with ``c >= G(max(theta, level of c))``, ``G(j)`` being
     the round's price of the children at touched level ``j``.  The sweep
     runs bottom-up with one numerator array per touched level, each
-    priced by the kernel's round step, and resolves every node for all T
+    priced by the round's ``price_level``, and resolves every node for all T
     levels in O(T): ``max(0, G(theta))`` if ``G(theta) < t[theta]``, else
     ``W(theta)``, where ``W(j) = max(t[j], G(j))`` if ``G(j) < t[j+1]``
     or ``j`` is the top level, and ``W(j+1)`` otherwise.  This assumes no
@@ -469,7 +376,7 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     levels = [[n if n > tj else 0 for n in nums] for tj in t]
     k = len(game.outcomes)
     for d in range(span - 1, -1, -1):
-        priced = [_round(game.content_at(d + 1), k, level, den) for level in levels]
+        priced = [game.content_at(d + 1).price_level(k, level, den) for level in levels]
         g, den = _over(priced + [(t, den)])
         t = g.pop()
         above, w = _PInf, repeat(_PInf)

@@ -27,6 +27,7 @@ Serialized form: ``"p/q"`` in lowest terms (plain ``"p"`` when q is 1),
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 __all__ = ["ExtReal", "ext", "scale", "INF", "NEG_INF", "ZERO", "ONE"]
@@ -193,3 +194,34 @@ INF = ExtReal(_PInf)
 NEG_INF = ExtReal(_NInf)
 ZERO = ExtReal(Fraction(0))
 ONE = ExtReal(Fraction(1))
+
+
+# -- levels of numerators over one denominator; infinities stay floats ----
+
+
+def _numerators(values: list[ExtReal]) -> tuple[list, int]:
+    """Numerators over the least common denominator; infinities stay."""
+    raw = [v._v for v in values]
+    den = lcm(*{r.denominator for r in raw if r.__class__ is not float})
+    if den == 1:
+        return [r if r.__class__ is float else r.numerator for r in raw], den
+    return [r if r.__class__ is float else r.numerator * (den // r.denominator) for r in raw], den
+
+
+def _read_out(nums: list, den: int) -> list[ExtReal]:
+    """One ExtReal per distinct numerator, shared by the nodes holding it."""
+    memo = {
+        n: (INF if n > 0 else NEG_INF) if n.__class__ is float else ExtReal(Fraction(n, den))
+        for n in set(nums)
+    }
+    return [memo[n] for n in nums]
+
+
+def _over(levels: list[tuple[list, int]]) -> tuple[list[list], int]:
+    """Levels of numerators, each over its own denominator, put over
+    their least common one."""
+    den = lcm(*(d for _, d in levels))
+    return [
+        nums if d == den else [n if n.__class__ is float else n * (den // d) for n in nums]
+        for nums, d in levels
+    ], den

@@ -35,10 +35,10 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import ExtReal, ONE, ZERO, ext
+from gtprob.extreal import ExtReal, ONE, ZERO, _over, _read_out, ext
 from gtprob.functionals import OutcomeSet, OuterContent
 from gtprob.gametree import GameSpec, Situation, Supermartingale
-from gtprob.expectation import EventWindow, Payoff, _over, _read_out, _round
+from gtprob.expectation import EventWindow, Payoff
 
 __all__ = [
     "Protocol2Spec",
@@ -297,7 +297,7 @@ def _phi_levels(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -
         priced = []
         for q in dict.fromkeys(spec.menu_at(d + 1)):
             children = [x if preds[j // k] == q else z for j, x in enumerate(nums)]
-            priced.append(_round(spec.contents[q], k, children + extra, den))
+            priced.append(spec.contents[q].price_level(k, children + extra, den))
         levels, den = _over(priced)
         nums = levels[0] if len(levels) == 1 else list(map(max, *levels))
         if extra:

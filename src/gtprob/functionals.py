@@ -27,6 +27,10 @@ Built-in functionals:
 * :class:`Envelope`: upper envelope of finitely many measures.
 * :class:`TableContent`: an explicit, finite price list supplied by the
   user, carried as an unverified claim for the audit harness.
+
+Each functional prices a whole tree level (:meth:`OuterContent.price_level`):
+the built-ins run an integer form on numerators over one denominator, and
+any other functional prices node by node through ``eval_seq``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, ext, scale
+from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, _numerators, _read_out, ext, scale
 
 __all__ = [
     "OutcomeSet",
@@ -69,9 +76,10 @@ class UnknownGambleError(KeyError):
 
 
 class OutcomeSet:
-    """Ordered finite set of distinct outcome labels."""
+    """Ordered finite set of distinct outcome labels; ``sep`` joins them in
+    a situation's text ("" if every label is one character, else ",")."""
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "sep")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -86,6 +94,7 @@ class OutcomeSet:
             raise ValueError(f"outcome labels must be distinct: {labels}")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self.sep = "" if all(len(lab) == 1 for lab in labels) else ","
 
     def index(self, label: str) -> int:
         try:
@@ -152,9 +161,6 @@ class Gamble:
         self._same_space(other)
         return Gamble(self.outcomes, [a + b for a, b in zip(self.values, other.values)])
 
-    def __neg__(self) -> "Gamble":
-        return Gamble(self.outcomes, [-v for v in self.values])
-
     def scaled(self, c) -> "Gamble":
         c = Fraction(c)
         return Gamble(self.outcomes, [scale(c, v) for v in self.values])
@@ -205,12 +211,31 @@ class OuterContent:
     the outcome order; :meth:`eval` is the public, space-checked entry.
     ``declared_level`` records what the functional claims to be; the claim
     is audited, not trusted (see :func:`check_axioms`).
+
+    ``form`` is the integer form ``(q, rows)`` that prices children ``c``
+    at ``max(sum(a*c) for a in rows) / q`` (``rows`` None: the plain
+    maximum), or None to price through ``eval_seq``.  A subclass of a
+    built-in inherits its form; one that prices otherwise sets
+    ``self.form = None`` after the built-in's ``__init__``.
     """
 
     declared_level: str = OUTER_CONTENT
+    form: tuple[int, list[list[int]] | None] | None = None
 
     def __init__(self, outcomes: OutcomeSet):
         self.outcomes = outcomes
+
+    def price_level(self, k: int, nums: list, den: int) -> tuple[list, int]:
+        """One round of backward induction on a level of numerators over
+        ``den``; returns the parent level as ``(nums, den)``.  An integer
+        form runs on the numerators; otherwise the level is read out,
+        each node priced through ``eval_seq`` and the prices turned back
+        into numerators."""
+        form = self.form
+        if form is None:
+            vals = _read_out(nums, den)
+            return _numerators([self.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)])
+        return _int_round(form[1], nums, k), den * form[0]
 
     def eval(self, f: Gamble) -> ExtReal:
         if f.outcomes != self.outcomes:
@@ -251,6 +276,8 @@ class Measure(OuterContent):
             if sum(weights) != 1:
                 raise ValueError(f"probabilities must sum to exactly 1: {weights}")
         self.probs = weights
+        q = lcm(*(p.denominator for p in weights))
+        self.form = q, [[p.numerator * (q // p.denominator) for p in weights]]
 
     @classmethod
     def uniform(cls, outcomes: OutcomeSet) -> "Measure":
@@ -291,10 +318,46 @@ class Measure(OuterContent):
         return f"Measure({pairs})"
 
 
+def _price_with_infinities(rows: list[list[int]], children: list) -> int | float:
+    """``Measure.eval_seq`` on numerators, per row, then the maximum:
+    ``+inf`` if a child of nonzero weight is ``+inf``, else ``-inf`` if
+    one is ``-inf``, else the weighted sum."""
+    prices = []
+    for row in rows:
+        pairs = [(a, v) for a, v in zip(row, children) if a]
+        live = [v for _, v in pairs]
+        prices.append(_PInf if _PInf in live else _NInf if _NInf in live else sum(a * v for a, v in pairs))
+    return max(prices)
+
+
+def _int_round(rows: list[list[int]] | None, nums: list, k: int) -> list:
+    """One round of an integer form on a level of numerators."""
+    cols = [nums[i::k] for i in range(k)]
+    if rows is None:
+        return cols[0] if k == 1 else list(map(max, *cols))
+    # Nodes with an infinite child are priced one by one.  The rest of the
+    # level sees those children as 0, so no numerator is added to a float.
+    hit = {i // k for i, v in enumerate(nums) if v.__class__ is float} if float in map(type, nums) else ()
+    if hit:
+        cols = [[0 if v.__class__ is float else v for v in col] for col in cols]
+    sums = []
+    for row in rows:
+        acc = repeat(0, len(cols[0]))
+        for a, col in zip(row, cols):
+            if a:
+                acc = map(add, acc, col if a == 1 else map(mul, col, repeat(a)))
+        sums.append(list(acc))
+    new = sums[0] if len(sums) == 1 else list(map(max, *sums))
+    for i in hit:
+        new[i] = _price_with_infinities(rows, nums[i * k : (i + 1) * k])
+    return new
+
+
 class SupContent(OuterContent):
     """Worst-case price: the maximum payoff over outcomes."""
 
     declared_level = SUPEREXPECTATION
+    form = (1, None)
 
     def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
         return max(values)
@@ -321,6 +384,10 @@ class Envelope(OuterContent):
         if not built:
             raise ValueError("envelope needs at least one measure")
         self.measures = tuple(built)
+        forms = [m.form for m in built]
+        if None not in forms:
+            q = lcm(*(mq for mq, _ in forms))
+            self.form = q, [[a * (q // mq) for a in row] for mq, rows in forms for row in rows]
 
     def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
         return max(m.eval_seq(values) for m in self.measures)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import ExtReal, INF, ZERO, ext
+from gtprob.extreal import ExtReal, INF, ZERO, _numerators, _over, ext, scale
 from gtprob.functionals import Gamble, OutcomeSet, OuterContent
 
 __all__ = [
@@ -90,18 +90,13 @@ def format_situation(s: Situation, outcomes: OutcomeSet) -> str:
     Single-character outcome labels concatenate ("101"); otherwise labels
     are comma-joined.
     """
-    if all(len(lab) == 1 for lab in outcomes.labels):
-        return "".join(s)
-    return ",".join(s)
+    return outcomes.sep.join(s)
 
 
 def parse_situation(text: str, outcomes: OutcomeSet) -> Situation:
     if text == "":
         return EMPTY
-    if all(len(lab) == 1 for lab in outcomes.labels):
-        parts = tuple(text)
-    else:
-        parts = tuple(text.split(","))
+    parts = tuple(text.split(outcomes.sep)) if outcomes.sep else tuple(text)
     for lab in parts:
         if lab not in outcomes:
             raise ValueError(f"situation {text!r} uses unknown outcome {lab!r}")
@@ -293,8 +288,6 @@ class Supermartingale:
         )
 
     def scaled(self, c: Fraction) -> "Supermartingale":
-        from gtprob.extreal import scale
-
         c = Fraction(c)
         return Supermartingale({s: scale(c, v) for s, v in self.table.items()}, self.depth)
 
@@ -324,7 +317,6 @@ class Strategy:
     @classmethod
     def double_on(cls, game: GameSpec, label: str, initial=1) -> "Strategy":
         """Stake everything on ``label`` at double-or-nothing odds."""
-        from gtprob.extreal import scale
 
         def rule(s: Situation, k: ExtReal) -> Gamble:
             values = {
@@ -392,15 +384,13 @@ class VerifyResult:
 def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     """Check ``E_n(S(s .)) <= S(s)`` at every interior node of the table.
 
-    Runs top-down one level at a time: the kernel's round step prices the
-    children's numerators, and the prices are compared with the parent
+    Runs top-down one level at a time: the round's ``price_level`` prices
+    the children's numerators, and the prices are compared with the parent
     numerators over one denominator per pair of levels.  Returns the
     first violation in (depth, rank) order as a witness rather than
     raising, its price recomputed by ``eval_seq`` on that node's children.
     A second flag reports whether equality holds everywhere (a martingale).
     """
-    from gtprob.expectation import _numerators, _over, _round
-
     if sm.depth > game.horizon:
         raise ValueError("table is deeper than the game horizon")
     top, k, labels = sm.depth, len(game.outcomes), game.outcomes.labels
@@ -416,7 +406,7 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
         except KeyError:
             children = [sm.value(s) for s in game.outcomes.tuples(d + 1)]
         below = _numerators(children)
-        (lhs, rhs), _ = _over([_round(content, k, *below), above])
+        (lhs, rhs), _ = _over([content.price_level(k, *below), above])
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if a > b:
                 s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d))

@@ -312,7 +312,7 @@ def supermartingale_to_csv(sm: Supermartingale, outcomes: OutcomeSet) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["situation", "value"])
-    join = "".join if all(len(lab) == 1 for lab in outcomes.labels) else ",".join
+    join = outcomes.sep.join
     writer.writerows([join(s), str(sm.table[s])] for s in sorted(sm.table, key=lambda u: (len(u), u)))
     return buf.getvalue()
 
@@ -322,14 +322,14 @@ def supermartingale_from_csv(text: str, outcomes: OutcomeSet) -> Supermartingale
     rows = list(reader)
     if not rows or rows[0] != ["situation", "value"]:
         raise SchemaError("/csv", "expected header 'situation,value'")
-    single, known = all(len(lab) == 1 for lab in outcomes.labels), set(outcomes.labels)
+    sep, known = outcomes.sep, set(outcomes.labels)
     values: dict[str, ExtReal] = {}
     table: dict[Situation, ExtReal] = {}
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise SchemaError(f"/csv/{i}", f"expected two columns, got {row!r}")
         key, raw = row
-        s = tuple(key) if single else tuple(key.split(","))
+        s = tuple(key.split(sep)) if sep else tuple(key)
         if not known.issuperset(s):
             # The root under multi-character labels, or an unknown label.
             try:

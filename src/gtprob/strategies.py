@@ -41,7 +41,7 @@ from math import gcd
 from operator import add, lshift, mul
 from typing import Callable, Iterator, Sequence
 
-from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, ext, scale
+from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, _numerators, _read_out, ext, scale
 from gtprob.gametree import (
     EMPTY,
     Cut,
@@ -50,7 +50,7 @@ from gtprob.gametree import (
     Supermartingale,
     verify_supermartingale,
 )
-from gtprob.expectation import Payoff, _numerators, _read_out, _sweep
+from gtprob.expectation import Payoff, _sweep
 
 __all__ = [
     "enumerate_rationals",

@@ -83,6 +83,26 @@ def test_verify_accepts_martingale(coin_file, tmp_path, capsys):
     assert "martingale" in out
 
 
+def test_verify_tells_one_unit_of_slack_from_a_martingale(tmp_path, capsys):
+    spec = write_json(tmp_path, "coin1.json", dict(COIN_SPEC, horizon=1))
+    table = write_text(tmp_path, "slack.csv", "situation,value\n,1\n0,0\n1,1\n")
+    assert run(capsys, ["verify", spec, "--supermartingale", table]) == (0, "ok: supermartingale up to depth 1\n", "")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("situation,value\n,1\n0,0\n1,3\n", "base table fails verification: violated at (): price of children 3/2 > value 1"),
+        ("situation,value\n,1\n0,-1\n1,3\n", "base table must be nonnegative"),
+    ],
+    ids=["not_a_supermartingale", "negative"],
+)
+def test_doob_refuses_a_base_it_cannot_ride(rows, message, coin_file, tmp_path, capsys):
+    base = write_text(tmp_path, "base.csv", rows)
+    argv = ["simulate", coin_file, "--strategy", "doob:4/5,6/5", "--path", "1,0,1", "--base", base]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_doob_trace_is_exact(coin_file, tmp_path, capsys):
     game4 = dict(COIN_SPEC, horizon=4)
     spec = tmp_path / "coin4.json"

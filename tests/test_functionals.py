@@ -142,6 +142,16 @@ def test_extension_sup_stabilizes():
     assert extended.eval(Gamble.of(BIN, [NEG_INF, 5])) == ext(5)
 
 
+def test_extension_of_a_negative_weight_is_not_the_builtin():
+    # Clamping -inf at a prices (1, a) at 3/2 - a/2, which rises as a drops:
+    # the extension refuses the weighting, and eval_seq's rule gives -inf.
+    m = Measure.unchecked(BIN, [Fraction(3, 2), Fraction(-1, 2)])
+    g = Gamble(BIN, [ONE, NEG_INF])
+    assert m.eval(g) == NEG_INF
+    with pytest.raises(ValueError, match="not monotone in the clamp level"):
+        extend_bounded_below(BIN, m).eval(g)
+
+
 def test_extension_agrees_with_full_measure_on_infinite_gambles():
     extended = extend_bounded_below(BIN, bounded_coin)
     for values in product([NEG_INF, ext(-2), ZERO, ONE, INF], repeat=2):
@@ -216,3 +226,16 @@ def test_homogeneity_property_for_builtins(vals, c):
 
     for content in CONTENTS:
         assert content.eval(f.scaled(c)) == scale(c, content.eval(f))
+
+
+weights = st.fractions(min_value=0, max_value=3, max_denominator=6)
+
+
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(*[st.tuples(weights, weights, gamble_values)] * k)))
+def test_extension_of_a_builtin_with_nonnegative_weights_is_the_builtin(columns):
+    outcomes = OutcomeSet([str(i) for i in range(len(columns))])
+    first, second, values = zip(*columns)
+    g = Gamble(outcomes, values)
+    one = Measure.unchecked(outcomes, first)
+    for content in (one, Envelope(outcomes, [one, Measure.unchecked(outcomes, second)]), SupContent(outcomes)):
+        assert extend_bounded_below(outcomes, content).eval(g) == content.eval(g)

@@ -153,6 +153,16 @@ def test_coin_step_table_verifies_exactly():
     assert res.ok and res.martingale
 
 
+def test_one_numerator_unit_of_slack_is_not_a_martingale():
+    # Children 0 and 1 price at 1/2 against a parent of 1: over the
+    # children's price denominator 2 the gap is a single numerator unit.
+    game = coin_game(horizon=1)
+    sm = Supermartingale({EMPTY: ONE, ("0",): ZERO, ("1",): ONE}, 1)
+    res = verify_supermartingale(game, sm)
+    assert res.ok and not res.martingale
+    assert str(res).startswith("ok (supermartingale up to depth 1);")
+
+
 def test_violation_witness_at_root():
     game = coin_game(horizon=1)
     sm = Supermartingale({EMPTY: ONE, ("0",): ext(2), ("1",): ext(2)}, 1)

@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gtprob import laws
+from gtprob.cli import main
 from gtprob.extreal import ONE, ZERO, ext
 from gtprob.functionals import Envelope, Measure, OutcomeSet, SupContent
 from gtprob.gametree import EMPTY, GameSpec
@@ -113,6 +116,26 @@ def test_invariance_detects_prefix_dependence():
     skewed = EventWindow(1, 2, accepts=[("1", "1")])
     values = {s: upper_probability(game, skewed, s) for s in BIN.tuples(1)}
     assert values[("0",)] != values[("1",)]
+
+
+def test_invariance_verdict_reads_every_prefix(monkeypatch, tmp_path, capsys):
+    # No valid game gives an ignored prefix its own value, so the table is
+    # skewed at the last prefix only; the relocation witness uses the first two.
+    exact = laws.upper_table
+
+    def skewed(game, xi):
+        table = exact(game, xi)
+        table.table[("1", "1")] = ONE
+        return table
+
+    monkeypatch.setattr(laws, "upper_table", skewed)
+    report = kolmogorov_invariance(coin_game(3), EventWindow.coordinate_is(3, "1"))
+    assert str(report).startswith("NOT invariant at prefix depth 2 [00: 1/2, 01: 1/2, 10: 1/2, 11: 1]")
+    assert report.witness_ok
+    spec = tmp_path / "coin.json"
+    spec.write_text(json.dumps({"outcomes": ["0", "1"], "horizon": 3, "content": {"type": "measure", "probs": {"0": "1/2", "1": "1/2"}}}))
+    assert main(["law", str(spec), "kolmogorov", "--event", "w3=1"]) == 1
+    assert capsys.readouterr().out.startswith("NOT invariant")
 
 
 # -- shift bound ----------------------------------------------------------------
