@@ -259,9 +259,9 @@ def cmd_law_levy(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game)
     paths = [_parse_path(p, game) for p in args.paths.split(";")] if args.paths else []
     report = levy_experiment(game, xi, paths)
-    print(json.dumps(report.to_json(game.outcomes), sort_keys=True, indent=2))
+    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     if args.trace:
-        _write_csv(args.trace, ["n", "situation", "value"], report.trace_rows(game.outcomes))
+        _write_csv(args.trace, ["n", "situation", "value"], report.trace_rows())
     return 0 if report.all_terminal_ok else 1
 
 
@@ -281,9 +281,7 @@ def cmd_law_ergodic(args, game: GameSpec) -> int:
 
 
 def cmd_law_classify(args, game: GameSpec) -> int:
-    event = _parse_event(args.event, game)
-    horizons = [_integer(h, "/horizons") for h in args.horizons.split(",")] if args.horizons else None
-    report = zero_one_classify(game, event, horizons)
+    report = zero_one_classify(game, _parse_event(args.event, game))
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0
 
@@ -355,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--gap", type=int, default=1)
     m.add_argument("--max-prefix", type=int, default=2)
     m.set_defaults(fn=cmd_law_mixing)
-    m = modes.add_parser("classify", parents=[event], help="zero-one classification over horizons")
-    m.add_argument("--horizons", help="comma-separated horizons")
+    m = modes.add_parser("classify", parents=[event], help="zero-one classification at the game horizon")
     m.set_defaults(fn=cmd_law_classify)
     return parser
 

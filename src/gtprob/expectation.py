@@ -70,17 +70,18 @@ class Payoff:
 
     Backed by either an explicit leaf table or a rule; rule-backed payoffs
     can live beyond the dense cap, table materialization is guarded.
+    ``event`` is the window an :func:`indicator` payoff indicates, None
+    for every other payoff.
     """
 
-    __slots__ = ("depth", "_fn", "kind", "meta")
+    __slots__ = ("depth", "_fn", "event")
 
-    def __init__(self, depth: int, fn: Callable[[Situation], ExtReal], kind: str = "rule", meta=None):
+    def __init__(self, depth: int, fn: Callable[[Situation], ExtReal], event: EventWindow | None = None):
         if depth < 0:
             raise ValueError("payoff depth must be nonnegative")
         self.depth = depth
         self._fn = fn
-        self.kind = kind
-        self.meta = meta
+        self.event = event
 
     @classmethod
     def from_table(cls, values: Mapping[Situation, object], depth: int) -> "Payoff":
@@ -95,16 +96,16 @@ class Payoff:
             except KeyError:
                 raise KeyError(f"payoff table has no entry for {s!r}")
 
-        return cls(depth, fn, kind="table", meta=table)
+        return cls(depth, fn)
 
     @classmethod
     def from_rule(cls, fn: Callable[[Situation], ExtReal], depth: int) -> "Payoff":
-        return cls(depth, fn, kind="rule")
+        return cls(depth, fn)
 
     @classmethod
     def constant(cls, value, depth: int) -> "Payoff":
         v = ext(value)
-        return cls(depth, lambda s: v, kind="constant", meta=v)
+        return cls(depth, lambda s: v)
 
     @classmethod
     def leading_ones_capped(cls, cap, depth: int) -> "Payoff":
@@ -130,7 +131,7 @@ class Payoff:
                 n += 1
             return values[n]
 
-        return cls(depth, fn, kind="leading_ones_capped", meta=cap)
+        return cls(depth, fn)
 
     def value(self, leaf: Situation) -> ExtReal:
         leaf = tuple(leaf)
@@ -139,11 +140,11 @@ class Payoff:
         return self._fn(leaf)
 
     def negate(self) -> "Payoff":
-        return Payoff(self.depth, lambda s: -self._fn(s), kind=f"neg({self.kind})")
+        return Payoff(self.depth, lambda s: -self._fn(s))
 
     def shifted(self, c) -> "Payoff":
         d = ext(c)
-        return Payoff(self.depth, lambda s: self._fn(s) + d, kind=f"shift({self.kind})")
+        return Payoff(self.depth, lambda s: self._fn(s) + d)
 
     def leaf_values(self, game: GameSpec, s: Situation = EMPTY) -> list[ExtReal]:
         """The payoff at every leaf below ``s``, in rank order, once the horizon and cap hold."""
@@ -155,7 +156,7 @@ class Payoff:
         return [fn(s + rest) for rest in game.outcomes.tuples(span)]
 
     def __repr__(self) -> str:
-        return f"Payoff(depth={self.depth}, kind={self.kind})"
+        return f"Payoff(depth={self.depth}, event={self.event!r})"
 
 
 class EventWindow:
@@ -256,7 +257,7 @@ def indicator(event: EventWindow) -> Payoff:
     def fn(s: Situation) -> ExtReal:
         return ONE if event.member(s) else ZERO
 
-    return Payoff(event.end, fn, kind="indicator", meta=event)
+    return Payoff(event.end, fn, event)
 
 
 # -- backward induction -------------------------------------------------

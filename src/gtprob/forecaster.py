@@ -172,7 +172,7 @@ def lift_payoff(spec: Protocol2Spec, xi2: Callable[[PairPath], ExtReal], depth: 
     def fn(s: Situation) -> ExtReal:
         return xi2(tuple(split_label(lab) for lab in s))
 
-    return Payoff(depth, fn, kind="lifted")
+    return Payoff(depth, fn)
 
 
 def upper_expectation_p2(
@@ -214,14 +214,13 @@ def upper_expectation_p2(
 class ForecastingSystem:
     """A rule mapping outcome histories to predictions, one per round."""
 
-    def __init__(self, spec: Protocol2Spec, rule: Callable[[Situation], str], name: str = "rule"):
+    def __init__(self, spec: Protocol2Spec, rule: Callable[[Situation], str]):
         self.spec = spec
         self._rule = rule
-        self.name = name
 
     @classmethod
     def constant(cls, spec: Protocol2Spec, symbol: str) -> "ForecastingSystem":
-        return cls(spec, lambda s: symbol, name=f"constant({symbol})")
+        return cls(spec, lambda s: symbol)
 
     @classmethod
     def from_table(cls, spec: Protocol2Spec, table: Mapping[Situation, str]) -> "ForecastingSystem":
@@ -233,7 +232,7 @@ class ForecastingSystem:
             except KeyError:
                 raise ValueError(f"forecasting table has no entry for history {s!r}")
 
-        return cls(spec, rule, name="table")
+        return cls(spec, rule)
 
     @classmethod
     def last_outcome(
@@ -244,7 +243,7 @@ class ForecastingSystem:
         def rule(s: Situation) -> str:
             return initial if not s else by_outcome[s[-1]]
 
-        return cls(spec, rule, name="last-outcome")
+        return cls(spec, rule)
 
     def predict(self, history: Situation) -> str:
         p = self._rule(tuple(history))

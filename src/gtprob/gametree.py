@@ -151,24 +151,15 @@ def cut_le(sigma: Cut, tau: Cut) -> bool:
     return True
 
 
-def in_cut_interval(
-    u: Situation,
-    lo: Cut,
-    hi: Cut,
-    *,
-    lo_closed: bool = True,
-    hi_closed: bool = True,
-) -> bool:
+def in_cut_interval(u: Situation, lo: Cut, hi: Cut, *, hi_closed: bool = True) -> bool:
     """Membership of ``u`` in a cut time-interval.
 
     With both ends closed this is: some prefix of ``u`` (including ``u``)
     lies in ``lo``, and no strict prefix of ``u`` lies in ``hi``.  Opening
-    the lower end excludes ``u`` itself from the ``lo`` test; closing vs
-    opening the upper end moves the ``hi`` test between strict prefixes and
-    all prefixes.
+    the upper end moves the ``hi`` test from strict prefixes to all
+    prefixes.
     """
-    lo_prefixes = range(len(u) + 1) if lo_closed else range(len(u))
-    if not any(u[:k] in lo.members for k in lo_prefixes):
+    if not any(u[:k] in lo.members for k in range(len(u) + 1)):
         return False
     hi_prefixes = range(len(u)) if hi_closed else range(len(u) + 1)
     if any(u[:k] in hi.members for k in hi_prefixes):

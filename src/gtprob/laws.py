@@ -70,6 +70,7 @@ class LevyPathRow:
 
 @dataclass
 class LevyExperimentReport:
+    outcomes: OutcomeSet
     rows: list[LevyPathRow] = field(default_factory=list)
     note: str = (
         f"{SURROGATE_NOTE}: conditional values listed to the payoff depth, "
@@ -80,19 +81,19 @@ class LevyExperimentReport:
     def all_terminal_ok(self) -> bool:
         return all(r.terminal_ok for r in self.rows)
 
-    def trace_rows(self, outcomes: OutcomeSet) -> list[tuple[int, str, str]]:
+    def trace_rows(self) -> list[tuple[int, str, str]]:
         out = []
         for r in self.rows:
             for n, v in enumerate(r.values):
-                out.append((n, format_situation(r.path[:n], outcomes), str(v)))
+                out.append((n, format_situation(r.path[:n], self.outcomes), str(v)))
         return out
 
-    def to_json(self, outcomes: OutcomeSet) -> dict:
+    def to_json(self) -> dict:
         return {
             "note": self.note,
             "paths": [
                 {
-                    "path": format_situation(r.path, outcomes),
+                    "path": format_situation(r.path, self.outcomes),
                     "values": [str(v) for v in r.values],
                     "terminal_ok": r.terminal_ok,
                     "in_event": r.in_event,
@@ -109,7 +110,7 @@ class LevyExperimentReport:
             flag = "" if r.in_event is None else (
                 f" (in event: {r.in_event}, reaches 1: {r.reaches_one})"
             )
-            lines.append(f"{''.join(r.path) or 'root'}: {seq}{flag}")
+            lines.append(f"{format_situation(r.path, self.outcomes) or 'root'}: {seq}{flag}")
         lines.append(self.note)
         return "\n".join(lines)
 
@@ -118,8 +119,7 @@ def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> L
     """Conditional upper expectations along each path, with the exact
     terminal check, plus event-reaching flags for indicator payoffs."""
     table = upper_table(game, xi)
-    report = LevyExperimentReport()
-    event = xi.meta if xi.kind == "indicator" else None
+    report = LevyExperimentReport(game.outcomes)
     for raw in paths:
         path = game.validate_situation(tuple(raw))
         if len(path) != xi.depth:
@@ -129,8 +129,8 @@ def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> L
         values = [table.value(path[:n]) for n in range(xi.depth + 1)]
         terminal_ok = values[-1] == xi.value(path)
         row = LevyPathRow(path, values, terminal_ok)
-        if event is not None:
-            row.in_event = event.member(path)
+        if xi.event is not None:
+            row.in_event = xi.event.member(path)
             row.reaches_one = any(v == ONE for v in values)
         report.rows.append(row)
     return report
@@ -141,6 +141,7 @@ def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> L
 
 @dataclass
 class InvarianceReport:
+    outcomes: OutcomeSet
     start_depth: int
     values: dict[Situation, ExtReal]
     invariant: bool
@@ -150,7 +151,9 @@ class InvarianceReport:
 
     def __str__(self) -> str:
         head = "invariant" if self.invariant else "NOT invariant"
-        vals = ", ".join(f"{''.join(s) or 'root'}: {v}" for s, v in sorted(self.values.items()))
+        vals = ", ".join(
+            f"{format_situation(s, self.outcomes) or 'root'}: {v}" for s, v in sorted(self.values.items())
+        )
         wit = "" if self.witness_ok is None else f"; relocation witness ok: {self.witness_ok}"
         return f"{head} at prefix depth {self.start_depth - 1} [{vals}]{wit}; {self.note}"
 
@@ -188,7 +191,7 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
             ok = ok and moved.value(leaf) == xi.value(s + rest)
             ok = ok and xi.value(s + rest) == xi.value(leaf)
         witness_ok = ok
-    return InvarianceReport(n, values, invariant, witness_pair, witness_ok)
+    return InvarianceReport(game.outcomes, n, values, invariant, witness_pair, witness_ok)
 
 
 # -- shift bound for weakly invariant events --------------------------------
@@ -379,15 +382,7 @@ class ClassifyReport:
 
     @property
     def classification(self) -> str:
-        kinds = {r[3] for r in self.rows}
-        return kinds.pop() if len(kinds) == 1 else "mixed"
-
-    def __str__(self) -> str:
-        lines = [
-            f"horizon {h}: [{lo}, {hi}] -> {kind}" for h, lo, hi, kind in self.rows
-        ]
-        lines.append(self.note)
-        return "\n".join(lines)
+        return self.rows[0][3]
 
     def to_json(self) -> dict:
         return {
@@ -410,20 +405,17 @@ def _classify(lo: ExtReal, hi: ExtReal) -> str:
     return f"undetermined [{lo}, {hi}]"
 
 
-def zero_one_classify(
-    game: GameSpec, event: EventWindow, horizons: Sequence[int] | None = None
-) -> ClassifyReport:
-    """Probability interval of the event at each horizon, classified as
+def zero_one_classify(game: GameSpec, event: EventWindow) -> ClassifyReport:
+    """Probability interval of the event at the game horizon, classified as
     almost certain ({1}), almost impossible ({0}), fully unprobabilized
-    ([0, 1]), or honestly undetermined."""
-    hs = list(horizons) if horizons is not None else [game.horizon]
-    for h in hs:
-        if h < event.end or h > game.horizon:
-            raise ValueError(
-                f"horizon {h} must cover the event window end {event.end} "
-                f"and stay within the game horizon {game.horizon}"
-            )
-    # A window event settles at its window's end, so every row is the same.
+    ([0, 1]), or honestly undetermined.  A window event settles at its
+    window's end, so no other horizon gives a different interval."""
+    h = game.horizon
+    if h < event.end:
+        raise ValueError(
+            f"horizon {h} must cover the event window end {event.end} "
+            f"and stay within the game horizon {h}"
+        )
     hi = upper_probability(game, event, EMPTY)
     lo = lower_probability(game, event, EMPTY)
-    return ClassifyReport([(h, lo, hi, _classify(lo, hi)) for h in hs])
+    return ClassifyReport([(h, lo, hi, _classify(lo, hi))])

@@ -424,9 +424,6 @@ class MixtureResult:
     parts: int
     note: str
 
-    def __str__(self) -> str:
-        return f"mixture of {self.parts} parts; {self.note}"
-
 
 def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
     """Weighted sum ``sum_i 2**-i * part_i`` over finitely many parts.

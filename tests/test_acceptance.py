@@ -411,7 +411,7 @@ def test_acceptance_10():
     spec = Protocol2Spec(
         BIN, [("c",), ("d",), ("c",), ("d",)], {"c": Measure.uniform(BIN), "d": skew}
     )
-    phi = ForecastingSystem(spec, lambda s: "c" if len(s) % 2 == 0 else "d", name="product")
+    phi = ForecastingSystem(spec, lambda s: "c" if len(s) % 2 == 0 else "d")
     events = [
         EventWindow.coordinate_is(3, "1"),
         EventWindow.coordinate_is(4, "0"),

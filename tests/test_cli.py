@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -242,6 +243,18 @@ def test_law_kolmogorov_and_ergodic(coin_file, capsys):
     assert code == 0
 
 
+def test_kolmogorov_names_multi_character_labels_readably(tmp_path, capsys):
+    spec = {"outcomes": ["lo", "1", "hi"], "horizon": 3,
+            "content": {"type": "measure", "probs": {"lo": "1/3", "1": "1/3", "hi": "1/3"}}}
+    code, out, err = run(capsys, ["law", write_json(tmp_path, "lo1hi.json", spec), "kolmogorov", "--event", "w3=1"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "invariant at prefix depth 2 [1,1: 1/3, 1,hi: 1/3, 1,lo: 1/3, hi,1: 1/3, hi,hi: 1/3, hi,lo: 1/3, "
+        "lo,1: 1/3, lo,hi: 1/3, lo,lo: 1/3]; relocation witness ok: True; "
+        "finite-horizon surrogate: invariance checked across one prefix level\n"
+    )
+
+
 def test_law_mixing(tmp_path, capsys):
     spec = {
         "outcomes": ["0", "1"],
@@ -351,6 +364,41 @@ def test_a_flag_another_law_mode_owns_exits_two(coin_file, capsys):
     assert err.splitlines()[-1] == "gtprob: error: unrecognized arguments: --event w1=1"
 
 
+def test_ergodic_names_a_continuation_the_event_drops(coin_file, capsys):
+    code, out, err = run(capsys, ["law", coin_file, "ergodic", "--event", "w1=1", "--situation", "1"])
+    assert (code, err) == (1, "")
+    assert out == (
+        "drop-prefix condition fails at continuation ('0',); finite-horizon surrogate: the drop-prefix "
+        "condition is enumerated on the event's window and the bound asserted at this truncation\n"
+    )
+
+
+@pytest.mark.parametrize("event, kind, value", [("omega", "almost-certain", "1"), ("empty", "almost-impossible", "0")])
+def test_classify_reads_the_event_shorthands(event, kind, value, coin_file, capsys):
+    code, out, _ = run(capsys, ["law", coin_file, "classify", "--event", event])
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"class": kind, "horizon": 3, "lower": value, "upper": value}]
+
+
+def test_simulate_on_the_empty_path_traces_the_root_only(coin_file, capsys):
+    assert run(capsys, ["simulate", coin_file, "--strategy", "doubling", "--path", ""]) == (
+        0, "n,situation,capital,conditional_upper,note\n0,,1,,\n", ""
+    )
+
+
+def test_a_depth_cap_that_is_not_an_integer_exits_two(coin_file, capsys, monkeypatch):
+    monkeypatch.setenv("GTP_MAX_DEPTH", "x")
+    assert run(capsys, ["expect", coin_file, "--payoff", "e_w1"]) == (
+        2, "", "error: GTP_MAX_DEPTH must be an integer, got 'x'\n"
+    )
+
+
+def test_classify_takes_no_horizons(coin_file, capsys):
+    code, out, err = parser_exit(capsys, ["law", coin_file, "classify", "--event", "w1=1", "--horizons", "3"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "gtprob: error: unrecognized arguments: --horizons 3"
+
+
 def test_every_command_and_law_mode_has_help(capsys):
     commands = [[], ["axioms"], ["expect"], ["simulate"], ["verify"], ["law"]]
     commands += [["law", "spec", mode] for mode in ("levy", "kolmogorov", "ergodic", "classify", "mixing")]
@@ -447,6 +495,10 @@ def mixing_argv(tmp_path, *flags, spec=P2_SPEC, system=None, events=None):
     ]
 
 
+AB_SPEC = {"outcomes": ["a", "b"], "horizon": 2, "content": {"type": "measure", "probs": {"a": "1/2", "b": "1/2"}}}
+DEPTH_FOUR_TABLE = "situation,value\n" + "".join(
+    "".join(s) + ",1\n" for d in range(5) for s in itertools.product("01", repeat=d)
+)
 TABLE_GAP_SPEC = {"outcomes": ["0", "1"], "horizon": 2, "content": {"type": "table", "entries": ["x"]}}
 
 # Input errors that must exit 2 with a message: case -> (argv from tmp_path
@@ -512,9 +564,69 @@ INPUT_ERRORS = {
         lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "wx=1"],
         "/event: not an integer: 'x'",
     ),
-    "horizons_not_integers": (
-        lambda tmp, coin: ["law", coin, "classify", "--event", "w1=1", "--horizons", "1,x"],
-        "/horizons: not an integer: 'x'",
+    "coordinate_shorthand_without_a_one": (
+        lambda tmp, coin: ["expect", write_json(tmp, "ab.json", AB_SPEC), "--payoff", "e_w1"],
+        "/payoff: e_w shorthand needs an outcome labeled '1'",
+    ),
+    "event_unknown_outcome": (
+        lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "w1=z"],
+        "/event: unknown outcome 'z'",
+    ),
+    "sup_variant_off_the_root": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "e_w1", "--variant", "sup", "--situation", "0"],
+        "/situation: the sup variant is defined at the root only",
+    ),
+    "sup_variant_lower": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "e_w1", "--variant", "sup", "--lower"],
+        "/lower: the sup variant has no lower form",
+    ),
+    "levy_without_a_payoff": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "levy:3/5,9/10", "--path", "0"],
+        "/payoff: the levy construction needs --payoff",
+    ),
+    "unknown_strategy": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "nope", "--path", "0"],
+        "/strategy: unknown strategy 'nope'; use doubling, donothing, doob:a,b or levy:a,b[,dyadic]",
+    ),
+    "table_for_a_plain_strategy": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doubling", "--path", "0", "--table", str(tmp / "t.csv")],
+        "/strategy: --table and --cuts apply to the doob/levy constructions only",
+    ),
+    "classify_event_past_the_horizon": (
+        lambda tmp, coin: ["law", coin, "classify", "--event", "w9=1"],
+        "horizon 3 must cover the event window end 9 and stay within the game horizon 3",
+    ),
+    "payoff_not_a_shorthand": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "x"],
+        "/payoff: no such file and not a recognized shorthand: 'x'",
+    ),
+    "event_not_a_shorthand": (
+        lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "x"],
+        "/event: no such file and not a recognized shorthand: 'x'",
+    ),
+    "leading_ones_cap_below_one": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "leading_ones:0"],
+        "cap must be at least 1",
+    ),
+    "leading_ones_cap_past_the_horizon": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "leading_ones:100"],
+        "depth 3 too shallow for cap 100",
+    ),
+    "payoff_table_key_of_another_depth": (
+        lambda tmp, coin: ["expect", coin, "--payoff", write_json(tmp, "p.json", {"kind": "table", "depth": 1, "values": {"00": "0", "01": "1"}})],
+        "/payoff: table key ('0', '0') does not have depth 1",
+    ),
+    "table_deeper_than_the_horizon": (
+        lambda tmp, coin: ["verify", coin, "--supermartingale", write_text(tmp, "t.csv", DEPTH_FOUR_TABLE)],
+        "table is deeper than the game horizon",
+    ),
+    "mixing_event_past_the_horizon": (
+        lambda tmp, coin: mixing_argv(tmp, events=[{"start": 9, "end": 9, "accepts": [["1"]]}]),
+        "payoff settles beyond the game horizon",
+    ),
+    "levy_path_longer_than_the_payoff": (
+        lambda tmp, coin: ["law", coin, "levy", "--payoff", "e_w2", "--paths", "1,0,1"],
+        "paths must have the payoff depth 2, got 3",
     ),
 }
 
@@ -639,7 +751,7 @@ LAW_FLAGS = {
     "levy": {"--payoff": PAYOFFS, "--paths": st.lists(PATHS, max_size=3).map(";".join), "--trace": st.just("out.csv")},
     "kolmogorov": {"--event": EVENTS},
     "ergodic": {"--event": EVENTS, "--situation": SITUATIONS},
-    "classify": {"--event": EVENTS, "--horizons": st.sampled_from(["1,2", "3", "0", "-1", "9", "x", "1,,2"])},
+    "classify": {"--event": EVENTS},
     "mixing": {
         "--system": st.sampled_from(["system.json", "rule.json"]),
         "--events": st.sampled_from(["event.json", "event.json;event.json"]),

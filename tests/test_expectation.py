@@ -302,6 +302,23 @@ def test_union_bound_for_window_events():
             assert lhs <= rhs
 
 
+@pytest.mark.parametrize("weights", [None, [Fraction(3, 2), Fraction(-1, 2), 0]], ids=["uniform", "unchecked"])
+def test_plus_infinity_dominates_minus_infinity_in_a_measure(weights):
+    k3 = OutcomeSet(["0", "1", "2"])
+    measure = Measure.uniform(k3) if weights is None else Measure.unchecked(k3, weights)
+    game = GameSpec(k3, measure, 1)
+    xi = Payoff.from_table({("0",): "inf", ("1",): "-inf", ("2",): 3}, 1)
+    assert upper_expectation(game, xi) == INF
+    assert lower_expectation(game, xi) == -INF
+
+
+def test_indicator_payoffs_carry_their_event():
+    event = EventWindow.coordinate_is(2, "1")
+    assert indicator(event).event is event
+    assert Payoff.constant(1, 2).event is None
+    assert Payoff.__slots__ == ("depth", "_fn", "event")
+
+
 def test_depth_zero_payoff_is_its_root_value():
     game = coin_game(2)
     xi = Payoff.constant("5/7", 0)

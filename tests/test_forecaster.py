@@ -161,8 +161,7 @@ def test_upper_prob_under_point_mass_forecaster():
     spec = spec_with([("a", "b")] * 2, {"a": POINT0, "b": POINT1})
     for first, expected in (("a", ZERO), ("b", ONE)):
         phi = ForecastingSystem(
-            spec, lambda s, _f=first: _f if not s else ("b" if len(s) % 2 else "a"),
-            name="alternating",
+            spec, lambda s, _f=first: _f if not s else ("b" if len(s) % 2 else "a")
         )
         assert upper_prob_phi(phi, EventWindow.coordinate_is(1, "1")) == expected
 
@@ -192,7 +191,7 @@ def test_product_forecaster_has_margin_exactly_zero():
         [("c",), ("d",), ("c",), ("d",)],
         {"c": COIN, "d": Measure(BIN, {"0": "1/3", "1": "2/3"})},
     )
-    phi = ForecastingSystem(spec, lambda s: "c" if len(s) % 2 == 0 else "d", name="product")
+    phi = ForecastingSystem(spec, lambda s: "c" if len(s) % 2 == 0 else "d")
     events = [
         EventWindow.coordinate_is(3, "1"),
         EventWindow(3, 4, predicate=lambda w: w[0] == w[1], label="match34"),

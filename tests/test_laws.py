@@ -60,6 +60,15 @@ def test_levy_experiment_sup_game_not_all_ones():
     assert upper_probability(game, event.complement()) == ONE
 
 
+def test_levy_report_names_multi_character_labels_readably():
+    lo1hi = OutcomeSet(["lo", "1", "hi"])
+    game = GameSpec(lo1hi, Measure.uniform(lo1hi), 2)
+    report = levy_experiment(game, indicator(EventWindow.coordinate_is(2, "1")), [("1", "hi")])
+    assert str(report).splitlines()[0] == "1,hi: 1/3, 1/3, 0 (in event: False, reaches 1: False)"
+    assert report.trace_rows() == [(0, "", "1/3"), (1, "1", "1/3"), (2, "1,hi", "0")]
+    assert report.to_json()["paths"][0]["path"] == "1,hi"
+
+
 def test_levy_experiment_constant_payoff():
     game = coin_game(2)
     report = levy_experiment(game, Payoff.constant("7/3", 2), [("0", "1")])
@@ -320,7 +329,7 @@ def test_classify_whole_space_almost_certain():
 
 def test_classify_sup_game_fully_unprobabilized():
     event = EventWindow(1, 2, accepts=[("1", "0"), ("1", "1")])
-    report = zero_one_classify(sup_game(2), event, horizons=[2])
+    report = zero_one_classify(sup_game(2), event)
     assert report.classification == "fully-unprobabilized"
 
 
@@ -330,6 +339,6 @@ def test_classify_coin_point_interval_is_undetermined():
     assert report.classification.startswith("undetermined")
 
 
-def test_classify_rejects_horizons_below_the_window():
-    with pytest.raises(ValueError):
-        zero_one_classify(coin_game(3), EventWindow.coordinate_is(2, "1"), horizons=[1])
+def test_classify_refuses_an_event_past_the_horizon():
+    with pytest.raises(ValueError, match="^horizon 3 must cover the event window end 4 and stay within the game horizon 3$"):
+        zero_one_classify(coin_game(3), EventWindow.coordinate_is(4, "1"))

@@ -3,13 +3,14 @@ import json
 import pytest
 
 from gtprob.extreal import INF, ext
-from gtprob.functionals import Envelope, Gamble, Measure, OutcomeSet, SupContent, TableContent
+from gtprob.functionals import Envelope, Gamble, Measure, OutcomeSet, SupContent, TableContent, extend_bounded_below
 from gtprob.gametree import GameSpec, Supermartingale
 from gtprob.expectation import EventWindow
 from gtprob.serialize import (
     SchemaError,
     content_from_json,
     content_to_json,
+    forecasting_system_from_json,
     game_from_json,
     game_to_json,
     payoff_from_json,
@@ -188,3 +189,64 @@ def test_protocol2_parsing_and_errors():
 def test_envelope_with_empty_measures_is_a_schema_error():
     with pytest.raises(SchemaError):
         content_from_json({"type": "envelope", "measures": []}, BIN)
+
+
+SUP = {"type": "sup"}
+SUP_GAME = GameSpec(BIN, SupContent(BIN), 2)
+P2 = {"outcomes": ["0", "1"], "predictions": [["a"]], "contents": {"a": SUP}}
+
+
+def _system(obj):
+    return forecasting_system_from_json(obj, protocol2_from_json(P2))
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: game_from_json({"outcomes": [], "horizon": 1, "content": SUP}), "/outcomes: need a non-empty outcome list"),
+        (lambda: content_to_json(extend_bounded_below(BIN, Measure.uniform(BIN))),
+         "/: cannot serialize functional of type ExtendedContent"),
+        (lambda: content_from_json({"type": "measure", "probs": ["1"]}, BIN),
+         "/content/probs: probabilities must be an object of label -> rational"),
+        (lambda: content_from_json({"type": "measure", "probs": {"2": "1"}}, BIN), "/content/probs: unknown outcome '2'"),
+        (lambda: content_from_json({"type": "table", "entries": {}}, BIN), "/content/entries: table needs an entry list"),
+        (lambda: content_from_json({"type": "nope"}, BIN), "/content/type: unknown functional type 'nope'"),
+        (lambda: content_from_json({"probs": {}}, BIN), "/content: functional must be an object with a 'type' field"),
+        (lambda: game_from_json(["0", "1"]), "/: game must be an object"),
+        (lambda: game_from_json({"outcomes": ["0", "1"], "horizon": 2, "contents": [SUP]}),
+         "/contents: need one functional per round"),
+        (lambda: game_from_json({"outcomes": ["0", "1"], "horizon": 2}), "/: game needs a 'content' or 'contents' field"),
+        (lambda: window_from_json([1, 1], BIN), "/window: window must be an object"),
+        (lambda: window_from_json({"start": 1, "end": 1}, BIN), "/window/accepts: window needs an accept list"),
+        (lambda: window_from_json({"start": 1, "end": 2, "accepts": [["1"]]}, BIN),
+         "/window/accepts/0: accept tuples must have length 2"),
+        (lambda: payoff_from_json("e_w1", SUP_GAME), "/payoff: payoff must be an object with a 'kind' field"),
+        (lambda: payoff_from_json({"kind": "table", "depth": 1, "values": []}, SUP_GAME),
+         "/payoff/values: table payoff needs a values object"),
+        (lambda: payoff_from_json({"kind": "nope"}, SUP_GAME), "/payoff/kind: unknown payoff kind 'nope'"),
+        (lambda: protocol2_from_json([P2]), "/: forecaster spec must be an object"),
+        (lambda: _system("a"), "/system: forecasting system must be an object with a 'kind'"),
+        (lambda: _system({"kind": "table", "rule": ["a"]}), "/system/rule: table system needs a rule object"),
+        (lambda: _system({"kind": "last-outcome", "map": ["a"]}), "/system/map: last-outcome system needs an outcome map"),
+        (lambda: _system({"kind": "nope"}), "/system/kind: unknown system kind 'nope'"),
+        (lambda: window_from_json({"start": 0, "end": 1, "accepts": []}, BIN), "/window: need 1 <= start <= end, got [0, 1]"),
+        (lambda: protocol2_from_json(dict(P2, predictions=[])), "/predictions: need one prediction menu per round"),
+        (lambda: protocol2_from_json(dict(P2, contents=[SUP])), "/contents: need a symbol -> functional object"),
+        (lambda: protocol2_from_json(dict(P2, predictions=[[]])), "/: every round needs a non-empty prediction menu"),
+        (lambda: protocol2_from_json(dict(P2, horizon=2)), "/: need one prediction menu per round 1..horizon"),
+        (lambda: protocol2_from_json(dict(P2, contents={"b": SUP})), "/: no pricing functional for prediction 'a'"),
+        (lambda: protocol2_from_json(dict(P2, predictions=[["a:b"]], contents={"a:b": SUP})),
+         "/: prediction symbols must not contain ':': 'a:b'"),
+        (lambda: game_from_json({"outcomes": ["0,1", "2"], "horizon": 1, "content": SUP}),
+         "/outcomes: outcome labels must not contain commas: '0,1'"),
+        (lambda: game_from_json({"outcomes": ["0", "0"], "horizon": 1, "content": SUP}),
+         "/outcomes: outcome labels must be distinct: ('0', '0')"),
+        (lambda: content_from_json({"type": "table", "entries": [{"gamble": {"0": "1"}, "value": "1"}]}, BIN),
+         "/content: gamble is missing outcomes ['1']"),
+        (lambda: content_from_json({"type": "table", "declared_level": "x", "entries": []}, BIN), "/content: unknown level 'x'"),
+    ],
+)
+def test_schema_errors_name_where_and_what(read, message):
+    with pytest.raises(SchemaError) as info:
+        read()
+    assert str(info.value) == message

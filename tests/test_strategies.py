@@ -342,6 +342,34 @@ def test_mixture_rejects_mismatched_parts():
         mixture([p1, p2])
 
 
+def _upcross(base_up):
+    game = coin_game(2)
+    return doob_upcrossing(game, step_multiplier_base(game, up=base_up), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: levy_strategy(coin_game(2), indicator(EventWindow.coordinate_is(1, "1")), 1, 1),
+         ValueError, "need 0 <= a < b, got (1, 1)"),
+        (lambda: levy_strategy(coin_game(2), indicator(EventWindow.coordinate_is(1, "1")), 0, 1, slack="x"),
+         ValueError, "slack must be 'none' or 'dyadic', got 'x'"),
+        (lambda: mixture([]), ValueError, "mixture needs at least one part"),
+        (lambda: mixture([_upcross(Fraction(3, 2)), _upcross(Fraction(5, 4))]),
+         ValueError, "upcross parts must share one base table"),
+        (lambda: mixture([step_multiplier_base(coin_game(2))]),
+         ValueError, "plain tables in a mixture must be constant; build others via doob_upcrossing"),
+        (lambda: mixture([1]), TypeError, "cannot mix in int"),
+        (lambda: mixture([Supermartingale.constant(coin_game(2), 1), Supermartingale.constant(coin_game(3), 1)]),
+         ValueError, "mixture parts must share the same game tree"),
+    ],
+)
+def test_construction_inputs_are_checked(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
 # -- level passes against the node-by-node constructions ------------------------
 
 from hypothesis import given, settings
