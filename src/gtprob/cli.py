@@ -53,6 +53,7 @@ from gtprob.laws import (
 from gtprob.strategies import doob_upcrossing, levy_strategy
 from gtprob.serialize import (
     SchemaError,
+    _at,
     _extreal,
     _fraction,
     _integer,
@@ -81,7 +82,8 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
             raise SchemaError("/payoff", "e_w shorthand needs an outcome labeled '1'")
         return indicator(EventWindow.coordinate_is(k, "1"))
     if raw.startswith("leading_ones:"):
-        return Payoff.leading_ones_capped(_fraction(raw.split(":", 1)[1], "/payoff"), game.horizon)
+        with _at("/payoff"):
+            return Payoff.leading_ones_capped(_fraction(raw.split(":", 1)[1], "/payoff"), game.horizon)
     if raw.startswith("const:"):
         return Payoff.constant(_extreal(raw.split(":", 1)[1], "/payoff"), game.horizon)
     raise SchemaError("/payoff", f"no such file and not a recognized shorthand: {raw!r}")
@@ -246,6 +248,8 @@ def cmd_simulate(args, game: GameSpec) -> int:
 
 def cmd_verify(args, game: GameSpec) -> int:
     sm = supermartingale_from_csv(read_file(args.supermartingale, "/supermartingale", str), game.outcomes)
+    if sm.depth > game.horizon:
+        raise SchemaError("/supermartingale", "table is deeper than the game horizon")
     res = verify_supermartingale(game, sm)
     if res.ok:
         kind = "martingale" if res.martingale else "supermartingale"
@@ -258,6 +262,9 @@ def cmd_verify(args, game: GameSpec) -> int:
 def cmd_law_levy(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game)
     paths = [_parse_path(p, game) for p in args.paths.split(";")] if args.paths else []
+    for path in paths:
+        if len(path) != xi.depth:
+            raise SchemaError("/paths", f"paths must have the payoff depth {xi.depth}, got {len(path)}")
     report = levy_experiment(game, xi, paths)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     if args.trace:
@@ -289,6 +296,9 @@ def cmd_law_classify(args, game: GameSpec) -> int:
 def cmd_law_mixing(args, spec: Protocol2Spec) -> int:
     phi = forecasting_system_from_json(read_file(args.system, "/system"), spec)
     events = [window_from_json(read_file(raw, "/events"), spec.outcomes) for raw in args.events.split(";")]
+    for event in events:
+        if event.end > spec.horizon:
+            raise SchemaError("/events", f"event window ends at {event.end}, past the horizon {spec.horizon}")
     report = delta_mixing_check(
         phi, _fraction(args.delta, "/delta"), lambda n: args.gap, events, max_prefix=args.max_prefix
     )

@@ -170,8 +170,9 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
     n = event.start
     prefix_depth = n - 1
     xi = indicator(event)
-    # The table's checks cover the prefixes, which sit above the window.
-    table = upper_table(game, xi)
+    # The table's checks cover the prefixes, which sit above the window.  A
+    # rule ignoring no prefix sweeps every leaf: the invariance is not built in.
+    table = upper_table(game, Payoff.from_rule(xi.value, xi.depth))
     prefixes = list(game.outcomes.tuples(prefix_depth))
     values: dict[Situation, ExtReal] = {s: table.value(s) for s in prefixes}
     distinct = {str(v) for v in values.values()}
@@ -199,6 +200,7 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
 
 @dataclass
 class ShiftBoundReport:
+    outcomes: OutcomeSet
     situation: Situation
     condition_holds: bool
     counterexample: Situation | None
@@ -214,7 +216,8 @@ class ShiftBoundReport:
     def __str__(self) -> str:
         if not self.condition_holds:
             return (
-                f"drop-prefix condition fails at continuation {self.counterexample!r}; "
+                "drop-prefix condition fails at continuation "
+                f"{format_situation(self.counterexample, self.outcomes)}; "
                 f"{self.note}"
             )
         return (
@@ -240,7 +243,7 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
             counterexample = w
             break
     if counterexample is not None:
-        return ShiftBoundReport(s, False, counterexample, None, None, None, None)
+        return ShiftBoundReport(game.outcomes, s, False, counterexample, None, None, None, None)
 
     table = upper_table(game, indicator(event))
     unconditional = table.value(EMPTY)
@@ -256,7 +259,7 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
         leaf = s + w
         covered = moved.value(leaf) >= (ONE if event.member(leaf) else ZERO)
         ok = ok and covered
-    return ShiftBoundReport(s, True, None, conditional, unconditional, bound_holds, ok)
+    return ShiftBoundReport(game.outcomes, s, True, None, conditional, unconditional, bound_holds, ok)
 
 
 # -- scripted fixtures ---------------------------------------------------------

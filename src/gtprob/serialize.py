@@ -195,6 +195,9 @@ def content_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/content") -
                 gam = e.get("gamble") if isinstance(e, Mapping) else None
                 if not isinstance(gam, Mapping):
                     raise SchemaError(f"{where}/entries/{i}", "entry needs a gamble object")
+                for lab in gam:
+                    if lab not in outcomes:
+                        raise SchemaError(f"{where}/entries/{i}/gamble", f"unknown outcome {lab!r}")
                 g = Gamble.of(
                     outcomes,
                     {lab: _extreal(gam[lab], f"{where}/entries/{i}/{lab}") for lab in gam},

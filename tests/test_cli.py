@@ -368,9 +368,19 @@ def test_ergodic_names_a_continuation_the_event_drops(coin_file, capsys):
     code, out, err = run(capsys, ["law", coin_file, "ergodic", "--event", "w1=1", "--situation", "1"])
     assert (code, err) == (1, "")
     assert out == (
-        "drop-prefix condition fails at continuation ('0',); finite-horizon surrogate: the drop-prefix "
+        "drop-prefix condition fails at continuation 0; finite-horizon surrogate: the drop-prefix "
         "condition is enumerated on the event's window and the bound asserted at this truncation\n"
     )
+
+
+def test_ergodic_names_a_multi_character_continuation_readably(tmp_path, capsys):
+    spec = {"outcomes": ["lo", "1", "hi"], "horizon": 3,
+            "content": {"type": "measure", "probs": {"lo": "1/3", "1": "1/3", "hi": "1/3"}}}
+    event = write_json(tmp_path, "e.json", {"start": 1, "end": 2, "accepts": [["1", "lo"]]})
+    argv = ["law", write_json(tmp_path, "lo1hi.json", spec), "ergodic", "--event", event, "--situation", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    assert out.startswith("drop-prefix condition fails at continuation lo,lo; finite-horizon surrogate")
 
 
 @pytest.mark.parametrize("event, kind, value", [("omega", "almost-certain", "1"), ("empty", "almost-impossible", "0")])
@@ -606,11 +616,11 @@ INPUT_ERRORS = {
     ),
     "leading_ones_cap_below_one": (
         lambda tmp, coin: ["expect", coin, "--payoff", "leading_ones:0"],
-        "cap must be at least 1",
+        "/payoff: cap must be at least 1",
     ),
     "leading_ones_cap_past_the_horizon": (
         lambda tmp, coin: ["expect", coin, "--payoff", "leading_ones:100"],
-        "depth 3 too shallow for cap 100",
+        "/payoff: depth 3 too shallow for cap 100",
     ),
     "payoff_table_key_of_another_depth": (
         lambda tmp, coin: ["expect", coin, "--payoff", write_json(tmp, "p.json", {"kind": "table", "depth": 1, "values": {"00": "0", "01": "1"}})],
@@ -618,15 +628,19 @@ INPUT_ERRORS = {
     ),
     "table_deeper_than_the_horizon": (
         lambda tmp, coin: ["verify", coin, "--supermartingale", write_text(tmp, "t.csv", DEPTH_FOUR_TABLE)],
-        "table is deeper than the game horizon",
+        "/supermartingale: table is deeper than the game horizon",
     ),
     "mixing_event_past_the_horizon": (
         lambda tmp, coin: mixing_argv(tmp, events=[{"start": 9, "end": 9, "accepts": [["1"]]}]),
-        "payoff settles beyond the game horizon",
+        "/events: event window ends at 9, past the horizon 3",
     ),
     "levy_path_longer_than_the_payoff": (
         lambda tmp, coin: ["law", coin, "levy", "--payoff", "e_w2", "--paths", "1,0,1"],
-        "paths must have the payoff depth 2, got 3",
+        "/paths: paths must have the payoff depth 2, got 3",
+    ),
+    "levy_path_shorter_than_the_payoff": (
+        lambda tmp, coin: ["law", coin, "levy", "--payoff", "e_w2", "--paths", "1,0;1"],
+        "/paths: paths must have the payoff depth 2, got 1",
     ),
 }
 

@@ -316,7 +316,9 @@ def test_indicator_payoffs_carry_their_event():
     event = EventWindow.coordinate_is(2, "1")
     assert indicator(event).event is event
     assert Payoff.constant(1, 2).event is None
-    assert Payoff.__slots__ == ("depth", "_fn", "event")
+    assert Payoff.__slots__ == ("depth", "_fn", "event", "ignored")
+    xi = indicator(event)
+    assert (xi.ignored, Payoff.constant(1, 2).ignored, xi.negate().ignored, xi.shifted(1).ignored) == (1, 2, 0, 0)
 
 
 def test_depth_zero_payoff_is_its_root_value():
@@ -584,3 +586,137 @@ def test_sup_variant_price_equal_to_the_next_level_moves_on():
     game = GameSpec(BIN, Measure.unchecked(BIN, [Fraction(-1, 2), Fraction(1, 2)]), 1)
     xi = Payoff.from_table({("0",): 1, ("1",): 3}, 1)
     assert sup_variant_upper_expectation(game, xi) == scan_touch_price(game, xi) == ext("3/2")
+
+
+# -- the quotient sweep against the dense sweep ----------------------------
+
+from gtprob.expectation import _sweep
+from gtprob.functionals import UnknownGambleError
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return "value", call()
+    except (UnknownGambleError, ValueError) as exc:
+        return type(exc).__name__, exc.args[0]
+
+
+def dense_levels(game, xi, s, keep, negate=False):
+    """Every leaf below ``s`` swept whole, ignoring ``xi.ignored``."""
+    return _sweep(game, xi.leaf_values(game, s), len(s), xi.depth, keep, negate)
+
+
+def dense_value(game, xi, s, negate=False):
+    if len(s) >= xi.depth:
+        return xi.value(s[: xi.depth])
+    v = dense_levels(game, xi, s, len(s), negate)[0][0]
+    return -v if negate else v
+
+
+def dense_table(game, xi):
+    levels = dense_levels(game, xi, EMPTY, xi.depth)
+    return {s: v for d, level in enumerate(levels) for s, v in zip(game.outcomes.tuples(d), level)}
+
+
+def dense_gaps(game, xi, depth):
+    up, down = (dense_levels(game, xi, EMPTY, depth, negate) for negate in (False, True))
+    return [
+        (s, u, -l)
+        for d in range(depth + 1)
+        for s, u, l in zip(game.outcomes.tuples(d), up[d], down[d])
+        if u != -l
+    ]
+
+
+def met_gambles(game, xi, n):
+    """The gambles round ``n`` prices in the dense upper and lower sweeps."""
+    if n > xi.depth:
+        return []
+    k, gambles = len(game.outcomes), set()
+    for negate in (False, True):
+        level = dense_levels(game, xi, EMPTY, xi.depth, negate)[n]
+        gambles |= {tuple(level[i : i + k]) for i in range(0, len(level), k)}
+    return sorted(gambles, key=repr)
+
+
+def test_rounds_above_the_window_price_their_constant_and_tables_tile():
+    # Weights summing to 2 double a constant, so every round above the
+    # window counts; the table repeats the window's levels per prefix.
+    game = GameSpec(BIN, Measure.unchecked(BIN, [1, 1]), 3)
+    xi = indicator(EventWindow.coordinate_is(3, "1"))
+    assert upper_expectation(game, xi) == ext(4) == dense_value(game, xi, EMPTY)
+    assert upper_table(game, xi).table == dense_table(game, xi)
+
+
+@st.composite
+def quotient_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    horizon = draw(st.integers(1, 6 if k == 2 else 5))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+
+    def measure():
+        w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        return Measure(outcomes, [Fraction(x, sum(w)) for x in w])
+
+    def unchecked():
+        return Measure.unchecked(outcomes, draw(st.lists(odd_weight, min_size=k, max_size=k)))
+
+    makers = {
+        "measure": measure,
+        "unchecked": unchecked,
+        "envelope": lambda: Envelope(outcomes, [measure() for _ in range(draw(st.integers(1, 3)))]),
+        "sup": lambda: SupContent(outcomes),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=horizon, max_size=horizon))
+    contents = [makers[kind]() for kind in kinds]
+    if draw(st.integers(0, 3)):
+        end = draw(st.integers(1, horizon))
+        start = draw(st.integers(1, end))
+        window = st.tuples(*[st.sampled_from(outcomes.labels)] * (end - start + 1))
+        event = EventWindow(start, end, accepts=draw(st.lists(window, max_size=6)))
+        xi = indicator(event.complement() if draw(st.booleans()) else event)
+    else:
+        value = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6) | st.sampled_from([INF, NEG_INF]))
+        xi = Payoff.constant(value, draw(st.integers(0, horizon)))
+    game = GameSpec(outcomes, contents, horizon)
+    if draw(st.booleans()):
+        # One round priced from a list holding some of the gambles it
+        # meets, by a measure; the rest are gaps.
+        n = draw(st.integers(1, horizon))
+        price = measure()
+        gambles = [g for g in met_gambles(game, xi, n) if draw(st.booleans())]
+        contents[n - 1] = TableContent.from_rule(outcomes, [Gamble(outcomes, g) for g in gambles], price.eval)
+        game = GameSpec(outcomes, contents, horizon)
+    # Situations before, inside and past the window.
+    situation = st.integers(0, min(horizon, xi.depth + 1)).flatmap(
+        lambda n: st.tuples(*[st.sampled_from(outcomes.labels)] * n)
+    )
+    situations = draw(st.lists(situation, min_size=1, max_size=4))
+    return game, xi, situations, draw(st.integers(0, horizon))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_cases())
+def test_quotient_sweep_matches_the_dense_sweep(case):
+    game, xi, situations, det_depth = case
+    for s in situations:
+        assert outcome(lambda: upper_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s))
+        assert outcome(lambda: lower_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s, True))
+    assert outcome(lambda: upper_table(game, xi).table) == outcome(lambda: dense_table(game, xi))
+    assert outcome(lambda: determinacy_check(game, xi, det_depth).gaps) == outcome(
+        lambda: dense_gaps(game, xi, min(det_depth, xi.depth))
+    )
+
+
+def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
+    # The third round's gamble (0, 1) is listed; the second round's
+    # constant (1/2, 1/2) is not, and both sweeps stop there.
+    half = Measure.uniform(BIN)
+    table = TableContent.from_rule(BIN, [Gamble(BIN, [ZERO, ONE])], half.eval)
+    game = GameSpec(BIN, [half, table, table], 3)
+    xi = indicator(EventWindow.coordinate_is(3, "1"))
+    expected = ("UnknownGambleError", "no table entry for gamble values ('1/2', '1/2')")
+    assert outcome(lambda: dense_value(game, xi, EMPTY)) == expected
+    assert outcome(lambda: upper_expectation(game, xi)) == expected
+    assert outcome(lambda: upper_table(game, xi)) == expected

@@ -147,6 +147,26 @@ def test_invariance_verdict_reads_every_prefix(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("NOT invariant")
 
 
+def test_invariance_sweeps_every_leaf(monkeypatch):
+    # The event ignores its first three coordinates.  Its quotient has two
+    # leaves, and a table swept on it would be invariant by construction,
+    # so the invariance table must ask the predicate about all 2**4 leaves.
+    windows = []
+    event = EventWindow(4, 4, predicate=lambda w: windows.append(w) or w == ("1",))
+    exact, asked = laws.upper_table, []
+
+    def counted(game, xi):
+        windows.clear()
+        table = exact(game, xi)
+        asked.append(len(windows))
+        return table
+
+    monkeypatch.setattr(laws, "upper_table", counted)
+    report = kolmogorov_invariance(coin_game(4), event)
+    assert asked == [2**4]
+    assert report.invariant and report.witness_ok
+
+
 # -- shift bound ----------------------------------------------------------------
 
 

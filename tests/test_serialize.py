@@ -243,6 +243,8 @@ def _system(obj):
          "/outcomes: outcome labels must be distinct: ('0', '0')"),
         (lambda: content_from_json({"type": "table", "entries": [{"gamble": {"0": "1"}, "value": "1"}]}, BIN),
          "/content: gamble is missing outcomes ['1']"),
+        (lambda: content_from_json({"type": "table", "entries": [{"gamble": {"2": "1"}, "value": "1"}]}, BIN),
+         "/content/entries/0/gamble: unknown outcome '2'"),
         (lambda: content_from_json({"type": "table", "declared_level": "x", "entries": []}, BIN), "/content: unknown level 'x'"),
     ],
 )
