@@ -48,6 +48,7 @@ from gtprob.laws import (
     ergodic_bound,
     kolmogorov_invariance,
     levy_experiment,
+    require_levy_path,
     zero_one_classify,
 )
 from gtprob.strategies import doob_upcrossing, levy_strategy
@@ -248,8 +249,8 @@ def cmd_simulate(args, game: GameSpec) -> int:
 
 def cmd_verify(args, game: GameSpec) -> int:
     sm = supermartingale_from_csv(read_file(args.supermartingale, "/supermartingale", str), game.outcomes)
-    if sm.depth > game.horizon:
-        raise SchemaError("/supermartingale", "table is deeper than the game horizon")
+    with _at("/supermartingale"):
+        sm.require_within(game.horizon)
     res = verify_supermartingale(game, sm)
     if res.ok:
         kind = "martingale" if res.martingale else "supermartingale"
@@ -262,9 +263,9 @@ def cmd_verify(args, game: GameSpec) -> int:
 def cmd_law_levy(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game)
     paths = [_parse_path(p, game) for p in args.paths.split(";")] if args.paths else []
-    for path in paths:
-        if len(path) != xi.depth:
-            raise SchemaError("/paths", f"paths must have the payoff depth {xi.depth}, got {len(path)}")
+    with _at("/paths"):
+        for path in paths:
+            require_levy_path(xi, path)
     report = levy_experiment(game, xi, paths)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     if args.trace:
@@ -296,9 +297,9 @@ def cmd_law_classify(args, game: GameSpec) -> int:
 def cmd_law_mixing(args, spec: Protocol2Spec) -> int:
     phi = forecasting_system_from_json(read_file(args.system, "/system"), spec)
     events = [window_from_json(read_file(raw, "/events"), spec.outcomes) for raw in args.events.split(";")]
-    for event in events:
-        if event.end > spec.horizon:
-            raise SchemaError("/events", f"event window ends at {event.end}, past the horizon {spec.horizon}")
+    with _at("/events"):
+        for event in events:
+            event.require_within(spec.horizon)
     report = delta_mixing_check(
         phi, _fraction(args.delta, "/delta"), lambda n: args.gap, events, max_prefix=args.max_prefix
     )

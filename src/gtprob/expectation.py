@@ -23,10 +23,10 @@ its level through ``OuterContent.price_level``.  Measure, envelope and
 supremum rounds work on integer numerators over a common denominator,
 with a ``Fraction`` built only at read-out and no finite value ever in a
 float; any other functional is priced node by node through its own
-``eval_seq``.  A payoff that ignores its first coordinates (an event
-whose window starts late, a constant) is swept on its quotient: below
-one situation of the depth where it starts reading, with one constant
-gamble priced per round above it, and a table repeats those levels.
+``eval_seq``.  An indicator whose window starts late ignores its first
+coordinates, so its expectations are swept on its quotient: below one
+situation of the depth where the window starts, which stands for all
+of them, with one constant gamble priced per round above it.
 
 Lower expectation is the negation dual, swept on negated numerators.
 Upper/lower probability route an event's indicator through the same
@@ -74,22 +74,22 @@ class Payoff:
     Backed by either an explicit leaf table or a rule; rule-backed payoffs
     can live beyond the dense cap, table materialization is guarded.
     ``event`` is the window an :func:`indicator` payoff indicates, None
-    for every other payoff.  ``ignored`` counts the leading coordinates
-    the payoff never reads: ``event.start - 1`` for an indicator,
-    ``depth`` for a constant, 0 for every other payoff.
+    for every other payoff.
     """
 
-    __slots__ = ("depth", "_fn", "event", "ignored")
+    __slots__ = ("depth", "_fn", "event")
 
-    def __init__(
-        self, depth: int, fn: Callable[[Situation], ExtReal], event: EventWindow | None = None, ignored: int = 0
-    ):
+    def __init__(self, depth: int, fn: Callable[[Situation], ExtReal], event: EventWindow | None = None):
         if depth < 0:
             raise ValueError("payoff depth must be nonnegative")
         self.depth = depth
         self._fn = fn
         self.event = event
-        self.ignored = ignored
+
+    @property
+    def ignored(self) -> int:
+        """Leading coordinates the payoff never reads: those before an indicator's window."""
+        return self.event.start - 1 if self.event else 0
 
     @classmethod
     def from_table(cls, values: Mapping[Situation, object], depth: int) -> "Payoff":
@@ -113,7 +113,7 @@ class Payoff:
     @classmethod
     def constant(cls, value, depth: int) -> "Payoff":
         v = ext(value)
-        return cls(depth, lambda s: v, ignored=depth)
+        return cls(depth, lambda s: v)
 
     @classmethod
     def leading_ones_capped(cls, cap, depth: int) -> "Payoff":
@@ -154,15 +154,18 @@ class Payoff:
         d = ext(c)
         return Payoff(self.depth, lambda s: self._fn(s) + d)
 
-    def leaf_values(self, game: GameSpec, s: Situation = EMPTY, m: int = 0) -> list[ExtReal]:
-        """The payoff at every leaf below ``s`` padded with the first label to
-        depth ``m``, in rank order, once the horizon and the cap below ``s`` hold."""
+    def _span(self, game: GameSpec, s: Situation) -> int:
+        """The depth of the leaves below ``s``, once the horizon and the cap hold."""
         if self.depth > game.horizon:
             raise ValueError("payoff settles beyond the game horizon")
-        config.require_dense(self.depth - len(s), what="payoff tabulation")
-        s += game.outcomes.labels[:1] * (m - len(s))
+        span = self.depth - len(s)
+        config.require_dense(span, what="payoff tabulation")
+        return span
+
+    def leaf_values(self, game: GameSpec, s: Situation = EMPTY) -> list[ExtReal]:
+        """The payoff at every leaf below ``s``, in rank order, once the horizon and cap hold."""
         fn = self._fn
-        return [fn(s + rest) for rest in game.outcomes.tuples(self.depth - len(s))]
+        return [fn(s + rest) for rest in game.outcomes.tuples(self._span(game, s))]
 
     def __repr__(self) -> str:
         return f"Payoff(depth={self.depth}, event={self.event!r})"
@@ -199,6 +202,10 @@ class EventWindow:
     @property
     def width(self) -> int:
         return self.end - self.start + 1
+
+    def require_within(self, horizon: int) -> None:
+        if self.end > horizon:
+            raise ValueError("event window ends beyond the game horizon")
 
     def member_window(self, window: tuple[str, ...]) -> bool:
         if len(window) != self.width:
@@ -266,7 +273,7 @@ def indicator(event: EventWindow) -> Payoff:
     def fn(s: Situation) -> ExtReal:
         return ONE if event.member(s) else ZERO
 
-    return Payoff(event.end, fn, event, event.start - 1)
+    return Payoff(event.end, fn, event)
 
 
 # -- backward induction -------------------------------------------------
@@ -296,25 +303,18 @@ def _sweep(
     return kept
 
 
-def _tiled(game: GameSpec, leaves: list, top: int, m: int, bottom: int, keep: int, negate: bool = False):
-    """``_sweep``'s levels of depths ``top..keep``, from the ``leaves`` below one
-    situation of depth ``m >= top`` standing for all at its depth, as the payoff
-    ignores coordinates ``top+1..m``.  A level down to ``m`` is one value, and a
-    deeper one the swept level, repeated: the ignored prefix is a rank's high digits."""
-    k = len(game.outcomes)
-    levels = _sweep(game, leaves, m, bottom, max(keep, m), negate)
-    nums, den = _numerators(levels[0])
-    for d in range(m, top, -1):
-        nums, den = game.content_at(d).price_level(k, nums * k, den)
-        levels.insert(0, _read_out(nums, den))
-    return [level * k ** (min(d, m) - top) for d, level in enumerate(levels[: keep - top + 1], top)]
-
-
 def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False) -> ExtReal:
-    """Backward induction below ``s``, of ``-xi`` if ``negate``, on the
-    payoff's quotient."""
-    m = max(len(s), xi.ignored)
-    return _tiled(game, xi.leaf_values(game, s, m), len(s), m, xi.depth, len(s), negate)[0][0]
+    """Backward induction over the subtree below ``s``, of ``-xi`` if
+    ``negate``.  Past the checks on the nominal span, an indicator is swept
+    below ``s`` padded with the first label up to its window, and each
+    round above prices the constant gamble of that one value."""
+    top, k = len(s), len(game.outcomes)
+    xi._span(game, s)
+    s += game.outcomes.labels[:1] * (xi.ignored - top)
+    nums, den = _numerators(_sweep(game, xi.leaf_values(game, s), len(s), xi.depth, len(s), negate)[0])
+    for d in range(len(s), top, -1):
+        nums, den = game.content_at(d).price_level(k, nums * k, den)
+    return _read_out(nums, den)[0]
 
 
 def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
@@ -343,8 +343,8 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     This is the exact cover of ``xi`` with the least start, and it prices
     its own children exactly at every node.
     """
-    leaves = xi.leaf_values(game, EMPTY, xi.ignored)
-    levels = _tiled(game, leaves, 0, xi.ignored, xi.depth, xi.depth)
+    leaves = xi.leaf_values(game)
+    levels = _sweep(game, leaves, 0, xi.depth, xi.depth)
     table: dict[Situation, ExtReal] = {}
     for d in range(xi.depth, -1, -1):
         table.update(zip(game.outcomes.tuples(d), levels[d]))
@@ -438,10 +438,11 @@ def determinacy_check(game: GameSpec, xi: Payoff, depth: int) -> DeterminacyRepo
     """List every situation up to ``depth`` where upper and lower
     expectations disagree; an empty list certifies determinacy at this
     truncation."""
-    depth = min(depth, xi.depth)
-    leaves = xi.leaf_values(game, EMPTY, xi.ignored)
-    up = _tiled(game, leaves, 0, xi.ignored, xi.depth, depth)
-    down = _tiled(game, leaves, 0, xi.ignored, xi.depth, depth, negate=True)
+    if depth > xi.depth:
+        depth = xi.depth
+    leaves = xi.leaf_values(game)
+    up = _sweep(game, leaves, 0, xi.depth, depth)
+    down = _sweep(game, leaves, 0, xi.depth, depth, negate=True)
     report = DeterminacyReport(depth=depth)
     for d in range(depth + 1):
         for s, u, neg_l in zip(game.outcomes.tuples(d), up[d], down[d]):

@@ -278,8 +278,7 @@ def _phi_levels(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -
     as one extra parent wherever the embedded game holds nodes off the
     rule, so each functional is asked for the embedded sweep's gambles."""
     spec, top, end = phi.spec, len(prefix), event.end
-    if end > spec.horizon:
-        raise ValueError("event window ends beyond the game horizon")
+    event.require_within(spec.horizon)
     config.require_dense(end - top, what="conditional expectation sweep")
     k, rules, nums = len(spec.outcomes), {}, []
     for rest in spec.outcomes.tuples(max(end - top, 0)):

@@ -262,6 +262,10 @@ class Supermartingale:
         v = ext(value)
         return cls.from_fn(game, lambda s: v, depth)
 
+    def require_within(self, horizon: int) -> None:
+        if self.depth > horizon:
+            raise ValueError("table is deeper than the game horizon")
+
     def value(self, s: Situation) -> ExtReal:
         s = tuple(s)
         if len(s) > self.depth:
@@ -382,8 +386,7 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     raising, its price recomputed by ``eval_seq`` on that node's children.
     A second flag reports whether equality holds everywhere (a martingale).
     """
-    if sm.depth > game.horizon:
-        raise ValueError("table is deeper than the game horizon")
+    sm.require_within(game.horizon)
     top, k, labels = sm.depth, len(game.outcomes), game.outcomes.labels
     equality = True
     children = [sm.value(EMPTY)]

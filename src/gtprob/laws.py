@@ -42,6 +42,7 @@ from gtprob.expectation import (
 
 __all__ = [
     "LevyExperimentReport",
+    "require_levy_path",
     "levy_experiment",
     "InvarianceReport",
     "kolmogorov_invariance",
@@ -115,6 +116,11 @@ class LevyExperimentReport:
         return "\n".join(lines)
 
 
+def require_levy_path(xi: Payoff, path: Situation) -> None:
+    if len(path) != xi.depth:
+        raise ValueError(f"paths must have the payoff depth {xi.depth}, got {len(path)}")
+
+
 def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> LevyExperimentReport:
     """Conditional upper expectations along each path, with the exact
     terminal check, plus event-reaching flags for indicator payoffs."""
@@ -122,10 +128,7 @@ def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> L
     report = LevyExperimentReport(game.outcomes)
     for raw in paths:
         path = game.validate_situation(tuple(raw))
-        if len(path) != xi.depth:
-            raise ValueError(
-                f"paths must have the payoff depth {xi.depth}, got {len(path)}"
-            )
+        require_levy_path(xi, path)
         values = [table.value(path[:n]) for n in range(xi.depth + 1)]
         terminal_ok = values[-1] == xi.value(path)
         row = LevyPathRow(path, values, terminal_ok)
@@ -170,9 +173,8 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
     n = event.start
     prefix_depth = n - 1
     xi = indicator(event)
-    # The table's checks cover the prefixes, which sit above the window.  A
-    # rule ignoring no prefix sweeps every leaf: the invariance is not built in.
-    table = upper_table(game, Payoff.from_rule(xi.value, xi.depth))
+    # The table's checks cover the prefixes, which sit above the window.
+    table = upper_table(game, xi)
     prefixes = list(game.outcomes.tuples(prefix_depth))
     values: dict[Situation, ExtReal] = {s: table.value(s) for s in prefixes}
     distinct = {str(v) for v in values.values()}

@@ -632,7 +632,7 @@ INPUT_ERRORS = {
     ),
     "mixing_event_past_the_horizon": (
         lambda tmp, coin: mixing_argv(tmp, events=[{"start": 9, "end": 9, "accepts": [["1"]]}]),
-        "/events: event window ends at 9, past the horizon 3",
+        "/events: event window ends beyond the game horizon",
     ),
     "levy_path_longer_than_the_payoff": (
         lambda tmp, coin: ["law", coin, "levy", "--payoff", "e_w2", "--paths", "1,0,1"],

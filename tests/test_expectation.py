@@ -316,9 +316,11 @@ def test_indicator_payoffs_carry_their_event():
     event = EventWindow.coordinate_is(2, "1")
     assert indicator(event).event is event
     assert Payoff.constant(1, 2).event is None
-    assert Payoff.__slots__ == ("depth", "_fn", "event", "ignored")
+    assert Payoff.__slots__ == ("depth", "_fn", "event")
     xi = indicator(event)
-    assert (xi.ignored, Payoff.constant(1, 2).ignored, xi.negate().ignored, xi.shifted(1).ignored) == (1, 2, 0, 0)
+    assert (xi.ignored, Payoff.constant(1, 2).ignored, xi.negate().ignored, xi.shifted(1).ignored) == (1, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        xi.ignored = 0
 
 
 def test_depth_zero_payoff_is_its_root_value():
@@ -614,21 +616,6 @@ def dense_value(game, xi, s, negate=False):
     return -v if negate else v
 
 
-def dense_table(game, xi):
-    levels = dense_levels(game, xi, EMPTY, xi.depth)
-    return {s: v for d, level in enumerate(levels) for s, v in zip(game.outcomes.tuples(d), level)}
-
-
-def dense_gaps(game, xi, depth):
-    up, down = (dense_levels(game, xi, EMPTY, depth, negate) for negate in (False, True))
-    return [
-        (s, u, -l)
-        for d in range(depth + 1)
-        for s, u, l in zip(game.outcomes.tuples(d), up[d], down[d])
-        if u != -l
-    ]
-
-
 def met_gambles(game, xi, n):
     """The gambles round ``n`` prices in the dense upper and lower sweeps."""
     if n > xi.depth:
@@ -640,13 +627,13 @@ def met_gambles(game, xi, n):
     return sorted(gambles, key=repr)
 
 
-def test_rounds_above_the_window_price_their_constant_and_tables_tile():
+def test_rounds_above_the_window_price_their_constant():
     # Weights summing to 2 double a constant, so every round above the
-    # window counts; the table repeats the window's levels per prefix.
+    # window counts.
     game = GameSpec(BIN, Measure.unchecked(BIN, [1, 1]), 3)
     xi = indicator(EventWindow.coordinate_is(3, "1"))
     assert upper_expectation(game, xi) == ext(4) == dense_value(game, xi, EMPTY)
-    assert upper_table(game, xi).table == dense_table(game, xi)
+    assert upper_table(game, xi).value(EMPTY) == ext(4)
 
 
 @st.composite
@@ -670,15 +657,11 @@ def quotient_cases(draw):
     }
     kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=horizon, max_size=horizon))
     contents = [makers[kind]() for kind in kinds]
-    if draw(st.integers(0, 3)):
-        end = draw(st.integers(1, horizon))
-        start = draw(st.integers(1, end))
-        window = st.tuples(*[st.sampled_from(outcomes.labels)] * (end - start + 1))
-        event = EventWindow(start, end, accepts=draw(st.lists(window, max_size=6)))
-        xi = indicator(event.complement() if draw(st.booleans()) else event)
-    else:
-        value = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6) | st.sampled_from([INF, NEG_INF]))
-        xi = Payoff.constant(value, draw(st.integers(0, horizon)))
+    end = draw(st.integers(1, horizon))
+    start = draw(st.integers(1, end))
+    window = st.tuples(*[st.sampled_from(outcomes.labels)] * (end - start + 1))
+    event = EventWindow(start, end, accepts=draw(st.lists(window, max_size=6)))
+    xi = indicator(event.complement() if draw(st.booleans()) else event)
     game = GameSpec(outcomes, contents, horizon)
     if draw(st.booleans()):
         # One round priced from a list holding some of the gambles it
@@ -692,21 +675,16 @@ def quotient_cases(draw):
     situation = st.integers(0, min(horizon, xi.depth + 1)).flatmap(
         lambda n: st.tuples(*[st.sampled_from(outcomes.labels)] * n)
     )
-    situations = draw(st.lists(situation, min_size=1, max_size=4))
-    return game, xi, situations, draw(st.integers(0, horizon))
+    return game, xi, draw(st.lists(situation, min_size=1, max_size=4))
 
 
 @settings(max_examples=200, deadline=None)
 @given(quotient_cases())
 def test_quotient_sweep_matches_the_dense_sweep(case):
-    game, xi, situations, det_depth = case
+    game, xi, situations = case
     for s in situations:
         assert outcome(lambda: upper_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s))
         assert outcome(lambda: lower_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s, True))
-    assert outcome(lambda: upper_table(game, xi).table) == outcome(lambda: dense_table(game, xi))
-    assert outcome(lambda: determinacy_check(game, xi, det_depth).gaps) == outcome(
-        lambda: dense_gaps(game, xi, min(det_depth, xi.depth))
-    )
 
 
 def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
@@ -719,4 +697,3 @@ def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
     expected = ("UnknownGambleError", "no table entry for gamble values ('1/2', '1/2')")
     assert outcome(lambda: dense_value(game, xi, EMPTY)) == expected
     assert outcome(lambda: upper_expectation(game, xi)) == expected
-    assert outcome(lambda: upper_table(game, xi)) == expected

@@ -57,8 +57,8 @@ MUTANTS = [
     Mutant(
         "indicator-ignores-start",
         "expectation.py",
-        "return Payoff(event.end, fn, event, event.start - 1)",
-        "return Payoff(event.end, fn, event, event.start)",
+        "return self.event.start - 1 if self.event else 0",
+        "return self.event.start if self.event else 0",
         EXPECTATION,
     ),
     Mutant(
@@ -69,48 +69,34 @@ MUTANTS = [
         EXPECTATION,
     ),
     Mutant(
-        "tiled-in-low-digits",
+        "constant-rounds-priced-one-round-late",
         "expectation.py",
-        "return [level * k ** (min(d, m) - top) for d, level",
-        "return [[v for v in level for _ in range(k ** (min(d, m) - top))] for d, level",
+        "nums, den = game.content_at(d).price_level(k, nums * k, den)",
+        "nums, den = game.content_at(d + 1).price_level(k, nums * k, den)",
         EXPECTATION,
     ),
     Mutant(
         "cap-on-quotient-span",
         "expectation.py",
-        'config.require_dense(self.depth - len(s), what="payoff tabulation")',
-        'config.require_dense(self.depth - max(len(s), m), what="payoff tabulation")',
+        "    xi._span(game, s)\n",
+        "",
         ("test_cli.py",),
     ),
     Mutant(
-        "invariance-on-quotient-table",
-        "laws.py",
-        "table = upper_table(game, Payoff.from_rule(xi.value, xi.depth))",
-        "table = upper_table(game, xi)",
-        ("test_laws.py",),
+        "padded-into-the-window",
+        "expectation.py",
+        "s += game.outcomes.labels[:1] * (xi.ignored - top)",
+        "s += game.outcomes.labels[:1] * (xi.ignored + 1 - top)",
+        EXPECTATION,
     ),
     Mutant(
         "representative-on-last-label",
         "expectation.py",
-        "s += game.outcomes.labels[:1] * (m - len(s))",
-        "s += game.outcomes.labels[-1:] * (m - len(s))",
+        "s += game.outcomes.labels[:1] * (xi.ignored - top)",
+        "s += game.outcomes.labels[-1:] * (xi.ignored - top)",
         EXPECTATION,
         equivalent="every situation at the representative's depth below s roots the same "
         "subtree, so any one of them stands for all, errors included",
-    ),
-    Mutant(
-        "quotient-keeps-too-little",
-        "expectation.py",
-        "levels = _sweep(game, leaves, m, bottom, max(keep, m), negate)",
-        "levels = _sweep(game, leaves, m, bottom, keep, negate)",
-        EXPECTATION,
-    ),
-    Mutant(
-        "constant-ignores-nothing",
-        "expectation.py",
-        "return cls(depth, lambda s: v, ignored=depth)",
-        "return cls(depth, lambda s: v)",
-        EXPECTATION,
     ),
     # -- the two survivors of the first mutation run, and its slow kill -------
     Mutant(
@@ -168,7 +154,7 @@ MUTANTS = [
     ),
     Mutant(
         "short-levy-path-unflagged",
-        "cli.py",
+        "laws.py",
         "if len(path) != xi.depth:",
         "if len(path) > xi.depth:",
         ("test_cli.py",),
