@@ -42,9 +42,7 @@ print("\naxiom audit of the fair coin:")
 print(check_axioms(coin))
 
 print("\naudit of the 'minimum' functional (not subadditive):")
-min_like = TableContent.from_rule(
-    coin_space, default_grid(coin_space), lambda g: min(g.values)
-)
+min_like = TableContent(coin_space, [(g, min(g.values)) for g in default_grid(coin_space)])
 report = check_axioms(min_like)
 print(report.results["subadditive"])
 

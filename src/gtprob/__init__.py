@@ -28,8 +28,6 @@ from gtprob.functionals import (
 from gtprob.gametree import (
     EMPTY,
     Situation,
-    Relation,
-    relation,
     Cut,
     cut_le,
     in_cut_interval,
@@ -80,7 +78,6 @@ from gtprob.forecaster import (
     chi_phi,
     upper_expectation_p2,
     upper_prob_phi,
-    lower_prob_phi,
     delta_mixing_check,
 )
 

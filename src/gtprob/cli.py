@@ -81,7 +81,8 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
         k = _integer(raw[3:], "/payoff")
         if "1" not in game.outcomes:
             raise SchemaError("/payoff", "e_w shorthand needs an outcome labeled '1'")
-        return indicator(EventWindow.coordinate_is(k, "1"))
+        with _at("/payoff"):
+            return indicator(EventWindow.coordinate_is(k, "1"))
     if raw.startswith("leading_ones:"):
         with _at("/payoff"):
             return Payoff.leading_ones_capped(_fraction(raw.split(":", 1)[1], "/payoff"), game.horizon)
@@ -91,25 +92,36 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
 
 
 def _parse_event(raw: str, game: GameSpec) -> EventWindow:
+    """An event file or shorthand (omega, empty, w<k>=<label>) whose
+    window ends within the game horizon."""
     if os.path.exists(raw):
-        return window_from_json(read_file(raw, "/event"), game.outcomes)
-    if raw == "omega":
-        return EventWindow.whole_space()
-    if raw == "empty":
-        return EventWindow.empty()
-    if raw.startswith("w") and "=" in raw:
+        event = window_from_json(read_file(raw, "/event"), game.outcomes)
+    elif raw == "omega":
+        event = EventWindow.whole_space()
+    elif raw == "empty":
+        event = EventWindow.empty()
+    elif raw.startswith("w") and "=" in raw:
         idx, lab = raw[1:].split("=", 1)
         if lab not in game.outcomes:
             raise SchemaError("/event", f"unknown outcome {lab!r}")
-        return EventWindow.coordinate_is(_integer(idx, "/event"), lab)
-    raise SchemaError("/event", f"no such file and not a recognized shorthand: {raw!r}")
+        with _at("/event"):
+            event = EventWindow.coordinate_is(_integer(idx, "/event"), lab)
+    else:
+        raise SchemaError("/event", f"no such file and not a recognized shorthand: {raw!r}")
+    with _at("/event"):
+        event.require_within(game.horizon)
+    return event
 
 
-def _parse_path(raw: str, game: GameSpec) -> tuple[str, ...]:
-    if raw == "":
-        return ()
-    parts = tuple(raw.split(","))
-    return game.validate_situation(parts)
+def _parse_situation(raw: str, game: GameSpec) -> tuple[str, ...]:
+    with _at("/situation"):
+        return game.validate_situation(parse_situation(raw, game.outcomes))
+
+
+def _parse_path(raw: str, game: GameSpec, where: str) -> tuple[str, ...]:
+    """A comma-separated path within the horizon, read for flag ``where``."""
+    with _at(where):
+        return game.validate_situation(tuple(raw.split(",")) if raw else ())
 
 
 def _strategy_numbers(name: str, usage: str) -> tuple[Fraction, Fraction, list[str]]:
@@ -170,7 +182,7 @@ def cmd_axioms(args, game: GameSpec) -> int:
 
 def cmd_expect(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game)
-    s = parse_situation(args.situation, game.outcomes)
+    s = _parse_situation(args.situation, game)
     if args.variant == "sup":
         if s != EMPTY:
             raise SchemaError("/situation", "the sup variant is defined at the root only")
@@ -186,7 +198,7 @@ def cmd_expect(args, game: GameSpec) -> int:
 
 
 def cmd_simulate(args, game: GameSpec) -> int:
-    path = _parse_path(args.path, game)
+    path = _parse_path(args.path, game, "/path")
     xi = _parse_payoff(args.payoff, game) if args.payoff else None
     prefixes = [path[:n] for n in range(len(path) + 1)]
     name = args.strategy
@@ -262,7 +274,7 @@ def cmd_verify(args, game: GameSpec) -> int:
 
 def cmd_law_levy(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game)
-    paths = [_parse_path(p, game) for p in args.paths.split(";")] if args.paths else []
+    paths = [_parse_path(p, game, "/paths") for p in args.paths.split(";")] if args.paths else []
     with _at("/paths"):
         for path in paths:
             require_levy_path(xi, path)
@@ -282,14 +294,19 @@ def cmd_law_kolmogorov(args, game: GameSpec) -> int:
 
 def cmd_law_ergodic(args, game: GameSpec) -> int:
     event = _parse_event(args.event, game)
-    report = ergodic_bound(game, event, parse_situation(args.situation, game.outcomes))
+    report = ergodic_bound(game, event, _parse_situation(args.situation, game))
     print(str(report))
     ok = report.condition_holds and report.bound_holds and report.witness_ok
     return 0 if ok else 1
 
 
 def cmd_law_classify(args, game: GameSpec) -> int:
-    report = zero_one_classify(game, _parse_event(args.event, game))
+    event = _parse_event(args.event, game)
+    try:
+        report = zero_one_classify(game, event)
+    except AssertionError as exc:  # a functional broke the complement identity
+        print(exc)
+        return 1
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0
 

@@ -107,10 +107,6 @@ class Payoff:
         return cls(depth, fn)
 
     @classmethod
-    def from_rule(cls, fn: Callable[[Situation], ExtReal], depth: int) -> "Payoff":
-        return cls(depth, fn)
-
-    @classmethod
     def constant(cls, value, depth: int) -> "Payoff":
         v = ext(value)
         return cls(depth, lambda s: v)
@@ -286,9 +282,11 @@ def _sweep(
     game: GameSpec, leaves: list[ExtReal], top: int, bottom: int, keep: int, negate: bool = False
 ) -> list[list[ExtReal]]:
     """Back ``leaves`` (negated if asked), the values at depth ``bottom``
-    below one situation of depth ``top``, up to depth ``top``.  Returns
-    the levels of depths ``top..keep`` as ExtReal lists, index 0 being
-    depth ``top``."""
+    below one situation of depth ``top`` or deeper, up to depth ``top``.
+    A one-node level below ``top`` stands for ``K`` children of that one
+    value, so the rounds above a deeper situation price a constant gamble.
+    Returns the levels of depths ``top..keep`` as ExtReal lists, index 0
+    being depth ``top``."""
     k = len(game.outcomes)
     nums, den = _numerators(leaves)
     if negate:
@@ -296,7 +294,7 @@ def _sweep(
     kept = []
     for d in range(bottom, top - 1, -1):
         if d < bottom:
-            nums, den = game.content_at(d + 1).price_level(k, nums, den)
+            nums, den = game.content_at(d + 1).price_level(k, nums if len(nums) > 1 else nums * k, den)
         if d <= keep:
             kept.append(leaves if d == bottom and not negate else _read_out(nums, den))
     kept.reverse()
@@ -305,16 +303,12 @@ def _sweep(
 
 def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False) -> ExtReal:
     """Backward induction over the subtree below ``s``, of ``-xi`` if
-    ``negate``.  Past the checks on the nominal span, an indicator is swept
-    below ``s`` padded with the first label up to its window, and each
-    round above prices the constant gamble of that one value."""
-    top, k = len(s), len(game.outcomes)
+    ``negate``.  Past the checks on the nominal span, an indicator's leaves
+    are those below ``s`` padded with the first label up to its window;
+    ``_sweep`` carries their one value at the padded depth up to ``s``."""
     xi._span(game, s)
-    s += game.outcomes.labels[:1] * (xi.ignored - top)
-    nums, den = _numerators(_sweep(game, xi.leaf_values(game, s), len(s), xi.depth, len(s), negate)[0])
-    for d in range(len(s), top, -1):
-        nums, den = game.content_at(d).price_level(k, nums * k, den)
-    return _read_out(nums, den)[0]
+    rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))
+    return _sweep(game, xi.leaf_values(game, rep), len(s), xi.depth, len(s), negate)[0][0]
 
 
 def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:

@@ -51,7 +51,6 @@ __all__ = [
     "upper_expectation_p2",
     "chi_phi",
     "upper_prob_phi",
-    "lower_prob_phi",
     "restrict_to_clearing",
     "verify_p2_supermartingale",
     "MixingReport",
@@ -312,13 +311,6 @@ def upper_prob_phi(
     the interleaved prefix, swept on the outcome tree below the prefix."""
     chi_phi(phi, chi_prefix)  # refuses unknown outcomes and off-menu predictions
     return _phi_levels(phi, event, tuple(chi_prefix))[0][0]
-
-
-def lower_prob_phi(
-    phi: ForecastingSystem, event: EventWindow, chi_prefix: Sequence[str] = ()
-) -> ExtReal:
-    """Defined as one minus the upper probability of the complement."""
-    return ONE - upper_prob_phi(phi, event.complement(), chi_prefix)
 
 
 def restrict_to_clearing(spec: Protocol2Spec, sm: Supermartingale) -> dict[PairPath, ExtReal]:

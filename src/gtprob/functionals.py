@@ -424,16 +424,6 @@ class TableContent(OuterContent):
             raise ValueError(f"unknown level {declared_level!r}")
         self.declared_level = declared_level
 
-    @classmethod
-    def from_rule(
-        cls,
-        outcomes: OutcomeSet,
-        gambles: Iterable[Gamble],
-        rule: Callable[[Gamble], ExtReal],
-        declared_level: str = OUTER_CONTENT,
-    ) -> "TableContent":
-        return cls(outcomes, [(g, rule(g)) for g in gambles], declared_level)
-
     def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
         try:
             return self._table[tuple(values)]

@@ -20,7 +20,6 @@ extended-real conventions; the subtree relocations below rely on them.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -32,8 +31,6 @@ from gtprob.functionals import Gamble, OutcomeSet, OuterContent
 __all__ = [
     "Situation",
     "EMPTY",
-    "Relation",
-    "relation",
     "is_prefix",
     "format_situation",
     "parse_situation",
@@ -59,24 +56,6 @@ TRUNCATION_NOTE = (
     "finite-horizon surrogate: the table is truncated and continues as a "
     "constant beyond its depth; checks cover the truncated depths only"
 )
-
-
-class Relation(enum.Enum):
-    EQUAL = "equal"
-    STRICT_PREFIX = "strict-prefix"
-    STRICT_EXTENSION = "strict-extension"
-    INCOMPARABLE = "incomparable"
-
-
-def relation(s: Situation, t: Situation) -> Relation:
-    """Classify the prefix relation between two situations."""
-    if s == t:
-        return Relation.EQUAL
-    if len(s) < len(t) and t[: len(s)] == s:
-        return Relation.STRICT_PREFIX
-    if len(t) < len(s) and s[: len(t)] == t:
-        return Relation.STRICT_EXTENSION
-    return Relation.INCOMPARABLE
 
 
 def is_prefix(s: Situation, t: Situation) -> bool:

@@ -328,44 +328,31 @@ def scripted_conditional_game(targets: Sequence[Fraction | str | int]) -> Script
     resolution: dict[int, tuple[int, str]] = {}
     for i, state in enumerate(off_state):
         if isinstance(state, Fraction) and not isinstance(state, int):
-            depth = i + 1  # carried from this step's off-branch
-            for m in range(depth + 1, n_steps + 1):
+            for m in range(i + 2, n_steps + 1):
                 p_d = probs[m - 1]
                 if state in (p_d, 1 - p_d):
-                    resolution[depth] = (m, "1" if state == p_d else "0")
+                    resolution[i] = (m, "1" if state == p_d else "0")
                     break
             else:
                 raise ValueError(
                     f"infeasible prescription: carried value {state} introduced at "
-                    f"step {depth} never matches a later step probability"
+                    f"step {i + 1} never matches a later step probability"
                 )
 
-    def walk(seq: Situation) -> tuple[str, object]:
-        """State after playing ``seq``: on-path, absorbed 0/1, or carried."""
-        for i, x in enumerate(seq):
-            if x == "1":
-                continue
-            state = off_state[i]
-            if state in (0, 1):
-                return ("absorbed", state)
-            depth = i + 1
-            m, in_branch = resolution[depth]
-            if len(seq) < m:
-                return ("carried", (state, m, in_branch))
-            return ("absorbed", 1 if seq[m - 1] == in_branch else 0)
-        return ("on-path", None)
-
     def cond(s: Situation) -> ExtReal:
-        s = tuple(s)
-        if len(s) > n_steps:
-            s = s[:n_steps]
-        kind, info = walk(s)
-        if kind == "on-path":
+        """The target on the path; off it, the state of the first step
+        off it: absorbed at 0 or 1, or carried until its coordinate m."""
+        s = tuple(s)[:n_steps]
+        off = next((i for i, x in enumerate(s) if x != "1"), None)
+        if off is None:
             return ONE if len(s) == n_steps else ext(targets[len(s)])
-        if kind == "absorbed":
-            return ONE if info else ZERO
-        value, _m, _branch = info
-        return ext(value)
+        state = off_state[off]
+        if off in resolution:
+            m, in_branch = resolution[off]
+            if len(s) < m:
+                return ext(state)
+            state = s[m - 1] == in_branch
+        return ONE if state else ZERO
 
     contents = [Measure(outcomes, {"1": p, "0": 1 - p}) for p in probs]
     game = GameSpec(outcomes, contents, n_steps)
@@ -415,12 +402,7 @@ def zero_one_classify(game: GameSpec, event: EventWindow) -> ClassifyReport:
     almost certain ({1}), almost impossible ({0}), fully unprobabilized
     ([0, 1]), or honestly undetermined.  A window event settles at its
     window's end, so no other horizon gives a different interval."""
-    h = game.horizon
-    if h < event.end:
-        raise ValueError(
-            f"horizon {h} must cover the event window end {event.end} "
-            f"and stay within the game horizon {h}"
-        )
+    event.require_within(game.horizon)
     hi = upper_probability(game, event, EMPTY)
     lo = lower_probability(game, event, EMPTY)
-    return ClassifyReport([(h, lo, hi, _classify(lo, hi))])
+    return ClassifyReport([(game.horizon, lo, hi, _classify(lo, hi))])

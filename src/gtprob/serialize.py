@@ -1,8 +1,9 @@
 """JSON and CSV codecs for the package's on-disk formats.
 
 Numbers travel as exact strings: ``"p/q"`` in lowest terms (plain integers
-as ``"p"``), ``"inf"``, ``"-inf"``.  Every encoder sorts its output so
-identical inputs produce byte-identical files.
+as ``"p"``), ``"inf"``, ``"-inf"``.  Every format below is read here; the
+capital table is the one also written, by :func:`supermartingale_to_csv`,
+which sorts its rows so identical tables produce byte-identical files.
 
 Formats:
 
@@ -51,11 +52,8 @@ from gtprob.forecaster import ForecastingSystem, Protocol2Spec
 
 __all__ = [
     "SchemaError",
-    "content_to_json",
     "content_from_json",
-    "game_to_json",
     "game_from_json",
-    "window_to_json",
     "window_from_json",
     "payoff_from_json",
     "supermartingale_to_csv",
@@ -122,39 +120,6 @@ def _outcomes(obj: Mapping, where: str) -> OutcomeSet:
 # -- pricing functionals ------------------------------------------------
 
 
-def content_to_json(content: OuterContent) -> dict:
-    if isinstance(content, Measure):
-        return {
-            "type": "measure",
-            "probs": {lab: str(p) for lab, p in zip(content.outcomes, content.probs)},
-        }
-    if isinstance(content, Envelope):
-        return {
-            "type": "envelope",
-            "measures": [
-                {lab: str(p) for lab, p in zip(content.outcomes, m.probs)}
-                for m in content.measures
-            ],
-        }
-    if isinstance(content, SupContent):
-        return {"type": "sup"}
-    if isinstance(content, TableContent):
-        entries = []
-        for values, price in sorted(content._table.items(), key=lambda kv: tuple(map(str, kv[0]))):
-            entries.append(
-                {
-                    "gamble": {lab: str(v) for lab, v in zip(content.outcomes, values)},
-                    "value": str(price),
-                }
-            )
-        return {
-            "type": "table",
-            "declared_level": content.declared_level,
-            "entries": entries,
-        }
-    raise SchemaError("/", f"cannot serialize functional of type {type(content).__name__}")
-
-
 def _probs_map(obj: Any, outcomes: OutcomeSet, where: str) -> dict[str, Fraction]:
     if not isinstance(obj, Mapping):
         raise SchemaError(where, "probabilities must be an object of label -> rational")
@@ -210,18 +175,6 @@ def content_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/content") -
 # -- games ------------------------------------------------------------------
 
 
-def game_to_json(game: GameSpec) -> dict:
-    base: dict[str, Any] = {
-        "outcomes": list(game.outcomes.labels),
-        "horizon": game.horizon,
-    }
-    if game.depth_independent:
-        base["content"] = content_to_json(game.contents[0])
-    else:
-        base["contents"] = [content_to_json(c) for c in game.contents]
-    return base
-
-
 def game_from_json(obj: Any, where: str = "") -> GameSpec:
     if not isinstance(obj, Mapping):
         raise SchemaError(where or "/", "game must be an object")
@@ -246,14 +199,6 @@ def game_from_json(obj: Any, where: str = "") -> GameSpec:
 
 
 # -- events and payoffs --------------------------------------------------------
-
-
-def window_to_json(event: EventWindow, outcomes: OutcomeSet) -> dict:
-    return {
-        "start": event.start,
-        "end": event.end,
-        "accepts": sorted(list(t) for t in event.accepts(outcomes)),
-    }
 
 
 def window_from_json(obj: Any, outcomes: OutcomeSet, where: str = "/window") -> EventWindow:

@@ -390,6 +390,15 @@ def test_classify_reads_the_event_shorthands(event, kind, value, coin_file, caps
     assert json.loads(out)["rows"] == [{"class": kind, "horizon": 3, "lower": value, "upper": value}]
 
 
+def test_classify_prints_a_broken_complement_identity_and_exits_one(tmp_path, capsys):
+    # The last round's table prices w4=0 at 1/2 but its complement at 1/3.
+    gambles = [({"0": "1", "1": "0"}, "1/2"), ({"0": "0", "1": "1"}, "1/3"), ({"0": "-1", "1": "0"}, "-1/3")]
+    table = {"type": "table", "entries": [{"gamble": g, "value": v} for g, v in gambles]}
+    spec = {"outcomes": ["0", "1"], "horizon": 4, "contents": [COIN_SPEC["content"]] * 3 + [table]}
+    argv = ["law", write_json(tmp_path, "broken.json", spec), "classify", "--event", "w4=0"]
+    assert run(capsys, argv) == (1, "complement identity violated at (): lower=1/3, 1-upper(complement)=2/3\n", "")
+
+
 def test_simulate_on_the_empty_path_traces_the_root_only(coin_file, capsys):
     assert run(capsys, ["simulate", coin_file, "--strategy", "doubling", "--path", ""]) == (
         0, "n,situation,capital,conditional_upper,note\n0,,1,,\n", ""
@@ -604,7 +613,15 @@ INPUT_ERRORS = {
     ),
     "classify_event_past_the_horizon": (
         lambda tmp, coin: ["law", coin, "classify", "--event", "w9=1"],
-        "horizon 3 must cover the event window end 9 and stay within the game horizon 3",
+        "/event: event window ends beyond the game horizon",
+    ),
+    "kolmogorov_event_past_the_horizon": (
+        lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "w9=1"],
+        "/event: event window ends beyond the game horizon",
+    ),
+    "ergodic_event_past_the_horizon": (
+        lambda tmp, coin: ["law", coin, "ergodic", "--event", write_json(tmp, "e.json", {"start": 3, "end": 4, "accepts": []})],
+        "/event: event window ends beyond the game horizon",
     ),
     "payoff_not_a_shorthand": (
         lambda tmp, coin: ["expect", coin, "--payoff", "x"],
@@ -641,6 +658,34 @@ INPUT_ERRORS = {
     "levy_path_shorter_than_the_payoff": (
         lambda tmp, coin: ["law", coin, "levy", "--payoff", "e_w2", "--paths", "1,0;1"],
         "/paths: paths must have the payoff depth 2, got 1",
+    ),
+    "levy_path_past_the_horizon": (
+        lambda tmp, coin: ["law", coin, "levy", "--payoff", "e_w2", "--paths", "1,0,1,1"],
+        "/paths: situation of depth 4 outside horizon 3",
+    ),
+    "simulate_path_unknown_outcome": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doubling", "--path", "1,2"],
+        "/path: situation uses unknown outcome '2'",
+    ),
+    "situation_unknown_outcome": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "e_w1", "--situation", "2"],
+        "/situation: situation '2' uses unknown outcome '2'",
+    ),
+    "situation_past_the_horizon": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "e_w1", "--situation", "0101"],
+        "/situation: situation of depth 4 outside horizon 3",
+    ),
+    "ergodic_situation_unknown_outcome": (
+        lambda tmp, coin: ["law", coin, "ergodic", "--event", "w1=1", "--situation", "7"],
+        "/situation: situation '7' uses unknown outcome '7'",
+    ),
+    "payoff_coordinate_zero": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "e_w0"],
+        "/payoff: need 1 <= start <= end, got [0, 0]",
+    ),
+    "event_coordinate_zero": (
+        lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "w0=1"],
+        "/event: need 1 <= start <= end, got [0, 0]",
     ),
 }
 

@@ -79,9 +79,7 @@ def test_capped_doubling_run_closed_form():
 
 def test_sup_game_prices_at_leaf_max():
     game = sup_game(horizon=3)
-    xi = Payoff.from_rule(
-        lambda s: ext(sum(1 for x in s if x == "1")), 3
-    )
+    xi = Payoff(3, lambda s: ext(sum(1 for x in s if x == "1")))
     assert upper_expectation(game, xi) == leaf_extreme(game, xi, EMPTY, max) == ext(3)
     assert lower_expectation(game, xi) == leaf_extreme(game, xi, EMPTY, min) == ZERO
 
@@ -211,6 +209,14 @@ def test_sup_game_gap_at_root():
     assert report.gaps == [(EMPTY, ONE, ZERO)]
 
 
+def test_determinacy_depth_is_held_to_the_payoff_depth():
+    game = sup_game(horizon=2)
+    xi = indicator(EventWindow.coordinate_is(2, "1"))
+    report = determinacy_check(game, xi, 7)
+    assert report.depth == 2
+    assert report.gaps == determinacy_check(game, xi, 2).gaps == [(s, ONE, ZERO) for s in [EMPTY, ("0",), ("1",)]]
+
+
 def test_constant_payoff_determinate_everywhere():
     game = sup_game(horizon=2)
     report = determinacy_check(game, Payoff.constant(3, 2), 2)
@@ -267,9 +273,9 @@ def test_conditional_upper_is_an_outer_content_in_the_payoff():
             f, g = sample_payoffs(depth)
             uf = upper_expectation(game, f, s)
             ug = upper_expectation(game, g, s)
-            both = Payoff.from_rule(lambda leaf: f.value(leaf) + g.value(leaf), depth)
+            both = Payoff(depth, lambda leaf: f.value(leaf) + g.value(leaf))
             assert upper_expectation(game, both, s) <= uf + ug
-            scaled = Payoff.from_rule(lambda leaf: scale(Fraction(3, 2), f.value(leaf)), depth)
+            scaled = Payoff(depth, lambda leaf: scale(Fraction(3, 2), f.value(leaf)))
             assert upper_expectation(game, scaled, s) == scale(Fraction(3, 2), uf)
             const = Payoff.constant("5/4", depth)
             assert upper_expectation(game, const, s) == ext("5/4")
@@ -356,7 +362,7 @@ def test_monotone_in_the_payoff():
     depth = 2
     for game in games(depth):
         lo = Payoff.from_table({l: Fraction(i % 2) for i, l in enumerate(BIN.tuples(depth))}, depth)
-        hi = Payoff.from_rule(lambda l: lo.value(l) + ONE, depth)
+        hi = Payoff(depth, lambda l: lo.value(l) + ONE)
         for s in [EMPTY, ("0",)]:
             assert upper_expectation(game, lo, s) <= upper_expectation(game, hi, s)
 
@@ -422,7 +428,8 @@ def kernel_cases(draw):
             values = [leaves[s + (x,)] for x in outcomes.labels]
             groups |= {tuple(values), tuple(-v for v in values)}
         gambles = [Gamble(outcomes, g) for g in sorted(groups, key=repr)]
-        contents[-1] = TableContent.from_rule(outcomes, gambles, measure().eval)
+        price = measure()
+        contents[-1] = TableContent(outcomes, [(g, price.eval(g)) for g in gambles])
     game = GameSpec(outcomes, contents, depth)
     situations = draw(st.lists(st.sampled_from(list(game.all_situations(depth))), min_size=1, max_size=4))
     return game, leaves, situations, draw(st.integers(0, depth))
@@ -668,8 +675,8 @@ def quotient_cases(draw):
         # meets, by a measure; the rest are gaps.
         n = draw(st.integers(1, horizon))
         price = measure()
-        gambles = [g for g in met_gambles(game, xi, n) if draw(st.booleans())]
-        contents[n - 1] = TableContent.from_rule(outcomes, [Gamble(outcomes, g) for g in gambles], price.eval)
+        gambles = [Gamble(outcomes, g) for g in met_gambles(game, xi, n) if draw(st.booleans())]
+        contents[n - 1] = TableContent(outcomes, [(g, price.eval(g)) for g in gambles])
         game = GameSpec(outcomes, contents, horizon)
     # Situations before, inside and past the window.
     situation = st.integers(0, min(horizon, xi.depth + 1)).flatmap(
@@ -691,7 +698,7 @@ def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
     # The third round's gamble (0, 1) is listed; the second round's
     # constant (1/2, 1/2) is not, and both sweeps stop there.
     half = Measure.uniform(BIN)
-    table = TableContent.from_rule(BIN, [Gamble(BIN, [ZERO, ONE])], half.eval)
+    table = TableContent(BIN, [(Gamble(BIN, [ZERO, ONE]), ext("1/2"))])
     game = GameSpec(BIN, [half, table, table], 3)
     xi = indicator(EventWindow.coordinate_is(3, "1"))
     expected = ("UnknownGambleError", "no table entry for gamble values ('1/2', '1/2')")

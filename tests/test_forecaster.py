@@ -17,6 +17,7 @@ from gtprob.functionals import (
     SupContent,
     TableContent,
     UnknownGambleError,
+    check_axioms,
     extend_bounded_below,
 )
 from gtprob.gametree import verify_supermartingale
@@ -29,7 +30,6 @@ from gtprob.forecaster import (
     delta_mixing_check,
     embed,
     lift_payoff,
-    lower_prob_phi,
     pair_label,
     restrict_to_clearing,
     split_label,
@@ -89,6 +89,14 @@ def rand_ext(rng):
     return ext(Fraction(rng.randrange(-8, 9), rng.choice([1, 2, 3, 4])))
 
 
+def test_an_embedded_round_claims_superexpectation_when_every_menu_functional_does():
+    table = TableContent(BIN, [(Gamble.of(BIN, [0, 0]), ZERO)])
+    for contents, level in (({"c": COIN, "s": SUP}, "superexpectation"), ({"c": COIN, "t": table}, "outer-content")):
+        content = embed(spec_with([tuple(contents)], contents)).content_at(1)
+        report = check_axioms(content, [Gamble.constant(content.outcomes, 0)])
+        assert (report.level_claimed, report.level_audited) == (level, level)
+
+
 def test_native_two_phase_equals_embedded_dynamic_program():
     rng = random.Random(7)
     for menus in [[("c",), ("c", "s")], [("c", "s")] * 3, [("s",), ("c",)]]:
@@ -117,7 +125,7 @@ def test_native_two_phase_equals_embedded_dynamic_program():
 def test_embedded_table_restricts_to_a_two_phase_supermartingale():
     spec = coin_sup_spec(2)
     game = embed(spec)
-    xi = Payoff.from_rule(lambda s: ONE if s[-1].endswith("1") else ZERO, 2)
+    xi = Payoff(2, lambda s: ONE if s[-1].endswith("1") else ZERO)
     table = upper_table(game, xi)
     assert verify_supermartingale(game, table).ok
     clearing = restrict_to_clearing(spec, table)
@@ -166,13 +174,12 @@ def test_upper_prob_under_point_mass_forecaster():
         assert upper_prob_phi(phi, EventWindow.coordinate_is(1, "1")) == expected
 
 
-def test_lower_prob_is_one_minus_upper_of_complement():
+def test_upper_probabilities_of_an_event_and_its_complement_sum_to_at_least_one():
     spec = coin_sup_spec(2)
-    phi = ForecastingSystem.constant(spec, "c")
     e = EventWindow(1, 2, accepts=[("1", "1"), ("1", "0")])
-    assert lower_prob_phi(phi, e) == ONE - upper_prob_phi(phi, e.complement())
-    sup_phi = ForecastingSystem.constant(spec, "s")
-    assert lower_prob_phi(sup_phi, e) == ONE - upper_prob_phi(sup_phi, e.complement())
+    for symbol, total in (("c", ONE), ("s", ext(2))):
+        phi = ForecastingSystem.constant(spec, symbol)
+        assert upper_prob_phi(phi, e) + upper_prob_phi(phi, e.complement()) == total
 
 
 def test_conditioning_on_a_prefix_lifts_through_the_interleaving():

@@ -78,7 +78,7 @@ def test_sup_and_envelope_pass_all_axioms():
 
 def test_min_functional_fails_subadditivity_with_witness():
     grid = default_grid(BIN)
-    inf_like = TableContent.from_rule(BIN, grid, lambda g: min(g.values))
+    inf_like = TableContent(BIN, [(g, min(g.values)) for g in grid])
     report = check_axioms(inf_like)
     sub = report.results["subadditive"]
     assert not sub.passed
@@ -109,9 +109,7 @@ def test_table_content_skips_unknown_gambles():
 
 def test_declared_level_is_a_claim_the_audit_can_downgrade():
     grid = default_grid(BIN)
-    bogus = TableContent.from_rule(
-        BIN, grid, lambda g: min(g.values), declared_level="superexpectation"
-    )
+    bogus = TableContent(BIN, [(g, min(g.values)) for g in grid], declared_level="superexpectation")
     report = check_axioms(bogus)
     assert report.level_claimed == "superexpectation"
     assert report.level_audited == "not-an-outer-content"

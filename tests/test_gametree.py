@@ -9,7 +9,6 @@ from gtprob.gametree import (
     BudgetViolation,
     Cut,
     GameSpec,
-    Relation,
     Strategy,
     Supermartingale,
     capital_process,
@@ -18,7 +17,6 @@ from gtprob.gametree import (
     in_cut_interval,
     is_prefix,
     parse_situation,
-    relation,
     shift_strategy,
     stop_when_covered,
     translate_strategy,
@@ -37,13 +35,6 @@ def sup_game(horizon=3):
 
 
 # -- situations and cuts ------------------------------------------------
-
-
-def test_relation_classification():
-    assert relation(("1", "0"), ("1", "0", "1")) == Relation.STRICT_PREFIX
-    assert relation(("0", "1"), ("1", "0")) == Relation.INCOMPARABLE
-    assert relation(("1",), ("1",)) == Relation.EQUAL
-    assert relation(("1", "0", "1"), ("1", "0")) == Relation.STRICT_EXTENSION
 
 
 def test_empty_situation_is_prefix_of_everything():
@@ -415,7 +406,7 @@ def verify_cases(draw):
             # A price list holding every gamble this round meets.
             groups = {tuple(table[s + (x,)] for x in outcomes.labels) for s in outcomes.tuples(d)}
             gambles = [Gamble(outcomes, g) for g in sorted(groups, key=repr)]
-            contents[d] = TableContent.from_rule(outcomes, gambles, contents[d].eval)
+            contents[d] = TableContent(outcomes, [(g, contents[d].eval(g)) for g in gambles])
     return GameSpec(outcomes, contents, depth), Supermartingale(table, depth)
 
 

@@ -259,7 +259,7 @@ def test_a_payoff_past_the_horizon_is_refused_before_its_rule_runs():
         raise AssertionError("the payoff rule ran")
 
     game = coin_game(3)
-    xi = Payoff.from_rule(rule, 5)
+    xi = Payoff(5, rule)
     refusals = [
         lambda: determinacy_check(game, xi, 2),
         lambda: levy_strategy(game, xi, Fraction(1, 2), Fraction(3, 4)),
@@ -293,6 +293,13 @@ def test_scripted_round_trip_against_the_dynamic_program():
     # Off-path conditionals also agree with the dynamic program.
     for s in list(BIN.tuples(1)) + list(BIN.tuples(2)):
         assert scripted.cond(s) == upper_probability(scripted.game, scripted.event, s)
+
+
+def test_scripted_conditionals_past_the_horizon_are_those_at_the_horizon():
+    scripted = scripted_conditional_game([Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)])
+    for s in BIN.tuples(3):
+        for x in BIN.labels:
+            assert scripted.cond(s + (x, x)) == scripted.cond(s)
 
 
 def test_scripted_infeasible_prescription_raises():
@@ -360,5 +367,5 @@ def test_classify_coin_point_interval_is_undetermined():
 
 
 def test_classify_refuses_an_event_past_the_horizon():
-    with pytest.raises(ValueError, match="^horizon 3 must cover the event window end 4 and stay within the game horizon 3$"):
+    with pytest.raises(ValueError, match="^event window ends beyond the game horizon$"):
         zero_one_classify(coin_game(3), EventWindow.coordinate_is(4, "1"))

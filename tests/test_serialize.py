@@ -3,64 +3,61 @@ import json
 import pytest
 
 from gtprob.extreal import INF, ext
-from gtprob.functionals import Envelope, Gamble, Measure, OutcomeSet, SupContent, TableContent, extend_bounded_below
+from gtprob.functionals import Envelope, Gamble, Measure, OutcomeSet, SupContent, TableContent
 from gtprob.gametree import GameSpec, Supermartingale
 from gtprob.expectation import EventWindow
 from gtprob.serialize import (
     SchemaError,
     content_from_json,
-    content_to_json,
     forecasting_system_from_json,
     game_from_json,
-    game_to_json,
     payoff_from_json,
     protocol2_from_json,
     supermartingale_from_csv,
     supermartingale_to_csv,
     window_from_json,
-    window_to_json,
 )
 
 BIN = OutcomeSet(["0", "1"])
 
 
-def test_content_round_trips():
-    contents = [
-        Measure(BIN, {"0": "1/2", "1": "1/2"}),
-        Measure(BIN, {"0": "1/3", "1": "2/3"}),
-        SupContent(BIN),
-        Envelope(BIN, [{"0": "3/4", "1": "1/4"}, {"0": "0", "1": "1"}]),
-        TableContent(BIN, [(Gamble.of(BIN, [0, 1]), ext("1/2")), (Gamble.of(BIN, [1, INF]), INF)]),
+def test_content_decodes_literal_json():
+    cases = [
+        ('{"type": "measure", "probs": {"0": "1/3", "1": "2/3"}}', Measure(BIN, {"0": "1/3", "1": "2/3"})),
+        ('{"type": "sup"}', SupContent(BIN)),
+        (
+            '{"type": "envelope", "measures": [{"0": "3/4", "1": "1/4"}, {"0": "0", "1": "1"}]}',
+            Envelope(BIN, [{"0": "3/4", "1": "1/4"}, {"0": "0", "1": "1"}]),
+        ),
+        (
+            '{"type": "table", "declared_level": "superexpectation", "entries": ['
+            '{"gamble": {"0": "0", "1": "1"}, "value": "1/2"}, {"gamble": {"1": "inf", "0": "1"}, "value": "inf"}]}',
+            TableContent(BIN, [(Gamble.of(BIN, [0, 1]), ext("1/2")), (Gamble.of(BIN, [1, INF]), INF)], "superexpectation"),
+        ),
     ]
-    for c in contents:
-        blob = json.dumps(content_to_json(c), sort_keys=True)
-        back = content_from_json(json.loads(blob), BIN)
-        for g in [Gamble.of(BIN, [0, 1]), Gamble.of(BIN, [1, INF])]:
-            try:
-                expected = c.eval(g)
-            except KeyError:
-                continue
-            assert back.eval(g) == expected
+    for text, built in cases:
+        decoded = content_from_json(json.loads(text), BIN)
+        assert decoded == built
+        assert decoded.declared_level == built.declared_level
 
 
-def test_game_round_trip_shared_and_per_round():
-    shared = GameSpec(BIN, Measure.uniform(BIN), 3)
-    back = game_from_json(game_to_json(shared))
-    assert back.horizon == 3 and back.depth_independent
-    per_round = GameSpec(
-        BIN, [Measure.uniform(BIN), SupContent(BIN), Measure.uniform(BIN)], 3
-    )
-    back = game_from_json(game_to_json(per_round))
-    assert not back.depth_independent
-    assert isinstance(back.content_at(2), SupContent)
+def test_game_decodes_a_shared_and_a_per_round_content():
+    shared = game_from_json(json.loads('{"outcomes": ["0", "1"], "horizon": 3, "content": {"type": "sup"}}'))
+    assert shared.horizon == 3 and shared.depth_independent
+    assert shared.contents == (SupContent(BIN),) * 3
+    per_round = game_from_json(json.loads(
+        '{"outcomes": ["0", "1"], "horizon": 3, "contents": ['
+        '{"type": "measure", "probs": {"0": "1/2", "1": "1/2"}}, {"type": "sup"}, {"type": "sup"}]}'
+    ))
+    assert per_round.horizon == 3 and not per_round.depth_independent
+    assert [type(per_round.content_at(n)) for n in (1, 2, 3)] == [Measure, SupContent, SupContent]
 
 
-def test_window_round_trip():
-    w = EventWindow(2, 3, predicate=lambda t: t[0] == t[1])
-    blob = window_to_json(w, BIN)
-    back = window_from_json(blob, BIN)
-    assert back.accepts(BIN) == w.accepts(BIN)
-    assert back.start == 2 and back.end == 3
+def test_window_decodes_its_bounds_and_accept_list():
+    w = window_from_json(json.loads('{"start": 2, "end": 3, "accepts": [["0", "0"], ["1", "1"]]}'), BIN)
+    built = EventWindow(2, 3, predicate=lambda t: t[0] == t[1])
+    assert (w.start, w.end) == (built.start, built.end) == (2, 3)
+    assert w.accepts(BIN) == built.accepts(BIN)
 
 
 def test_payoff_parsing_kinds():
@@ -204,8 +201,6 @@ def _system(obj):
     "read, message",
     [
         (lambda: game_from_json({"outcomes": [], "horizon": 1, "content": SUP}), "/outcomes: need a non-empty outcome list"),
-        (lambda: content_to_json(extend_bounded_below(BIN, Measure.uniform(BIN))),
-         "/: cannot serialize functional of type ExtendedContent"),
         (lambda: content_from_json({"type": "measure", "probs": ["1"]}, BIN),
          "/content/probs: probabilities must be an object of label -> rational"),
         (lambda: content_from_json({"type": "measure", "probs": {"2": "1"}}, BIN), "/content/probs: unknown outcome '2'"),

@@ -236,9 +236,7 @@ def test_levy_table_matches_path_trace():
     # a signed payoff (shifted by -7) settled one round before the horizon.
     tri = OutcomeSet(["lo", "mid", "hi"])
     tri_game = GameSpec(tri, Measure(tri, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]), 4)
-    signed = Payoff.from_rule(
-        lambda s: ext(Fraction(3 * s.count("hi") - 2 * s.count("lo"), 1 + s.count("mid"))), 3
-    )
+    signed = Payoff(3, lambda s: ext(Fraction(3 * s.count("hi") - 2 * s.count("lo"), 1 + s.count("mid"))))
     cases = [
         (coin_game(4), indicator(EventWindow(2, 4, predicate=lambda w: w.count("1") >= 2)), "3/5", "9/10"),
         (tri_game, signed, "11/2", "13/2"),
@@ -647,7 +645,7 @@ def test_constructions_with_huge_numerators_beside_infinities():
             return ZERO
         return ext(HUGE) if s[2] == "0" else ONE
 
-    xi = Payoff.from_rule(leaf, 3)
+    xi = Payoff(3, leaf)
     a, b = Fraction(1, 2), Fraction(3, 4)
     for slack in ("none", "dyadic"):
         res = levy_strategy(game, xi, a, b, slack=slack)

@@ -64,15 +64,22 @@ MUTANTS = [
     Mutant(
         "constant-rounds-skipped",
         "expectation.py",
-        "nums, den = game.content_at(d).price_level(k, nums * k, den)",
-        "nums, den = nums, den",
+        "        if d < bottom:\n",
+        "        if d < bottom and len(nums) > 1:\n",
         EXPECTATION,
     ),
     Mutant(
         "constant-rounds-priced-one-round-late",
         "expectation.py",
-        "nums, den = game.content_at(d).price_level(k, nums * k, den)",
-        "nums, den = game.content_at(d + 1).price_level(k, nums * k, den)",
+        "game.content_at(d + 1).price_level(k, nums if",
+        "game.content_at(d + 1 + (len(nums) == 1)).price_level(k, nums if",
+        EXPECTATION,
+    ),
+    Mutant(
+        "constant-gamble-padded-with-zeros",
+        "expectation.py",
+        "nums if len(nums) > 1 else nums * k",
+        "nums if len(nums) > 1 else nums + [0] * (k - 1)",
         EXPECTATION,
     ),
     Mutant(
@@ -85,18 +92,33 @@ MUTANTS = [
     Mutant(
         "padded-into-the-window",
         "expectation.py",
-        "s += game.outcomes.labels[:1] * (xi.ignored - top)",
-        "s += game.outcomes.labels[:1] * (xi.ignored + 1 - top)",
+        "rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))",
+        "rep = s + game.outcomes.labels[:1] * (xi.ignored + 1 - len(s))",
         EXPECTATION,
     ),
     Mutant(
         "representative-on-last-label",
         "expectation.py",
-        "s += game.outcomes.labels[:1] * (xi.ignored - top)",
-        "s += game.outcomes.labels[-1:] * (xi.ignored - top)",
+        "rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))",
+        "rep = s + game.outcomes.labels[-1:] * (xi.ignored - len(s))",
         EXPECTATION,
         equivalent="every situation at the representative's depth below s roots the same "
         "subtree, so any one of them stands for all, errors included",
+    ),
+    # -- the scripted fixture and classification ------------------------------
+    Mutant(
+        "scripted-resolution-flipped",
+        "laws.py",
+        "state = s[m - 1] == in_branch",
+        "state = s[m - 1] != in_branch",
+        ("test_laws.py",),
+    ),
+    Mutant(
+        "classify-horizon-unchecked",
+        "laws.py",
+        "    event.require_within(game.horizon)\n",
+        "",
+        ("test_laws.py",),
     ),
     # -- the two survivors of the first mutation run, and its slow kill -------
     Mutant(
