@@ -15,8 +15,6 @@ dense-table depth cap.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import json
 import os
 import sys
@@ -51,13 +49,14 @@ from gtprob.laws import (
     require_levy_path,
     zero_one_classify,
 )
-from gtprob.strategies import doob_upcrossing, levy_strategy
+from gtprob.strategies import doob_upcrossing, levy_strategy, require_band
 from gtprob.serialize import (
     SchemaError,
     _at,
     _extreal,
     _fraction,
     _integer,
+    csv_text,
     forecasting_system_from_json,
     load_spec,
     payoff_from_json,
@@ -74,21 +73,25 @@ def _fail(msg: str) -> int:
 
 def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
     """A payoff file, or a shorthand: e_w<k> (indicator of coordinate k
-    being "1"), leading_ones:<cap>, const:<value>."""
+    being "1"), leading_ones:<cap>, const:<value>, settled by the horizon."""
     if os.path.exists(raw):
-        return payoff_from_json(read_file(raw, "/payoff"), game)
-    if raw.startswith("e_w"):
+        xi = payoff_from_json(read_file(raw, "/payoff"), game)
+    elif raw.startswith("e_w"):
         k = _integer(raw[3:], "/payoff")
         if "1" not in game.outcomes:
             raise SchemaError("/payoff", "e_w shorthand needs an outcome labeled '1'")
         with _at("/payoff"):
-            return indicator(EventWindow.coordinate_is(k, "1"))
-    if raw.startswith("leading_ones:"):
+            xi = indicator(EventWindow.coordinate_is(k, "1"))
+    elif raw.startswith("leading_ones:"):
         with _at("/payoff"):
-            return Payoff.leading_ones_capped(_fraction(raw.split(":", 1)[1], "/payoff"), game.horizon)
-    if raw.startswith("const:"):
-        return Payoff.constant(_extreal(raw.split(":", 1)[1], "/payoff"), game.horizon)
-    raise SchemaError("/payoff", f"no such file and not a recognized shorthand: {raw!r}")
+            xi = Payoff.leading_ones_capped(_fraction(raw.split(":", 1)[1], "/payoff"), game.horizon)
+    elif raw.startswith("const:"):
+        xi = Payoff.constant(_extreal(raw.split(":", 1)[1], "/payoff"), game.horizon)
+    else:
+        raise SchemaError("/payoff", f"no such file and not a recognized shorthand: {raw!r}")
+    with _at("/payoff"):
+        xi.require_within(game.horizon)
+    return xi
 
 
 def _parse_event(raw: str, game: GameSpec) -> EventWindow:
@@ -125,13 +128,23 @@ def _parse_path(raw: str, game: GameSpec, where: str) -> tuple[str, ...]:
 
 
 def _strategy_numbers(name: str, usage: str) -> tuple[Fraction, Fraction, list[str]]:
-    """The rationals ``a,b`` of a construction named ``kind:a,b[,more]``,
-    and the parts after them, as many as ``usage`` allows."""
+    """The band ``a,b`` of a construction named ``kind:a,b[,slack]``, and
+    the parts after it, as many as ``usage`` allows."""
     parts = name.split(":", 1)[1].split(",")
     if not 2 <= len(parts) <= usage.count(",") + 1:
         raise SchemaError("/strategy", f"expected {usage}, got {name!r}")
     a, b = (_fraction(t, "/strategy") for t in parts[:2])
+    with _at("/strategy"):
+        require_band(a, b, *parts[2:])
     return a, b, parts[2:]
+
+
+def _read_table(path: str, game: GameSpec, where: str) -> Supermartingale:
+    """The capital table CSV at flag ``where``, no deeper than the horizon."""
+    sm = supermartingale_from_csv(read_file(path, where, str), game.outcomes)
+    with _at(where):
+        sm.require_within(game.horizon)
+    return sm
 
 
 def _default_base(game: GameSpec) -> Supermartingale:
@@ -155,12 +168,16 @@ def _default_base(game: GameSpec) -> Supermartingale:
     return Supermartingale.constant(game, 1)
 
 
-def _write_csv(path: str | None, header: list[str], rows: list) -> None:
-    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout."""
-    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_file(path: str | None, where: str, text: str) -> None:
+    """Write ``text`` to the file given by flag ``where``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(where, f"cannot write {path}: {exc}") from exc
 
 
 # -- subcommands ----------------------------------------------------------
@@ -209,10 +226,7 @@ def cmd_simulate(args, game: GameSpec) -> int:
         capitals = capital_process(game, strat, path)
     elif name.startswith("doob:"):
         a, b, _ = _strategy_numbers(name, "doob:a,b")
-        if args.base:
-            base = supermartingale_from_csv(read_file(args.base, "/base", str), game.outcomes)
-        else:
-            base = _default_base(game)
+        base = _read_table(args.base, game, "/base") if args.base else _default_base(game)
         res = doob_upcrossing(game, base, a, b)
         words = ("upcross", "drop")
     elif name.startswith("levy:"):
@@ -248,22 +262,17 @@ def cmd_simulate(args, game: GameSpec) -> int:
         if res is None:
             raise SchemaError("/strategy", "--table and --cuts apply to the doob/levy constructions only")
         if args.table:
-            with open(args.table, "w") as fh:
-                fh.write(supermartingale_to_csv(res.table, game.outcomes))
+            _write_file(args.table, "/table", supermartingale_to_csv(res.table, game.outcomes))
         if args.cuts:
             cuts = res.trace.to_json(lambda s: format_situation(s, game.outcomes))
-            with open(args.cuts, "w") as fh:
-                fh.write(json.dumps(cuts, sort_keys=True, indent=2) + "\n")
+            _write_file(args.cuts, "/cuts", json.dumps(cuts, sort_keys=True, indent=2) + "\n")
 
-    _write_csv(args.trace, ["n", "situation", "capital", "conditional_upper", "note"], rows)
+    _write_file(args.trace, "/trace", csv_text(["n", "situation", "capital", "conditional_upper", "note"], rows))
     return 0
 
 
 def cmd_verify(args, game: GameSpec) -> int:
-    sm = supermartingale_from_csv(read_file(args.supermartingale, "/supermartingale", str), game.outcomes)
-    with _at("/supermartingale"):
-        sm.require_within(game.horizon)
-    res = verify_supermartingale(game, sm)
+    res = verify_supermartingale(game, _read_table(args.supermartingale, game, "/supermartingale"))
     if res.ok:
         kind = "martingale" if res.martingale else "supermartingale"
         print(f"ok: {kind} up to depth {res.checked_depth}")
@@ -281,7 +290,7 @@ def cmd_law_levy(args, game: GameSpec) -> int:
     report = levy_experiment(game, xi, paths)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     if args.trace:
-        _write_csv(args.trace, ["n", "situation", "value"], report.trace_rows())
+        _write_file(args.trace, "/trace", csv_text(["n", "situation", "value"], report.trace_rows()))
     return 0 if report.all_terminal_ok else 1
 
 

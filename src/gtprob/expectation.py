@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, _PInf, _numerators, _over, _read_out, ext
 from gtprob.functionals import OutcomeSet
-from gtprob.gametree import EMPTY, GameSpec, Situation, Supermartingale
+from gtprob.gametree import EMPTY, GameSpec, Situation, Supermartingale, format_situation
 
 __all__ = [
     "Payoff",
@@ -73,18 +73,18 @@ class Payoff:
 
     Backed by either an explicit leaf table or a rule; rule-backed payoffs
     can live beyond the dense cap, table materialization is guarded.
-    ``event`` is the window an :func:`indicator` payoff indicates, None
-    for every other payoff.
+    ``event`` is the window an :func:`indicator` payoff indicates, and
+    only :func:`indicator` sets it; it is None for every other payoff.
     """
 
     __slots__ = ("depth", "_fn", "event")
 
-    def __init__(self, depth: int, fn: Callable[[Situation], ExtReal], event: EventWindow | None = None):
+    def __init__(self, depth: int, fn: Callable[[Situation], ExtReal]):
         if depth < 0:
             raise ValueError("payoff depth must be nonnegative")
         self.depth = depth
         self._fn = fn
-        self.event = event
+        self.event: EventWindow | None = None
 
     @property
     def ignored(self) -> int:
@@ -150,10 +150,13 @@ class Payoff:
         d = ext(c)
         return Payoff(self.depth, lambda s: self._fn(s) + d)
 
+    def require_within(self, horizon: int) -> None:
+        if self.depth > horizon:
+            raise ValueError("payoff settles beyond the game horizon")
+
     def _span(self, game: GameSpec, s: Situation) -> int:
         """The depth of the leaves below ``s``, once the horizon and the cap hold."""
-        if self.depth > game.horizon:
-            raise ValueError("payoff settles beyond the game horizon")
+        self.require_within(game.horizon)
         span = self.depth - len(s)
         config.require_dense(span, what="payoff tabulation")
         return span
@@ -170,12 +173,12 @@ class Payoff:
 class EventWindow:
     """An event depending only on coordinates ``start..end`` (1-indexed).
 
-    Membership is decided by an explicit accept set of coordinate tuples or
-    by a predicate; predicate-backed windows can be arbitrarily long,
-    materialization is guarded.
+    Membership is decided by one test: an explicit accept set's
+    ``__contains__`` or a predicate; predicate-backed windows can be
+    arbitrarily long, materialization is guarded.
     """
 
-    __slots__ = ("start", "end", "_accepts", "_pred", "label")
+    __slots__ = ("start", "end", "_member", "label")
 
     def __init__(
         self,
@@ -191,8 +194,7 @@ class EventWindow:
             raise ValueError("give exactly one of accepts or predicate")
         self.start = start
         self.end = end
-        self._accepts = None if accepts is None else frozenset(tuple(t) for t in accepts)
-        self._pred = predicate
+        self._member = frozenset(tuple(t) for t in accepts).__contains__ if predicate is None else predicate
         self.label = label
 
     @property
@@ -206,9 +208,7 @@ class EventWindow:
     def member_window(self, window: tuple[str, ...]) -> bool:
         if len(window) != self.width:
             raise ValueError(f"window tuple must have length {self.width}")
-        if self._accepts is not None:
-            return window in self._accepts
-        return bool(self._pred(window))
+        return bool(self._member(window))
 
     def member(self, outcomes_prefix: Situation) -> bool:
         """Membership from a prefix of play covering the window."""
@@ -217,17 +217,17 @@ class EventWindow:
         return self.member_window(tuple(outcomes_prefix[self.start - 1 : self.end]))
 
     def accepts(self, outcomes: OutcomeSet) -> frozenset:
-        if self._accepts is not None:
-            return self._accepts
+        given = getattr(self._member, "__self__", None)
+        if isinstance(given, frozenset):
+            return given
         config.require_dense(self.width, what="event materialization")
-        return frozenset(t for t in outcomes.tuples(self.width) if self._pred(t))
+        return frozenset(t for t in outcomes.tuples(self.width) if self._member(t))
 
     def complement(self) -> "EventWindow":
         # Always a predicate window, so an accept set's complement stays
         # outcome-set agnostic and is materialized lazily.
-        member = self._pred if self._accepts is None else self._accepts.__contains__
         return EventWindow(
-            self.start, self.end, predicate=lambda w: not member(w),
+            self.start, self.end, predicate=lambda w: not self._member(w),
             label=f"not({self.label})" if self.label else "",
         )
 
@@ -264,12 +264,10 @@ class EventWindow:
 
 
 def indicator(event: EventWindow) -> Payoff:
-    """The 0/1 payoff of an event, settled at the window's end."""
-
-    def fn(s: Situation) -> ExtReal:
-        return ONE if event.member(s) else ZERO
-
-    return Payoff(event.end, fn, event)
+    """The 0/1 payoff of an event, settled at its window's end; it carries the event."""
+    xi = Payoff(event.end, lambda s: ONE if event.member(s) else ZERO)
+    xi.event = event
+    return xi
 
 
 # -- backward induction -------------------------------------------------
@@ -294,7 +292,7 @@ def _sweep(
     kept = []
     for d in range(bottom, top - 1, -1):
         if d < bottom:
-            nums, den = game.content_at(d + 1).price_level(k, nums if len(nums) > 1 else nums * k, den)
+            nums, den = game.content_at(d + 1).price_level(nums if len(nums) > 1 else nums * k, den)
         if d <= keep:
             kept.append(leaves if d == bottom and not negate else _read_out(nums, den))
     kept.reverse()
@@ -356,7 +354,8 @@ def lower_probability(game: GameSpec, event: EventWindow, s: Situation = EMPTY) 
     dual = ONE - upper_probability(game, event.complement(), s)
     if low != dual:
         raise AssertionError(
-            f"complement identity violated at {s!r}: lower={low}, 1-upper(complement)={dual}"
+            f"complement identity violated at {format_situation(s, game.outcomes) or '□'}: "
+            f"lower={low}, 1-upper(complement)={dual}"
         )
     return low
 
@@ -392,9 +391,8 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     nums, den = _numerators(leaves)
     t = sorted({0} | {n for n in nums if n > 0})
     levels = [[n if n > tj else 0 for n in nums] for tj in t]
-    k = len(game.outcomes)
     for d in range(span - 1, -1, -1):
-        priced = [game.content_at(d + 1).price_level(k, level, den) for level in levels]
+        priced = [game.content_at(d + 1).price_level(level, den) for level in levels]
         g, den = _over(priced + [(t, den)])
         t = g.pop()
         above, w = _PInf, repeat(_PInf)

@@ -28,14 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
 __all__ = ["ExtReal", "ext", "scale", "INF", "NEG_INF", "ZERO", "ONE"]
 
 _PInf = float("inf")
 _NInf = float("-inf")
-
-ExtRealLike = Union["ExtReal", Fraction, int, str]
 
 
 class ExtReal:
@@ -44,36 +41,8 @@ class ExtReal:
     __slots__ = ("_v",)
 
     def __init__(self, value: Fraction | float):
-        # Internal: use ExtReal.of / ext() to construct from user input.
+        # Internal: use ext() to construct from user input.
         self._v = value
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def of(cls, x: ExtRealLike) -> "ExtReal":
-        """Coerce an int, Fraction, or serialized string to an ExtReal."""
-        if isinstance(x, ExtReal):
-            return x
-        if isinstance(x, bool):
-            raise TypeError("bool is not a valid extended real")
-        if isinstance(x, (int, Fraction)):
-            return cls(Fraction(x))
-        if isinstance(x, str):
-            s = x.strip()
-            if s == "inf":
-                return INF
-            if s == "-inf":
-                return NEG_INF
-            return cls(Fraction(s))
-        if isinstance(x, float):
-            if x == _PInf:
-                return INF
-            if x == _NInf:
-                return NEG_INF
-            raise TypeError(
-                "finite floats are rejected to keep arithmetic exact; pass a Fraction or string"
-            )
-        raise TypeError(f"cannot interpret {x!r} as an extended real")
 
     # -- predicates and access ----------------------------------------
 
@@ -166,9 +135,30 @@ class ExtReal:
         return f"ExtReal({str(self)!r})"
 
 
-def ext(x: ExtRealLike) -> ExtReal:
-    """Shorthand for :meth:`ExtReal.of`."""
-    return ExtReal.of(x)
+def ext(x: ExtReal | Fraction | int | str) -> ExtReal:
+    """Coerce an int, Fraction, or serialized string to an ExtReal."""
+    if isinstance(x, ExtReal):
+        return x
+    if isinstance(x, bool):
+        raise TypeError("bool is not a valid extended real")
+    if isinstance(x, (int, Fraction)):
+        return ExtReal(Fraction(x))
+    if isinstance(x, str):
+        s = x.strip()
+        if s == "inf":
+            return INF
+        if s == "-inf":
+            return NEG_INF
+        return ExtReal(Fraction(s))
+    if isinstance(x, float):
+        if x == _PInf:
+            return INF
+        if x == _NInf:
+            return NEG_INF
+        raise TypeError(
+            "finite floats are rejected to keep arithmetic exact; pass a Fraction or string"
+        )
+    raise TypeError(f"cannot interpret {x!r} as an extended real")
 
 
 def scale(c: Fraction | int, a: ExtReal) -> ExtReal:

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, _over, _read_out, ext
 from gtprob.functionals import OutcomeSet, OuterContent
-from gtprob.gametree import GameSpec, Situation, Supermartingale
+from gtprob.gametree import GameSpec, Situation, Supermartingale, format_situation
 from gtprob.expectation import EventWindow, Payoff
 
 __all__ = [
@@ -71,15 +71,14 @@ def split_label(label: str) -> tuple[str, str]:
 
 
 class Protocol2Spec:
-    """Outcome set, per-round prediction menus, the symbol-to-functional
-    map, and a horizon."""
+    """Outcome set, per-round prediction menus and the symbol-to-functional
+    map; the horizon is the number of menus, one per round."""
 
     def __init__(
         self,
         outcomes: OutcomeSet,
         prediction_menus: Sequence[Sequence[str]],
         contents: Mapping[str, OuterContent],
-        horizon: int | None = None,
     ):
         for m in prediction_menus:
             if isinstance(m, str):
@@ -87,9 +86,6 @@ class Protocol2Spec:
         menus = tuple(tuple(m) for m in prediction_menus)
         if not menus or any(not m for m in menus):
             raise ValueError("every round needs a non-empty prediction menu")
-        n = len(menus) if horizon is None else horizon
-        if n != len(menus):
-            raise ValueError("need one prediction menu per round 1..horizon")
         symbols = {p for menu in menus for p in menu}
         for p in symbols:
             if p not in contents:
@@ -103,11 +99,11 @@ class Protocol2Spec:
         self.outcomes = outcomes
         self.menus = menus
         self.contents = {p: contents[p] for p in sorted(symbols)}
-        self.horizon = n
+        self.horizon = len(menus)
 
     @property
     def all_predictions(self) -> tuple[str, ...]:
-        return tuple(sorted({p for menu in self.menus for p in menu}))
+        return tuple(self.contents)
 
     def menu_at(self, n: int) -> tuple[str, ...]:
         if not 1 <= n <= self.horizon:
@@ -115,9 +111,7 @@ class Protocol2Spec:
         return self.menus[n - 1]
 
     def __repr__(self) -> str:
-        return (
-            f"Protocol2Spec(|X|={len(self.outcomes)}, menus={[len(m) for m in self.menus]})"
-        )
+        return f"Protocol2Spec(|X|={len(self.outcomes)}, menus={[len(m) for m in self.menus]})"
 
 
 class EmbeddedContent(OuterContent):
@@ -294,7 +288,7 @@ def _phi_levels(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -
         priced = []
         for q in dict.fromkeys(spec.menu_at(d + 1)):
             children = [x if preds[j // k] == q else z for j, x in enumerate(nums)]
-            priced.append(spec.contents[q].price_level(k, children + extra, den))
+            priced.append(spec.contents[q].price_level(children + extra, den))
         levels, den = _over(priced)
         nums = levels[0] if len(levels) == 1 else list(map(max, *levels))
         if extra:
@@ -349,6 +343,7 @@ def verify_p2_supermartingale(
 
 @dataclass
 class MixingReport:
+    outcomes: OutcomeSet
     delta: Fraction
     rows: list[tuple[int, str, Situation, ExtReal, ExtReal]] = field(default_factory=list)
     worst_margin: ExtReal = ZERO
@@ -365,8 +360,9 @@ class MixingReport:
         head = (
             f"delta={self.delta}: {self.violations} violation(s) over {len(self.rows)} "
             f"checks; worst margin {self.worst_margin}"
-            + (f" at {self.worst_at}" if self.worst_at else "")
         )
+        if self.worst_at:
+            head += f" for {self.worst_at[1]} given {format_situation(self.worst_at[2], self.outcomes)}"
         dich = ", ".join(
             f"{label}: upper={v} {'ok' if ok else 'outside'}" for label, v, ok in self.dichotomy
         )
@@ -393,7 +389,7 @@ def delta_mixing_check(
     """
     delta = Fraction(delta)
     skip = {tuple(s) for s in exceptions}
-    report = MixingReport(delta=delta)
+    report = MixingReport(phi.spec.outcomes, delta)
     config.require_dense(max_prefix, what="mixing prefix enumeration")
     tables = [_phi_levels(phi, event, ()) for event in events]
     k = len(phi.spec.outcomes)

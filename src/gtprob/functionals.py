@@ -225,13 +225,13 @@ class OuterContent:
     def __init__(self, outcomes: OutcomeSet):
         self.outcomes = outcomes
 
-    def price_level(self, k: int, nums: list, den: int) -> tuple[list, int]:
+    def price_level(self, nums: list, den: int) -> tuple[list, int]:
         """One round of backward induction on a level of numerators over
-        ``den``; returns the parent level as ``(nums, den)``.  An integer
-        form runs on the numerators; otherwise the level is read out,
-        each node priced through ``eval_seq`` and the prices turned back
-        into numerators."""
-        form = self.form
+        ``den``, K = ``len(self.outcomes)`` children per node; returns the
+        parent level as ``(nums, den)``.  An integer form runs on the
+        numerators; otherwise the level is read out, each node priced
+        through ``eval_seq`` and the prices turned back into numerators."""
+        form, k = self.form, len(self.outcomes.labels)
         if form is None:
             vals = _read_out(nums, den)
             return _numerators([self.eval_seq(vals[i * k : (i + 1) * k]) for i in range(len(vals) // k)])
@@ -308,7 +308,7 @@ class Measure(OuterContent):
             return INF
         if saw_neg_inf:
             return NEG_INF
-        return ExtReal.of(acc)
+        return ExtReal(acc)
 
     def _key(self):
         return (self.outcomes, self.probs)

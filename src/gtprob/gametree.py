@@ -10,8 +10,8 @@ A supermartingale is a capital table ``S`` on situations with
 ``E_n(S(s .)) <= S(s)`` at every node, where ``E_n`` prices round
 ``n = |s| + 1`` and ``S(s .)`` is the gamble of children values.  Tables
 here are truncated at a finite depth with constant continuation beyond it
-(the do-nothing move keeps capital by normalization), and every report
-states the check only covers the truncated depths.
+(the do-nothing move keeps capital by normalization), and a check covers
+the truncated depths only, which its result records as its depth.
 
 Tables are dense: all ``K**N`` nodes are materialized, guarded by the caps
 in :mod:`gtprob.config`.  ``+inf`` entries are legal and propagate by the
@@ -51,11 +51,6 @@ __all__ = [
 
 Situation = tuple[str, ...]
 EMPTY: Situation = ()
-
-TRUNCATION_NOTE = (
-    "finite-horizon surrogate: the table is truncated and continues as a "
-    "constant beyond its depth; checks cover the truncated depths only"
-)
 
 
 def is_prefix(s: Situation, t: Situation) -> bool:
@@ -338,7 +333,6 @@ class VerifyResult:
     martingale: bool
     witness: tuple[Situation, ExtReal, ExtReal] | None
     checked_depth: int
-    note: str = TRUNCATION_NOTE
 
     def witness_str(self, outcomes: OutcomeSet) -> str:
         if self.witness is None:
@@ -346,13 +340,6 @@ class VerifyResult:
         s, lhs, rhs = self.witness
         name = format_situation(s, outcomes) or "□"
         return f"{name}: {lhs} > {rhs}"
-
-    def __str__(self) -> str:
-        if self.ok:
-            kind = "martingale" if self.martingale else "supermartingale"
-            return f"ok ({kind} up to depth {self.checked_depth}); {self.note}"
-        s, lhs, rhs = self.witness
-        return f"violated at {s!r}: price of children {lhs} > value {rhs}"
 
 
 def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
@@ -379,7 +366,7 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
         except KeyError:
             children = [sm.value(s) for s in game.outcomes.tuples(d + 1)]
         below = _numerators(children)
-        (lhs, rhs), _ = _over([content.price_level(k, *below), above])
+        (lhs, rhs), _ = _over([content.price_level(*below), above])
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if a > b:
                 s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d))

@@ -148,7 +148,6 @@ class InvarianceReport:
     start_depth: int
     values: dict[Situation, ExtReal]
     invariant: bool
-    witness_pair: tuple[Situation, Situation] | None
     witness_ok: bool | None
     note: str = f"{SURROGATE_NOTE}: invariance checked across one prefix level"
 
@@ -180,12 +179,9 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
     distinct = {str(v) for v in values.values()}
     invariant = len(distinct) == 1
 
-    witness_pair = None
     witness_ok = None
-    prefixes.sort()
     if len(prefixes) >= 2:
-        s, t = prefixes[0], prefixes[1]
-        witness_pair = (s, t)
+        s, t = sorted(prefixes)[:2]
         moved = translate_strategy(table, s, t)
         ok = verify_supermartingale(game, moved).ok
         ok = ok and moved.value(t) == values[s]
@@ -194,7 +190,7 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
             ok = ok and moved.value(leaf) == xi.value(s + rest)
             ok = ok and xi.value(s + rest) == xi.value(leaf)
         witness_ok = ok
-    return InvarianceReport(game.outcomes, n, values, invariant, witness_pair, witness_ok)
+    return InvarianceReport(game.outcomes, n, values, invariant, witness_ok)
 
 
 # -- shift bound for weakly invariant events --------------------------------
@@ -203,7 +199,6 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
 @dataclass
 class ShiftBoundReport:
     outcomes: OutcomeSet
-    situation: Situation
     condition_holds: bool
     counterexample: Situation | None
     conditional: ExtReal | None
@@ -245,7 +240,7 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
             counterexample = w
             break
     if counterexample is not None:
-        return ShiftBoundReport(game.outcomes, s, False, counterexample, None, None, None, None)
+        return ShiftBoundReport(game.outcomes, False, counterexample, None, None, None, None)
 
     table = upper_table(game, indicator(event))
     unconditional = table.value(EMPTY)
@@ -261,7 +256,7 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
         leaf = s + w
         covered = moved.value(leaf) >= (ONE if event.member(leaf) else ZERO)
         ok = ok and covered
-    return ShiftBoundReport(game.outcomes, s, True, None, conditional, unconditional, bound_holds, ok)
+    return ShiftBoundReport(game.outcomes, True, None, conditional, unconditional, bound_holds, ok)
 
 
 # -- scripted fixtures ---------------------------------------------------------
@@ -270,8 +265,8 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
 @dataclass
 class ScriptedGame:
     """A measure game whose conditional upper probability of ``event``
-    along ``path`` equals ``targets`` exactly at depths 0..N-1 and resolves
-    at depth N.
+    along ``path`` equals the prescribed targets exactly at depths 0..N-1
+    and resolves at depth N.
 
     ``cond`` computes the conditional at any situation in O(depth) without
     touching the tree, so fixtures may run far beyond the dense cap.
@@ -280,7 +275,6 @@ class ScriptedGame:
     game: GameSpec
     event: EventWindow
     path: Situation
-    targets: list[Fraction]
     cond: Callable[[Situation], ExtReal]
 
 
@@ -358,7 +352,7 @@ def scripted_conditional_game(targets: Sequence[Fraction | str | int]) -> Script
     game = GameSpec(outcomes, contents, n_steps)
     # A full window always resolves, so its conditional is 0 or 1.
     event = EventWindow(1, n_steps, predicate=lambda w: cond(w) == ONE, label="scripted")
-    return ScriptedGame(game, event, path, targets, cond)
+    return ScriptedGame(game, event, path, cond)
 
 
 # -- interval classification -----------------------------------------------

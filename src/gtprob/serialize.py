@@ -20,7 +20,8 @@ Formats:
 * capital table: CSV with header ``situation,value``, the empty string for
   the root situation;
 * forecaster protocol: ``{"outcomes": [...], "predictions": [[symbols],
-  ...], "contents": {symbol: functional}, "horizon": N}``;
+  ...], "contents": {symbol: functional}}``, one menu per round; an
+  optional ``"horizon"`` must equal the number of menus;
 * forecasting system: ``{"kind": "constant", "value": p}``, ``{"kind":
   "table", "rule": {situation: p}}``, ``{"kind": "last-outcome", "map":
   {outcome: p}, "initial": p}``.
@@ -34,7 +35,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from gtprob.extreal import ExtReal, ext
 from gtprob.functionals import (
@@ -56,6 +57,7 @@ __all__ = [
     "game_from_json",
     "window_from_json",
     "payoff_from_json",
+    "csv_text",
     "supermartingale_to_csv",
     "supermartingale_from_csv",
     "protocol2_from_json",
@@ -256,13 +258,19 @@ def payoff_from_json(obj: Any, game: GameSpec, where: str = "/payoff") -> Payoff
 # -- capital tables ---------------------------------------------------------------
 
 
-def supermartingale_to_csv(sm: Supermartingale, outcomes: OutcomeSet) -> str:
+def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
+    """``header`` and ``rows`` as CSV text, each line ending in ``\\n``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["situation", "value"])
-    join = outcomes.sep.join
-    writer.writerows([join(s), str(sm.table[s])] for s in sorted(sm.table, key=lambda u: (len(u), u)))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def supermartingale_to_csv(sm: Supermartingale, outcomes: OutcomeSet) -> str:
+    join = outcomes.sep.join
+    rows = ([join(s), str(sm.table[s])] for s in sorted(sm.table, key=lambda u: (len(u), u)))
+    return csv_text(["situation", "value"], rows)
 
 
 def supermartingale_from_csv(text: str, outcomes: OutcomeSet) -> Supermartingale:
@@ -319,9 +327,11 @@ def protocol2_from_json(obj: Any, where: str = "") -> Protocol2Spec:
         p: content_from_json(c, outcomes, f"{where}/contents/{p}")
         for p, c in raw_contents.items()
     }
-    horizon = obj.get("horizon", len(menus))
     with _at(where or "/"):
-        return Protocol2Spec(outcomes, menus, contents, horizon)
+        spec = Protocol2Spec(outcomes, menus, contents)
+    if obj.get("horizon") not in (None, spec.horizon):
+        raise SchemaError(where or "/", "need one prediction menu per round 1..horizon")
+    return spec
 
 
 def forecasting_system_from_json(

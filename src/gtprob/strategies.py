@@ -56,6 +56,7 @@ __all__ = [
     "enumerate_rationals",
     "enumerate_intervals",
     "CutTrace",
+    "require_band",
     "DoobResult",
     "doob_upcrossing",
     "LevyResult",
@@ -132,6 +133,14 @@ class CutTrace:
         }
 
 
+def require_band(a: Fraction, b: Fraction, slack: str = "none") -> None:
+    """The constructions' band ``0 <= a < b`` and the Lévy ride's slack mode."""
+    if not (0 <= a < b):
+        raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
+    if slack not in ("none", "dyadic"):
+        raise ValueError(f"slack must be 'none' or 'dyadic', got {slack!r}")
+
+
 def _cut_trace(sigma: dict[int, set[Situation]], tau: dict[int, set[Situation]]) -> CutTrace:
     cycles = max(list(sigma) + list(tau) + [0])
     return CutTrace(
@@ -146,8 +155,6 @@ class DoobResult:
     trace: CutTrace
     active: frozenset[Situation]
     base: Supermartingale
-    interval: tuple[Fraction, Fraction]
-    origin: Situation
 
 
 def doob_upcrossing(
@@ -169,8 +176,7 @@ def doob_upcrossing(
     ``a`` and ``b`` over one denominator.
     """
     a, b = Fraction(a), Fraction(b)
-    if not (0 <= a < b):
-        raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
+    require_band(a, b)
     origin = game.validate_situation(origin)
     if base.value(origin) != ONE:
         raise ValueError(f"base must be 1 at the origin, got {base.value(origin)}")
@@ -179,7 +185,7 @@ def doob_upcrossing(
             raise ValueError("base table must be nonnegative")
         res = verify_supermartingale(game, base)
         if not res.ok:
-            raise ValueError(f"base table fails verification: {res}")
+            raise ValueError(f"base table fails verification at {res.witness_str(game.outcomes)}")
 
     k, span = len(game.outcomes), base.depth - len(origin)
     sits = [origin + t for d in range(span + 1) for t in game.outcomes.tuples(d)]
@@ -217,9 +223,7 @@ def doob_upcrossing(
 
     table = dict.fromkeys(base.table, INF)
     table.update(zip(sits, _read_out(caps, den)))
-    return DoobResult(
-        Supermartingale(table, base.depth), _cut_trace(sigma, tau), frozenset(active), base, (a, b), origin
-    )
+    return DoobResult(Supermartingale(table, base.depth), _cut_trace(sigma, tau), frozenset(active), base)
 
 
 # -- multiplicative engine -------------------------------------------------
@@ -230,7 +234,6 @@ class LevyResult:
     table: Supermartingale
     trace: CutTrace
     shift: Fraction
-    slack: str
     halted: frozenset[Situation]
     # The conditional upper expectations of the shifted payoff it rode.
     cond_table: Supermartingale
@@ -269,10 +272,7 @@ class _LevyMachine:
     """
 
     def __init__(self, a: Fraction, b: Fraction, slack: str):
-        if not (0 <= a < b):
-            raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
-        if slack not in ("none", "dyadic"):
-            raise ValueError(f"slack must be 'none' or 'dyadic', got {slack!r}")
+        require_band(a, b, slack)
         self.a, self.b = a, b
         self.dyadic = slack == "dyadic"
         self.sigma: dict[int, set[Situation]] = {}
@@ -370,7 +370,6 @@ def levy_strategy(
         Supermartingale(dict(zip(sits, values)), game.horizon),
         _cut_trace(machine.sigma, machine.tau),
         shift,
-        slack,
         frozenset(machine.halted),
         Supermartingale(cond_table, depth),
     )
@@ -421,7 +420,6 @@ def levy_capital_trace(
 class MixtureResult:
     table: Supermartingale
     truncation_bound: ExtReal
-    parts: int
     note: str
 
 
@@ -516,4 +514,4 @@ def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
         f"series truncated at {len(tables)} parts; omitted tail starts below "
         f"{bound} (weight 2**-{len(tables)} times the omitted parts' start bound)"
     )
-    return MixtureResult(Supermartingale(combined, depth), bound, len(tables), note)
+    return MixtureResult(Supermartingale(combined, depth), bound, note)

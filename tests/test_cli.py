@@ -93,7 +93,7 @@ def test_verify_tells_one_unit_of_slack_from_a_martingale(tmp_path, capsys):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("situation,value\n,1\n0,0\n1,3\n", "base table fails verification: violated at (): price of children 3/2 > value 1"),
+        ("situation,value\n,1\n0,0\n1,3\n", "base table fails verification at □: 3/2 > 1"),
         ("situation,value\n,1\n0,-1\n1,3\n", "base table must be nonnegative"),
     ],
     ids=["not_a_supermartingale", "negative"],
@@ -396,7 +396,7 @@ def test_classify_prints_a_broken_complement_identity_and_exits_one(tmp_path, ca
     table = {"type": "table", "entries": [{"gamble": g, "value": v} for g, v in gambles]}
     spec = {"outcomes": ["0", "1"], "horizon": 4, "contents": [COIN_SPEC["content"]] * 3 + [table]}
     argv = ["law", write_json(tmp_path, "broken.json", spec), "classify", "--event", "w4=0"]
-    assert run(capsys, argv) == (1, "complement identity violated at (): lower=1/3, 1-upper(complement)=2/3\n", "")
+    assert run(capsys, argv) == (1, "complement identity violated at □: lower=1/3, 1-upper(complement)=2/3\n", "")
 
 
 def test_simulate_on_the_empty_path_traces_the_root_only(coin_file, capsys):
@@ -519,6 +519,8 @@ DEPTH_FOUR_TABLE = "situation,value\n" + "".join(
     "".join(s) + ",1\n" for d in range(5) for s in itertools.product("01", repeat=d)
 )
 TABLE_GAP_SPEC = {"outcomes": ["0", "1"], "horizon": 2, "content": {"type": "table", "entries": ["x"]}}
+# A path in a directory that does not exist, relative to the working directory.
+UNWRITABLE = os.path.join("no-such-directory", "out.csv")
 
 # Input errors that must exit 2 with a message: case -> (argv from tmp_path
 # and the coin spec's path, the message).
@@ -687,6 +689,50 @@ INPUT_ERRORS = {
         lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "w0=1"],
         "/event: need 1 <= start <= end, got [0, 0]",
     ),
+    "expect_payoff_past_the_horizon": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "e_w9"],
+        "/payoff: payoff settles beyond the game horizon",
+    ),
+    "simulate_payoff_past_the_horizon": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doubling", "--path", "0", "--payoff", "e_w9"],
+        "/payoff: payoff settles beyond the game horizon",
+    ),
+    "levy_payoff_past_the_horizon": (
+        lambda tmp, coin: ["law", coin, "levy", "--payoff", "e_w9"],
+        "/payoff: payoff settles beyond the game horizon",
+    ),
+    "base_deeper_than_the_horizon": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doob:1/2,2", "--path", "0", "--base", write_text(tmp, "t.csv", DEPTH_FOUR_TABLE)],
+        "/base: table is deeper than the game horizon",
+    ),
+    "doob_band_reversed": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doob:2,1", "--path", "0"],
+        "/strategy: need 0 <= a < b, got (2, 1)",
+    ),
+    "doob_band_below_zero": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doob:-1,1", "--path", "0"],
+        "/strategy: need 0 <= a < b, got (-1, 1)",
+    ),
+    "levy_band_reversed": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "levy:2,1", "--payoff", "e_w1", "--path", "0"],
+        "/strategy: need 0 <= a < b, got (2, 1)",
+    ),
+    "levy_unknown_slack": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "levy:1/2,1,weird", "--payoff", "e_w1", "--path", "0"],
+        "/strategy: slack must be 'none' or 'dyadic', got 'weird'",
+    ),
+    "table_unwritable": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doob:1/2,2", "--path", "0", "--table", UNWRITABLE],
+        f"/table: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'",
+    ),
+    "cuts_unwritable": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doob:1/2,2", "--path", "0", "--cuts", UNWRITABLE],
+        f"/cuts: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'",
+    ),
+    "trace_unwritable": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doubling", "--path", "0", "--trace", UNWRITABLE],
+        f"/trace: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'",
+    ),
 }
 
 
@@ -705,12 +751,18 @@ MIXING_NOTE = (
 )
 
 
+def test_law_levy_names_an_unwritable_trace_after_its_report(coin_file, capsys):
+    code, out, err = run(capsys, ["law", coin_file, "levy", "--payoff", "e_w1", "--paths", "1", "--trace", UNWRITABLE])
+    assert (code, json.loads(out)["paths"][0]["values"]) == (2, ["1/2", "1"])
+    assert err == f"error: /trace: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'\n"
+
+
 def test_law_mixing_reads_prefixes_past_a_window_end(tmp_path, capsys):
     events = [{"start": 1, "end": 1, "accepts": [["1"]]}, {"start": 3, "end": 3, "accepts": [["1"]]}]
     code, out, _ = run(capsys, mixing_argv(tmp_path, "--gap", "-3", "--max-prefix", "3", events=events))
     assert code == 1
     assert out == (
-        "delta=0: 11 violation(s) over 28 checks; worst margin 1/2 at (1, 'event0', ('1',))\n"
+        "delta=0: 11 violation(s) over 28 checks; worst margin 1/2 for event0 given 1\n"
         "dichotomy on supplied events: event0: upper=1/2 outside, event1: upper=1/2 outside\n"
         + MIXING_NOTE
     )
@@ -731,7 +783,7 @@ def test_law_mixing_with_a_table_system(tmp_path, capsys):
     code, out, _ = run(capsys, argv)
     assert code == 1
     assert out == (
-        "delta=1/10: 2 violation(s) over 8 checks; worst margin 11/108 at (2, 'event0', ('0', '1'))\n"
+        "delta=1/10: 2 violation(s) over 8 checks; worst margin 11/108 for event0 given 01\n"
         "dichotomy on supplied events: event0: upper=61/108 outside, event1: upper=61/108 outside\n"
         + MIXING_NOTE
     )

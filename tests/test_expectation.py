@@ -223,6 +223,15 @@ def test_constant_payoff_determinate_everywhere():
     assert report.determinate
 
 
+def test_determinacy_reports_print_their_gaps_or_the_truncation():
+    xi = indicator(EventWindow.coordinate_is(1, "1"))
+    assert str(determinacy_check(sup_game(horizon=1), xi, 1)) == "1 gap(s) up to depth 1:\n  (): upper=1, lower=0, gap=1"
+    assert str(determinacy_check(coin_game(horizon=1), xi, 1)) == (
+        "determinate at every situation up to depth 1; "
+        "finite-horizon surrogate: determinacy certified up to the stated depth only"
+    )
+
+
 # -- structural invariants ------------------------------------------------------
 
 
@@ -327,6 +336,16 @@ def test_indicator_payoffs_carry_their_event():
     assert (xi.ignored, Payoff.constant(1, 2).ignored, xi.negate().ignored, xi.shifted(1).ignored) == (1, 0, 0, 0)
     with pytest.raises(AttributeError):
         xi.ignored = 0
+
+
+def test_only_an_indicator_carries_an_event():
+    # A rule reading the first coordinate beside the event "w3 = 1" would
+    # be swept on that event's quotient and priced at 0; it is worth 1/2.
+    first = lambda s: ONE if s[0] == "1" else ZERO
+    with pytest.raises(TypeError):
+        Payoff(3, first, EventWindow.coordinate_is(3, "1"))
+    xi = Payoff(3, first)
+    assert (xi.event, xi.ignored, upper_expectation(coin_game(3), xi)) == (None, 0, ext("1/2"))
 
 
 def test_depth_zero_payoff_is_its_root_value():

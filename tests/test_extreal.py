@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, ext, scale
+from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ext, scale
 
 # Small exhaustive probe set covering every convention edge.
 PROBE = [NEG_INF, ext(-1), ZERO, ext("1/2"), ONE, ext(2), INF]
@@ -117,7 +117,7 @@ def test_rejects_finite_floats_and_bools():
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 extreals = st.one_of(
-    st.just(INF), st.just(NEG_INF), rationals.map(lambda q: ExtReal.of(q))
+    st.just(INF), st.just(NEG_INF), rationals.map(ext)
 )
 
 

@@ -45,8 +45,8 @@ POINT0 = Measure(BIN, {"0": 1, "1": 0})
 POINT1 = Measure(BIN, {"0": 0, "1": 1})
 
 
-def spec_with(menus, contents, horizon=None):
-    return Protocol2Spec(BIN, menus, contents, horizon)
+def spec_with(menus, contents):
+    return Protocol2Spec(BIN, menus, contents)
 
 
 def coin_sup_spec(horizon=2):
@@ -130,6 +130,12 @@ def test_embedded_table_restricts_to_a_two_phase_supermartingale():
     assert verify_supermartingale(game, table).ok
     clearing = restrict_to_clearing(spec, table)
     assert verify_p2_supermartingale(spec, clearing, 2)
+    # Any value below its children's price under some menu symbol fails,
+    # at the root and one round in.
+    for s in [(), (("s", "0"),)]:
+        short = dict(clearing)
+        short[s] = clearing[s] - ext("1/4")
+        assert not verify_p2_supermartingale(spec, short, 2)
 
 
 # -- forecasting systems -----------------------------------------------------
@@ -300,7 +306,7 @@ def embedded_mixing(phi, delta, gap, events, max_prefix, exceptions=()):
         (e.label or f"event{i}", v, v == ZERO or v >= ONE - ext(delta))
         for i, (e, v) in enumerate(zip(events, uncond))
     ]
-    return MixingReport(delta, rows, worst if worst is not None else ZERO, worst_at, violations, dichotomy)
+    return MixingReport(phi.spec.outcomes, delta, rows, worst if worst is not None else ZERO, worst_at, violations, dichotomy)
 
 
 def settle(fn):
@@ -356,7 +362,7 @@ def forecaster_cases(draw):
         tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=3)))
         for _ in range(horizon)
     ]
-    spec = Protocol2Spec(outcomes, menus, contents, horizon)
+    spec = Protocol2Spec(outcomes, menus, contents)
     rule = {h: draw(st.sampled_from(menus[len(h)])) for d in range(horizon) for h in outcomes.tuples(d)}
     # Now and then a history whose symbol is off the round's menu, or
     # which the table lacks.

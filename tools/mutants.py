@@ -71,8 +71,8 @@ MUTANTS = [
     Mutant(
         "constant-rounds-priced-one-round-late",
         "expectation.py",
-        "game.content_at(d + 1).price_level(k, nums if",
-        "game.content_at(d + 1 + (len(nums) == 1)).price_level(k, nums if",
+        "game.content_at(d + 1).price_level(nums if",
+        "game.content_at(d + 1 + (len(nums) == 1)).price_level(nums if",
         EXPECTATION,
     ),
     Mutant(
@@ -104,6 +104,108 @@ MUTANTS = [
         EXPECTATION,
         equivalent="every situation at the representative's depth below s roots the same "
         "subtree, so any one of them stands for all, errors included",
+    ),
+    # -- the single sources: a round's fan-out, event membership, the band ----
+    Mutant(
+        "price-level-fan-out-off-by-one",
+        "functionals.py",
+        "form, k = self.form, len(self.outcomes.labels)",
+        "form, k = self.form, len(self.outcomes.labels) + 1",
+        ("test_functionals.py", "test_expectation.py"),
+    ),
+    Mutant(
+        "event-membership-negated",
+        "expectation.py",
+        "return bool(self._member(window))",
+        "return not self._member(window)",
+        EXPECTATION,
+    ),
+    Mutant(
+        "band-admits-a-equal-b",
+        "strategies.py",
+        "if not (0 <= a < b):",
+        "if not (0 <= a <= b):",
+        ("test_strategies.py",),
+    ),
+    # -- the constructions ------------------------------------------------------
+    Mutant(
+        "doob-mirrors-the-negated-increment",
+        "strategies.py",
+        "x = v + bx - bs",
+        "x = v - bx + bs",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "doob-drop-at-the-bar",
+        "strategies.py",
+        "elif bx < an:",
+        "elif bx <= an:",
+        ("test_strategies.py", "test_cli.py"),
+    ),
+    Mutant(
+        "levy-pad-one-level-deeper",
+        "strategies.py",
+        "dn = self.den >> (len(sx) + 1) if self.dyadic else 0",
+        "dn = self.den >> (len(sx) + 2) if self.dyadic else 0",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "levy-exit-bar-unpadded",
+        "strategies.py",
+        'if mode == "riding" and cx > self.bn - dn:',
+        'if mode == "riding" and cx > self.bn:',
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "mixture-weights-equal",
+        "strategies.py",
+        "map(lshift, col, repeat(n - 1 - i))",
+        "map(lshift, col, repeat(0))",
+        ("test_strategies.py",),
+    ),
+    # -- the forecaster -----------------------------------------------------------
+    Mutant(
+        "off-rule-children-worth-zero",
+        "forecaster.py",
+        "            z = nums.pop()\n",
+        "            nums.pop()\n",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "embedded-round-takes-the-cheapest-menu-symbol",
+        "forecaster.py",
+        "v = self.spec.contents[p].eval_seq(section)\n            best = v if best is None else max(best, v)",
+        "v = self.spec.contents[p].eval_seq(section)\n            best = v if best is None else min(best, v)",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "mixing-violation-at-delta",
+        "forecaster.py",
+        "if margin > ext(delta):",
+        "if margin >= ext(delta):",
+        ("test_forecaster.py", "test_cli.py"),
+    ),
+    Mutant(
+        "two-phase-verify-allows-a-rise",
+        "forecaster.py",
+        "if spec.contents[p].eval_seq(kids) > values[s]:",
+        "if spec.contents[p].eval_seq(kids) > values[s] + ONE:",
+        ("test_forecaster.py",),
+    ),
+    # -- verification -------------------------------------------------------------
+    Mutant(
+        "verify-fails-on-equality",
+        "gametree.py",
+        "            if a > b:\n",
+        "            if a >= b:\n",
+        ("test_gametree.py",),
+    ),
+    Mutant(
+        "verify-witness-one-level-up",
+        "gametree.py",
+        "s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d))",
+        "s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d - 1))",
+        ("test_gametree.py", "test_cli.py"),
     ),
     # -- the scripted fixture and classification ------------------------------
     Mutant(
