@@ -184,12 +184,8 @@ def _write_file(path: str | None, where: str, text: str) -> None:
 
 
 def cmd_axioms(args, game: GameSpec) -> int:
-    distinct = []
-    for c in game.contents:
-        if all(c != d for d in distinct):
-            distinct.append(c)
     all_ok = True
-    for i, content in enumerate(distinct):
+    for i, content in enumerate(dict.fromkeys(game.contents)):
         report = check_axioms(content)
         print(f"functional {i}: {type(content).__name__}")
         print(str(report))
@@ -253,7 +249,7 @@ def cmd_simulate(args, game: GameSpec) -> int:
         for k in range(1, len(res.trace.sigma) if res else 0):
             if s in res.trace.sigma[k]:
                 note = f"{words[0]} {k}"
-            if k < len(res.trace.tau) and s in res.trace.tau[k]:
+            if s in res.trace.tau[k]:
                 note = f"{words[1]} {k}"
         value = "" if cond is None else str(cond.value(s))
         rows.append([str(n), format_situation(s, game.outcomes), str(capitals[n]), value, note])

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, _PInf, _numerators, _over, _read_out, ext
@@ -300,13 +300,17 @@ def _sweep(
 
 
 def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False) -> ExtReal:
-    """Backward induction over the subtree below ``s``, of ``-xi`` if
-    ``negate``.  Past the checks on the nominal span, an indicator's leaves
-    are those below ``s`` padded with the first label up to its window;
-    ``_sweep`` carries their one value at the padded depth up to ``s``."""
+    """Upper expectation of ``xi`` at ``s``, or lower if ``negate`` (swept
+    on negated numerators): the payoff itself at its depth, else the sweep
+    below ``s``.  An indicator's leaves are those below ``s`` padded with
+    the first label up to its window, their one value carried up to ``s``."""
+    s = game.validate_situation(s)
+    if len(s) >= xi.depth:
+        return xi.value(s[: xi.depth])
     xi._span(game, s)
     rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))
-    return _sweep(game, xi.leaf_values(game, rep), len(s), xi.depth, len(s), negate)[0][0]
+    v = _sweep(game, xi.leaf_values(game, rep), len(s), xi.depth, len(s), negate)[0][0]
+    return -v if negate else v
 
 
 def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
@@ -315,18 +319,12 @@ def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtRe
     At depth ``xi.depth`` this is the payoff itself; above it, the round
     price of the children's values.
     """
-    s = game.validate_situation(s)
-    if len(s) >= xi.depth:
-        return xi.value(s[: xi.depth])
     return _level_values(game, xi, s)
 
 
 def lower_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
     """Negation dual ``-upper(-xi)``; the sweep negates the numerators."""
-    s = game.validate_situation(s)
-    if len(s) >= xi.depth:
-        return xi.value(s[: xi.depth])
-    return -_level_values(game, xi, s, negate=True)
+    return _level_values(game, xi, s, negate=True)
 
 
 def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
@@ -411,7 +409,7 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
 class DeterminacyReport:
     depth: int
     gaps: list[tuple[Situation, ExtReal, ExtReal]] = field(default_factory=list)
-    note: str = "finite-horizon surrogate: determinacy certified up to the stated depth only"
+    note: ClassVar[str] = "finite-horizon surrogate: determinacy certified up to the stated depth only"
 
     @property
     def determinate(self) -> bool:

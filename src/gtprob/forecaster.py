@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, _over, _read_out, ext
@@ -350,7 +350,7 @@ class MixingReport:
     worst_at: tuple[int, str, Situation] | None = None
     violations: int = 0
     dichotomy: list[tuple[str, ExtReal, bool]] = field(default_factory=list)
-    note: str = (
+    note: ClassVar[str] = (
         "finite-horizon surrogate: the bound is checked on the supplied event "
         "list only, not on every sufficiently remote event, and prefixes in "
         "the exception list are skipped"

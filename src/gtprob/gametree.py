@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gtprob import config
@@ -353,7 +354,7 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     A second flag reports whether equality holds everywhere (a martingale).
     """
     sm.require_within(game.horizon)
-    top, k, labels = sm.depth, len(game.outcomes), game.outcomes.labels
+    top, k = sm.depth, len(game.outcomes)
     equality = True
     children = [sm.value(EMPTY)]
     below = _numerators(children)
@@ -369,7 +370,7 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
         (lhs, rhs), _ = _over([content.price_level(*below), above])
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if a > b:
-                s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d))
+                s = next(islice(game.outcomes.tuples(d), i, None))
                 price = content.eval_seq(children[i * k : (i + 1) * k])
                 return VerifyResult(False, False, (s, price, parents[i]), top)
             if a != b:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, ext
@@ -73,7 +73,7 @@ class LevyPathRow:
 class LevyExperimentReport:
     outcomes: OutcomeSet
     rows: list[LevyPathRow] = field(default_factory=list)
-    note: str = (
+    note: ClassVar[str] = (
         f"{SURROGATE_NOTE}: conditional values listed to the payoff depth, "
         "where they equal the payoff exactly"
     )
@@ -149,7 +149,7 @@ class InvarianceReport:
     values: dict[Situation, ExtReal]
     invariant: bool
     witness_ok: bool | None
-    note: str = f"{SURROGATE_NOTE}: invariance checked across one prefix level"
+    note: ClassVar[str] = f"{SURROGATE_NOTE}: invariance checked across one prefix level"
 
     def __str__(self) -> str:
         head = "invariant" if self.invariant else "NOT invariant"
@@ -176,8 +176,7 @@ def kolmogorov_invariance(game: GameSpec, event: EventWindow) -> InvarianceRepor
     table = upper_table(game, xi)
     prefixes = list(game.outcomes.tuples(prefix_depth))
     values: dict[Situation, ExtReal] = {s: table.value(s) for s in prefixes}
-    distinct = {str(v) for v in values.values()}
-    invariant = len(distinct) == 1
+    invariant = len(set(values.values())) == 1
 
     witness_ok = None
     if len(prefixes) >= 2:
@@ -205,7 +204,7 @@ class ShiftBoundReport:
     unconditional: ExtReal | None
     bound_holds: bool | None
     witness_ok: bool | None
-    note: str = (
+    note: ClassVar[str] = (
         f"{SURROGATE_NOTE}: the drop-prefix condition is enumerated on the "
         "event's window and the bound asserted at this truncation"
     )
@@ -361,7 +360,7 @@ def scripted_conditional_game(targets: Sequence[Fraction | str | int]) -> Script
 @dataclass
 class ClassifyReport:
     rows: list[tuple[int, ExtReal, ExtReal, str]]
-    note: str = (
+    note: ClassVar[str] = (
         f"{SURROGATE_NOTE}: window events settle at their window's end; the "
         "classification cannot see genuine tail behaviour"
     )

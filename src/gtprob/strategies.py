@@ -36,12 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import gcd
-from operator import add, lshift, mul
 from typing import Callable, Iterator, Sequence
 
 from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, _numerators, _read_out, ext, scale
+from gtprob.functionals import _int_round
 from gtprob.gametree import (
     EMPTY,
     Cut,
@@ -469,33 +469,25 @@ def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
             raise ValueError("mixture parts must share the same game tree")
 
     # Level order over the sorted labels is the old (depth, situation)
-    # order; the children of node g are nodes g*K+1 .. g*K+K.
+    # order; the children of node g are nodes g*K+1 .. g*K+K.  Each node
+    # holds its parts' numerators and then the base's, and one weighted
+    # round sums them under the extended-real conventions, the base at
+    # weight 0.
     n, labels = len(tables), sorted({u[-1] for u in keys if len(u) == 1})
     sits = [u for d in range(depth + 1) for u in product(labels, repeat=d)]
     cols = [t.table for t in tables] + ([] if base is None else [base.table])
-    flat, den = _numerators([v for t in cols for v in map(t.__getitem__, sits)])
-    size = len(sits)
-    sums, hit = [0] * size, set()
-    for i in range(n):
-        col = flat[i * size : (i + 1) * size]
-        if float in map(type, col):
-            hit.update(j for j, v in enumerate(col) if v.__class__ is float)
-            col = [0 if v.__class__ is float else v for v in col]
-        sums = list(map(add, sums, map(lshift, col, repeat(n - 1 - i))))
-    for j in hit:
-        sums[j] = _PInf if _PInf in flat[j::size][:n] else _NInf
+    flat, den = _numerators([t[s] for s in sits for t in cols])
+    weights = [1 << (n - 1 - i) for i in range(n)]
+    sums = _int_round([weights + [0] * (len(cols) - n)], flat, len(cols))
     den <<= n
     combined = dict.fromkeys(keys)
     combined.update(zip(sits, _read_out(sums, den)))
 
     # Increment certificate in the pooled-weight form.
     if base is not None:
-        k, moves = len(labels), flat[n * size :]
-        pooled = [0] * (size - k**depth)
-        for i, act in enumerate(activities):
-            if act:
-                weight = repeat(1 << (n - 1 - i))
-                pooled = list(map(add, pooled, map(mul, map(act.__contains__, sits[: len(pooled)]), weight)))
+        k, moves = len(labels), flat[n :: n + 1]
+        inner = sits[: len(sits) - k**depth]
+        pooled = _int_round([weights], [int(s in act) for s in inner for act in activities], n)
         for g, p in enumerate(pooled):
             cs, bs = sums[g], moves[g]
             if cs.__class__ is float or bs.__class__ is float:
