@@ -24,6 +24,7 @@ from gtprob.extreal import ext
 from gtprob.functionals import Measure, UnknownGambleError, check_axioms
 from gtprob.gametree import (
     EMPTY,
+    BudgetViolation,
     GameSpec,
     Strategy,
     Supermartingale,
@@ -219,7 +220,12 @@ def cmd_simulate(args, game: GameSpec) -> int:
     if name in ("doubling", "donothing"):
         last = game.outcomes.labels[-1]
         strat = Strategy.double_on(game, last) if name == "doubling" else Strategy.do_nothing(game)
-        capitals = capital_process(game, strat, path)
+        try:
+            capitals = capital_process(game, strat, path)
+        except BudgetViolation as exc:  # a built-in strategy overspent: a violated property
+            where = format_situation(exc.situation, game.outcomes) or "□"
+            print(f"{where}: gamble priced {exc.price} exceeds capital {exc.capital}")
+            return 1
     elif name.startswith("doob:"):
         a, b, _ = _strategy_numbers(name, "doob:a,b")
         base = _read_table(args.base, game, "/base") if args.base else _default_base(game)
@@ -284,9 +290,9 @@ def cmd_law_levy(args, game: GameSpec) -> int:
         for path in paths:
             require_levy_path(xi, path)
     report = levy_experiment(game, xi, paths)
-    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     if args.trace:
         _write_file(args.trace, "/trace", csv_text(["n", "situation", "value"], report.trace_rows()))
+    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0 if report.all_terminal_ok else 1
 
 
@@ -322,9 +328,11 @@ def cmd_law_mixing(args, spec: Protocol2Spec) -> int:
     with _at("/events"):
         for event in events:
             event.require_within(spec.horizon)
-    report = delta_mixing_check(
-        phi, _fraction(args.delta, "/delta"), lambda n: args.gap, events, max_prefix=args.max_prefix
-    )
+    delta = _fraction(args.delta, "/delta")
+    # The check conditions on prefixes of length n only when an event starts at n + gap or later.
+    if args.max_prefix > spec.horizon and any(e.start > spec.horizon + args.gap for e in events):
+        raise SchemaError("/max-prefix", "outcome path longer than the horizon")
+    report = delta_mixing_check(phi, delta, lambda n: args.gap, events, max_prefix=args.max_prefix)
     print(str(report))
     return 0 if report.violations == 0 else 1
 

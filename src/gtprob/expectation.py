@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from gtprob import config
@@ -314,11 +314,8 @@ def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False
 
 
 def upper_expectation(game: GameSpec, xi: Payoff, s: Situation = EMPTY) -> ExtReal:
-    """Conditional upper expectation of ``xi`` given situation ``s``.
-
-    At depth ``xi.depth`` this is the payoff itself; above it, the round
-    price of the children's values.
-    """
+    """Conditional upper expectation of ``xi`` given situation ``s``: the
+    payoff itself at depth ``xi.depth``, above it the round price of the children's values."""
     return _level_values(game, xi, s)
 
 
@@ -383,10 +380,11 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     """
     span = xi.depth
     leaves = xi.leaf_values(game)
-    for s, v in zip(game.outcomes.tuples(span), leaves):
-        if not v.is_finite:
-            raise ValueError(f"payoff must be finite-valued, got {v} at {s!r}")
     nums, den = _numerators(leaves)
+    if float in map(type, nums):
+        i = next(i for i, n in enumerate(nums) if n.__class__ is float)
+        s = format_situation(next(islice(game.outcomes.tuples(span), i, None)), game.outcomes)
+        raise ValueError(f"payoff must be finite-valued, got {leaves[i]} at {s or '□'}")
     t = sorted({0} | {n for n in nums if n > 0})
     levels = [[n if n > tj else 0 for n in nums] for tj in t]
     for d in range(span - 1, -1, -1):

@@ -179,8 +179,6 @@ def upper_expectation_p2(
     One round = a worst-case step over the menu of a priced step over
     outcomes.  Equals the embedded-game value of the lifted payoff.
     """
-    if depth > spec.horizon:
-        raise ValueError("payoff settles beyond the horizon")
     at = tuple(at)
     if len(at) > depth:
         raise ValueError("conditioning history longer than the payoff depth")

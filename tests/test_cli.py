@@ -597,6 +597,10 @@ INPUT_ERRORS = {
         lambda tmp, coin: ["expect", coin, "--payoff", "e_w1", "--variant", "sup", "--situation", "0"],
         "/situation: the sup variant is defined at the root only",
     ),
+    "sup_variant_infinite_payoff": (
+        lambda tmp, coin: ["expect", coin, "--payoff", "const:inf", "--variant", "sup"],
+        "payoff must be finite-valued, got inf at 000",
+    ),
     "sup_variant_lower": (
         lambda tmp, coin: ["expect", coin, "--payoff", "e_w1", "--variant", "sup", "--lower"],
         "/lower: the sup variant has no lower form",
@@ -751,10 +755,22 @@ MIXING_NOTE = (
 )
 
 
-def test_law_levy_names_an_unwritable_trace_after_its_report(coin_file, capsys):
+def test_law_levy_names_an_unwritable_trace_before_its_report(coin_file, capsys):
     code, out, err = run(capsys, ["law", coin_file, "levy", "--payoff", "e_w1", "--paths", "1", "--trace", UNWRITABLE])
-    assert (code, json.loads(out)["paths"][0]["values"]) == (2, ["1/2", "1"])
+    assert (code, out) == (2, "")
     assert err == f"error: /trace: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'\n"
+
+
+def test_simulate_prints_a_builtin_strategy_over_its_budget_as_a_witness(tmp_path, capsys):
+    m13 = {"type": "measure", "probs": {"0": "1/3", "1": "2/3"}}
+    at_root = write_json(tmp_path, "m13.json", dict(COIN_SPEC, content=m13))
+    assert run(capsys, ["simulate", at_root, "--strategy", "doubling", "--path", "1"]) == (
+        1, "□: gamble priced 4/3 exceeds capital 1\n", ""
+    )
+    one_in = write_json(tmp_path, "late.json", {"outcomes": ["0", "1"], "horizon": 2, "contents": [COIN_SPEC["content"], m13]})
+    assert run(capsys, ["simulate", one_in, "--strategy", "doubling", "--path", "1,1"]) == (
+        1, "1: gamble priced 8/3 exceeds capital 2\n", ""
+    )
 
 
 def test_law_mixing_reads_prefixes_past_a_window_end(tmp_path, capsys):
@@ -770,7 +786,9 @@ def test_law_mixing_reads_prefixes_past_a_window_end(tmp_path, capsys):
 
 def test_law_mixing_prefix_past_the_horizon_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, mixing_argv(tmp_path, "--gap", "-3", "--max-prefix", "4"))
-    assert (code, out, err) == (2, "", "error: outcome path longer than the horizon\n")
+    assert (code, out, err) == (2, "", "error: /max-prefix: outcome path longer than the horizon\n")
+    # With a gap that leaves no event remote past the horizon, no longer prefix is conditioned on.
+    assert run(capsys, mixing_argv(tmp_path, "--max-prefix", "4")) == run(capsys, mixing_argv(tmp_path, "--max-prefix", "3"))
 
 
 def test_law_mixing_with_a_table_system(tmp_path, capsys):

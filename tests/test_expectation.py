@@ -175,7 +175,7 @@ def test_sup_variant_of_constant_is_the_constant():
 def test_sup_variant_rejects_infinite_payoffs():
     game = coin_game(horizon=1)
     xi = Payoff.from_table({("0",): 0, ("1",): INF}, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^payoff must be finite-valued, got inf at 1$"):
         sup_variant_upper_expectation(game, xi)
 
 

@@ -122,6 +122,12 @@ def test_native_two_phase_equals_embedded_dynamic_program():
             assert native == embedded
 
 
+def test_native_two_phase_past_the_horizon_names_the_missing_round():
+    spec = singleton_spec(3)
+    with pytest.raises(ValueError, match=r"^round 4 outside 1\.\.3$"):
+        upper_expectation_p2(spec, lambda pairs: ONE, 4)
+
+
 def test_embedded_table_restricts_to_a_two_phase_supermartingale():
     spec = coin_sup_spec(2)
     game = embed(spec)

@@ -90,6 +90,13 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "lower-expectation-not-negated-back",
+        "expectation.py",
+        "return -v if negate else v",
+        "return v",
+        EXPECTATION,
+    ),
+    Mutant(
         "padded-into-the-window",
         "expectation.py",
         "rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))",
@@ -159,8 +166,22 @@ MUTANTS = [
     Mutant(
         "mixture-weights-equal",
         "strategies.py",
-        "map(lshift, col, repeat(n - 1 - i))",
-        "map(lshift, col, repeat(0))",
+        "weights = [1 << (n - 1 - i) for i in range(n)]",
+        "weights = [1 for i in range(n)]",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "mixture-base-column-weighted-one",
+        "strategies.py",
+        "weights + [0] * (len(cols) - n)",
+        "weights + [1] * (len(cols) - n)",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "mixture-pooled-weights-unweighted",
+        "strategies.py",
+        "pooled = _int_round([weights],",
+        "pooled = _int_round([[1] * n],",
         ("test_strategies.py",),
     ),
     # -- the forecaster -----------------------------------------------------------
@@ -203,8 +224,8 @@ MUTANTS = [
     Mutant(
         "verify-witness-one-level-up",
         "gametree.py",
-        "s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d))",
-        "s = tuple(labels[i // k ** (d - 1 - j) % k] for j in range(d - 1))",
+        "s = next(islice(game.outcomes.tuples(d), i, None))",
+        "s = next(islice(game.outcomes.tuples(d - 1), i // k, None))",
         ("test_gametree.py", "test_cli.py"),
     ),
     # -- the scripted fixture and classification ------------------------------
@@ -233,8 +254,8 @@ MUTANTS = [
     Mutant(
         "invariance-verdict-first-two-prefixes",
         "laws.py",
-        "distinct = {str(v) for v in values.values()}",
-        "distinct = {str(v) for v in list(values.values())[:2]}",
+        "invariant = len(set(values.values())) == 1",
+        "invariant = len(set(list(values.values())[:2])) == 1",
         ("test_laws.py",),
     ),
     Mutant(
@@ -275,6 +296,22 @@ MUTANTS = [
         "                    if lab not in outcomes:\n",
         "                    if False:\n",
         ("test_serialize.py",),
+    ),
+    Mutant(
+        "levy-trace-written-after-the-report",
+        "cli.py",
+        "    if args.trace:\n        _write_file(args.trace, \"/trace\", csv_text([\"n\", \"situation\", \"value\"], report.trace_rows()))\n"
+        "    print(json.dumps(report.to_json(), sort_keys=True, indent=2))\n",
+        "    print(json.dumps(report.to_json(), sort_keys=True, indent=2))\n"
+        "    if args.trace:\n        _write_file(args.trace, \"/trace\", csv_text([\"n\", \"situation\", \"value\"], report.trace_rows()))\n",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "budget-witness-exits-two",
+        "cli.py",
+        "exceeds capital {exc.capital}\")\n            return 1",
+        "exceeds capital {exc.capital}\")\n            return 2",
+        ("test_cli.py",),
     ),
     Mutant(
         "short-levy-path-unflagged",
