@@ -238,8 +238,6 @@ def grid() -> list[list[str]]:
     add(["law", "p2.json", "mixing", "--system", "sys_a.json", "--events", "e3.json", "--gap", "x"])
     add(["expect", "ab.json", "--payoff", "e_w1"])
     add(["expect", "gap.json", "--payoff", "e_w1"])
-    add(["verify", "coin.json", "--supermartingale", "t_dup.csv"])
-    add(["verify", "coin.json", "--supermartingale", "t_label.csv"])
     add(["law", "p2.json", "kolmogorov", "--event", "w1=1"])
     add(["law", "coin.json", "kolmogorov"])
     return lines
