@@ -15,6 +15,7 @@ dense-table depth cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -157,15 +158,10 @@ def _default_base(game: GameSpec) -> Supermartingale:
         if 0 < p_last <= Fraction(2, 3):
             up = Fraction(3, 2)
             rest = (1 - up * p_last) / (1 - p_last)
-            factors = [rest] * (len(game.outcomes) - 1) + [up]
-
-            def fn(s):
-                v = Fraction(1)
-                for x in s:
-                    v *= factors[game.outcomes.index(x)]
-                return ext(v)
-
-            return Supermartingale.from_fn(game, fn)
+            last = game.outcomes.labels[-1]
+            # A node's value depends on its depth and its count of the last outcome only.
+            value = functools.cache(lambda c, n: ext(up**c * rest ** (n - c)))
+            return Supermartingale.from_fn(game, lambda s: value(s.count(last), len(s)))
     return Supermartingale.constant(game, 1)
 
 

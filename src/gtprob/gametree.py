@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gtprob import config
@@ -187,12 +187,11 @@ class GameSpec:
             raise ValueError(f"round {n} outside 1..{self.horizon}")
         return self.contents[n - 1]
 
-    def all_situations(self, max_depth: int | None = None):
+    def all_situations(self, max_depth: int | None = None) -> Iterator[Situation]:
         """All situations of depth 0..max_depth (default horizon), by level."""
         top = self.horizon if max_depth is None else max_depth
         config.require_dense(top, what="tree sweep")
-        for d in range(top + 1):
-            yield from self.outcomes.tuples(d)
+        return chain.from_iterable(map(self.outcomes.tuples, range(top + 1)))
 
     def validate_situation(self, s: Situation) -> Situation:
         s = tuple(s)
@@ -234,8 +233,8 @@ class Supermartingale:
 
     @classmethod
     def constant(cls, game: GameSpec, value, depth: int | None = None) -> "Supermartingale":
-        v = ext(value)
-        return cls.from_fn(game, lambda s: v, depth)
+        d = game.horizon if depth is None else depth
+        return cls(dict.fromkeys(game.all_situations(d), ext(value)), d)
 
     def require_within(self, horizon: int) -> None:
         if self.depth > horizon:
@@ -389,7 +388,7 @@ def translate_strategy(sm: Supermartingale, s: Situation, t: Situation) -> Super
     s, t = tuple(s), tuple(t)
     if len(s) != len(t):
         raise ValueError(f"translate needs equal depths, got {len(s)} and {len(t)}")
-    table = {u: INF for u in sm.table}
+    table = dict.fromkeys(sm.table, INF)
     for u, v in sm.table.items():
         if is_prefix(s, u):
             table[t + u[len(s) :]] = v
@@ -408,12 +407,8 @@ def shift_strategy(game: GameSpec, sm: Supermartingale, s: Situation) -> Superma
         raise ValueError("shift needs the same pricing functional at every round")
     s = game.validate_situation(s)
     depth = min(game.horizon, len(s) + sm.depth)
-    table: dict[Situation, ExtReal] = {}
-    for u in game.all_situations(depth):
-        if is_prefix(s, u):
-            table[u] = sm.value(u[len(s) :])
-        else:
-            table[u] = INF
+    table = dict.fromkeys(game.all_situations(depth), INF)
+    table.update((s + t, sm.value(t)) for t in game.all_situations(depth - len(s)))
     return Supermartingale(table, depth)
 
 
