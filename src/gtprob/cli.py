@@ -43,7 +43,7 @@ from gtprob.expectation import (
     upper_expectation,
     upper_table,
 )
-from gtprob.forecaster import Protocol2Spec, delta_mixing_check
+from gtprob.forecaster import ForecastError, Protocol2Spec, delta_mixing_check
 from gtprob.laws import (
     ergodic_bound,
     kolmogorov_invariance,
@@ -159,7 +159,6 @@ def _default_base(game: GameSpec) -> Supermartingale:
             up = Fraction(3, 2)
             rest = (1 - up * p_last) / (1 - p_last)
             last = game.outcomes.labels[-1]
-            # A node's value depends on its depth and its count of the last outcome only.
             value = functools.cache(lambda c, n: ext(up**c * rest ** (n - c)))
             return Supermartingale.from_fn(game, lambda s: value(s.count(last), len(s)))
     return Supermartingale.constant(game, 1)
@@ -212,8 +211,13 @@ def cmd_simulate(args, game: GameSpec) -> int:
     xi = _parse_payoff(args.payoff, game) if args.payoff else None
     prefixes = [path[:n] for n in range(len(path) + 1)]
     name = args.strategy
+    plain = name in ("doubling", "donothing")
+    if args.base and (plain or name.startswith("levy:")):
+        raise SchemaError("/strategy", "--base applies to the doob construction only")
+    if plain and (args.table or args.cuts):
+        raise SchemaError("/strategy", "--table and --cuts apply to the doob/levy constructions only")
     res = cond = None  # the construction's result; the conditional column's table
-    if name in ("doubling", "donothing"):
+    if plain:
         last = game.outcomes.labels[-1]
         strat = Strategy.double_on(game, last) if name == "doubling" else Strategy.do_nothing(game)
         try:
@@ -256,14 +260,11 @@ def cmd_simulate(args, game: GameSpec) -> int:
         value = "" if cond is None else str(cond.value(s))
         rows.append([str(n), format_situation(s, game.outcomes), str(capitals[n]), value, note])
 
-    if args.table or args.cuts:
-        if res is None:
-            raise SchemaError("/strategy", "--table and --cuts apply to the doob/levy constructions only")
-        if args.table:
-            _write_file(args.table, "/table", supermartingale_to_csv(res.table, game.outcomes))
-        if args.cuts:
-            cuts = res.trace.to_json(lambda s: format_situation(s, game.outcomes))
-            _write_file(args.cuts, "/cuts", json.dumps(cuts, sort_keys=True, indent=2) + "\n")
+    if args.table:
+        _write_file(args.table, "/table", supermartingale_to_csv(res.table, game.outcomes))
+    if args.cuts:
+        cuts = res.trace.to_json(lambda s: format_situation(s, game.outcomes))
+        _write_file(args.cuts, "/cuts", json.dumps(cuts, sort_keys=True, indent=2) + "\n")
 
     _write_file(args.trace, "/trace", csv_text(["n", "situation", "capital", "conditional_upper", "note"], rows))
     return 0
@@ -300,6 +301,8 @@ def cmd_law_kolmogorov(args, game: GameSpec) -> int:
 
 
 def cmd_law_ergodic(args, game: GameSpec) -> int:
+    with _at("/"):  # the spec, not a flag, is at fault
+        game.require_depth_independent("shift bound")
     event = _parse_event(args.event, game)
     report = ergodic_bound(game, event, _parse_situation(args.situation, game))
     print(str(report))
@@ -328,7 +331,10 @@ def cmd_law_mixing(args, spec: Protocol2Spec) -> int:
     # The check conditions on prefixes of length n only when an event starts at n + gap or later.
     if args.max_prefix > spec.horizon and any(e.start > spec.horizon + args.gap for e in events):
         raise SchemaError("/max-prefix", "outcome path longer than the horizon")
-    report = delta_mixing_check(phi, delta, lambda n: args.gap, events, max_prefix=args.max_prefix)
+    try:
+        report = delta_mixing_check(phi, delta, lambda n: args.gap, events, max_prefix=args.max_prefix)
+    except ForecastError as exc:
+        raise SchemaError("/system", str(exc)) from exc
     print(str(report))
     return 0 if report.violations == 0 else 1
 

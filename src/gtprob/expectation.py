@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from gtprob import config
@@ -405,6 +405,7 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
 
 @dataclass
 class DeterminacyReport:
+    outcomes: OutcomeSet
     depth: int
     gaps: list[tuple[Situation, ExtReal, ExtReal]] = field(default_factory=list)
     note: ClassVar[str] = "finite-horizon surrogate: determinacy certified up to the stated depth only"
@@ -418,7 +419,8 @@ class DeterminacyReport:
             return f"determinate at every situation up to depth {self.depth}; {self.note}"
         lines = [f"{len(self.gaps)} gap(s) up to depth {self.depth}:"]
         for s, up, low in self.gaps:
-            lines.append(f"  {s!r}: upper={up}, lower={low}, gap={up - low}")
+            at = format_situation(s, self.outcomes) or "□"
+            lines.append(f"  {at}: upper={up}, lower={low}, gap={up - low}")
         return "\n".join(lines)
 
 
@@ -431,10 +433,8 @@ def determinacy_check(game: GameSpec, xi: Payoff, depth: int) -> DeterminacyRepo
     leaves = xi.leaf_values(game)
     up = _sweep(game, leaves, 0, xi.depth, depth)
     down = _sweep(game, leaves, 0, xi.depth, depth, negate=True)
-    report = DeterminacyReport(depth=depth)
-    for d in range(depth + 1):
-        for s, u, neg_l in zip(game.outcomes.tuples(d), up[d], down[d]):
-            l = -neg_l
-            if u != l:
-                report.gaps.append((s, u, l))
+    report = DeterminacyReport(game.outcomes, depth)
+    for s, u, neg_l in zip(game.all_situations(depth), chain.from_iterable(up), chain.from_iterable(down)):
+        if u != -neg_l:
+            report.gaps.append((s, u, -neg_l))
     return report

@@ -43,6 +43,7 @@ from gtprob.expectation import EventWindow, Payoff
 __all__ = [
     "Protocol2Spec",
     "EmbeddedContent",
+    "ForecastError",
     "ForecastingSystem",
     "embed",
     "pair_label",
@@ -202,6 +203,10 @@ def upper_expectation_p2(
 # -- forecasting systems -----------------------------------------------------
 
 
+class ForecastError(ValueError):
+    """A forecasting system's rule has no prediction on the round's menu for a history."""
+
+
 class ForecastingSystem:
     """A rule mapping outcome histories to predictions, one per round."""
 
@@ -221,7 +226,8 @@ class ForecastingSystem:
             try:
                 return fixed[tuple(s)]
             except KeyError:
-                raise ValueError(f"forecasting table has no entry for history {s!r}")
+                history = format_situation(s, spec.outcomes) or "□"
+                raise ForecastError(f"forecasting table has no entry for history {history}")
 
         return cls(spec, rule)
 
@@ -240,9 +246,7 @@ class ForecastingSystem:
         p = self._rule(tuple(history))
         menu = self.spec.menu_at(len(history) + 1)
         if p not in menu:
-            raise ValueError(
-                f"rule returned {p!r} at round {len(history) + 1}, menu is {menu}"
-            )
+            raise ForecastError(f"rule returned {p!r} at round {len(history) + 1}, menu is {menu}")
         return p
 
 

@@ -193,6 +193,10 @@ class GameSpec:
         config.require_dense(top, what="tree sweep")
         return chain.from_iterable(map(self.outcomes.tuples, range(top + 1)))
 
+    def require_depth_independent(self, what: str) -> None:
+        if not self.depth_independent:
+            raise ValueError(f"{what} needs the same pricing functional at every round")
+
     def validate_situation(self, s: Situation) -> Situation:
         s = tuple(s)
         if len(s) > self.horizon:
@@ -228,8 +232,7 @@ class Supermartingale:
         cls, game: GameSpec, fn: Callable[[Situation], ExtReal], depth: int | None = None
     ) -> "Supermartingale":
         d = game.horizon if depth is None else depth
-        table = {s: fn(s) for s in game.all_situations(d)}
-        return cls(table, d)
+        return cls({s: fn(s) for s in game.all_situations(d)}, d)
 
     @classmethod
     def constant(cls, game: GameSpec, value, depth: int | None = None) -> "Supermartingale":
@@ -389,9 +392,7 @@ def translate_strategy(sm: Supermartingale, s: Situation, t: Situation) -> Super
     if len(s) != len(t):
         raise ValueError(f"translate needs equal depths, got {len(s)} and {len(t)}")
     table = dict.fromkeys(sm.table, INF)
-    for u, v in sm.table.items():
-        if is_prefix(s, u):
-            table[t + u[len(s) :]] = v
+    table.update((t + u[len(s) :], v) for u, v in sm.table.items() if is_prefix(s, u))
     return Supermartingale(table, sm.depth)
 
 
@@ -403,8 +404,7 @@ def shift_strategy(game: GameSpec, sm: Supermartingale, s: Situation) -> Superma
     checked; with per-round functionals the replayed inequalities would be
     checked against the wrong round.
     """
-    if not game.depth_independent:
-        raise ValueError("shift needs the same pricing functional at every round")
+    game.require_depth_independent("shift")
     s = game.validate_situation(s)
     depth = min(game.horizon, len(s) + sm.depth)
     table = dict.fromkeys(game.all_situations(depth), INF)

@@ -228,8 +228,7 @@ def ergodic_bound(game: GameSpec, event: EventWindow, s: Situation) -> ShiftBoun
     implies membership of ``w``), then assert that conditioning on ``s``
     cannot raise the event's upper probability, exhibiting the replayed
     table as the witness."""
-    if not game.depth_independent:
-        raise ValueError("shift bound needs the same pricing functional at every round")
+    game.require_depth_independent("shift bound")
     s = game.validate_situation(s)
     m = event.end
     config.require_dense(m, what="shift condition enumeration")

@@ -41,13 +41,14 @@ from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, _numerators, _read_out, ext, scale
-from gtprob.functionals import _int_round
+from gtprob.functionals import OutcomeSet, _int_round
 from gtprob.gametree import (
     EMPTY,
     Cut,
     GameSpec,
     Situation,
     Supermartingale,
+    format_situation,
     verify_supermartingale,
 )
 from gtprob.expectation import Payoff, _sweep
@@ -497,9 +498,8 @@ def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
                 if cx.__class__ is float or bx.__class__ is float or cx - cs == p * (bx - bs):
                     continue
                 got, expected = Fraction(cx - cs, den), Fraction(p * (bx - bs), den)
-                raise AssertionError(
-                    f"increment certificate failed at {sits[g]!r}->{sits[c]!r}: {got} != {expected}"
-                )
+                at, to = (format_situation(sits[i], OutcomeSet(labels)) for i in (g, c))
+                raise AssertionError(f"increment certificate failed at {at or '□'}->{to}: {got} != {expected}")
 
     bound = ext(Fraction(1, 2 ** len(tables)))
     note = (

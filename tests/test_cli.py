@@ -6,13 +6,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtprob.cli import main
+from gtprob.cli import _default_base, main
+from gtprob.extreal import ext
+from gtprob.functionals import Measure, OutcomeSet
+from gtprob.gametree import GameSpec
 
 # A subprocess finds the package source whether or not it is installed.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -514,6 +518,8 @@ def mixing_argv(tmp_path, *flags, spec=P2_SPEC, system=None, events=None):
     ]
 
 
+M13_SPEC = dict(COIN_SPEC, content={"type": "measure", "probs": {"0": "1/3", "1": "2/3"}})
+PER_ROUND_SPEC = {"outcomes": ["0", "1"], "horizon": 2, "contents": [COIN_SPEC["content"], M13_SPEC["content"]]}
 AB_SPEC = {"outcomes": ["a", "b"], "horizon": 2, "content": {"type": "measure", "probs": {"a": "1/2", "b": "1/2"}}}
 DEPTH_FOUR_TABLE = "situation,value\n" + "".join(
     "".join(s) + ",1\n" for d in range(5) for s in itertools.product("01", repeat=d)
@@ -527,7 +533,19 @@ UNWRITABLE = os.path.join("no-such-directory", "out.csv")
 INPUT_ERRORS = {
     "table_system_gap": (
         lambda tmp, coin: mixing_argv(tmp, system={"kind": "table", "rule": {"": "a"}}),
-        "forecasting table has no entry for history ('0',)",
+        "/system: forecasting table has no entry for history 0",
+    ),
+    "table_system_without_a_root": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "table", "rule": {"0": "a"}}),
+        "/system: forecasting table has no entry for history □",
+    ),
+    "constant_system_off_the_menu": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "constant", "value": "c"}),
+        "/system: rule returned 'c' at round 1, menu is ('a', 'b')",
+    ),
+    "ergodic_on_per_round_functionals": (
+        lambda tmp, coin: ["law", write_json(tmp, "mixed.json", PER_ROUND_SPEC), "ergodic", "--event", "w1=1"],
+        "/: shift bound needs the same pricing functional at every round",
     ),
     "menu_not_a_list": (
         lambda tmp, coin: mixing_argv(tmp, spec=dict(P2_SPEC, predictions=[["a"], 5, ["a"]])),
@@ -616,6 +634,18 @@ INPUT_ERRORS = {
     "table_for_a_plain_strategy": (
         lambda tmp, coin: ["simulate", coin, "--strategy", "doubling", "--path", "0", "--table", str(tmp / "t.csv")],
         "/strategy: --table and --cuts apply to the doob/levy constructions only",
+    ),
+    "table_for_a_plain_strategy_over_its_budget": (
+        lambda tmp, coin: ["simulate", write_json(tmp, "m13.json", M13_SPEC), "--strategy", "doubling", "--path", "1", "--table", str(tmp / "t.csv")],
+        "/strategy: --table and --cuts apply to the doob/levy constructions only",
+    ),
+    "base_for_a_plain_strategy": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "doubling", "--path", "1", "--base", str(tmp / "nosuch.csv")],
+        "/strategy: --base applies to the doob construction only",
+    ),
+    "base_for_levy": (
+        lambda tmp, coin: ["simulate", coin, "--strategy", "levy:1/2,2", "--payoff", "e_w1", "--path", "1", "--base", str(tmp / "nosuch.csv")],
+        "/strategy: --base applies to the doob construction only",
     ),
     "classify_event_past_the_horizon": (
         lambda tmp, coin: ["law", coin, "classify", "--event", "w9=1"],
@@ -759,6 +789,40 @@ def test_law_levy_names_an_unwritable_trace_before_its_report(coin_file, capsys)
     code, out, err = run(capsys, ["law", coin_file, "levy", "--payoff", "e_w1", "--paths", "1", "--trace", UNWRITABLE])
     assert (code, out) == (2, "")
     assert err == f"error: /trace: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'\n"
+
+
+def per_node_base(game):
+    """The step-multiplier base as one factor per label at every node,
+    keyed in level order."""
+    labels, p_last = game.outcomes.labels, game.content_at(1).probs[-1]
+    up = Fraction(3, 2)
+    factors = dict.fromkeys(labels, (1 - up * p_last) / (1 - p_last)) | {labels[-1]: up}
+    table = {}
+    for s in (s for d in range(game.horizon + 1) for s in itertools.product(labels, repeat=d)):
+        v = Fraction(1)
+        for x in s:
+            v *= factors[x]
+        table[s] = ext(v)
+    return table
+
+
+@pytest.mark.parametrize(
+    "labels, probs",
+    [(("0", "1"), ("1/2", "1/2")), (("0", "1"), ("1/3", "2/3")), (("lo", "1", "hi"), ("1/3", "1/3", "1/3"))],
+)
+def test_default_base_is_the_per_node_product(labels, probs):
+    outcomes = OutcomeSet(labels)
+    game = GameSpec(outcomes, Measure(outcomes, dict(zip(labels, probs))), 4)
+    base = _default_base(game)
+    assert base.depth == 4
+    assert list(base.table.items()) == list(per_node_base(game).items())
+
+
+def test_default_doob_base_checks_the_cap_before_any_value(tmp_path, capsys):
+    spec = write_json(tmp_path, "long.json", dict(COIN_SPEC, horizon=10**6))
+    code, out, err = run(capsys, ["simulate", spec, "--strategy", "doob:1/2,2", "--path", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dense tree sweep to depth 1000000 exceeds the cap 14; ")
 
 
 def test_simulate_prints_a_builtin_strategy_over_its_budget_as_a_witness(tmp_path, capsys):

@@ -225,7 +225,7 @@ def test_constant_payoff_determinate_everywhere():
 
 def test_determinacy_reports_print_their_gaps_or_the_truncation():
     xi = indicator(EventWindow.coordinate_is(1, "1"))
-    assert str(determinacy_check(sup_game(horizon=1), xi, 1)) == "1 gap(s) up to depth 1:\n  (): upper=1, lower=0, gap=1"
+    assert str(determinacy_check(sup_game(horizon=1), xi, 1)) == "1 gap(s) up to depth 1:\n  □: upper=1, lower=0, gap=1"
     assert str(determinacy_check(coin_game(horizon=1), xi, 1)) == (
         "determinate at every situation up to depth 1; "
         "finite-horizon surrogate: determinacy certified up to the stated depth only"

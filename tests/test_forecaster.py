@@ -23,6 +23,7 @@ from gtprob.functionals import (
 from gtprob.gametree import verify_supermartingale
 from gtprob.expectation import EventWindow, Payoff, indicator, upper_expectation, upper_table
 from gtprob.forecaster import (
+    ForecastError,
     ForecastingSystem,
     MixingReport,
     Protocol2Spec,
@@ -458,12 +459,12 @@ def test_first_failing_history_matches_the_embedded_scan():
     rule[("0", "1")] = "x"
     phi = ForecastingSystem.from_table(spec, rule)
     event = EventWindow.coordinate_is(3, "1")
-    expected = (ValueError, "rule returned 'x' at round 3, menu is ('a',)")
+    expected = (ForecastError, "rule returned 'x' at round 3, menu is ('a',)")
     assert settle(lambda: upper_prob_phi(phi, event)) == expected
     assert settle(lambda: embedded_upper_prob(phi, event)) == expected
     del rule[("0",)]
     phi = ForecastingSystem.from_table(spec, rule)
-    expected = (ValueError, "forecasting table has no entry for history ('0',)")
+    expected = (ForecastError, "forecasting table has no entry for history 0")
     assert settle(lambda: upper_prob_phi(phi, event)) == expected
     assert settle(lambda: embedded_upper_prob(phi, event)) == expected
 

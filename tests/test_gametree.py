@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,19 @@ def test_shift_replays_below_situation_and_verifies():
     assert verify_supermartingale(game, shifted).ok
     assert shifted.value(("0", "1")) == sm.value(("1",)) == ext(2)
     assert shifted.value(("1",)) == INF
+
+
+def test_constant_and_shifted_tables_keep_level_order():
+    # Labels out of sorted order: level order follows the outcome set.
+    k3 = OutcomeSet(["lo", "1", "hi"])
+    game = GameSpec(k3, Measure.uniform(k3), 3)
+    order = [s for d in range(4) for s in itertools.product(k3.labels, repeat=d)]
+    assert list(Supermartingale.constant(game, 2).table.items()) == [(s, ext(2)) for s in order]
+    assert list(Supermartingale.constant(game, 2, 1).table) == order[:4]
+    sm = Supermartingale.from_fn(game, lambda s: ext(len(s)), 2)
+    shifted = shift_strategy(game, sm, ("1",))
+    assert shifted.depth == 3
+    assert list(shifted.table.items()) == [(u, ext(len(u) - 1) if u[:1] == ("1",) else INF) for u in order]
 
 
 def test_shift_rejects_round_dependent_pricing():

@@ -11,6 +11,7 @@ from gtprob.gametree import (
     Supermartingale,
     in_cut_interval,
     cut_le,
+    format_situation,
     verify_supermartingale,
 )
 from gtprob.expectation import EventWindow, Payoff, indicator
@@ -519,7 +520,8 @@ def reference_mixture(parts):
                 got = combined[sx] - combined[s]
                 if got != expected:
                     raise AssertionError(
-                        f"increment certificate failed at {s!r}->{sx!r}: {got} != {expected}"
+                        f"increment certificate failed at {format_situation(s, OutcomeSet(labels)) or '□'}->"
+                        f"{format_situation(sx, OutcomeSet(labels))}: {got} != {expected}"
                     )
     return combined
 
@@ -706,4 +708,4 @@ def test_mixture_certificate_names_a_broken_last_increment():
     broken = dataclasses.replace(part, table=Supermartingale(table, 2))
     with pytest.raises(AssertionError) as exc:
         mixture([broken])
-    assert str(exc.value) == "increment certificate failed at ('1',)->('1', '1'): 25/56 != 3/8"
+    assert str(exc.value) == "increment certificate failed at 1->11: 25/56 != 3/8"

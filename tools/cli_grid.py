@@ -102,6 +102,7 @@ FIXTURES = {
     "gap.json": {"outcomes": ["0", "1"], "horizon": 2, "content": {"type": "table", "entries": ["x"]}},
     "ab.json": {"outcomes": ["a", "b"], "horizon": 2, "content": {"type": "measure", "probs": {"a": "1/2", "b": "1/2"}}},
     "nogame.json": {"outcomes": ["0", "1"], "horizon": 0, "content": COIN},
+    "long.json": {"outcomes": ["0", "1"], "horizon": 10**6, "content": COIN},
     # forecaster specs
     "p2.json": P2,
     "p2h.json": dict(P2, horizon=3),
@@ -116,6 +117,7 @@ FIXTURES = {
     "sys_table.json": {"kind": "table", "rule": {"": "b", "0": "a", "1": "b", "00": "a", "01": "b", "10": "b", "11": "a"}},
     "sys_gap.json": {"kind": "table", "rule": {"": "a"}},
     "sys_mapgap.json": {"kind": "last-outcome", "map": {"0": "a"}, "initial": "a"},
+    "sys_off.json": {"kind": "constant", "value": "c"},
     # events
     "e1.json": {"start": 1, "end": 1, "accepts": [["1"]]},
     "e3.json": {"start": 3, "end": 3, "accepts": [["1"]]},
@@ -199,7 +201,7 @@ def grid() -> list[list[str]]:
     for spec in SPECS:
         for strategy, path, payoff in itertools.product(STRATEGIES, _paths(spec), (None, "e_w2", "e_w9")):
             add(["simulate", spec, "--strategy", strategy, "--path", path] + (["--payoff", payoff] if payoff else []))
-        for strategy in ("doubling", "doob:1/2,2", "levy:3/5,9/10", "levy:1/4,1/2,dyadic"):
+        for strategy in ("doubling", "donothing", "doob:1/2,2", "levy:3/5,9/10", "levy:1/4,1/2,dyadic"):
             for flag, name in (("--table", "table.csv"), ("--cuts", "cuts.json"), ("--trace", "trace.csv")):
                 for target in (f"{OUT}/{name}", UNWRITABLE):
                     add(["simulate", spec, "--strategy", strategy, "--path", _paths(spec)[3],
@@ -208,6 +210,8 @@ def grid() -> list[list[str]]:
                  "--table", f"{OUT}/table.csv", "--cuts", f"{OUT}/cuts.json", "--trace", f"{OUT}/trace.csv"])
         for table, strategy in itertools.product(TABLES, ("doob:1/2,2", "doob:4/5,6/5", "doob:2,1")):
             add(["simulate", spec, "--strategy", strategy, "--path", _paths(spec)[3], "--base", table])
+        for table, strategy in itertools.product(("t_total.csv", "t_missing.csv"), ("doubling", "donothing", "levy:3/5,9/10", "nope")):
+            add(["simulate", spec, "--strategy", strategy, "--path", _paths(spec)[3], "--payoff", "e_w2", "--base", table])
         for table in TABLES:
             add(["verify", spec, "--supermartingale", table])
     for spec in SPECS:
@@ -224,7 +228,8 @@ def grid() -> list[list[str]]:
                 add(argv + ["--trace", f"{OUT}/trace.csv"])
                 add(argv + ["--trace", UNWRITABLE])
     add(["law", "broken.json", "classify", "--event", "w4=0"])
-    systems = ("sys_a.json", "sys_last.json", "sys_table.json", "sys_gap.json", "sys_mapgap.json", "nosuch.json")
+    systems = ("sys_a.json", "sys_last.json", "sys_table.json", "sys_gap.json", "sys_mapgap.json", "sys_off.json",
+               "nosuch.json")
     events = ("e3.json", "e1.json;e3.json", "e23.json", "e9.json", "ebad.json")
     settings = (("0", "1", "2"), ("1/10", "1", "4"), ("0", "-3", "3"), ("0", "-3", "4"), ("1/2", "-1", "4"),
                 ("1/0", "-3", "4"), ("x", "1", "2"), ("0", "0", "0"))
@@ -240,6 +245,8 @@ def grid() -> list[list[str]]:
     add(["expect", "gap.json", "--payoff", "e_w1"])
     add(["law", "p2.json", "kolmogorov", "--event", "w1=1"])
     add(["law", "coin.json", "kolmogorov"])
+    for strategy in ("doob:1/2,2", "doubling"):
+        add(["simulate", "long.json", "--strategy", strategy, "--path", "1"])
     return lines
 
 

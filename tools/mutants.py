@@ -8,10 +8,11 @@ The script copies ``src/``, ``tests/``, ``demos/`` and ``pyproject.toml``
 to a temporary directory and never edits ``src/`` in place.  For each
 mutation in ``MUTANTS`` (all of them, or those named on the command line)
 it replaces one exact piece of source text in the copy, runs pytest with
-``-x`` on the test files that cover it, with a per-mutant timeout, and
-puts the original text back.  It prints one line per mutant:
+``-x`` on the test files that cover it, with a per-mutant timeout and a
+limit on its address space, and puts the original text back.  The limit
+turns a mutant that allocates without bound into a ``MemoryError``.  It prints one line per mutant:
 
-* ``killed``: a test failed, or the run outlasted the timeout;
+* ``killed``: a test failed, or the run outlasted the timeout or the memory limit;
 * ``survived``: every test passed, so no test tells the mutant apart;
 * ``equivalent``: every test passed, and the mutant is listed with the
   reason it computes the same results as the original.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -38,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "pyproject.toml")
+MEMORY_LIMIT = 2 << 30  # bytes of address space for each pytest run
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,36 @@ MUTANTS = [
         "if spec.contents[p].eval_seq(kids) > values[s] + ONE:",
         ("test_forecaster.py",),
     ),
+    # -- capital tables filled in one pass ---------------------------------------
+    Mutant(
+        "default-base-counts-the-first-label",
+        "cli.py",
+        "last = game.outcomes.labels[-1]\n            value",
+        "last = game.outcomes.labels[0]\n            value",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "default-base-tabulated-before-the-cap-check",
+        "cli.py",
+        "            return Supermartingale.from_fn(game, lambda s: value(s.count(last), len(s)))\n",
+        "            table = {(c, n): value(c, n) for n in range(game.horizon + 1) for c in range(n + 1)}\n"
+        "            return Supermartingale.from_fn(game, lambda s: table[s.count(last), len(s)])\n",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "shift-fills-one-level-short",
+        "gametree.py",
+        "for t in game.all_situations(depth - len(s)))",
+        "for t in game.all_situations(depth - len(s) - 1))",
+        ("test_gametree.py", "test_laws.py"),
+    ),
+    Mutant(
+        "constant-one-level-deep",
+        "gametree.py",
+        "dict.fromkeys(game.all_situations(d), ext(value))",
+        "dict.fromkeys(game.all_situations(d + 1), ext(value))",
+        ("test_gametree.py", "test_strategies.py"),
+    ),
     # -- verification -------------------------------------------------------------
     Mutant(
         "verify-fails-on-equality",
@@ -314,6 +347,20 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "base-refusal-dropped",
+        "cli.py",
+        'if args.base and (plain or name.startswith("levy:")):',
+        "if False:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "system-error-type-uncaught",
+        "cli.py",
+        "except ForecastError as exc:",
+        "except () as exc:",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "short-levy-path-unflagged",
         "laws.py",
         "if len(path) != xi.depth:",
@@ -321,6 +368,10 @@ MUTANTS = [
         ("test_cli.py",),
     ),
 ]
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def _run(copy: Path, mutant: Mutant, timeout: float) -> tuple[str, float]:
@@ -334,7 +385,7 @@ def _run(copy: Path, mutant: Mutant, timeout: float) -> tuple[str, float]:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
-        proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=timeout, preexec_fn=_limit_memory)
         if proc.returncode in (3, 4, 5):  # internal error, usage error, no tests collected
             raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout.decode()}")
         passed = proc.returncode == 0
