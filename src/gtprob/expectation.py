@@ -433,8 +433,6 @@ def determinacy_check(game: GameSpec, xi: Payoff, depth: int) -> DeterminacyRepo
     leaves = xi.leaf_values(game)
     up = _sweep(game, leaves, 0, xi.depth, depth)
     down = _sweep(game, leaves, 0, xi.depth, depth, negate=True)
-    report = DeterminacyReport(game.outcomes, depth)
-    for s, u, neg_l in zip(game.all_situations(depth), chain.from_iterable(up), chain.from_iterable(down)):
-        if u != -neg_l:
-            report.gaps.append((s, u, -neg_l))
-    return report
+    lows = map(ExtReal.__neg__, chain.from_iterable(down))
+    gaps = [(s, u, l) for s, u, l in zip(game.all_situations(depth), chain.from_iterable(up), lows) if u != l]
+    return DeterminacyReport(game.outcomes, depth, gaps)
