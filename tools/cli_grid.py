@@ -210,7 +210,8 @@ def grid() -> list[list[str]]:
                  "--table", f"{OUT}/table.csv", "--cuts", f"{OUT}/cuts.json", "--trace", f"{OUT}/trace.csv"])
         for table, strategy in itertools.product(TABLES, ("doob:1/2,2", "doob:4/5,6/5", "doob:2,1")):
             add(["simulate", spec, "--strategy", strategy, "--path", _paths(spec)[3], "--base", table])
-        for table, strategy in itertools.product(("t_total.csv", "t_missing.csv"), ("doubling", "donothing", "levy:3/5,9/10", "nope")):
+        not_doob = ("doubling", "donothing", "levy:3/5,9/10", "nope")
+        for table, strategy in itertools.product(("t_total.csv", "t_missing.csv"), not_doob):
             add(["simulate", spec, "--strategy", strategy, "--path", _paths(spec)[3], "--payoff", "e_w2", "--base", table])
         for table in TABLES:
             add(["verify", spec, "--supermartingale", table])

@@ -385,7 +385,9 @@ def _run(copy: Path, mutant: Mutant, timeout: float) -> tuple[str, float]:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
-        proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=timeout, preexec_fn=_limit_memory)
+        proc = subprocess.run(
+            argv, cwd=copy, env=env, capture_output=True, timeout=timeout, preexec_fn=_limit_memory
+        )
         if proc.returncode in (3, 4, 5):  # internal error, usage error, no tests collected
             raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout.decode()}")
         passed = proc.returncode == 0
