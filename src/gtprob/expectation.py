@@ -143,13 +143,6 @@ class Payoff:
             raise ValueError(f"payoff is settled at depth {self.depth}, got {len(leaf)}")
         return self._fn(leaf)
 
-    def negate(self) -> "Payoff":
-        return Payoff(self.depth, lambda s: -self._fn(s))
-
-    def shifted(self, c) -> "Payoff":
-        d = ext(c)
-        return Payoff(self.depth, lambda s: self._fn(s) + d)
-
     def require_within(self, horizon: int) -> None:
         if self.depth > horizon:
             raise ValueError("payoff settles beyond the game horizon")
@@ -175,7 +168,7 @@ class EventWindow:
 
     Membership is decided by one test: an explicit accept set's
     ``__contains__`` or a predicate; predicate-backed windows can be
-    arbitrarily long, materialization is guarded.
+    arbitrarily long, since membership never lists the window's tuples.
     """
 
     __slots__ = ("start", "end", "_member", "label")
@@ -216,16 +209,9 @@ class EventWindow:
             raise ValueError("prefix does not cover the event window")
         return self.member_window(tuple(outcomes_prefix[self.start - 1 : self.end]))
 
-    def accepts(self, outcomes: OutcomeSet) -> frozenset:
-        given = getattr(self._member, "__self__", None)
-        if isinstance(given, frozenset):
-            return given
-        config.require_dense(self.width, what="event materialization")
-        return frozenset(t for t in outcomes.tuples(self.width) if self._member(t))
-
     def complement(self) -> "EventWindow":
         # Always a predicate window, so an accept set's complement stays
-        # outcome-set agnostic and is materialized lazily.
+        # outcome-set agnostic and never lists the tuples it accepts.
         return EventWindow(
             self.start, self.end, predicate=lambda w: not self._member(w),
             label=f"not({self.label})" if self.label else "",

@@ -165,10 +165,6 @@ class Gamble:
         c = Fraction(c)
         return Gamble(self.outcomes, [scale(c, v) for v in self.values])
 
-    def shifted(self, c) -> "Gamble":
-        d = ext(c)
-        return Gamble(self.outcomes, [v + d for v in self.values])
-
     def clamped_below(self, floor) -> "Gamble":
         f = ext(floor)
         return Gamble(self.outcomes, [v if v >= f else f for v in self.values])

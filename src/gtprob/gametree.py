@@ -21,7 +21,6 @@ extended-real conventions; the subtree relocations below rely on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -251,17 +250,6 @@ class Supermartingale:
             return self.table[s]
         except KeyError:
             raise KeyError(f"table has no entry for situation {s!r}")
-
-    def __add__(self, other: "Supermartingale") -> "Supermartingale":
-        if self.depth != other.depth or self.table.keys() != other.table.keys():
-            raise ValueError("tables must share the same node set to add")
-        return Supermartingale(
-            {s: v + other.table[s] for s, v in self.table.items()}, self.depth
-        )
-
-    def scaled(self, c: Fraction) -> "Supermartingale":
-        c = Fraction(c)
-        return Supermartingale({s: scale(c, v) for s, v in self.table.items()}, self.depth)
 
     def min_value(self) -> ExtReal:
         return min(self.table.values())

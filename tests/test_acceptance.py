@@ -318,7 +318,7 @@ def test_acceptance_7():
         for _ in range(5):
             xi = random_payoff(rng, BIN, 4)
             up = upper_table(game, xi)
-            down = upper_table(game, xi.negate())
+            down = upper_table(game, Payoff(xi.depth, lambda s: -xi.value(s)))
             for s in game.all_situations(4):
                 assert -down.value(s) <= up.value(s)
     # Union bound over every 3-element family from a window-event universe.
@@ -443,7 +443,7 @@ def test_acceptance_11():
     def check(event, width):
         hi = upper_probability(game, event)
         lo = lower_probability(game, event)
-        uniform = Fraction(len(event.accepts(BIN)), 2**width)
+        uniform = Fraction(sum(map(event.member_window, BIN.tuples(width))), 2**width)
         assert hi == lo == ext(uniform)
 
     # Exhaustive: every window event of width <= 3 ending by depth 6 built

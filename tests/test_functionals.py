@@ -178,7 +178,7 @@ def test_constant_shift_moves_price_by_the_constant():
     for content in CONTENTS:
         for g in default_grid(BIN):
             for c in (Fraction(-1), Fraction(2), Fraction(1, 3)):
-                assert content.eval(g.shifted(c)) == content.eval(g) + ext(c)
+                assert content.eval(g + Gamble.constant(g.outcomes, c)) == content.eval(g) + ext(c)
 
 
 def test_price_at_least_min_coordinate():

@@ -199,7 +199,8 @@ def test_sum_of_verified_tables_verifies():
     game = coin_game()
     a = doubling_table(game)
     b = Supermartingale.constant(game, 1)
-    assert verify_supermartingale(game, a + b).ok
+    total = Supermartingale({s: v + b.table[s] for s, v in a.table.items()}, a.depth)
+    assert verify_supermartingale(game, total).ok
 
 
 def test_capital_process_matches_strategy_table():

@@ -278,7 +278,7 @@ def test_scripted_constant_half_is_iid_coin_on_last_coordinate():
     for content in scripted.game.contents:
         assert content.probs == (Fraction(1, 2), Fraction(1, 2))
     # The event is exactly "second coordinate equals 1".
-    accepts = scripted.event.accepts(BIN)
+    accepts = {t for t in BIN.tuples(scripted.event.width) if scripted.event.member_window(t)}
     assert accepts == {("1", "1"), ("0", "1")}
 
 

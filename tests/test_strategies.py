@@ -108,7 +108,9 @@ def test_doob_hand_simulation_on_step_multiplier_base():
 def test_doob_off_origin_subtree_is_infinite():
     game = coin_game(3)
     base = step_multiplier_base(game)
-    normalized = base.scaled(Fraction(2, 3))  # value 1 at ("1",)
+    normalized = Supermartingale(  # value 1 at ("1",)
+        {s: scale(Fraction(2, 3), v) for s, v in base.table.items()}, base.depth
+    )
     res = doob_upcrossing(
         game, normalized, Fraction(4, 5), Fraction(6, 5), origin=("1",), check_base=False
     )
@@ -248,7 +250,7 @@ def test_levy_table_matches_path_trace():
             res = levy_strategy(game, xi, a, b, slack=slack)
             assert verify_supermartingale(game, res.table).ok
             assert len(res.trace.sigma) > 1
-            cond = upper_table(game, xi.shifted(-res.shift)).value
+            cond = upper_table(game, Payoff(xi.depth, lambda s: xi.value(s) + ext(-res.shift))).value
             for path in game.outcomes.tuples(game.horizon):
                 steps = levy_capital_trace(game, path, a, b, slack=slack, cond=cond)
                 assert len(steps) == game.horizon + 1
@@ -468,7 +470,7 @@ def reference_levy(game, xi, a, b, slack):
     leaves = [xi.value(s) for s in game.outcomes.tuples(xi.depth)]
     finite = [v.finite for v in leaves if v.is_finite]
     shift = min(finite) - 1 if finite and min(finite) < 0 else Fraction(0)
-    cond = upper_table(game, xi if shift == 0 else xi.shifted(-shift))
+    cond = upper_table(game, xi if shift == 0 else Payoff(xi.depth, lambda s: xi.value(s) + ext(-shift)))
     machine = ReferenceLevyMachine(cond.value, a, b, slack)
     values, states = {EMPTY: ONE}, {}
     states[EMPTY], _ = machine.settle(EMPTY, ("waiting", 0, None))
@@ -625,7 +627,8 @@ def test_constructions_match_node_by_node_loops(case):
     assert res.halted == halted and res.shift == shift
     assert res.cond_table.table == cond and res.cond_table.depth == xi.depth
     steps = levy_capital_trace(
-        game, path, a, b, slack=slack, cond=upper_table(game, xi.shifted(-shift)).value
+        game, path, a, b, slack=slack,
+        cond=upper_table(game, Payoff(xi.depth, lambda s: xi.value(s) + ext(-shift))).value,
     )
     shifted = res.cond_table.value
     assert [(st.situation, st.capital, st.event) for st in steps] == reference_levy_trace(
