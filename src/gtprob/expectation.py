@@ -316,11 +316,8 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     This is the exact cover of ``xi`` with the least start, and it prices
     its own children exactly at every node.
     """
-    leaves = xi.leaf_values(game)
-    levels = _sweep(game, leaves, 0, xi.depth, xi.depth)
-    table: dict[Situation, ExtReal] = {}
-    for d in range(xi.depth, -1, -1):
-        table.update(zip(game.outcomes.tuples(d), levels[d]))
+    levels = _sweep(game, xi.leaf_values(game), 0, xi.depth, xi.depth)
+    table = dict(zip(game.all_situations(xi.depth), chain.from_iterable(levels)))
     return Supermartingale(table, xi.depth)
 
 

@@ -411,8 +411,8 @@ def stop_when_covered(sm: Supermartingale, level: ExtReal) -> Supermartingale:
     level = ext(level)
     frozen: set[Situation] = set()
     table: dict[Situation, ExtReal] = {}
-    # Parents come first, and a node below a frozen one is frozen too.
-    for u in sorted(sm.table, key=lambda s: (len(s), s)):
+    # Parents first, each level in table order; a node below a frozen one is frozen too.
+    for u in sorted(sm.table, key=len):
         if u[:-1] in frozen:
             table[u] = table[u[:-1]]
             frozen.add(u)

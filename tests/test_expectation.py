@@ -723,3 +723,54 @@ def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
     expected = ("UnknownGambleError", "no table entry for gamble values ('1/2', '1/2')")
     assert outcome(lambda: dense_value(game, xi, EMPTY)) == expected
     assert outcome(lambda: upper_expectation(game, xi)) == expected
+
+
+# -- the library's input checks ----------------------------------------------
+
+from gtprob.functionals import check_axioms
+from gtprob.laws import scripted_conditional_game
+
+INPUT_CHECKS = {
+    "payoff_negative_depth": (
+        lambda: Payoff(-1, lambda s: ZERO), ValueError, "payoff depth must be nonnegative"),
+    "payoff_table_missing_leaf": (
+        lambda: Payoff.from_table({("0",): 1}, 1).value(("1",)), KeyError, "payoff table has no entry for ('1',)"),
+    "payoff_value_at_the_wrong_depth": (
+        lambda: Payoff.constant(1, 2).value(("0",)), ValueError, "payoff is settled at depth 2, got 1"),
+    "window_with_both_sources": (
+        lambda: EventWindow(1, 1, accepts=[("1",)], predicate=lambda w: True),
+        ValueError, "give exactly one of accepts or predicate"),
+    "window_with_neither_source": (
+        lambda: EventWindow(1, 1), ValueError, "give exactly one of accepts or predicate"),
+    "member_on_a_short_prefix": (
+        lambda: EventWindow(2, 3, predicate=lambda w: True).member(("1", "0")),
+        ValueError, "prefix does not cover the event window"),
+    "member_window_of_the_wrong_width": (
+        lambda: EventWindow(2, 3, predicate=lambda w: True).member_window(("1",)),
+        ValueError, "window tuple must have length 2"),
+    "game_with_too_few_rounds": (
+        lambda: GameSpec(BIN, [Measure.uniform(BIN)] * 2, 3),
+        ValueError, "need one pricing functional per round 1..horizon"),
+    "game_with_a_functional_on_another_set": (
+        lambda: GameSpec(BIN, Measure.uniform(OutcomeSet(["a", "b", "c"])), 2),
+        ValueError, "every pricing functional must live on the game's outcome set"),
+    "content_at_round_zero": (
+        lambda: coin_game(2).content_at(0), ValueError, "round 0 outside 1..2"),
+    "content_at_past_the_horizon": (
+        lambda: coin_game(2).content_at(3), ValueError, "round 3 outside 1..2"),
+    "empty_outcome_set": (
+        lambda: OutcomeSet([]), ValueError, "outcome set must be non-empty"),
+    "empty_envelope": (
+        lambda: Envelope(BIN, []), ValueError, "envelope needs at least one measure"),
+    "empty_audit_suite": (
+        lambda: check_axioms(Measure.uniform(BIN), []), ValueError, "audit suite must be non-empty"),
+    "scripted_game_without_targets": (
+        lambda: scripted_conditional_game([]), ValueError, "need at least one target"),
+}
+
+
+@pytest.mark.parametrize("call, kind, text", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_library_input_checks_raise_their_text(call, kind, text):
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), caught.value.args[0]) == (kind, text)

@@ -278,6 +278,10 @@ def test_constant_and_shifted_tables_keep_level_order():
     shifted = shift_strategy(game, sm, ("1",))
     assert shifted.depth == 3
     assert list(shifted.table.items()) == [(u, ext(len(u) - 1) if u[:1] == ("1",) else INF) for u in order]
+    stopped = stop_when_covered(Supermartingale.from_fn(game, lambda s: ext(len(s))), 1)
+    assert list(stopped.table.items()) == [(u, ext(min(len(u), 2))) for u in order]
+    xi = Payoff(3, lambda s: ext(s.count("hi") - s.count("lo")))
+    assert list(upper_table(game, xi).table) == list(game.all_situations(xi.depth)) == order
 
 
 def test_shift_rejects_round_dependent_pricing():
@@ -472,7 +476,7 @@ def prefix_scan_stop(sm, level):
     ``level``, if any, else keeps its own."""
     level = ext(level)
     frozen_at, table = {}, {}
-    for u in sorted(sm.table, key=lambda s: (len(s), s)):
+    for u in sorted(sm.table, key=len):
         holder = next((u[:k] for k in range(len(u)) if u[:k] in frozen_at), None)
         if holder is not None:
             table[u] = frozen_at[holder]

@@ -367,6 +367,37 @@ MUTANTS = [
         "if len(path) > xi.depth:",
         ("test_cli.py",),
     ),
+    # -- level order and the library's input checks ---------------------------
+    Mutant(
+        "stop-sorts-by-string",
+        "gametree.py",
+        "sorted(sm.table, key=len)",
+        "sorted(sm.table, key=lambda s: (len(s), s))",
+        ("test_gametree.py",),
+    ),
+    Mutant(
+        "upper-table-fills-leaves-first",
+        "expectation.py",
+        "    table = dict(zip(game.all_situations(xi.depth), chain.from_iterable(levels)))\n",
+        "    table = {}\n"
+        "    for d in range(xi.depth, -1, -1):\n"
+        "        table.update(zip(game.outcomes.tuples(d), levels[d]))\n",
+        ("test_gametree.py",),
+    ),
+    Mutant(
+        "negative-payoff-depth-admitted",
+        "expectation.py",
+        "if depth < 0:",
+        "if depth < -1:",
+        ("test_expectation.py",),
+    ),
+    Mutant(
+        "window-with-both-sources-admitted",
+        "expectation.py",
+        "if (accepts is None) == (predicate is None):",
+        "if accepts is None and predicate is None:",
+        ("test_expectation.py",),
+    ),
 ]
 
 
