@@ -59,11 +59,11 @@ print("\nmixing check for a history-independent (product) system:")
 product_spec = Protocol2Spec(space, [("c",), ("d",), ("c",), ("d",)], {"c": coin, "d": skew})
 product = ForecastingSystem(product_spec, lambda s: "c" if len(s) % 2 == 0 else "d")
 events = [EventWindow.coordinate_is(3, "1"), EventWindow.coordinate_is(4, "0")]
-print(delta_mixing_check(product, Fraction(0), lambda n: 2, events, max_prefix=2))
+print(delta_mixing_check(product, Fraction(0), 2, events, max_prefix=2))
 
 print("\nthe sticky system fails mixing with an exact witness:")
 event = EventWindow.coordinate_is(2, "1")
-report = delta_mixing_check(sticky, Fraction(1, 2), lambda n: 1, [event], max_prefix=1)
+report = delta_mixing_check(sticky, Fraction(1, 2), 1, [event], max_prefix=1)
 print(report)
 print(f"  conditional after seeing 1: {upper_prob_phi(sticky, event, ('1',))}")
 print(f"  unconditional:             {upper_prob_phi(sticky, event)}")

@@ -332,7 +332,7 @@ def cmd_law_mixing(args, spec: Protocol2Spec) -> int:
     if args.max_prefix > spec.horizon and any(e.start > spec.horizon + args.gap for e in events):
         raise SchemaError("/max-prefix", "outcome path longer than the horizon")
     try:
-        report = delta_mixing_check(phi, delta, lambda n: args.gap, events, max_prefix=args.max_prefix)
+        report = delta_mixing_check(phi, delta, args.gap, events, max_prefix=args.max_prefix)
     except ForecastError as exc:
         raise SchemaError("/system", str(exc)) from exc
     print(str(report))

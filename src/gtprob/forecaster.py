@@ -374,14 +374,14 @@ class MixingReport:
 def delta_mixing_check(
     phi: ForecastingSystem,
     delta: Fraction,
-    gap: Callable[[int], int],
+    gap: int,
     events: Sequence[EventWindow],
     max_prefix: int,
     exceptions: Sequence[Situation] = (),
 ) -> MixingReport:
     """Check, exactly, that conditioning on any outcome prefix of length
     ``n <= max_prefix`` raises the upper probability of each supplied
-    event whose window starts at or past ``n + gap(n)`` by at most
+    event whose window starts at or past ``n + gap`` by at most
     ``delta``.  Each event is swept once from the root, and every prefix
     reads its conditional from that table (past the window's end, its leaf).
 
@@ -397,9 +397,7 @@ def delta_mixing_check(
     k = len(phi.spec.outcomes)
     worst: ExtReal | None = None
     for n in range(1, max_prefix + 1):
-        remote = [
-            (idx, e) for idx, e in enumerate(events) if e.start >= n + gap(n)
-        ]
+        remote = [(idx, e) for idx, e in enumerate(events) if e.start >= n + gap]
         if not remote:
             continue
         for rank, prefix in enumerate(phi.spec.outcomes.tuples(n)):

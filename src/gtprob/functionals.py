@@ -139,15 +139,13 @@ class Gamble:
 
     @classmethod
     def of(cls, outcomes: OutcomeSet, spec) -> "Gamble":
-        """Build from a mapping label->value, a sequence, or a single constant."""
+        """Build from a mapping label->value or a sequence."""
         if isinstance(spec, Mapping):
             missing = [lab for lab in outcomes if lab not in spec]
             if missing:
                 raise ValueError(f"gamble is missing outcomes {missing}")
             return cls(outcomes, [ext(spec[lab]) for lab in outcomes])
-        if isinstance(spec, (list, tuple)):
-            return cls(outcomes, [ext(v) for v in spec])
-        return cls.constant(outcomes, spec)
+        return cls(outcomes, [ext(v) for v in spec])
 
     @classmethod
     def constant(cls, outcomes: OutcomeSet, value) -> "Gamble":
@@ -405,13 +403,12 @@ class TableContent(OuterContent):
     def __init__(
         self,
         outcomes: OutcomeSet,
-        entries: Mapping[Gamble, ExtReal] | Iterable[tuple[Gamble, ExtReal]],
+        entries: Iterable[tuple[Gamble, ExtReal]],
         declared_level: str = OUTER_CONTENT,
     ):
         super().__init__(outcomes)
-        items = entries.items() if isinstance(entries, Mapping) else entries
         table: dict[tuple, ExtReal] = {}
-        for g, v in items:
+        for g, v in entries:
             if g.outcomes != outcomes:
                 raise GambleSpaceError("table entry on a different outcome set")
             table[g.values] = ext(v)

@@ -19,11 +19,11 @@ Both engines emit the alternating entry/exit cuts they generated so the
 phase bounds can be checked from the outside, and both output tables that
 pass :func:`gtprob.gametree.verify_supermartingale`.
 
-:func:`mixture` combines finitely many constructed tables with weights
-``2**-i``.  Its certificate recomputes every increment in the pooled
-weight form (a single nonnegative multiple of the base increment), which
-establishes the supermartingale property without any appeal to countable
-subadditivity of the pricing functionals.
+:func:`mixture` combines finitely many upcross constructions over one
+base with weights ``2**-i``.  Its certificate recomputes every increment
+in the pooled weight form (a single nonnegative multiple of the base
+increment), which establishes the supermartingale property without any
+appeal to countable subadditivity of the pricing functionals.
 
 All three run top-down in level order (base-K rank within a level) on
 integer numerators over one denominator, as the kernel in
@@ -424,17 +424,17 @@ class MixtureResult:
     note: str
 
 
-def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
+def mixture(parts: Sequence[DoobResult]) -> MixtureResult:
     """Weighted sum ``sum_i 2**-i * part_i`` over finitely many parts.
 
-    Parts are upcross constructions over one shared base, or constant
-    tables (which contribute nothing to increments).  The supermartingale
-    property of the sum is certified directly: wherever the sum is finite,
-    each increment is recomputed as (pooled weight) * (base increment)
-    with a pooled weight in [0, 1], so the certificate needs nothing
-    beyond the base being a supermartingale.  The report carries the bound
-    ``2**-I`` on what truncating the series at index I discards at the
-    start, for omitted parts that start at 1.
+    Each part is an upcross construction (:func:`doob_upcrossing`), and
+    all of them share one base.  The supermartingale property of the sum
+    is certified directly: wherever the sum is finite, each increment is
+    recomputed as (pooled weight) * (base increment) with a pooled weight
+    in [0, 1], so the certificate needs nothing beyond the base being a
+    supermartingale.  The report carries the bound ``2**-I`` on what
+    truncating the series at index I discards at the start, for omitted
+    parts that start at 1.
 
     The parts and the base share one denominator ``D``; the sum is held
     over ``D * 2**I`` and each increment is compared with the pooled
@@ -442,27 +442,12 @@ def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
     """
     if not parts:
         raise ValueError("mixture needs at least one part")
-    tables: list[Supermartingale] = []
-    activities: list[frozenset[Situation]] = []
-    base: Supermartingale | None = None
     for p in parts:
-        if isinstance(p, DoobResult):
-            tables.append(p.table)
-            activities.append(p.active)
-            if base is None:
-                base = p.base
-            elif base is not p.base and base.table != p.base.table:
-                raise ValueError("upcross parts must share one base table")
-        elif isinstance(p, Supermartingale):
-            first = next(iter(p.table.values()))
-            if any(v != first for v in p.table.values()):
-                raise ValueError(
-                    "plain tables in a mixture must be constant; build others via doob_upcrossing"
-                )
-            tables.append(p)
-            activities.append(frozenset())
-        else:
+        if not isinstance(p, DoobResult):
             raise TypeError(f"cannot mix in {type(p).__name__}")
+        if p.base is not parts[0].base and p.base.table != parts[0].base.table:
+            raise ValueError("upcross parts must share one base table")
+    tables = [p.table for p in parts]
     depth = tables[0].depth
     keys = tables[0].table.keys()
     for t in tables[1:]:
@@ -476,30 +461,29 @@ def mixture(parts: Sequence[DoobResult | Supermartingale]) -> MixtureResult:
     # weight 0.
     n, labels = len(tables), sorted({u[-1] for u in keys if len(u) == 1})
     sits = [u for d in range(depth + 1) for u in product(labels, repeat=d)]
-    cols = [t.table for t in tables] + ([] if base is None else [base.table])
+    cols = [t.table for t in tables] + [parts[0].base.table]
     flat, den = _numerators([t[s] for s in sits for t in cols])
     weights = [1 << (n - 1 - i) for i in range(n)]
-    sums = _int_round([weights + [0] * (len(cols) - n)], flat, len(cols))
+    sums = _int_round([weights + [0]], flat, n + 1)
     den <<= n
     combined = dict.fromkeys(keys)
     combined.update(zip(sits, _read_out(sums, den)))
 
     # Increment certificate in the pooled-weight form.
-    if base is not None:
-        k, moves = len(labels), flat[n :: n + 1]
-        inner = sits[: len(sits) - k**depth]
-        pooled = _int_round([weights], [int(s in act) for s in inner for act in activities], n)
-        for g, p in enumerate(pooled):
-            cs, bs = sums[g], moves[g]
-            if cs.__class__ is float or bs.__class__ is float:
+    k, moves = len(labels), flat[n :: n + 1]
+    inner = sits[: len(sits) - k**depth]
+    pooled = _int_round([weights], [int(s in p.active) for s in inner for p in parts], n)
+    for g, p in enumerate(pooled):
+        cs, bs = sums[g], moves[g]
+        if cs.__class__ is float or bs.__class__ is float:
+            continue
+        for c in range(g * k + 1, g * k + k + 1):
+            cx, bx = sums[c], moves[c]
+            if cx.__class__ is float or bx.__class__ is float or cx - cs == p * (bx - bs):
                 continue
-            for c in range(g * k + 1, g * k + k + 1):
-                cx, bx = sums[c], moves[c]
-                if cx.__class__ is float or bx.__class__ is float or cx - cs == p * (bx - bs):
-                    continue
-                got, expected = Fraction(cx - cs, den), Fraction(p * (bx - bs), den)
-                at, to = (format_situation(sits[i], OutcomeSet(labels)) for i in (g, c))
-                raise AssertionError(f"increment certificate failed at {at or '□'}->{to}: {got} != {expected}")
+            got, expected = Fraction(cx - cs, den), Fraction(p * (bx - bs), den)
+            at, to = (format_situation(sits[i], OutcomeSet(labels)) for i in (g, c))
+            raise AssertionError(f"increment certificate failed at {at or '□'}->{to}: {got} != {expected}")
 
     bound = ext(Fraction(1, 2 ** len(tables)))
     note = (

@@ -418,7 +418,7 @@ def test_acceptance_10():
         EventWindow(3, 4, predicate=lambda w: w[0] == w[1], label="eq34"),
         EventWindow(4, 4, accepts=[("1",)], label="w4"),
     ]
-    report = delta_mixing_check(phi, Fraction(0), lambda n: 2, events, max_prefix=2)
+    report = delta_mixing_check(phi, Fraction(0), 2, events, max_prefix=2)
     assert report.violations == 0
     assert report.worst_margin == ZERO
     assert len(report.rows) > 0
@@ -428,7 +428,7 @@ def test_acceptance_10():
     sticky_spec = Protocol2Spec(BIN, [("p0", "p1")] * 2, {"p0": point0, "p1": point1})
     sticky = ForecastingSystem.last_outcome(sticky_spec, {"0": "p0", "1": "p1"}, initial="p0")
     event = EventWindow.coordinate_is(2, "1")
-    report = delta_mixing_check(sticky, Fraction(1, 2), lambda n: 1, [event], max_prefix=1)
+    report = delta_mixing_check(sticky, Fraction(1, 2), 1, [event], max_prefix=1)
     assert report.violations > 0
     assert report.worst_margin == ONE
     assert report.worst_at is not None and report.worst_at[2] == ("1",)

@@ -216,7 +216,7 @@ def test_product_forecaster_has_margin_exactly_zero():
         EventWindow.coordinate_is(3, "1"),
         EventWindow(3, 4, predicate=lambda w: w[0] == w[1], label="match34"),
     ]
-    report = delta_mixing_check(phi, Fraction(0), lambda n: 2, events, max_prefix=2)
+    report = delta_mixing_check(phi, Fraction(0), 2, events, max_prefix=2)
     assert report.violations == 0
     assert report.worst_margin == ZERO
     assert len(report.rows) > 0
@@ -226,7 +226,7 @@ def test_trivial_delta_close_to_one_flags_everything_bounded():
     spec = coin_sup_spec(3)
     phi = ForecastingSystem.constant(spec, "c")
     events = [EventWindow.coordinate_is(3, "1")]
-    report = delta_mixing_check(phi, Fraction(99, 100), lambda n: 2, events, max_prefix=1)
+    report = delta_mixing_check(phi, Fraction(99, 100), 2, events, max_prefix=1)
     assert report.violations == 0
     for label, value, ok in report.dichotomy:
         assert value <= ONE
@@ -236,7 +236,7 @@ def test_sticky_forecaster_violates_mixing_with_exact_witness():
     spec = spec_with([("a", "b")] * 2, {"a": POINT0, "b": POINT1})
     phi = ForecastingSystem.last_outcome(spec, {"0": "a", "1": "b"}, initial="a")
     event = EventWindow.coordinate_is(2, "1")
-    report = delta_mixing_check(phi, Fraction(1, 2), lambda n: 1, [event], max_prefix=1)
+    report = delta_mixing_check(phi, Fraction(1, 2), 1, [event], max_prefix=1)
     assert report.violations > 0
     assert report.worst_margin == ONE
     n, label, prefix = report.worst_at
@@ -253,7 +253,7 @@ def test_mixing_exception_list_skips_prefixes():
     phi = ForecastingSystem.last_outcome(spec, {"0": "a", "1": "b"}, initial="a")
     event = EventWindow.coordinate_is(2, "1")
     report = delta_mixing_check(
-        phi, Fraction(1, 2), lambda n: 1, [event], max_prefix=1, exceptions=[("1",)]
+        phi, Fraction(1, 2), 1, [event], max_prefix=1, exceptions=[("1",)]
     )
     assert report.violations == 0
 
@@ -263,9 +263,9 @@ def test_mixing_prefix_enumeration_is_held_to_the_depth_cap(monkeypatch):
     phi = ForecastingSystem.constant(spec, "c")
     events = [EventWindow.coordinate_is(2, "1")]
     monkeypatch.setenv("GTP_MAX_DEPTH", "3")
-    delta_mixing_check(phi, Fraction(0), lambda n: -6, events, max_prefix=3)
+    delta_mixing_check(phi, Fraction(0), -6, events, max_prefix=3)
     with pytest.raises(DepthCapError, match="dense mixing prefix enumeration to depth 6 exceeds the cap 3"):
-        delta_mixing_check(phi, Fraction(0), lambda n: -6, events, max_prefix=6)
+        delta_mixing_check(phi, Fraction(0), -6, events, max_prefix=6)
 
 
 # -- the outcome-tree sweep against the embedded game ------------------------
@@ -414,7 +414,7 @@ def test_mixing_report_matches_the_embedded_game(case, data):
     delta = data.draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2)]))
     skip = data.draw(st.lists(st.tuples(st.sampled_from(phi.spec.outcomes.labels)), max_size=1))
     expected = settle(lambda: embedded_mixing(phi, delta, gap, events, max_prefix, skip))
-    got = settle(lambda: delta_mixing_check(phi, delta, lambda n: gap, events, max_prefix, skip))
+    got = settle(lambda: delta_mixing_check(phi, delta, gap, events, max_prefix, skip))
     assert got == expected
     if isinstance(got, MixingReport):
         assert str(got) == str(expected)

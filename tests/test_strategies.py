@@ -16,7 +16,6 @@ from gtprob.gametree import (
 )
 from gtprob.expectation import EventWindow, Payoff, indicator
 from gtprob.strategies import (
-    DoobResult,
     doob_upcrossing,
     enumerate_intervals,
     enumerate_rationals,
@@ -311,13 +310,6 @@ def test_single_part_mixture_halves_and_reports_tail():
     assert "truncated" in mix.note
 
 
-def test_two_constant_parts_mix_to_three_quarters():
-    game = coin_game(2)
-    ones = Supermartingale.constant(game, 1)
-    mix = mixture([ones, ones])
-    assert all(v == ext("3/4") for v in mix.table.table.values())
-
-
 def test_mixture_of_enumerated_upcross_parts_verifies():
     game = coin_game(6)
     base = step_multiplier_base(game)
@@ -348,6 +340,12 @@ def _upcross(base_up):
     return doob_upcrossing(game, step_multiplier_base(game, up=base_up), Fraction(1, 2), Fraction(1))
 
 
+def _upcross_on_another_tree():
+    """Two parts over one base, the second's table swapped for a deeper one."""
+    part = _upcross(Fraction(3, 2))
+    return [part, dataclasses.replace(part, table=Supermartingale.constant(coin_game(3), 1))]
+
+
 @pytest.mark.parametrize(
     "build, error, message",
     [
@@ -358,11 +356,9 @@ def _upcross(base_up):
         (lambda: mixture([]), ValueError, "mixture needs at least one part"),
         (lambda: mixture([_upcross(Fraction(3, 2)), _upcross(Fraction(5, 4))]),
          ValueError, "upcross parts must share one base table"),
-        (lambda: mixture([step_multiplier_base(coin_game(2))]),
-         ValueError, "plain tables in a mixture must be constant; build others via doob_upcrossing"),
+        (lambda: mixture([step_multiplier_base(coin_game(2))]), TypeError, "cannot mix in Supermartingale"),
         (lambda: mixture([1]), TypeError, "cannot mix in int"),
-        (lambda: mixture([Supermartingale.constant(coin_game(2), 1), Supermartingale.constant(coin_game(3), 1)]),
-         ValueError, "mixture parts must share the same game tree"),
+        (lambda: mixture(_upcross_on_another_tree()), ValueError, "mixture parts must share the same game tree"),
     ],
 )
 def test_construction_inputs_are_checked(build, error, message):
@@ -498,9 +494,9 @@ def reference_levy_trace(game, path, a, b, slack, cond):
 
 def reference_mixture(parts):
     """Weighted sum through ``scale`` and the pooled-weight certificate, node by node."""
-    tables = [p.table if isinstance(p, DoobResult) else p for p in parts]
-    activities = [p.active if isinstance(p, DoobResult) else frozenset() for p in parts]
-    base = next((p.base for p in parts if isinstance(p, DoobResult)), None)
+    tables = [p.table for p in parts]
+    activities = [p.active for p in parts]
+    base = parts[0].base
     weights = [Fraction(1, 2**i) for i in range(1, len(tables) + 1)]
     keys, depth = tables[0].table.keys(), tables[0].depth
     combined = {}
@@ -509,22 +505,21 @@ def reference_mixture(parts):
         for w, t in zip(weights, tables):
             acc = acc + scale(w, t.table[s])
         combined[s] = acc
-    if base is not None:
-        labels = sorted({u[-1] for u in keys if len(u) == 1})
-        for s in sorted(keys, key=lambda u: (len(u), u)):
-            if len(s) >= depth or not combined[s].is_finite or not base.value(s).is_finite:
+    labels = sorted({u[-1] for u in keys if len(u) == 1})
+    for s in sorted(keys, key=lambda u: (len(u), u)):
+        if len(s) >= depth or not combined[s].is_finite or not base.value(s).is_finite:
+            continue
+        pooled = sum((w for w, act in zip(weights, activities) if s in act), Fraction(0))
+        for sx in (s + (x,) for x in labels):
+            if not combined[sx].is_finite or not base.value(sx).is_finite:
                 continue
-            pooled = sum((w for w, act in zip(weights, activities) if s in act), Fraction(0))
-            for sx in (s + (x,) for x in labels):
-                if not combined[sx].is_finite or not base.value(sx).is_finite:
-                    continue
-                expected = ext(pooled * (base.value(sx).finite - base.value(s).finite))
-                got = combined[sx] - combined[s]
-                if got != expected:
-                    raise AssertionError(
-                        f"increment certificate failed at {format_situation(s, OutcomeSet(labels)) or '□'}->"
-                        f"{format_situation(sx, OutcomeSet(labels))}: {got} != {expected}"
-                    )
+            expected = ext(pooled * (base.value(sx).finite - base.value(s).finite))
+            got = combined[sx] - combined[s]
+            if got != expected:
+                raise AssertionError(
+                    f"increment certificate failed at {format_situation(s, OutcomeSet(labels)) or '□'}->"
+                    f"{format_situation(sx, OutcomeSet(labels))}: {got} != {expected}"
+                )
     return combined
 
 
@@ -571,7 +566,6 @@ def construction_cases(draw):
         raw[origin] = ONE
         base = Supermartingale(raw, depth)
     bands = draw(st.lists(st.tuples(band, band).filter(lambda ab: ab[0] < ab[1]), min_size=1, max_size=4))
-    constants = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 2)]), max_size=2))
     # Payoff: shifted when negative; zero subtrees halt plain rides.
     payoff_depth = draw(st.integers(1, depth))
     pool = draw(st.sampled_from([[0, 0, 0, 1, 2, Fraction(5, 4)], [0, Fraction(-3, 2), 1, 3]]))
@@ -586,13 +580,13 @@ def construction_cases(draw):
     levy = (a, b, draw(st.sampled_from(["none", "dyadic"])))
     path = draw(st.sampled_from(list(outcomes.tuples(depth))))
     bump = draw(st.none() | st.tuples(st.integers(0, 3), st.sampled_from(list(game.all_situations()))))
-    return game, base, origin, bands, constants, xi, levy, path, bump
+    return game, base, origin, bands, xi, levy, path, bump
 
 
 @settings(max_examples=80, deadline=None)
 @given(construction_cases())
 def test_constructions_match_node_by_node_loops(case):
-    game, base, origin, bands, constants, xi, (a, b, slack), path, bump = case
+    game, base, origin, bands, xi, (a, b, slack), path, bump = case
     parts = []
     for lo, hi in bands:
         res = doob_upcrossing(game, base, lo, hi, origin=origin, check_base=False)
@@ -601,7 +595,6 @@ def test_constructions_match_node_by_node_loops(case):
         assert res.trace.sigma == sigma and res.trace.tau == tau
         assert res.active == active
         parts.append(res)
-    parts += [Supermartingale.constant(game, c, base.depth) for c in constants]
     assert mixture(parts).table.table == reference_mixture(parts)
     if bump is not None:
         # One part off by 1/7 at one node: both certificates must fail alike.
@@ -679,16 +672,15 @@ def test_constructions_with_huge_numerators_beside_infinities():
         assert (res.trace.sigma, res.trace.tau, res.active) == (sigma, tau, active)
         parts.append(res)
     assert parts[0].table.value(("0", "0", "1")) == INF
-    parts.append(Supermartingale.constant(game, 1))
     assert mixture(parts).table.table == reference_mixture(parts)
 
     # A part that fell to -inf keeps the sum at -inf below a +inf base node.
     signed = {(): ONE, ("0",): NEG_INF, ("0", "1"): INF}
     base = Supermartingale.from_fn(game, lambda s: signed.get(s[:2], ext(HUGE)))
     parts = [doob_upcrossing(game, base, Fraction(1, 2), Fraction(2), check_base=False)]
-    mix = mixture(parts + [Supermartingale.constant(game, 1)])
+    mix = mixture(parts)
     assert mix.table.value(("0", "1")) == NEG_INF
-    assert mix.table.table == reference_mixture(parts + [Supermartingale.constant(game, 1)])
+    assert mix.table.table == reference_mixture(parts)
 
 
 def test_dyadic_entry_exits_on_the_spot():

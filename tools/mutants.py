@@ -176,8 +176,8 @@ MUTANTS = [
     Mutant(
         "mixture-base-column-weighted-one",
         "strategies.py",
-        "weights + [0] * (len(cols) - n)",
-        "weights + [1] * (len(cols) - n)",
+        "weights + [0]]",
+        "weights + [1]]",
         ("test_strategies.py",),
     ),
     Mutant(
