@@ -235,7 +235,11 @@ def cmd_simulate(args, game: GameSpec) -> int:
         a, b, slack = _strategy_numbers(name, "levy:a,b[,dyadic]")
         if xi is None:
             raise SchemaError("/payoff", "the levy construction needs --payoff")
-        res = levy_strategy(game, xi, a, b, slack=slack[0] if slack else "none")
+        try:
+            res = levy_strategy(game, xi, a, b, slack=slack[0] if slack else "none")
+        except AssertionError as exc:  # the game priced a conditional below zero
+            print(exc)
+            return 1
         cond = res.cond_table
         words = ("exit", "enter")
     else:

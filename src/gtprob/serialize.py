@@ -24,7 +24,8 @@ Formats:
   optional ``"horizon"`` must equal the number of menus;
 * forecasting system: ``{"kind": "constant", "value": p}``, ``{"kind":
   "table", "rule": {situation: p}}``, ``{"kind": "last-outcome", "map":
-  {outcome: p}, "initial": p}``.
+  {outcome: p}, "initial": p}``; ``"value"`` and ``"initial"`` are
+  required and not null.
 """
 
 from __future__ import annotations
@@ -341,7 +342,9 @@ def forecasting_system_from_json(
         raise SchemaError(where, "forecasting system must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "constant":
-        return ForecastingSystem.constant(spec, str(obj.get("value")))
+        if obj.get("value") is None:
+            raise SchemaError(f"{where}/value", "constant system needs a value")
+        return ForecastingSystem.constant(spec, str(obj["value"]))
     if kind == "table":
         rule = obj.get("rule")
         if not isinstance(rule, Mapping):
@@ -357,8 +360,10 @@ def forecasting_system_from_json(
         missing = [x for x in spec.outcomes.labels if x not in mapping]
         if missing:
             raise SchemaError(f"{where}/map", f"last-outcome map misses outcomes {missing}")
+        if obj.get("initial") is None:
+            raise SchemaError(f"{where}/initial", "last-outcome system needs an initial value")
         return ForecastingSystem.last_outcome(
-            spec, {str(k): str(v) for k, v in mapping.items()}, str(obj.get("initial"))
+            spec, {str(k): str(v) for k, v in mapping.items()}, str(obj["initial"])
         )
     raise SchemaError(f"{where}/kind", f"unknown system kind {kind!r}")
 

@@ -40,7 +40,7 @@ from itertools import chain, product
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
-from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, _numerators, _read_out, ext, scale
+from gtprob.extreal import ExtReal, INF, ONE, ZERO, _NInf, _PInf, _numerators, _read_out, ext, scale
 from gtprob.functionals import OutcomeSet, _int_round
 from gtprob.gametree import (
     EMPTY,
@@ -299,15 +299,13 @@ class _LevyMachine:
             if c + dn == 0:
                 self.halted.add(sx)
                 return ("halted", k, 0, None), self.value(state, cap), None
-            cap = cx + dn if cx.__class__ is int else scale(f, INF if cx > 0 else NEG_INF)
+            cap = cx + dn if cx.__class__ is int else scale(f, INF)
         event = None
         if mode == "waiting" and cx < self.an:
             k += 1
             self.tau.setdefault(k, set()).add(sx)
             dn = self.den >> (len(sx) + 1) if self.dyadic else 0
             f = cap.finite * self.den / (cx + dn) if cap.is_finite and cx + dn else None
-            if f is not None and f < 0:
-                raise ValueError("scale only accepts nonnegative finite multipliers")
             mode, state, event = "riding", ("riding", k, dn, f), ("enter", k)
         if mode == "riding" and cx > self.bn - dn:
             # An entry whose padded witness already tops the bar exits on
@@ -324,6 +322,15 @@ class _LevyMachine:
         return ExtReal(Fraction(f.numerator * cap, f.denominator * self.den))
 
 
+def _require_nonnegative(nums, conds: list[ExtReal], sits: list[Situation], outcomes: OutcomeSet) -> None:
+    """A ride follows nonnegative conditionals only; name the first
+    negative one, in ``sits`` order, with its value."""
+    for i, c in enumerate(nums):
+        if c < 0:
+            where = format_situation(sits[i], outcomes) or "□"
+            raise AssertionError(f"{where}: conditional upper expectation {conds[i]} is negative")
+
+
 def levy_strategy(
     game: GameSpec,
     xi: Payoff,
@@ -338,7 +345,8 @@ def levy_strategy(
     shifted payoff drops below ``a``; rides the exact conditional table
     (padded in dyadic mode) until it exceeds ``b``; repeats.  The output is
     positive, passes verification, and its value at the k-th exit cut
-    carries the stated product floor.
+    carries the stated product floor.  The first negative conditional, in
+    level order, raises ``AssertionError``.
     """
     a, b = Fraction(a), Fraction(b)
     leaves = xi.leaf_values(game)
@@ -349,8 +357,9 @@ def levy_strategy(
     depth, k = xi.depth, len(game.outcomes)
     conds = _sweep(game, leaves, 0, depth, depth)
     machine = _LevyMachine(a, b, slack)
-    sits = list(game.all_situations())
-    nums = machine.numerators(list(chain.from_iterable(conds)), depth)
+    sits, flat = list(game.all_situations()), list(chain.from_iterable(conds))
+    nums = machine.numerators(flat, depth)
+    _require_nonnegative(nums, flat, sits, game.outcomes)
     # In level order the children of node g are nodes g*K+1 .. g*K+K.
     state, cap, _ = machine.step(("waiting", 0, 0, None), ONE, None, nums[0], EMPTY)
     states, caps = [state], [cap]
@@ -366,7 +375,7 @@ def levy_strategy(
         values.append(values[(g - 1) // k])
     # The result keeps both tables; keyed by the same situation tuples,
     # the conditional one costs its dict and values only.
-    cond_table = dict(zip(sits, chain.from_iterable(conds)))
+    cond_table = dict(zip(sits, flat))
     return LevyResult(
         Supermartingale(dict(zip(sits, values)), game.horizon),
         _cut_trace(machine.sigma, machine.tau),
@@ -400,13 +409,14 @@ def levy_capital_trace(
     cap.  ``cond`` returns the conditional upper expectations the ride
     follows, already shifted to be nonnegative (for a dense game,
     ``levy_strategy(...).cond_table.value``).  Steps through the same rule
-    as :func:`levy_strategy`.
+    as :func:`levy_strategy`, refusing the first negative conditional on the path.
     """
     path = game.validate_situation(tuple(path))
     machine = _LevyMachine(Fraction(a), Fraction(b), slack)
     sits = [path[:n] for n in range(len(path) + 1)]
     conds = [cond(s) for s in sits]
     nums = machine.numerators(conds, len(path))
+    _require_nonnegative(nums, conds, sits, game.outcomes)
     state, cap, steps = ("waiting", 0, 0, None), ONE, []
     for n, s in enumerate(sits):
         state, cap, event = machine.step(state, cap, nums[n - 1], nums[n], s)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from gtprob.cli import _default_base, main
 from gtprob.extreal import ext
+from gtprob.forecaster import delta_mixing_check
 from gtprob.functionals import Measure, OutcomeSet
 from gtprob.gametree import GameSpec
+from gtprob.serialize import forecasting_system_from_json, protocol2_from_json, window_from_json
 
 # A subprocess finds the package source whether or not it is installed.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -539,6 +541,14 @@ INPUT_ERRORS = {
         lambda tmp, coin: mixing_argv(tmp, system={"kind": "table", "rule": {"0": "a"}}),
         "/system: forecasting table has no entry for history □",
     ),
+    "last_outcome_system_without_initial": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "last-outcome", "map": {"0": "a", "1": "b"}}),
+        "/system/initial: last-outcome system needs an initial value",
+    ),
+    "constant_system_without_value": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "constant"}),
+        "/system/value: constant system needs a value",
+    ),
     "constant_system_off_the_menu": (
         lambda tmp, coin: mixing_argv(tmp, system={"kind": "constant", "value": "c"}),
         "/system: rule returned 'c' at round 1, menu is ('a', 'b')",
@@ -835,6 +845,30 @@ def test_simulate_prints_a_builtin_strategy_over_its_budget_as_a_witness(tmp_pat
     assert run(capsys, ["simulate", one_in, "--strategy", "doubling", "--path", "1,1"]) == (
         1, "1: gamble priced 8/3 exceeds capital 2\n", ""
     )
+
+
+def test_simulate_prints_a_negative_levy_conditional_as_a_witness(tmp_path, capsys):
+    def spec(price):
+        entries = [({"0": "0", "1": "1"}, price), ({"0": price, "1": price}, price)]
+        content = {"type": "table", "entries": [{"gamble": g, "value": v} for g, v in entries]}
+        return {"outcomes": ["0", "1"], "horizon": 2, "content": content}
+
+    table = tmp_path / "levy.csv"
+    for price, strategy in [("-1", "levy:1/2,2"), ("-1/8", "levy:1/2,2,dyadic")]:
+        argv = ["simulate", write_json(tmp_path, "negative.json", spec(price)), "--strategy", strategy]
+        argv += ["--payoff", "e_w2", "--path", "0,1", "--table", str(table)]
+        assert run(capsys, argv) == (1, f"□: conditional upper expectation {price} is negative\n", "")
+        assert not table.exists()
+
+
+def test_law_mixing_with_a_last_outcome_system(tmp_path, capsys):
+    system = {"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": "b"}
+    event = {"start": 3, "end": 3, "accepts": [["1"]]}
+    spec = protocol2_from_json(P2_SPEC)
+    phi = forecasting_system_from_json(system, spec)
+    report = delta_mixing_check(phi, Fraction(0), 1, [window_from_json(event, spec.outcomes)], max_prefix=2)
+    assert report.violations > 0
+    assert run(capsys, mixing_argv(tmp_path, system=system, events=[event])) == (1, f"{report}\n", "")
 
 
 def test_law_mixing_reads_prefixes_past_a_window_end(tmp_path, capsys):

@@ -225,6 +225,9 @@ def _system(obj):
         (lambda: _system({"kind": "table", "rule": ["a"]}), "/system/rule: table system needs a rule object"),
         (lambda: _system({"kind": "last-outcome", "map": ["a"]}), "/system/map: last-outcome system needs an outcome map"),
         (lambda: _system({"kind": "nope"}), "/system/kind: unknown system kind 'nope'"),
+        (lambda: _system({"kind": "constant", "value": None}), "/system/value: constant system needs a value"),
+        (lambda: _system({"kind": "last-outcome", "map": {"0": "a", "1": "a"}, "initial": None}),
+         "/system/initial: last-outcome system needs an initial value"),
         (lambda: window_from_json({"start": 0, "end": 1, "accepts": []}, BIN), "/window: need 1 <= start <= end, got [0, 1]"),
         (lambda: protocol2_from_json(dict(P2, predictions=[])), "/predictions: need one prediction menu per round"),
         (lambda: protocol2_from_json(dict(P2, contents=[SUP])), "/contents: need a symbol -> functional object"),
@@ -248,3 +251,10 @@ def test_schema_errors_name_where_and_what(read, message):
     with pytest.raises(SchemaError) as info:
         read()
     assert str(info.value) == message
+
+
+def test_last_outcome_system_predicts_from_the_last_outcome():
+    spec = protocol2_from_json(dict(P2, predictions=[["a", "b"]] * 3, contents={"a": SUP, "b": SUP}))
+    phi = forecasting_system_from_json({"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": "b"}, spec)
+    histories = [(), ("0",), ("1",), ("1", "0"), ("0", "1")]
+    assert [phi.predict(h) for h in histories] == ["b", "a", "b", "a", "b"]

@@ -374,7 +374,7 @@ from hypothesis import strategies as st
 
 from gtprob.expectation import upper_table
 from gtprob.extreal import NEG_INF
-from gtprob.functionals import Envelope, SupContent
+from gtprob.functionals import Envelope, Gamble, SupContent, TableContent
 from gtprob.gametree import Cut, is_prefix, translate_strategy
 
 
@@ -693,6 +693,28 @@ def test_dyadic_entry_exits_on_the_spot():
     assert [st.capital for st in steps] == [ONE, ONE, ext("5/3")]
     want = reference_levy_trace(game, ("0", "1"), a, b, "dyadic", upper_table(game, xi).value)
     assert [(st.situation, st.capital, st.event) for st in steps] == want
+
+
+def negative_round_game(root_price):
+    """Round 2 prices the bet on 1 at -1, round 1 the constant -1 at ``root_price``."""
+    first = TableContent(BIN, [(Gamble(BIN, [ext(-1), ext(-1)]), ext(root_price))])
+    second = TableContent(BIN, [(Gamble(BIN, [ZERO, ONE]), ext(-1))])
+    return GameSpec(BIN, [first, second], 2)
+
+
+@pytest.mark.parametrize("slack", ["none", "dyadic"])
+@pytest.mark.parametrize("root_price, table_first, path_first", [(-1, "□", "□"), (0, "0", "1")])
+def test_levy_refuses_a_negative_conditional(slack, root_price, table_first, path_first):
+    # The table names the first negative conditional in level order, the
+    # trace the first along its path.
+    game, xi = negative_round_game(root_price), indicator(EventWindow.coordinate_is(2, "1"))
+    a, b = Fraction(1, 2), Fraction(2)
+    with pytest.raises(AssertionError) as table:
+        levy_strategy(game, xi, a, b, slack=slack)
+    assert str(table.value) == f"{table_first}: conditional upper expectation -1 is negative"
+    with pytest.raises(AssertionError) as trace:
+        levy_capital_trace(game, ("1", "1"), a, b, slack=slack, cond=upper_table(game, xi).value)
+    assert str(trace.value) == f"{path_first}: conditional upper expectation -1 is negative"
 
 
 def test_mixture_certificate_names_a_broken_last_increment():

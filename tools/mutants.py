@@ -31,6 +31,7 @@ import argparse
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -187,6 +188,20 @@ MUTANTS = [
         "pooled = _int_round([[1] * n],",
         ("test_strategies.py",),
     ),
+    Mutant(
+        "mixture-parts-need-not-share-a-base",
+        "strategies.py",
+        "if p.base is not parts[0].base and p.base.table != parts[0].base.table:",
+        "if False:",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "levy-rides-a-negative-conditional",
+        "strategies.py",
+        "        if c < 0:\n",
+        "        if False:\n",
+        ("test_strategies.py", "test_cli.py"),
+    ),
     # -- the forecaster -----------------------------------------------------------
     Mutant(
         "off-rule-children-worth-zero",
@@ -207,6 +222,13 @@ MUTANTS = [
         "forecaster.py",
         "if margin > ext(delta):",
         "if margin >= ext(delta):",
+        ("test_forecaster.py", "test_cli.py"),
+    ),
+    Mutant(
+        "mixing-gap-off-by-one",
+        "forecaster.py",
+        "e.start >= n + gap",
+        "e.start > n + gap",
         ("test_forecaster.py", "test_cli.py"),
     ),
     Mutant(
@@ -354,6 +376,13 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "last-outcome-initial-defaults",
+        "serialize.py",
+        'if obj.get("initial") is None:',
+        "if False:",
+        ("test_serialize.py", "test_cli.py"),
+    ),
+    Mutant(
         "system-error-type-uncaught",
         "cli.py",
         "except ForecastError as exc:",
@@ -443,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [known[n] for n in args.names] if args.names else MUTANTS
     tally = {"killed": 0, "survived": 0, "equivalent": 0}
+    # SIGTERM unwinds like an exit: subprocess.run kills its pytest child
+    # and the copy is removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="gtprob-mutants-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
