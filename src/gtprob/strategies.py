@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
@@ -90,28 +90,13 @@ def enumerate_intervals(count: int) -> list[tuple[Fraction, Fraction]]:
     whenever ``r_i < r_j``.  Deterministic and injective, and every such
     interval appears at some finite index.
     """
-    rats: list[Fraction] = []
     gen = enumerate_rationals()
-
-    def rat(n: int) -> Fraction:
-        while len(rats) <= n:
-            rats.append(next(gen))
-        return rats[n]
-
-    out: list[tuple[Fraction, Fraction]] = []
-    d = 1
+    rats, out = [next(gen)], []
     while len(out) < count:
-        for i in range(d + 1):
-            j = d - i
-            if i == j:
-                continue
-            a, b = rat(i), rat(j)
-            if a < b:
-                out.append((a, b))
-                if len(out) == count:
-                    break
-        d += 1
-    return out
+        rats.append(next(gen))
+        d = len(rats) - 1
+        out += [(rats[i], rats[d - i]) for i in range(d + 1) if rats[i] < rats[d - i]]
+    return out[:count]
 
 
 @dataclass
@@ -156,6 +141,7 @@ class DoobResult:
     trace: CutTrace
     active: frozenset[Situation]
     base: Supermartingale
+    game: GameSpec
 
 
 def doob_upcrossing(
@@ -224,7 +210,7 @@ def doob_upcrossing(
 
     table = dict.fromkeys(base.table, INF)
     table.update(zip(sits, _read_out(caps, den)))
-    return DoobResult(Supermartingale(table, base.depth), _cut_trace(sigma, tau), frozenset(active), base)
+    return DoobResult(Supermartingale(table, base.depth), _cut_trace(sigma, tau), frozenset(active), base, game)
 
 
 # -- multiplicative engine -------------------------------------------------
@@ -458,19 +444,17 @@ def mixture(parts: Sequence[DoobResult]) -> MixtureResult:
         if p.base is not parts[0].base and p.base.table != parts[0].base.table:
             raise ValueError("upcross parts must share one base table")
     tables = [p.table for p in parts]
-    depth = tables[0].depth
-    keys = tables[0].table.keys()
+    depth, keys = tables[0].depth, tables[0].table.keys()
     for t in tables[1:]:
         if t.depth != depth or t.table.keys() != keys:
             raise ValueError("mixture parts must share the same game tree")
 
-    # Level order over the sorted labels is the old (depth, situation)
-    # order; the children of node g are nodes g*K+1 .. g*K+K.  Each node
-    # holds its parts' numerators and then the base's, and one weighted
-    # round sums them under the extended-real conventions, the base at
-    # weight 0.
-    n, labels = len(tables), sorted({u[-1] for u in keys if len(u) == 1})
-    sits = [u for d in range(depth + 1) for u in product(labels, repeat=d)]
+    # Level order over the parts' game: node g's children are nodes
+    # g*K+1 .. g*K+K.  Each node holds its parts' numerators, then the
+    # base's; one weighted round sums them under the extended-real
+    # conventions, the base at weight 0.
+    game, n = parts[0].game, len(tables)
+    sits = list(game.all_situations(depth))
     cols = [t.table for t in tables] + [parts[0].base.table]
     flat, den = _numerators([t[s] for s in sits for t in cols])
     weights = [1 << (n - 1 - i) for i in range(n)]
@@ -480,7 +464,7 @@ def mixture(parts: Sequence[DoobResult]) -> MixtureResult:
     combined.update(zip(sits, _read_out(sums, den)))
 
     # Increment certificate in the pooled-weight form.
-    k, moves = len(labels), flat[n :: n + 1]
+    k, moves = len(game.outcomes), flat[n :: n + 1]
     inner = sits[: len(sits) - k**depth]
     pooled = _int_round([weights], [int(s in p.active) for s in inner for p in parts], n)
     for g, p in enumerate(pooled):
@@ -492,7 +476,7 @@ def mixture(parts: Sequence[DoobResult]) -> MixtureResult:
             if cx.__class__ is float or bx.__class__ is float or cx - cs == p * (bx - bs):
                 continue
             got, expected = Fraction(cx - cs, den), Fraction(p * (bx - bs), den)
-            at, to = (format_situation(sits[i], OutcomeSet(labels)) for i in (g, c))
+            at, to = (format_situation(sits[i], game.outcomes) for i in (g, c))
             raise AssertionError(f"increment certificate failed at {at or '□'}->{to}: {got} != {expected}")
 
     bound = ext(Fraction(1, 2 ** len(tables)))
