@@ -34,6 +34,13 @@ def depth_cap() -> int:
     return DEFAULT_DEPTH_CAP
 
 
+def require_outcomes(count: int, cap: int | None = None) -> None:
+    """At most ``cap`` outcomes (default :data:`OUTCOME_CAP`) for a dense tree."""
+    cap = OUTCOME_CAP if cap is None else cap
+    if count > cap:
+        raise ValueError(f"outcome set of size {count} exceeds the cap {cap}")
+
+
 def require_dense(depth: int, what: str) -> None:
     cap = depth_cap()
     if depth > cap:

@@ -81,6 +81,7 @@ class Protocol2Spec:
         prediction_menus: Sequence[Sequence[str]],
         contents: Mapping[str, OuterContent],
     ):
+        config.require_outcomes(len(outcomes))
         for m in prediction_menus:
             if isinstance(m, str):
                 raise ValueError(f"a prediction menu must be a sequence of symbols, not {m!r}")

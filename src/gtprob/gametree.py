@@ -160,11 +160,7 @@ class GameSpec:
     ):
         if horizon < 1:
             raise ValueError("horizon must be a positive integer")
-        cap = config.OUTCOME_CAP if outcome_cap is None else outcome_cap
-        if len(outcomes) > cap:
-            raise ValueError(
-                f"outcome set of size {len(outcomes)} exceeds the cap {cap}"
-            )
+        config.require_outcomes(len(outcomes), outcome_cap)
         if isinstance(contents, OuterContent):
             per_round = (contents,) * horizon
             self.depth_independent = True

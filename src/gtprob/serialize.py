@@ -335,6 +335,13 @@ def protocol2_from_json(obj: Any, where: str = "") -> Protocol2Spec:
     return spec
 
 
+def _symbol(raw: Any, where: str, message: str) -> str:
+    """A prediction symbol; absent or null is refused at ``where``."""
+    if raw is None:
+        raise SchemaError(where, message)
+    return str(raw)
+
+
 def forecasting_system_from_json(
     obj: Any, spec: Protocol2Spec, where: str = "/system"
 ) -> ForecastingSystem:
@@ -342,16 +349,17 @@ def forecasting_system_from_json(
         raise SchemaError(where, "forecasting system must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "constant":
-        if obj.get("value") is None:
-            raise SchemaError(f"{where}/value", "constant system needs a value")
-        return ForecastingSystem.constant(spec, str(obj["value"]))
+        value = _symbol(obj.get("value"), f"{where}/value", "constant system needs a value")
+        return ForecastingSystem.constant(spec, value)
     if kind == "table":
         rule = obj.get("rule")
         if not isinstance(rule, Mapping):
             raise SchemaError(f"{where}/rule", "table system needs a rule object")
-        parsed = {
-            parse_situation(k, spec.outcomes): str(v) for k, v in rule.items()
-        }
+        parsed = {}
+        for k, v in rule.items():
+            at = f"{where}/rule/{k}"
+            with _at(at):
+                parsed[parse_situation(k, spec.outcomes)] = _symbol(v, at, "table system needs a prediction")
         return ForecastingSystem.from_table(spec, parsed)
     if kind == "last-outcome":
         mapping = obj.get("map")
@@ -360,11 +368,12 @@ def forecasting_system_from_json(
         missing = [x for x in spec.outcomes.labels if x not in mapping]
         if missing:
             raise SchemaError(f"{where}/map", f"last-outcome map misses outcomes {missing}")
-        if obj.get("initial") is None:
-            raise SchemaError(f"{where}/initial", "last-outcome system needs an initial value")
-        return ForecastingSystem.last_outcome(
-            spec, {str(k): str(v) for k, v in mapping.items()}, str(obj["initial"])
-        )
+        initial = _symbol(obj.get("initial"), f"{where}/initial", "last-outcome system needs an initial value")
+        symbols = {
+            x: _symbol(p, f"{where}/map/{x}", "last-outcome system needs a prediction")
+            for x, p in mapping.items()
+        }
+        return ForecastingSystem.last_outcome(spec, symbols, initial)
     raise SchemaError(f"{where}/kind", f"unknown system kind {kind!r}")
 
 
@@ -377,7 +386,7 @@ def read_file(path: str, where: str, parse: Callable[[str], Any] = json.loads) -
             return parse(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(where, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(where, f"invalid JSON in {path}: {exc}") from exc
 
 

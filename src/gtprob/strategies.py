@@ -423,14 +423,15 @@ class MixtureResult:
 def mixture(parts: Sequence[DoobResult]) -> MixtureResult:
     """Weighted sum ``sum_i 2**-i * part_i`` over finitely many parts.
 
-    Each part is an upcross construction (:func:`doob_upcrossing`), and
-    all of them share one base.  The supermartingale property of the sum
-    is certified directly: wherever the sum is finite, each increment is
-    recomputed as (pooled weight) * (base increment) with a pooled weight
-    in [0, 1], so the certificate needs nothing beyond the base being a
-    supermartingale.  The report carries the bound ``2**-I`` on what
-    truncating the series at index I discards at the start, for omitted
-    parts that start at 1.
+    Each part is an upcross construction (:func:`doob_upcrossing`), all
+    of them share one base, and the sum walks the game the parts were
+    built on, in its level order, under the tree-sweep depth cap.  The
+    supermartingale property of the sum is certified directly: wherever
+    the sum is finite, each increment is recomputed as (pooled weight) *
+    (base increment) with a pooled weight in [0, 1], so the certificate
+    needs nothing beyond the base being a supermartingale.  The report
+    carries the bound ``2**-I`` on what truncating the series at index I
+    discards at the start, for omitted parts that start at 1.
 
     The parts and the base share one denominator ``D``; the sum is held
     over ``D * 2**I`` and each increment is compared with the pooled

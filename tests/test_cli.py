@@ -454,6 +454,41 @@ def test_file_errors_name_their_flag(coin_file, tmp_path, capsys):
         assert err.startswith(f"error: /{flag}: {what} {path}: ")
 
 
+# Nesting past the recursion limit and an integer past the digit limit.
+PAST_PARSER_LIMITS = {
+    "deep": "[" * 200_000 + "]" * 200_000,
+    "long": '{"outcomes": ["0", "1"], "horizon": ' + "9" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_PARSER_LIMITS))
+def test_json_past_the_parser_limits_names_its_flag(name, coin_file, tmp_path, capsys):
+    # Both are invalid JSON at the flag that names the file, never a traceback.
+    text = PAST_PARSER_LIMITS[name]
+    path = write_text(tmp_path, f"{name}.json", text)
+    with pytest.raises((ValueError, RecursionError)) as parsed:
+        json.loads(text)
+    mixing = mixing_argv(tmp_path)
+    cases = {
+        "spec": ["expect", path, "--payoff", "e_w1"],
+        "payoff": ["expect", coin_file, "--payoff", path],
+        "system": [*mixing[:4], path, *mixing[5:]],
+    }
+    for flag, argv in cases.items():
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: /{flag}: invalid JSON in {path}: {parsed.value}\n")
+
+
+def test_law_mixing_on_four_outcomes(tmp_path, capsys):
+    # The outcome cap admits a forecaster spec with four outcomes.
+    spec = dict(P2_SPEC, outcomes=["0", "1", "2", "3"])
+    event = {"start": 3, "end": 3, "accepts": [["1"]]}
+    p2 = protocol2_from_json(spec)
+    phi = forecasting_system_from_json({"kind": "constant", "value": "a"}, p2)
+    report = delta_mixing_check(phi, Fraction(0), 1, [window_from_json(event, p2.outcomes)], max_prefix=2)
+    assert run(capsys, mixing_argv(tmp_path, spec=spec, events=[event])) == (0, f"{report}\n", "")
+
+
 def test_last_outcome_map_missing_an_outcome_exits_two(tmp_path, capsys):
     spec = {
         "outcomes": ["0", "1"],
@@ -548,6 +583,22 @@ INPUT_ERRORS = {
     "constant_system_without_value": (
         lambda tmp, coin: mixing_argv(tmp, system={"kind": "constant"}),
         "/system/value: constant system needs a value",
+    ),
+    "table_system_null_symbol": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "table", "rule": {"": "a", "0": None, "1": "b"}}),
+        "/system/rule/0: table system needs a prediction",
+    ),
+    "table_system_unknown_outcome": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "table", "rule": {"x": "a"}}),
+        "/system/rule/x: situation 'x' uses unknown outcome 'x'",
+    ),
+    "last_outcome_system_null_symbol": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "last-outcome", "map": {"0": None, "1": "b"}, "initial": "a"}),
+        "/system/map/0: last-outcome system needs a prediction",
+    ),
+    "forecaster_spec_past_the_outcome_cap": (
+        lambda tmp, coin: mixing_argv(tmp, spec=dict(P2_SPEC, outcomes=[str(i) for i in range(6)])),
+        "/: outcome set of size 6 exceeds the cap 4",
     ),
     "constant_system_off_the_menu": (
         lambda tmp, coin: mixing_argv(tmp, system={"kind": "constant", "value": "c"}),

@@ -77,6 +77,11 @@ def test_interval_enumeration_is_deterministic_and_injective():
     assert fifty[:6] == six
 
 
+def test_interval_enumeration_of_no_intervals():
+    assert enumerate_intervals(0) == []
+    assert enumerate_intervals(-1) == []
+
+
 # -- additive upcross engine ----------------------------------------------
 
 
@@ -715,6 +720,21 @@ def test_levy_refuses_a_negative_conditional(slack, root_price, table_first, pat
     with pytest.raises(AssertionError) as trace:
         levy_capital_trace(game, ("1", "1"), a, b, slack=slack, cond=upper_table(game, xi).value)
     assert str(trace.value) == f"{path_first}: conditional upper expectation -1 is negative"
+
+
+def test_mixture_certificate_names_the_first_break_in_level_order():
+    # Labels out of sorted order, increments broken below "hi" and "lo":
+    # the game's level order meets "lo" first, sorted labels "hi".
+    k3 = OutcomeSet(["lo", "1", "hi"])
+    game = GameSpec(k3, Measure.uniform(k3), 2)
+    part = doob_upcrossing(game, step_multiplier_base(game), Fraction(1, 2), Fraction(2))
+    table = dict(part.table.table)
+    for x in ("hi", "lo"):
+        table[(x,)] = table[(x,)] + ext("1/7")
+    broken = dataclasses.replace(part, table=Supermartingale(table, 2))
+    with pytest.raises(AssertionError) as exc:
+        mixture([broken])
+    assert str(exc.value) == "increment certificate failed at □->lo: -5/28 != -1/4"
 
 
 def test_mixture_certificate_names_a_broken_last_increment():

@@ -196,6 +196,20 @@ MUTANTS = [
         ("test_strategies.py",),
     ),
     Mutant(
+        "intervals-admit-a-point",
+        "strategies.py",
+        "if rats[i] < rats[d - i]]",
+        "if rats[i] <= rats[d - i]]",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "mixture-walks-sorted-labels",
+        "strategies.py",
+        "sits = list(game.all_situations(depth))",
+        "sits = sorted(game.all_situations(depth), key=lambda u: (len(u), u))",
+        ("test_strategies.py",),
+    ),
+    Mutant(
         "levy-rides-a-negative-conditional",
         "strategies.py",
         "        if c < 0:\n",
@@ -378,9 +392,44 @@ MUTANTS = [
     Mutant(
         "last-outcome-initial-defaults",
         "serialize.py",
-        'if obj.get("initial") is None:',
-        "if False:",
+        '_symbol(obj.get("initial"), f"{where}/initial", "last-outcome system needs an initial value")',
+        'str(obj.get("initial"))',
         ("test_serialize.py", "test_cli.py"),
+    ),
+    Mutant(
+        "table-rule-null-symbol-admitted",
+        "serialize.py",
+        '_symbol(v, at, "table system needs a prediction")',
+        "str(v)",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "last-outcome-map-null-symbol-admitted",
+        "serialize.py",
+        'x: _symbol(p, f"{where}/map/{x}", "last-outcome system needs a prediction")',
+        "x: str(p)",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "json-nesting-uncaught",
+        "serialize.py",
+        "except (ValueError, RecursionError) as exc:",
+        "except ValueError as exc:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "forecaster-cap-refuses-four",
+        "forecaster.py",
+        "        config.require_outcomes(len(outcomes))\n",
+        "        config.require_outcomes(len(outcomes) + 1)\n",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "forecaster-cap-unchecked",
+        "forecaster.py",
+        "        config.require_outcomes(len(outcomes))\n",
+        "",
+        ("test_cli.py",),
     ),
     Mutant(
         "system-error-type-uncaught",
