@@ -30,7 +30,8 @@ Built-in functionals:
 
 Each functional prices a whole tree level (:meth:`OuterContent.price_level`):
 the built-ins run an integer form on numerators over one denominator, and
-any other functional prices node by node through ``eval_seq``.
+any other functional prices node by node through ``eval_seq``.  The audit
+adds, scales and orders gambles on such numerators, and prices through ``eval_seq``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import add, mul
+from operator import add, le, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from gtprob.extreal import ExtReal, INF, NEG_INF, ONE, ZERO, _NInf, _PInf, _numerators, _read_out, ext, scale
@@ -154,34 +155,6 @@ class Gamble:
 
     def __getitem__(self, label: str) -> ExtReal:
         return self.values[self.outcomes.index(label)]
-
-    def __add__(self, other: "Gamble") -> "Gamble":
-        self._same_space(other)
-        return Gamble(self.outcomes, [a + b for a, b in zip(self.values, other.values)])
-
-    def scaled(self, c) -> "Gamble":
-        c = Fraction(c)
-        return Gamble(self.outcomes, [scale(c, v) for v in self.values])
-
-    def clamped_below(self, floor) -> "Gamble":
-        f = ext(floor)
-        return Gamble(self.outcomes, [v if v >= f else f for v in self.values])
-
-    def le(self, other: "Gamble") -> bool:
-        self._same_space(other)
-        return all(a <= b for a, b in zip(self.values, other.values))
-
-    @property
-    def is_bounded_below(self) -> bool:
-        return all(not v.is_neg_inf for v in self.values)
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return all(v >= ZERO for v in self.values)
-
-    def _same_space(self, other: "Gamble") -> None:
-        if self.outcomes != other.outcomes:
-            raise GambleSpaceError("gambles live on different outcome sets")
 
     def __eq__(self, other) -> bool:
         return (
@@ -445,17 +418,16 @@ class ExtendedContent(OuterContent):
         self._partial = partial
 
     def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
-        g = Gamble(self.outcomes, values)
-        if g.is_bounded_below:
-            return self._partial(g)
+        if NEG_INF not in values:
+            return self._partial(Gamble(self.outcomes, values))
         finite = [v.finite for v in values if v.is_finite]
         start = min(finite) if finite else Fraction(0)
         # Integer floor keeps clamp levels simple.
         base = Fraction(start.__floor__())
         prev: ExtReal | None = None
         for k in range(self._MAX_DOUBLINGS + 1):
-            level = base - Fraction(2) ** k
-            cur = self._partial(g.clamped_below(level))
+            level = ExtReal(base - Fraction(2) ** k)
+            cur = self._partial(Gamble(self.outcomes, [v if v >= level else level for v in values]))
             if prev is not None:
                 if cur == prev:
                     return cur
@@ -534,10 +506,6 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _gamble_str(g: Gamble) -> str:
-    return "(" + ", ".join(str(v) for v in g.values) + ")"
-
-
 def _tally(name: str, checks: Iterable[tuple[bool, Callable[[], str]] | None]) -> AxiomResult:
     """Count checked and skipped cases; the first failure's witness is kept."""
     checked = skipped = 0
@@ -561,83 +529,102 @@ def check_axioms(content: OuterContent, gambles: Sequence[Gamble] | None = None)
     skip checks whose operands fall outside the table; skips are counted in
     the report.  The report never trusts ``declared_level``: the audited
     level is downgraded if the surrogate of the stronger axiom fails.
+
+    The suite and the audit constants are put over one denominator, times
+    the audit scalars' denominators so that ``c * f`` stays integral; sums,
+    scalings, order tests and cache keys run on tuples of integer numerators
+    (infinities stay floats), read out only to be priced or printed.
     """
     suite = list(gambles) if gambles is not None else default_grid(content.outcomes)
     if not suite:
         raise ValueError("audit suite must be non-empty")
+    for g in suite:
+        if g.outcomes != content.outcomes:
+            content.eval(g)  # raises GambleSpaceError before anything is priced
+    width = len(content.outcomes)
+    nums, den = _numerators([v for g in suite for v in g.values] + list(map(ext, AUDIT_CONSTANTS)))
+    lift = lcm(*(c.denominator for c in AUDIT_SCALARS))
+    nums, den = [n if n.__class__ is float else n * lift for n in nums], den * lift
+    vectors = [tuple(nums[i : i + width]) for i in range(0, len(suite) * width, width)]
+
+    def plus(f: tuple, g: tuple) -> tuple:
+        return tuple(_PInf if _PInf in (a, b) else a + b for a, b in zip(f, g))
+
+    def show(f: tuple) -> str:
+        return "(" + ", ".join(map(str, _read_out(list(f), den))) + ")"
 
     cache: dict[tuple, ExtReal | None] = {}
 
-    def price(g: Gamble) -> ExtReal | None:
-        key = g.values
-        if key not in cache:
+    def price(f: tuple) -> ExtReal | None:
+        if f not in cache:
             try:
-                cache[key] = content.eval(g)
+                cache[f] = content.eval_seq(_read_out(list(f), den))
             except UnknownGambleError:
-                cache[key] = None
-        return cache[key]
+                cache[f] = None
+        return cache[f]
 
     # Each axiom yields None for a skipped case, else (holds, witness thunk).
     def monotone():
-        for f, g in itertools.combinations_with_replacement(suite, 2):
+        for f, g in itertools.combinations_with_replacement(vectors, 2):
             for lo, hi in ((f, g), (g, f)):
-                if lo.le(hi):
+                if all(map(le, lo, hi)):
                     a, b = price(lo), price(hi)
                     yield None if a is None or b is None else (
                         a <= b,
-                        lambda: f"f={_gamble_str(lo)} <= g={_gamble_str(hi)} but E(f)={a} > E(g)={b}",
+                        lambda: f"f={show(lo)} <= g={show(hi)} but E(f)={a} > E(g)={b}",
                     )
 
     def homogeneous():
-        for f in suite:
+        for f in vectors:
             ef = price(f)
             for c in AUDIT_SCALARS:
-                cf = None if ef is None else price(f.scaled(c))
+                cf = None if ef is None else price(
+                    tuple(v if v.__class__ is float else c.numerator * v // c.denominator for v in f)
+                )
                 yield None if cf is None else (
                     cf == scale(c, ef),
-                    lambda: f"E({c}*{_gamble_str(f)})={cf} but {c}*E(f)={scale(c, ef)}",
+                    lambda: f"E({c}*{show(f)})={cf} but {c}*E(f)={scale(c, ef)}",
                 )
 
     def subadditive():
-        for f, g in itertools.product(suite, repeat=2):
-            ef, eg, s = price(f), price(g), price(f + g)
+        for f, g in itertools.product(vectors, repeat=2):
+            ef, eg, s = price(f), price(g), price(plus(f, g))
             yield None if ef is None or eg is None or s is None else (
                 s <= ef + eg,
-                lambda: f"f={_gamble_str(f)}, g={_gamble_str(g)}: E(f+g)={s} > E(f)+E(g)={ef + eg}",
+                lambda: f"f={show(f)}, g={show(g)}: E(f+g)={s} > E(f)+E(g)={ef + eg}",
             )
 
     def normalized():
-        for c in AUDIT_CONSTANTS:
-            v = price(Gamble.constant(content.outcomes, c))
+        for c, n in zip(AUDIT_CONSTANTS, nums[len(suite) * width :]):
+            v = price((n,) * width)
             yield None if v is None else (v == ext(c), lambda: f"E({c})={v} != {c}")
 
     # Finite surrogate of countable subadditivity on nonnegative gambles:
     # finite families and truncated increasing partial sums.  The countable
     # form itself is not finitely checkable.
     def surrogate():
-        nonneg = [f for f in suite if f.is_nonnegative]
+        nonneg = [f for f in vectors if min(f) >= 0]
         for family in itertools.islice(itertools.combinations(nonneg, 3), 400):
-            total = family[0] + family[1] + family[2]
             parts = [price(f) for f in family]
-            whole = price(total)
+            whole = price(plus(plus(family[0], family[1]), family[2]))
             if whole is None or any(p is None for p in parts):
                 yield None
                 continue
             rhs = parts[0] + parts[1] + parts[2]
             yield whole <= rhs, lambda: (
-                "family " + ", ".join(map(_gamble_str, family)) + f": E(sum)={whole} > sum E={rhs}"
+                "family " + ", ".join(map(show, family)) + f": E(sum)={whole} > sum E={rhs}"
             )
         for f in nonneg[:50]:
             run, run_price = f, price(f)
             for k in (2, 3):
-                run = run + f
+                run = plus(run, f)
                 cur, ef = price(run), price(f)
                 if cur is None or ef is None or run_price is None:
                     yield None
                     continue
                 run_price = run_price + ef
                 yield cur <= run_price, lambda: (
-                    f"partial sum of {k} copies of {_gamble_str(f)}: E={cur} > {run_price}"
+                    f"partial sum of {k} copies of {show(f)}: E={cur} > {run_price}"
                 )
 
     report = AxiomReport(level_claimed=content.declared_level)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from itertools import product
 
@@ -5,16 +6,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ext
+from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ext, scale
 from gtprob.functionals import (
+    AUDIT_CONSTANTS,
+    AUDIT_SCALARS,
+    GRID_VALUES,
+    OUTER_CONTENT,
+    SUPEREXPECTATION,
+    SURROGATE,
+    AxiomReport,
     Envelope,
     Gamble,
     GambleSpaceError,
     Measure,
+    OuterContent,
     OutcomeSet,
     SupContent,
     TableContent,
     UnknownGambleError,
+    _tally,
     check_axioms,
     default_grid,
     extend_bounded_below,
@@ -22,6 +32,29 @@ from gtprob.functionals import (
 
 BIN = OutcomeSet(["0", "1"])
 COIN = Measure.uniform(BIN)
+
+
+# -- gamble arithmetic, kept here for the tests and the reference audit ------
+
+
+def add(f: Gamble, g: Gamble) -> Gamble:
+    if f.outcomes != g.outcomes:
+        raise GambleSpaceError("gambles live on different outcome sets")
+    return Gamble(f.outcomes, [a + b for a, b in zip(f.values, g.values)])
+
+
+def scaled(f: Gamble, c) -> Gamble:
+    return Gamble(f.outcomes, [scale(Fraction(c), v) for v in f.values])
+
+
+def le(f: Gamble, g: Gamble) -> bool:
+    if f.outcomes != g.outcomes:
+        raise GambleSpaceError("gambles live on different outcome sets")
+    return all(a <= b for a, b in zip(f.values, g.values))
+
+
+def nonnegative(g: Gamble) -> bool:
+    return all(v >= ZERO for v in g.values)
 
 
 def test_coin_average():
@@ -85,7 +118,7 @@ def test_min_functional_fails_subadditivity_with_witness():
     # The classic witness: E((0,1)+(1,0)) = E((1,1)) = 1 > 0 = E(f)+E(g).
     f = Gamble.of(BIN, [0, 1])
     g = Gamble.of(BIN, [1, 0])
-    assert inf_like.eval(f + g) == ONE
+    assert inf_like.eval(add(f, g)) == ONE
     assert inf_like.eval(f) + inf_like.eval(g) == ZERO
     assert report.level_audited == "not-an-outer-content"
 
@@ -119,7 +152,7 @@ def test_declared_level_is_a_claim_the_audit_can_downgrade():
 
 
 def bounded_coin(g: Gamble):
-    assert g.is_bounded_below
+    assert NEG_INF not in g.values
     return COIN.eval(g)
 
 
@@ -170,7 +203,7 @@ CONTENTS = [
 def test_weak_coherence_nonnegative_gambles_price_nonnegative():
     for content in CONTENTS:
         for g in default_grid(BIN):
-            if g.is_nonnegative:
+            if nonnegative(g):
                 assert content.eval(g) >= ZERO
 
 
@@ -178,7 +211,7 @@ def test_constant_shift_moves_price_by_the_constant():
     for content in CONTENTS:
         for g in default_grid(BIN):
             for c in (Fraction(-1), Fraction(2), Fraction(1, 3)):
-                assert content.eval(g + Gamble.constant(g.outcomes, c)) == content.eval(g) + ext(c)
+                assert content.eval(add(g, Gamble.constant(g.outcomes, c))) == content.eval(g) + ext(c)
 
 
 def test_price_at_least_min_coordinate():
@@ -210,7 +243,7 @@ def test_subadditivity_property_for_builtins(u, v):
     f = Gamble(BIN, u)
     g = Gamble(BIN, v)
     for content in CONTENTS:
-        assert content.eval(f + g) <= content.eval(f) + content.eval(g)
+        assert content.eval(add(f, g)) <= content.eval(f) + content.eval(g)
 
 
 @given(st.tuples(small_fraction, small_fraction), small_fraction)
@@ -220,10 +253,8 @@ def test_homogeneity_property_for_builtins(vals, c):
     if c == 0:
         c = Fraction(1, 2)
     f = Gamble.of(BIN, list(vals))
-    from gtprob.extreal import scale
-
     for content in CONTENTS:
-        assert content.eval(f.scaled(c)) == scale(c, content.eval(f))
+        assert content.eval(scaled(f, c)) == scale(c, content.eval(f))
 
 
 weights = st.fractions(min_value=0, max_value=3, max_denominator=6)
@@ -237,3 +268,160 @@ def test_extension_of_a_builtin_with_nonnegative_weights_is_the_builtin(columns)
     one = Measure.unchecked(outcomes, first)
     for content in (one, Envelope(outcomes, [one, Measure.unchecked(outcomes, second)]), SupContent(outcomes)):
         assert extend_bounded_below(outcomes, content).eval(g) == content.eval(g)
+
+
+# -- the audit against the reference audit on Gamble arithmetic ---------------
+
+
+def reference_audit(content: OuterContent, gambles) -> AxiomReport:
+    """The axiom audit written on Gamble objects and extended-real sums."""
+    suite = list(gambles)
+    cache = {}
+
+    def price(g):
+        if g.values not in cache:
+            try:
+                cache[g.values] = content.eval(g)
+            except UnknownGambleError:
+                cache[g.values] = None
+        return cache[g.values]
+
+    def text(g):
+        return "(" + ", ".join(str(v) for v in g.values) + ")"
+
+    def monotone():
+        for f, g in itertools.combinations_with_replacement(suite, 2):
+            for lo, hi in ((f, g), (g, f)):
+                if le(lo, hi):
+                    a, b = price(lo), price(hi)
+                    yield None if a is None or b is None else (
+                        a <= b, lambda: f"f={text(lo)} <= g={text(hi)} but E(f)={a} > E(g)={b}"
+                    )
+
+    def homogeneous():
+        for f in suite:
+            ef = price(f)
+            for c in AUDIT_SCALARS:
+                cf = None if ef is None else price(scaled(f, c))
+                yield None if cf is None else (
+                    cf == scale(c, ef), lambda: f"E({c}*{text(f)})={cf} but {c}*E(f)={scale(c, ef)}"
+                )
+
+    def subadditive():
+        for f, g in itertools.product(suite, repeat=2):
+            ef, eg, s = price(f), price(g), price(add(f, g))
+            yield None if ef is None or eg is None or s is None else (
+                s <= ef + eg, lambda: f"f={text(f)}, g={text(g)}: E(f+g)={s} > E(f)+E(g)={ef + eg}"
+            )
+
+    def normalized():
+        for c in AUDIT_CONSTANTS:
+            v = price(Gamble.constant(content.outcomes, c))
+            yield None if v is None else (v == ext(c), lambda: f"E({c})={v} != {c}")
+
+    def surrogate():
+        nonneg = [f for f in suite if nonnegative(f)]
+        for family in itertools.islice(itertools.combinations(nonneg, 3), 400):
+            parts = [price(f) for f in family]
+            whole = price(add(add(family[0], family[1]), family[2]))
+            if whole is None or any(p is None for p in parts):
+                yield None
+                continue
+            rhs = parts[0] + parts[1] + parts[2]
+            yield whole <= rhs, lambda: "family " + ", ".join(map(text, family)) + f": E(sum)={whole} > sum E={rhs}"
+        for f in nonneg[:50]:
+            run, run_price = f, price(f)
+            for k in (2, 3):
+                run = add(run, f)
+                cur, ef = price(run), price(f)
+                if cur is None or ef is None or run_price is None:
+                    yield None
+                    continue
+                run_price = run_price + ef
+                yield cur <= run_price, lambda: f"partial sum of {k} copies of {text(f)}: E={cur} > {run_price}"
+
+    report = AxiomReport(level_claimed=content.declared_level)
+    for name, checks in (
+        ("monotone", monotone()),
+        ("homogeneous", homogeneous()),
+        ("subadditive", subadditive()),
+        ("normalized", normalized()),
+        (SURROGATE, surrogate()),
+    ):
+        report.results[name] = _tally(name, checks)
+    if not all(r.passed for name, r in report.results.items() if name != SURROGATE):
+        report.level_audited = "not-an-outer-content"
+    elif report.results[SURROGATE].passed and content.declared_level == SUPEREXPECTATION:
+        report.level_audited = SUPEREXPECTATION
+    else:
+        report.level_audited = OUTER_CONTENT
+    return report
+
+
+AUDITED_KINDS = [
+    "measure", "sup", "envelope", "negative-weight", "sub-probability", "extended-measure",
+    "min-table", "gappy-max-table", "extended-non-normalized",
+]
+
+
+def audited(kind: str, outcomes: OutcomeSet, suite: list[Gamble]) -> OuterContent:
+    """One functional of each kind the audit must report on as the reference does."""
+    k = len(outcomes)
+    uniform = Measure.uniform(outcomes)
+    known = default_grid(outcomes) + suite
+    if kind == "measure":
+        return uniform
+    if kind == "sup":
+        return SupContent(outcomes)
+    if kind == "envelope":
+        return Envelope(outcomes, [[Fraction(1, k)] * k, [Fraction(2, 3)] + [Fraction(1, 3 * (k - 1))] * (k - 1)])
+    if kind == "negative-weight":
+        return Measure.unchecked(outcomes, [Fraction(3, 2), Fraction(-1, 2)] + [Fraction(0)] * (k - 2))
+    if kind == "sub-probability":
+        return Measure.unchecked(outcomes, [Fraction(1, 2)] + [Fraction(0)] * (k - 1))
+    if kind == "extended-measure":
+        return extend_bounded_below(outcomes, uniform)
+    if kind == "min-table":
+        return TableContent(outcomes, [(g, min(g.values)) for g in default_grid(outcomes)])
+    if kind == "gappy-max-table":
+        return TableContent(outcomes, [(g, max(g.values)) for i, g in enumerate(known) if i % 3], SUPEREXPECTATION)
+    return extend_bounded_below(outcomes, lambda g: scale(2, uniform.eval(g)))
+
+
+odd_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 5, 7, 9, 15])).map(ext)
+audit_values = st.one_of(st.sampled_from(GRID_VALUES), odd_rationals)
+
+
+@st.composite
+def audit_cases(draw):
+    outcomes = OutcomeSet([str(i) for i in range(draw(st.integers(2, 3)))])
+    vectors = st.lists(audit_values, min_size=len(outcomes), max_size=len(outcomes))
+    suite = [Gamble(outcomes, v) for v in draw(st.lists(vectors, min_size=1, max_size=10))]
+    return audited(draw(st.sampled_from(AUDITED_KINDS)), outcomes, suite), suite
+
+
+@given(audit_cases())
+def test_audit_reports_what_the_reference_audit_reports(case):
+    content, suite = case
+    assert str(check_axioms(content, suite)) == str(reference_audit(content, suite))
+
+
+@pytest.mark.parametrize("kind", AUDITED_KINDS)
+def test_audit_on_the_default_grid_matches_the_reference(kind):
+    content = audited(kind, BIN, [])
+    assert str(check_axioms(content)) == str(reference_audit(content, default_grid(BIN)))
+
+
+def test_a_suite_gamble_on_another_outcome_set_is_refused_before_pricing():
+    priced = []
+
+    class Recording(OuterContent):
+        def eval_seq(self, values):
+            priced.append(values)
+            return max(values)
+
+    stray = Gamble.of(OutcomeSet(["a", "b"]), [0, 1])
+    for suite in ([stray], [Gamble.of(BIN, [0, 1]), stray]):
+        with pytest.raises(GambleSpaceError, match="evaluated against a functional on"):
+            check_axioms(Recording(BIN), suite)
+    assert priced == []
