@@ -118,19 +118,20 @@ class Payoff:
 
         Needs ``2**depth >= cap`` so the all-ones leaf already tops the
         cap and the payoff genuinely depends on the first ``depth``
-        coordinates only.
+        coordinates only.  The check and the values cost O(log cap).
         """
         cap = Fraction(cap)
         if cap < 1:
             raise ValueError("cap must be at least 1")
-        if Fraction(2) ** depth < cap:
+        top = (cap.__ceil__() - 1).bit_length()  # the least n with 2**n >= cap
+        if depth < top:
             raise ValueError(f"depth {depth} too shallow for cap {cap}")
-        values = [ext(min(Fraction(2**n), cap)) for n in range(depth + 1)]
+        values = [ext(min(Fraction(2**n), cap)) for n in range(top + 1)]
 
         def fn(s: Situation) -> ExtReal:
             n = 0
             for x in s:
-                if x != "1":
+                if x != "1" or n == top:
                     break
                 n += 1
             return values[n]

@@ -145,9 +145,9 @@ class GameSpec:
     """A finite-horizon prediction game: outcome set, per-round pricing
     functionals, and a horizon.
 
-    ``contents`` may be a single functional (shared by every round) or one
-    functional per round ``1..horizon``.  The horizon may exceed the dense
-    cap; only operations that enumerate whole levels enforce it.
+    ``contents`` is kept as given: a 1-tuple of the functional shared by every
+    round, or one functional per round ``1..horizon``.  The horizon may exceed
+    the dense cap; only operations that enumerate whole levels enforce it.
     """
 
     def __init__(
@@ -162,7 +162,7 @@ class GameSpec:
             raise ValueError("horizon must be a positive integer")
         config.require_outcomes(len(outcomes), outcome_cap)
         if isinstance(contents, OuterContent):
-            per_round = (contents,) * horizon
+            per_round = (contents,)
             self.depth_independent = True
         else:
             per_round = tuple(contents)
@@ -180,7 +180,7 @@ class GameSpec:
         """The functional pricing round ``n`` (1-indexed)."""
         if not 1 <= n <= self.horizon:
             raise ValueError(f"round {n} outside 1..{self.horizon}")
-        return self.contents[n - 1]
+        return self.contents[min(n, len(self.contents)) - 1]
 
     def all_situations(self, max_depth: int | None = None) -> Iterator[Situation]:
         """All situations of depth 0..max_depth (default horizon), by level."""

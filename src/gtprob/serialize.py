@@ -33,9 +33,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
+from math import isfinite
 from typing import Any, Callable, Iterable, Mapping
 
 from gtprob.extreal import ExtReal, ext
@@ -76,11 +78,21 @@ class SchemaError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _fraction(raw: Any, where: str) -> Fraction:
+def _rational(read: Callable[[str], Any], raw: Any, where: str, what: str) -> Any:
+    """``read(str(raw))``, refused at ``where`` when it fails, when ``raw`` is a non-finite JSON
+    float, or when an exponent form has more digits than Python's limit on integer text."""
+    mantissa, e, exponent = str(raw).upper().partition("E")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
-        return Fraction(str(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(where, f"not an exact rational: {raw!r}") from exc
+        if isinstance(raw, float) and not isfinite(raw) or e and len(mantissa) + abs(int(exponent)) > limit:
+            raise ValueError(raw)
+        return read(str(raw))
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SchemaError(where, f"not {what}: {raw!r}") from exc
+
+
+def _fraction(raw: Any, where: str) -> Fraction:
+    return _rational(Fraction, raw, where, "an exact rational")
 
 
 def _integer(raw: Any, where: str, message: str = "", least: int | None = None) -> int:
@@ -94,10 +106,7 @@ def _integer(raw: Any, where: str, message: str = "", least: int | None = None) 
 
 
 def _extreal(raw: Any, where: str) -> ExtReal:
-    try:
-        return ext(str(raw))
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SchemaError(where, f"not an extended rational: {raw!r}") from exc
+    return _rational(ext, raw, where, "an extended rational")
 
 
 @contextmanager
@@ -233,6 +242,8 @@ def payoff_from_json(obj: Any, game: GameSpec, where: str = "/payoff") -> Payoff
         depth = _integer(given, f"{where}/depth", f"{kind} payoff needs a non-negative integer depth", least=0)
     with _at(where):
         if kind == "table":
+            with _at(f"{where}/depth"):  # the horizon, then the cap, before K ** depth
+                Payoff.constant(0, depth)._span(game, ())
             raw = obj.get("values")
             if not isinstance(raw, Mapping):
                 raise SchemaError(f"{where}/values", "table payoff needs a values object")

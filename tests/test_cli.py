@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -824,6 +825,31 @@ INPUT_ERRORS = {
         lambda tmp, coin: ["simulate", coin, "--strategy", "doob:1/2,2", "--path", "0", "--cuts", UNWRITABLE],
         f"/cuts: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'",
     ),
+    "table_payoff_deeper_than_the_horizon": (
+        lambda tmp, coin: ["expect", coin, "--payoff", write_json(tmp, "deep.json", {"kind": "table", "depth": 10**10, "values": {}})],
+        "/payoff/depth: payoff settles beyond the game horizon",
+    ),
+    "table_payoff_past_the_cap": (
+        lambda tmp, coin: ["expect", write_json(tmp, "huge.json", dict(COIN_SPEC, horizon=10**30)), "--payoff",
+                           write_json(tmp, "deep.json", {"kind": "table", "depth": 10**10, "values": {}})],
+        "/payoff/depth: dense payoff tabulation to depth 10000000000 exceeds the cap 14; raise GTP_MAX_DEPTH to allow it",
+    ),
+    "leading_ones_on_a_long_game": (
+        lambda tmp, coin: ["expect", write_json(tmp, "long.json", dict(COIN_SPEC, horizon=3_000_000)), "--payoff", "leading_ones:4"],
+        "dense payoff tabulation to depth 3000000 exceeds the cap 14; raise GTP_MAX_DEPTH to allow it",
+    ),
+    "probability_with_a_huge_exponent": (
+        lambda tmp, coin: ["axioms", write_json(tmp, "e.json", dict(COIN_SPEC, content={"type": "measure", "probs": {"0": "1e1000000000", "1": "1/2"}}))],
+        "/content/probs/0: not an exact rational: '1e1000000000'",
+    ),
+    "constant_payoff_past_the_float_range": (
+        lambda tmp, coin: ["expect", coin, "--payoff", write_text(tmp, "p.json", '{"kind": "constant", "value": 1e400}')],
+        "/payoff/value: not an extended rational: inf",
+    ),
+    "constant_payoff_infinity_literal": (
+        lambda tmp, coin: ["expect", coin, "--payoff", write_json(tmp, "p.json", {"kind": "constant", "value": float("-inf")})],
+        "/payoff/value: not an extended rational: -inf",
+    ),
     "trace_unwritable": (
         lambda tmp, coin: ["simulate", coin, "--strategy", "doubling", "--path", "0", "--trace", UNWRITABLE],
         f"/trace: cannot write {UNWRITABLE}: [Errno 2] No such file or directory: '{UNWRITABLE}'",
@@ -844,6 +870,24 @@ MIXING_NOTE = (
     "finite-horizon surrogate: the bound is checked on the supplied event list only, "
     "not on every sufficiently remote event, and prefixes in the exception list are skipped\n"
 )
+
+
+@pytest.mark.parametrize("case", ["table_payoff_past_the_cap", "leading_ones_on_a_long_game", "probability_with_a_huge_exponent"])
+def test_huge_numbers_are_refused_before_any_work(case, coin_file, tmp_path, capsys):
+    argv = INPUT_ERRORS[case][0](tmp_path, coin_file)
+    start = time.perf_counter()
+    assert run(capsys, argv)[0] == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_huge_horizon_is_a_legal_game(tmp_path, capsys):
+    # Path-local and shallow operations run; a whole-tree sweep meets the cap.
+    spec = write_json(tmp_path, "huge.json", dict(COIN_SPEC, horizon=10**30))
+    assert run(capsys, ["expect", spec, "--payoff", "e_w1"]) == (0, "1/2\n", "")
+    assert run(capsys, ["law", spec, "classify", "--event", "w1=1"])[0] == 0
+    code, out, err = run(capsys, ["simulate", spec, "--strategy", "doob:1/2,2", "--path", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: dense tree sweep to depth {10**30} exceeds the cap 14; ")
 
 
 def test_law_levy_names_an_unwritable_trace_before_its_report(coin_file, capsys):
@@ -1011,7 +1055,7 @@ FUZZ_FILES = {
 }
 # Stand-ins for a dropped key and for values of every JSON type.
 DROP = object()
-SWAPS = [DROP, None, True, 0, -1, 7, 1.5, "x", "1/0", "-inf", [], ["1"], {}, {"0": "1"}]
+SWAPS = [DROP, None, True, 0, -1, 7, 10**30, 1.5, float("inf"), "x", "1/0", "-inf", "1e1000000000", [], ["1"], {}, {"0": "1"}]
 STRINGS = st.text(alphabet="01a,;:=/x-", max_size=6)
 PATHS = st.one_of(st.sampled_from(["", "1", "1,0", "0,1,1", "1,0,1,1", "1,,0", "2", "11"]), STRINGS)
 SITUATIONS = st.one_of(st.sampled_from(["", "0", "01", "0,1", "011", "0111", "2", "p"]), STRINGS)

@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,8 @@ from gtprob.gametree import GameSpec, Supermartingale
 from gtprob.expectation import EventWindow
 from gtprob.serialize import (
     SchemaError,
+    _extreal,
+    _fraction,
     content_from_json,
     forecasting_system_from_json,
     game_from_json,
@@ -44,7 +48,8 @@ def test_content_decodes_literal_json():
 def test_game_decodes_a_shared_and_a_per_round_content():
     shared = game_from_json(json.loads('{"outcomes": ["0", "1"], "horizon": 3, "content": {"type": "sup"}}'))
     assert shared.horizon == 3 and shared.depth_independent
-    assert shared.contents == (SupContent(BIN),) * 3
+    assert shared.contents == (SupContent(BIN),)
+    assert [shared.content_at(n) for n in (1, 2, 3)] == [SupContent(BIN)] * 3
     per_round = game_from_json(json.loads(
         '{"outcomes": ["0", "1"], "horizon": 3, "contents": ['
         '{"type": "measure", "probs": {"0": "1/2", "1": "1/2"}}, {"type": "sup"}, {"type": "sup"}]}'
@@ -81,6 +86,19 @@ def test_payoff_table_must_be_total():
     game = GameSpec(BIN, Measure.uniform(BIN), 2)
     with pytest.raises(SchemaError):
         payoff_from_json({"kind": "table", "depth": 1, "values": {"0": "0"}}, game)
+
+
+def test_table_payoff_depth_is_checked_before_its_leaves(monkeypatch):
+    # The horizon, then the cap, before the K ** depth leaves are counted.
+    monkeypatch.delenv("GTP_MAX_DEPTH", raising=False)
+    cases = [
+        (3, "/payoff/depth: payoff settles beyond the game horizon"),
+        (20, "/payoff/depth: dense payoff tabulation to depth 15 exceeds the cap 14; raise GTP_MAX_DEPTH to allow it"),
+    ]
+    for horizon, message in cases:
+        with pytest.raises(SchemaError) as err:
+            payoff_from_json({"kind": "table", "depth": 15, "values": {}}, GameSpec(BIN, Measure.uniform(BIN), horizon))
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -258,3 +276,17 @@ def test_last_outcome_system_predicts_from_the_last_outcome():
     phi = forecasting_system_from_json({"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": "b"}, spec)
     histories = [(), ("0",), ("1",), ("1", "0"), ("0", "1")]
     assert [phi.predict(h) for h in histories] == ["b", "a", "b", "a", "b"]
+
+
+def test_rationals_take_exponents_within_the_digit_limit():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert _fraction("1e-5", "/x") == Fraction(1, 100000)
+    assert _extreal(1e-05, "/x") == ext("1/100000")
+    assert _fraction(f"1e{limit - 1}", "/x") == 10 ** (limit - 1)
+    assert _extreal(f"-1E-{limit - 2}", "/x") == ext(Fraction(-1, 10 ** (limit - 2)))
+    refused = [f"1e{limit}", f"1.5e-{limit - 2}", float("inf"), float("-inf"), float("nan"), "1e1000000000", "1e-1000000000"]
+    for read, what in ((_fraction, "an exact rational"), (_extreal, "an extended rational")):
+        for raw in refused:
+            with pytest.raises(SchemaError) as err:
+                read(raw, "/content/probs/0")
+            assert str(err.value) == f"/content/probs/0: not {what}: {raw!r}"

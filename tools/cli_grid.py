@@ -103,6 +103,7 @@ FIXTURES = {
     "ab.json": {"outcomes": ["a", "b"], "horizon": 2, "content": {"type": "measure", "probs": {"a": "1/2", "b": "1/2"}}},
     "nogame.json": {"outcomes": ["0", "1"], "horizon": 0, "content": COIN},
     "long.json": {"outcomes": ["0", "1"], "horizon": 10**6, "content": COIN},
+    "huge.json": {"outcomes": ["0", "1"], "horizon": 10**30, "content": COIN},
     # forecaster specs
     "p2.json": P2,
     "p2h.json": dict(P2, horizon=3),
@@ -133,6 +134,10 @@ FIXTURES = {
     "pay_depthx.json": {"kind": "constant", "value": "1", "depth": "x"},
     "pay_key.json": {"kind": "table", "depth": 1, "values": {"00": "0", "01": "1"}},
     "pay_kind.json": {"kind": "nope"},
+    "pay_deep5.json": {"kind": "table", "depth": 5, "values": {}},
+    "pay_1e400.json": '{"kind": "constant", "value": 1e400}',
+    "pay_1e-5.json": {"kind": "constant", "value": "1e-5"},
+    "pay_1e4300.json": {"kind": "constant", "value": "1e4300"},
     # capital tables
     "t_total.csv": _table_csv(_tree(3, lambda s: "1")),
     "t_deep.csv": _table_csv(_tree(4, lambda s: "1")),
@@ -248,6 +253,12 @@ def grid() -> list[list[str]]:
     add(["law", "coin.json", "kolmogorov"])
     for strategy in ("doob:1/2,2", "doubling"):
         add(["simulate", "long.json", "--strategy", strategy, "--path", "1"])
+    add(["axioms", "huge.json"])
+    add(["expect", "huge.json", "--payoff", "e_w1"])
+    add(["law", "huge.json", "classify", "--event", "w1=1"])
+    add(["simulate", "huge.json", "--strategy", "doob:1/2,2", "--path", "1"])
+    for payoff in ("pay_deep5.json", "pay_1e400.json", "pay_1e-5.json", "pay_1e4300.json"):
+        add(["expect", "coin.json", "--payoff", payoff])
     return lines
 
 

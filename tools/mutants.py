@@ -445,6 +445,43 @@ MUTANTS = [
         "if len(path) > xi.depth:",
         ("test_cli.py",),
     ),
+    # -- the axiom audit on integer numerators --------------------------------
+    Mutant(
+        "audit-sum-without-inf-dominance",
+        "functionals.py",
+        "return tuple(_PInf if _PInf in (a, b) else a + b for a, b in zip(f, g))",
+        "return tuple(a + b for a, b in zip(f, g))",
+        ("test_functionals.py",),
+    ),
+    Mutant(
+        "audit-scalar-lcm-dropped",
+        "functionals.py",
+        "lift = lcm(*(c.denominator for c in AUDIT_SCALARS))",
+        "lift = 1",
+        ("test_functionals.py",),
+    ),
+    Mutant(
+        "audit-nonnegative-means-positive",
+        "functionals.py",
+        "nonneg = [f for f in vectors if min(f) >= 0]",
+        "nonneg = [f for f in vectors if min(f) > 0]",
+        ("test_functionals.py",),
+    ),
+    # -- sizes checked before work -------------------------------------------------
+    Mutant(
+        "table-payoff-size-before-depth",
+        "serialize.py",
+        "Payoff.constant(0, depth)._span(game, ())",
+        "pass",
+        ("test_serialize.py",),
+    ),
+    Mutant(
+        "exponent-unbounded",
+        "serialize.py",
+        "e and len(mantissa) + abs(int(exponent)) > limit",
+        "False",
+        ("test_serialize.py",),
+    ),
     # -- level order and the library's input checks ---------------------------
     Mutant(
         "stop-sorts-by-string",
