@@ -75,6 +75,15 @@ def test_envelope_of_point_masses():
     assert env.eval(f) == ext(max(dots)) == ONE
 
 
+def test_gambles_compare_by_outcome_set_and_values():
+    g = Gamble.of(BIN, [0, 1])
+    assert g == Gamble.of(BIN, ["0", "1"]) and hash(g) == hash(Gamble.of(BIN, ["0", "1"]))
+    assert g != Gamble.of(OutcomeSet(["a", "b"]), [0, 1]) and g != (ZERO, ONE)
+    assert len({g, Gamble.of(BIN, [0, 1]), Gamble.of(BIN, [1, 0])}) == 2
+    assert repr(g) == "Gamble(0: 0, 1: 1)"
+    assert repr(SupContent(BIN)) == "SupContent(['0', '1'])"
+
+
 def test_measure_rejects_bad_weights():
     with pytest.raises(ValueError):
         Measure(BIN, {"0": "1/2", "1": "1/3"})
