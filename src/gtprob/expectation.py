@@ -18,15 +18,15 @@ The resulting table prices its own children exactly at every node, i.e.
 the conditional upper expectation is a martingale in the situation
 argument; tests assert this identity rather than assuming it.
 
-One kernel runs every dense sweep, and each round's functional prices
+One kernel runs every sweep, and each round's functional prices
 its level through ``OuterContent.price_level``.  Measure, envelope and
 supremum rounds work on integer numerators over a common denominator,
 with a ``Fraction`` built only at read-out and no finite value ever in a
 float; any other functional is priced node by node through its own
-``eval_seq``.  An indicator whose window starts late ignores its first
-coordinates, so its expectations are swept on its quotient: below one
-situation of the depth where the window starts, which stands for all
-of them, with one constant gamble priced per round above it.
+``eval_seq``.  Situations of one depth in one state of a payoff's
+automaton share their conditional values, so an indicator's, a constant's
+and a capped run's expectations and running-maximum price are swept on
+its state lattice; other payoffs, and every payoff's tables, on the tree.
 
 Lower expectation is the negation dual, swept on negated numerators.
 Upper/lower probability route an event's indicator through the same
@@ -45,8 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Callable, ClassVar, Iterable, Mapping
 
 from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, _PInf, _numerators, _over, _read_out, ext
@@ -75,9 +75,12 @@ class Payoff:
     can live beyond the dense cap, table materialization is guarded.
     ``event`` is the window an :func:`indicator` payoff indicates, and
     only :func:`indicator` sets it; it is None for every other payoff.
+    Indicator, :meth:`constant` and :meth:`leading_ones_capped` payoffs also
+    carry an automaton ``(start, step, value)``: ``step(w, n, x)`` is the state
+    after outcome ``x`` of round ``n``, ``value`` the payoff of a state at ``depth``.
     """
 
-    __slots__ = ("depth", "_fn", "event")
+    __slots__ = ("depth", "_fn", "event", "_automaton")
 
     def __init__(self, depth: int, fn: Callable[[Situation], ExtReal]):
         if depth < 0:
@@ -85,11 +88,14 @@ class Payoff:
         self.depth = depth
         self._fn = fn
         self.event: EventWindow | None = None
+        self._automaton: tuple | None = None
 
-    @property
-    def ignored(self) -> int:
-        """Leading coordinates the payoff never reads: those before an indicator's window."""
-        return self.event.start - 1 if self.event else 0
+    @classmethod
+    def _from_automaton(cls, depth: int, fn: Callable[[Situation], ExtReal], start, step, value) -> "Payoff":
+        """A payoff with rule ``fn`` and automaton ``(start, step, value)``; the two agree on every leaf."""
+        xi = cls(depth, fn)
+        xi._automaton = (start, step, value)
+        return xi
 
     @classmethod
     def from_table(cls, values: Mapping[Situation, object], depth: int) -> "Payoff":
@@ -109,7 +115,7 @@ class Payoff:
     @classmethod
     def constant(cls, value, depth: int) -> "Payoff":
         v = ext(value)
-        return cls(depth, lambda s: v)
+        return cls._from_automaton(depth, lambda s: v, None, lambda w, n, x: w, lambda w: v)
 
     @classmethod
     def leading_ones_capped(cls, cap, depth: int) -> "Payoff":
@@ -136,7 +142,9 @@ class Payoff:
                 n += 1
             return values[n]
 
-        return cls(depth, fn)
+        # The state is (leading ones so far, whether the run may still grow).
+        step = lambda w, n, x: (w[0] + 1, True) if w[1] and x == "1" and w[0] < top else (w[0], False)
+        return cls._from_automaton(depth, fn, (0, True), step, lambda w: values[w[0]])
 
     def value(self, leaf: Situation) -> ExtReal:
         leaf = tuple(leaf)
@@ -159,6 +167,23 @@ class Payoff:
         """The payoff at every leaf below ``s``, in rank order, once the horizon and cap hold."""
         fn = self._fn
         return [fn(s + rest) for rest in game.outcomes.tuples(self._span(game, s))]
+
+    def _lattice(self, game: GameSpec, s: Situation) -> tuple[list[ExtReal], list[list[int]] | None]:
+        """The leaves below ``s`` and, per depth from ``s`` down, each node's
+        children's indices in the level below (None on the tree), once the horizon and cap hold.
+        A lattice level lists its depth's states in order of first appearance in rank order."""
+        if self._automaton is None:
+            return self.leaf_values(game, s), None
+        self._span(game, s)
+        state, step, value = self._automaton
+        for n, x in enumerate(s, 1):
+            state = step(state, n, x)
+        states, kids, labels = [state], [], game.outcomes.labels
+        for n in range(len(s) + 1, self.depth + 1):
+            index: dict = {}
+            kids.append([index.setdefault(step(w, n, x), len(index)) for w in states for x in labels])
+            states = list(index)
+        return [value(w) for w in states], kids
 
     def __repr__(self) -> str:
         return f"Payoff(depth={self.depth}, event={self.event!r})"
@@ -218,21 +243,6 @@ class EventWindow:
             label=f"not({self.label})" if self.label else "",
         )
 
-    @staticmethod
-    def union(events: Sequence["EventWindow"]) -> "EventWindow":
-        """Union on the combined window (smallest covering both ends)."""
-        if not events:
-            raise ValueError("union of no events")
-        start = min(e.start for e in events)
-        end = max(e.end for e in events)
-
-        def pred(window: tuple[str, ...]) -> bool:
-            return any(
-                e.member_window(window[e.start - start : e.end - start + 1]) for e in events
-            )
-
-        return EventWindow(start, end, predicate=pred, label="union")
-
     @classmethod
     def whole_space(cls) -> "EventWindow":
         return cls(1, 1, predicate=lambda w: True, label="omega")
@@ -252,7 +262,11 @@ class EventWindow:
 
 def indicator(event: EventWindow) -> Payoff:
     """The 0/1 payoff of an event, settled at its window's end; it carries the event."""
-    xi = Payoff(event.end, lambda s: ONE if event.member(s) else ZERO)
+    xi = Payoff._from_automaton(
+        event.end, lambda s: ONE if event.member(s) else ZERO,
+        (), lambda w, n, x: w + (x,) if n >= event.start else w,  # the part of the window seen so far
+        lambda w: ONE if event.member_window(w) else ZERO,
+    )
     xi.event = event
     return xi
 
@@ -260,26 +274,27 @@ def indicator(event: EventWindow) -> Payoff:
 # -- backward induction -------------------------------------------------
 #
 # A level is a list in base-K rank order: the children of node ``i`` are
-# entries ``i*K .. i*K+K-1`` of the level below.
+# entries ``i*K .. i*K+K-1`` of the level below; on a state lattice
+# (``Payoff._lattice``), the entries ``kids[d][i*K .. i*K+K-1]``.
 
 
 def _sweep(
-    game: GameSpec, leaves: list[ExtReal], top: int, bottom: int, keep: int, negate: bool = False
+    game: GameSpec, leaves: list[ExtReal], top: int, bottom: int, keep: int, negate: bool = False,
+    kids: list[list[int]] | None = None,
 ) -> list[list[ExtReal]]:
     """Back ``leaves`` (negated if asked), the values at depth ``bottom``
-    below one situation of depth ``top`` or deeper, up to depth ``top``.
-    A one-node level below ``top`` stands for ``K`` children of that one
-    value, so the rounds above a deeper situation price a constant gamble.
-    Returns the levels of depths ``top..keep`` as ExtReal lists, index 0
-    being depth ``top``."""
-    k = len(game.outcomes)
+    below one situation of depth ``top``, up to depth ``top``: on the tree,
+    or on a lattice whose child indices per depth are ``kids``.  Returns
+    the levels of depths ``top..keep`` as ExtReal lists, index 0 being
+    depth ``top``."""
     nums, den = _numerators(leaves)
     if negate:
         nums = [-n for n in nums]
     kept = []
     for d in range(bottom, top - 1, -1):
         if d < bottom:
-            nums, den = game.content_at(d + 1).price_level(nums if len(nums) > 1 else nums * k, den)
+            level = nums if kids is None else [nums[i] for i in kids[d - top]]
+            nums, den = game.content_at(d + 1).price_level(level, den)
         if d <= keep:
             kept.append(leaves if d == bottom and not negate else _read_out(nums, den))
     kept.reverse()
@@ -289,14 +304,12 @@ def _sweep(
 def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False) -> ExtReal:
     """Upper expectation of ``xi`` at ``s``, or lower if ``negate`` (swept
     on negated numerators): the payoff itself at its depth, else the sweep
-    below ``s``.  An indicator's leaves are those below ``s`` padded with
-    the first label up to its window, their one value carried up to ``s``."""
+    of its tree or state lattice below ``s``."""
     s = game.validate_situation(s)
     if len(s) >= xi.depth:
         return xi.value(s[: xi.depth])
-    xi._span(game, s)
-    rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))
-    v = _sweep(game, xi.leaf_values(game, rep), len(s), xi.depth, len(s), negate)[0][0]
+    leaves, kids = xi._lattice(game, s)
+    v = _sweep(game, leaves, len(s), xi.depth, len(s), negate, kids)[0][0]
     return -v if negate else v
 
 
@@ -362,16 +375,17 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     finite-valued; nonpositive levels are covered for free because capital
     is nonnegative.
     """
-    span = xi.depth
-    leaves = xi.leaf_values(game)
+    leaves, kids = xi._lattice(game, EMPTY)
     nums, den = _numerators(leaves)
     if float in map(type, nums):
-        i = next(i for i, n in enumerate(nums) if n.__class__ is float)
-        s = format_situation(next(islice(game.outcomes.tuples(span), i, None)), game.outcomes)
-        raise ValueError(f"payoff must be finite-valued, got {leaves[i]} at {s or '□'}")
+        s = next(s for s in game.outcomes.tuples(xi.depth) if not xi.value(s).is_finite)
+        at = format_situation(s, game.outcomes) or "□"
+        raise ValueError(f"payoff must be finite-valued, got {xi.value(s)} at {at}")
     t = sorted({0} | {n for n in nums if n > 0})
     levels = [[n if n > tj else 0 for n in nums] for tj in t]
-    for d in range(span - 1, -1, -1):
+    for d in range(xi.depth - 1, -1, -1):
+        if kids is not None:
+            levels = [[level[i] for i in kids[d]] for level in levels]
         priced = [game.content_at(d + 1).price_level(level, den) for level in levels]
         g, den = _over(priced + [(t, den)])
         t = g.pop()

@@ -300,6 +300,13 @@ def test_lower_never_exceeds_upper():
                 assert lower_expectation(game, xi, s) <= upper_expectation(game, xi, s)
 
 
+def union_of(events):
+    """The union of window events, on the smallest window covering them all."""
+    start, end = min(e.start for e in events), max(e.end for e in events)
+    member = lambda w: any(e.member_window(w[e.start - start : e.end - start + 1]) for e in events)
+    return EventWindow(start, end, predicate=member, label="union")
+
+
 def test_union_bound_for_window_events():
     depth = 3
     events = [
@@ -307,7 +314,7 @@ def test_union_bound_for_window_events():
         EventWindow(2, 3, accepts=[("1", "1")]),
         EventWindow(1, 2, predicate=lambda w: w[0] == w[1], label="match"),
     ]
-    union = EventWindow.union(events)
+    union = union_of(events)
     for game in (coin_game(depth), point_envelope_game(depth), sup_game(depth)):
         for s in [EMPTY, ("1",)]:
             lhs = upper_probability(game, union, s)
@@ -331,21 +338,18 @@ def test_indicator_payoffs_carry_their_event():
     event = EventWindow.coordinate_is(2, "1")
     assert indicator(event).event is event
     assert Payoff.constant(1, 2).event is None
-    assert Payoff.__slots__ == ("depth", "_fn", "event")
-    xi = indicator(event)
-    assert (xi.ignored, Payoff.constant(1, 2).ignored) == (1, 0)
-    with pytest.raises(AttributeError):
-        xi.ignored = 0
+    assert Payoff.__slots__ == ("depth", "_fn", "event", "_automaton")
+    assert Payoff(2, lambda s: ONE)._automaton is None
 
 
 def test_only_an_indicator_carries_an_event():
     # A rule reading the first coordinate beside the event "w3 = 1" would
-    # be swept on that event's quotient and priced at 0; it is worth 1/2.
+    # be swept on that event's lattice and priced at 0; it is worth 1/2.
     first = lambda s: ONE if s[0] == "1" else ZERO
     with pytest.raises(TypeError):
         Payoff(3, first, EventWindow.coordinate_is(3, "1"))
     xi = Payoff(3, first)
-    assert (xi.event, xi.ignored, upper_expectation(coin_game(3), xi)) == (None, 0, ext("1/2"))
+    assert (xi.event, xi._automaton, upper_expectation(coin_game(3), xi)) == (None, None, ext("1/2"))
 
 
 def test_depth_zero_payoff_is_its_root_value():
@@ -616,7 +620,7 @@ def test_sup_variant_price_equal_to_the_next_level_moves_on():
     assert sup_variant_upper_expectation(game, xi) == scan_touch_price(game, xi) == ext("3/2")
 
 
-# -- the quotient sweep against the dense sweep ----------------------------
+# -- the lattice sweep against the dense sweep -----------------------------
 
 from gtprob.expectation import _sweep
 from gtprob.functionals import UnknownGambleError
@@ -631,7 +635,7 @@ def outcome(call):
 
 
 def dense_levels(game, xi, s, keep, negate=False):
-    """Every leaf below ``s`` swept whole, ignoring ``xi.ignored``."""
+    """Every leaf below ``s`` swept whole, ignoring the payoff's automaton."""
     return _sweep(game, xi.leaf_values(game, s), len(s), xi.depth, keep, negate)
 
 
@@ -662,6 +666,45 @@ def test_rounds_above_the_window_price_their_constant():
     assert upper_table(game, xi).value(EMPTY) == ext(4)
 
 
+LATTICE_VALUES = st.sampled_from([ext(v) for v in ("-2", "-1/2", "0", "1", "3/2", "5")] + [INF, NEG_INF])
+
+
+def automaton_payoff(depth, start, delta, values):
+    """A payoff read off the automaton whose state moves from ``w`` to
+    ``delta[w, n, x]`` on outcome ``x`` of round ``n``; its rule runs the
+    same table along the leaf."""
+
+    def fn(s):
+        w = start
+        for n, x in enumerate(s, 1):
+            w = delta[w, n, x]
+        return values[w]
+
+    return Payoff._from_automaton(depth, fn, start, lambda w, n, x: delta[w, n, x], values.__getitem__)
+
+
+@st.composite
+def lattice_payoffs(draw, outcomes, horizon):
+    """An indicator, a capped leading-ones run, a constant or a random
+    automaton with at most four states, settled within ``horizon``."""
+    kind = draw(st.sampled_from(["indicator", "leading_ones", "constant", "automaton"]))
+    if kind == "indicator":
+        end = draw(st.integers(1, horizon))
+        start = draw(st.integers(1, end))
+        window = st.tuples(*[st.sampled_from(outcomes.labels)] * (end - start + 1))
+        event = EventWindow(start, end, accepts=draw(st.lists(window, max_size=6)))
+        return indicator(event.complement() if draw(st.booleans()) else event)
+    depth = draw(st.integers(0, horizon))
+    if kind == "leading_ones":
+        return Payoff.leading_ones_capped(draw(st.fractions(1, 2**depth, max_denominator=3)), depth)
+    if kind == "constant":
+        return Payoff.constant(draw(LATTICE_VALUES), depth)
+    m = draw(st.integers(1, 4))
+    state = st.integers(0, m - 1)
+    delta = {(w, n, x): draw(state) for n in range(1, depth + 1) for w in range(m) for x in outcomes.labels}
+    return automaton_payoff(depth, draw(state), delta, [draw(LATTICE_VALUES) for _ in range(m)])
+
+
 @st.composite
 def quotient_cases(draw):
     k = draw(st.sampled_from([2, 3]))
@@ -683,11 +726,7 @@ def quotient_cases(draw):
     }
     kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=horizon, max_size=horizon))
     contents = [makers[kind]() for kind in kinds]
-    end = draw(st.integers(1, horizon))
-    start = draw(st.integers(1, end))
-    window = st.tuples(*[st.sampled_from(outcomes.labels)] * (end - start + 1))
-    event = EventWindow(start, end, accepts=draw(st.lists(window, max_size=6)))
-    xi = indicator(event.complement() if draw(st.booleans()) else event)
+    xi = draw(lattice_payoffs(outcomes, horizon))
     game = GameSpec(outcomes, contents, horizon)
     if draw(st.booleans()):
         # One round priced from a list holding some of the gambles it
@@ -711,6 +750,38 @@ def test_quotient_sweep_matches_the_dense_sweep(case):
     for s in situations:
         assert outcome(lambda: upper_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s))
         assert outcome(lambda: lower_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s, True))
+    # The running-maximum price on the lattice, against a rule-only copy on
+    # the tree and, on small trees priced by built-ins, the memoized scan.
+    touch = outcome(lambda: sup_variant_upper_expectation(game, xi))
+    assert touch == outcome(lambda: sup_variant_upper_expectation(game, Payoff(xi.depth, xi.value)))
+    table_free = not any(isinstance(game.content_at(n), TableContent) for n in range(1, game.horizon + 1))
+    if touch[0] == "value" and table_free and len(game.outcomes) ** xi.depth <= 27:
+        assert touch[1] == scan_touch_price(game, xi)
+
+
+def run_automaton(xi, leaf):
+    state, step, value = xi._automaton
+    for n, x in enumerate(leaf, 1):
+        state = step(state, n, x)
+    return value(state)
+
+
+def test_each_factory_automaton_agrees_with_its_rule():
+    for depth in range(8):
+        leaves = list(BIN.tuples(depth))
+        payoffs = [Payoff.constant(v, depth) for v in (ext("-3/2"), ZERO, INF, NEG_INF)]
+        for cap in range(1, 301):
+            if 2**depth >= cap:
+                payoffs += [Payoff.leading_ones_capped(c, depth) for c in (cap, Fraction(2 * cap + 1, 3))]
+            else:
+                with pytest.raises(ValueError, match="too shallow"):
+                    Payoff.leading_ones_capped(cap, depth)
+        for start in range(1, depth + 1):
+            odd = EventWindow(start, depth, predicate=lambda w: w.count("1") % 2 == 1)
+            payoffs += [indicator(odd), indicator(odd.complement())]
+            payoffs.append(indicator(EventWindow(start, depth, accepts=[("1",) * (depth - start + 1)])))
+        for xi in payoffs:
+            assert [run_automaton(xi, leaf) for leaf in leaves] == [xi.value(leaf) for leaf in leaves]
 
 
 def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
@@ -723,6 +794,16 @@ def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
     expected = ("UnknownGambleError", "no table entry for gamble values ('1/2', '1/2')")
     assert outcome(lambda: dense_value(game, xi, EMPTY)) == expected
     assert outcome(lambda: upper_expectation(game, xi)) == expected
+
+
+def test_a_price_list_fails_on_the_first_missing_gamble_in_rank_order():
+    # Round 2 meets (0, 0) below "0" and (0, 1) below "1", and lists
+    # neither; every sweep names the first in rank order.
+    game = GameSpec(BIN, [Measure.uniform(BIN), TableContent(BIN, [])], 2)
+    xi = indicator(EventWindow(1, 2, accepts=[("1", "1")]))
+    expected = ("UnknownGambleError", "no table entry for gamble values ('0', '0')")
+    for sweep in (upper_expectation, lower_expectation, sup_variant_upper_expectation):
+        assert outcome(lambda: sweep(game, xi)) == expected
 
 
 # -- the library's input checks ----------------------------------------------

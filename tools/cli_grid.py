@@ -138,6 +138,11 @@ FIXTURES = {
     "pay_1e400.json": '{"kind": "constant", "value": 1e400}',
     "pay_1e-5.json": {"kind": "constant", "value": "1e-5"},
     "pay_1e4300.json": {"kind": "constant", "value": "1e4300"},
+    "pay_lo4.json": {"kind": "leading_ones_capped", "cap": "4", "depth": 2},
+    "pay_k3inf.json": {"kind": "table", "depth": 2, "values": {
+        f"{a},{b}": {("1", "hi"): "inf", ("hi", "lo"): "-inf"}.get((a, b), "1/2")
+        for a in ("lo", "1", "hi") for b in ("lo", "1", "hi")
+    }},
     # capital tables
     "t_total.csv": _table_csv(_tree(3, lambda s: "1")),
     "t_deep.csv": _table_csv(_tree(4, lambda s: "1")),
@@ -203,6 +208,17 @@ def grid() -> list[list[str]]:
             add(["expect", spec, "--payoff", payoff, "--variant", "sup"])
             add(["expect", spec, "--payoff", payoff, "--variant", "sup", "--lower"])
             add(["expect", spec, "--payoff", payoff, "--variant", "sup", "--situation", sits[1]])
+    # Capped runs and a non-finite table at K = 3, and situations past a run's break.
+    for spec in ("k3.json", "k3r.json"):
+        for payoff in ("leading_ones:8", "leading_ones:5", "leading_ones:7/2", "pay_lo4.json", "pay_k3inf.json"):
+            add(["expect", spec, "--payoff", payoff, "--variant", "sup"])
+        for s, payoff in itertools.product(("lo", "1,lo", "hi,1", "1,1,lo"), ("leading_ones:8", "pay_lo4.json")):
+            add(["expect", spec, "--payoff", payoff, "--situation", s])
+            add(["expect", spec, "--payoff", payoff, "--situation", s, "--lower"])
+    for spec, cap in (("coin.json", "8"), ("m13.json", "16"), ("mixed.json", "16")):
+        for s in ("0", "10", "110", "101"):
+            add(["expect", spec, "--payoff", f"leading_ones:{cap}", "--situation", s])
+            add(["expect", spec, "--payoff", f"leading_ones:{cap}", "--situation", s, "--lower"])
     for spec in SPECS:
         for strategy, path, payoff in itertools.product(STRATEGIES, _paths(spec), (None, "e_w2", "e_w9")):
             add(["simulate", spec, "--strategy", strategy, "--path", path] + (["--payoff", payoff] if payoff else []))

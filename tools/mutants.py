@@ -57,13 +57,49 @@ class Mutant:
 EXPECTATION = ("test_expectation.py", "test_laws.py")
 
 MUTANTS = [
-    # -- the quotient sweep --------------------------------------------------
+    # -- the state lattice -----------------------------------------------------
     Mutant(
-        "indicator-ignores-start",
+        "lattice-gather-index-off-by-one",
         "expectation.py",
-        "return self.event.start - 1 if self.event else 0",
-        "return self.event.start if self.event else 0",
+        "[level[i] for i in kids[d]]",
+        "[level[i - 1] for i in kids[d]]",
         EXPECTATION,
+    ),
+    Mutant(
+        "lattice-state-not-advanced-along-s",
+        "expectation.py",
+        "            state = step(state, n, x)\n",
+        "            pass\n",
+        EXPECTATION,
+    ),
+    Mutant(
+        "lattice-states-merged-per-depth-only",
+        "expectation.py",
+        "index.setdefault(step(w, n, x), len(index))",
+        "index.setdefault(step(w, n, x), 0)",
+        EXPECTATION,
+    ),
+    Mutant(
+        "lattice-step-told-the-next-round",
+        "expectation.py",
+        "index.setdefault(step(w, n, x), len(index))",
+        "index.setdefault(step(w, n + 1, x), len(index))",
+        EXPECTATION,
+    ),
+    Mutant(
+        "lattice-states-listed-in-reverse",
+        "expectation.py",
+        "            states = list(index)\n",
+        "            states = list(index)[::-1]\n"
+        "            kids[-1] = [len(states) - 1 - i for i in kids[-1]]\n",
+        EXPECTATION,
+    ),
+    Mutant(
+        "cap-dropped-on-the-lattice",
+        "expectation.py",
+        "        self._span(game, s)\n        state, step, value",
+        "        state, step, value",
+        ("test_cli.py",),
     ),
     Mutant(
         "constant-rounds-skipped",
@@ -73,48 +109,11 @@ MUTANTS = [
         EXPECTATION,
     ),
     Mutant(
-        "constant-rounds-priced-one-round-late",
-        "expectation.py",
-        "game.content_at(d + 1).price_level(nums if",
-        "game.content_at(d + 1 + (len(nums) == 1)).price_level(nums if",
-        EXPECTATION,
-    ),
-    Mutant(
-        "constant-gamble-padded-with-zeros",
-        "expectation.py",
-        "nums if len(nums) > 1 else nums * k",
-        "nums if len(nums) > 1 else nums + [0] * (k - 1)",
-        EXPECTATION,
-    ),
-    Mutant(
-        "cap-on-quotient-span",
-        "expectation.py",
-        "    xi._span(game, s)\n",
-        "",
-        ("test_cli.py",),
-    ),
-    Mutant(
         "lower-expectation-not-negated-back",
         "expectation.py",
         "return -v if negate else v",
         "return v",
         EXPECTATION,
-    ),
-    Mutant(
-        "padded-into-the-window",
-        "expectation.py",
-        "rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))",
-        "rep = s + game.outcomes.labels[:1] * (xi.ignored + 1 - len(s))",
-        EXPECTATION,
-    ),
-    Mutant(
-        "representative-on-last-label",
-        "expectation.py",
-        "rep = s + game.outcomes.labels[:1] * (xi.ignored - len(s))",
-        "rep = s + game.outcomes.labels[-1:] * (xi.ignored - len(s))",
-        EXPECTATION,
-        equivalent="every situation at the representative's depth below s roots the same "
-        "subtree, so any one of them stands for all, errors included",
     ),
     # -- the single sources: a round's fan-out, event membership, the band ----
     Mutant(
