@@ -29,8 +29,6 @@ from gtprob.gametree import (
     EMPTY,
     Situation,
     Cut,
-    cut_le,
-    in_cut_interval,
     GameSpec,
     Strategy,
     Supermartingale,

@@ -85,8 +85,11 @@ def _parse_payoff(raw: str, game: GameSpec) -> Payoff:
         with _at("/payoff"):
             xi = indicator(EventWindow.coordinate_is(k, "1"))
     elif raw.startswith("leading_ones:"):
+        cap = _fraction(raw.split(":", 1)[1], "/payoff")
+        if "1" not in game.outcomes:
+            raise SchemaError("/payoff", "leading_ones shorthand needs an outcome labeled '1'")
         with _at("/payoff"):
-            xi = Payoff.leading_ones_capped(_fraction(raw.split(":", 1)[1], "/payoff"), game.horizon)
+            xi = Payoff.leading_ones_capped(cap, game.horizon)
     elif raw.startswith("const:"):
         xi = Payoff.constant(_extreal(raw.split(":", 1)[1], "/payoff"), game.horizon)
     else:

@@ -37,7 +37,7 @@ from typing import Callable, ClassVar, Mapping, Sequence
 from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, _over, _read_out, ext
 from gtprob.functionals import OutcomeSet, OuterContent
-from gtprob.gametree import GameSpec, Situation, Supermartingale, format_situation
+from gtprob.gametree import GameSpec, Situation, format_situation
 from gtprob.expectation import EventWindow, Payoff
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "upper_expectation_p2",
     "chi_phi",
     "upper_prob_phi",
-    "restrict_to_clearing",
-    "verify_p2_supermartingale",
     "MixingReport",
     "delta_mixing_check",
 ]
@@ -308,37 +306,6 @@ def upper_prob_phi(
     the interleaved prefix, swept on the outcome tree below the prefix."""
     chi_phi(phi, chi_prefix)  # refuses unknown outcomes and off-menu predictions
     return _phi_levels(phi, event, tuple(chi_prefix))[0][0]
-
-
-def restrict_to_clearing(spec: Protocol2Spec, sm: Supermartingale) -> dict[PairPath, ExtReal]:
-    """Values of an embedded-game table on the clearing situations."""
-    out: dict[PairPath, ExtReal] = {}
-    for s, v in sm.table.items():
-        pairs = tuple(split_label(lab) for lab in s)
-        if all(p in spec.menu_at(i + 1) for i, (p, _x) in enumerate(pairs)):
-            out[pairs] = v
-    return out
-
-
-def verify_p2_supermartingale(
-    spec: Protocol2Spec, values: Mapping[PairPath, ExtReal], depth: int
-) -> bool:
-    """The two-phase inequality on clearing situations: for every history
-    and every menu prediction, the priced children stay at or below the
-    current value."""
-    def history_ok(s: PairPath) -> bool:
-        if len(s) == depth:
-            return True
-        menu = spec.menu_at(len(s) + 1)
-        for p in menu:
-            kids = [values[s + ((p, x),)] for x in spec.outcomes.labels]
-            if spec.contents[p].eval_seq(kids) > values[s]:
-                return False
-            if not all(history_ok(s + ((p, x),)) for x in spec.outcomes.labels):
-                return False
-        return True
-
-    return history_ok(())
 
 
 # -- mixing ----------------------------------------------------------------------

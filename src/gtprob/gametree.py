@@ -35,8 +35,6 @@ __all__ = [
     "format_situation",
     "parse_situation",
     "Cut",
-    "cut_le",
-    "in_cut_interval",
     "GameSpec",
     "Supermartingale",
     "Strategy",
@@ -90,13 +88,6 @@ class Cut:
                     raise ValueError(f"cut members must be pairwise incomparable: {t[:k]} < {t}")
         self.members = members
 
-    def member_above(self, s: Situation) -> Situation | None:
-        """The unique cut member that is a prefix of ``s``, if any."""
-        for k in range(len(s) + 1):
-            if s[:k] in self.members:
-                return s[:k]
-        return None
-
     def __iter__(self) -> Iterator[Situation]:
         return iter(sorted(self.members, key=lambda s: (len(s), s)))
 
@@ -109,36 +100,8 @@ class Cut:
     def __eq__(self, other) -> bool:
         return isinstance(other, Cut) and self.members == other.members
 
-    def __hash__(self) -> int:
-        return hash(self.members)
-
     def __repr__(self) -> str:
         return f"Cut({sorted(self.members, key=lambda s: (len(s), s))!r})"
-
-
-def cut_le(sigma: Cut, tau: Cut) -> bool:
-    """Cut order: every comparable pair has the sigma member first."""
-    for s in sigma.members:
-        for t in tau.members:
-            if is_prefix(t, s) and s != t:
-                return False
-    return True
-
-
-def in_cut_interval(u: Situation, lo: Cut, hi: Cut, *, hi_closed: bool = True) -> bool:
-    """Membership of ``u`` in a cut time-interval.
-
-    With both ends closed this is: some prefix of ``u`` (including ``u``)
-    lies in ``lo``, and no strict prefix of ``u`` lies in ``hi``.  Opening
-    the upper end moves the ``hi`` test from strict prefixes to all
-    prefixes.
-    """
-    if not any(u[:k] in lo.members for k in range(len(u) + 1)):
-        return False
-    hi_prefixes = range(len(u)) if hi_closed else range(len(u) + 1)
-    if any(u[:k] in hi.members for k in hi_prefixes):
-        return False
-    return True
 
 
 class GameSpec:

@@ -259,6 +259,8 @@ def payoff_from_json(obj: Any, game: GameSpec, where: str = "/payoff") -> Payoff
             return Payoff.from_table(values, depth)
         if kind == "leading_ones_capped":
             cap = _fraction(obj.get("cap"), f"{where}/cap")
+            if "1" not in game.outcomes:
+                raise SchemaError(f"{where}/kind", "leading_ones_capped payoff needs an outcome labeled '1'")
             return Payoff.leading_ones_capped(cap, depth)
         if kind == "indicator":
             return indicator(window_from_json(obj.get("window"), game.outcomes, f"{where}/window"))

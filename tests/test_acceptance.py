@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from gtprob.extreal import ONE, ZERO, ext
 from gtprob.functionals import Envelope, Measure, OutcomeSet, SupContent
-from gtprob.gametree import EMPTY, GameSpec, Supermartingale, in_cut_interval, verify_supermartingale
+from gtprob.gametree import EMPTY, GameSpec, Supermartingale, verify_supermartingale
 from gtprob.expectation import (
     EventWindow,
     Payoff,
@@ -45,6 +45,7 @@ from gtprob.strategies import (
     levy_capital_trace,
     levy_strategy,
 )
+from oracles import in_cut_interval, union_of
 
 BIN = OutcomeSet(["0", "1"])
 TRI = OutcomeSet(["0", "1", "2"])
@@ -304,13 +305,6 @@ def test_acceptance_6():
             for st in steps:
                 assert st.capital == res.table.value(st.situation)
             assert verify_supermartingale(scripted.game, res.table).ok
-
-
-def union_of(events):
-    """The union of window events, on the smallest window covering them all."""
-    start, end = min(e.start for e in events), max(e.end for e in events)
-    member = lambda w: any(e.member_window(w[e.start - start : e.end - start + 1]) for e in events)
-    return EventWindow(start, end, predicate=member, label="union")
 
 
 @criterion(7, "coherence and finite union bound")

@@ -669,6 +669,17 @@ INPUT_ERRORS = {
         lambda tmp, coin: ["expect", write_json(tmp, "ab.json", AB_SPEC), "--payoff", "e_w1"],
         "/payoff: e_w shorthand needs an outcome labeled '1'",
     ),
+    "leading_ones_shorthand_without_a_one": (
+        lambda tmp, coin: ["expect", write_json(tmp, "ab.json", AB_SPEC), "--payoff", "leading_ones:4"],
+        "/payoff: leading_ones shorthand needs an outcome labeled '1'",
+    ),
+    "leading_ones_payoff_without_a_one": (
+        lambda tmp, coin: [
+            "expect", write_json(tmp, "ab.json", AB_SPEC),
+            "--payoff", write_json(tmp, "p.json", {"kind": "leading_ones_capped", "cap": "4"}),
+        ],
+        "/payoff/kind: leading_ones_capped payoff needs an outcome labeled '1'",
+    ),
     "event_unknown_outcome": (
         lambda tmp, coin: ["law", coin, "kolmogorov", "--event", "w1=z"],
         "/event: unknown outcome 'z'",

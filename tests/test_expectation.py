@@ -17,6 +17,7 @@ from gtprob.expectation import (
     upper_probability,
     upper_table,
 )
+from oracles import union_of
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -300,13 +301,6 @@ def test_lower_never_exceeds_upper():
                 assert lower_expectation(game, xi, s) <= upper_expectation(game, xi, s)
 
 
-def union_of(events):
-    """The union of window events, on the smallest window covering them all."""
-    start, end = min(e.start for e in events), max(e.end for e in events)
-    member = lambda w: any(e.member_window(w[e.start - start : e.end - start + 1]) for e in events)
-    return EventWindow(start, end, predicate=member, label="union")
-
-
 def test_union_bound_for_window_events():
     depth = 3
     events = [
@@ -338,6 +332,9 @@ def test_indicator_payoffs_carry_their_event():
     event = EventWindow.coordinate_is(2, "1")
     assert indicator(event).event is event
     assert Payoff.constant(1, 2).event is None
+    assert repr(indicator(event)) == "Payoff(depth=2, event=EventWindow([2, 2] 'w2=1'))"
+    assert repr(Payoff.constant(1, 2)) == "Payoff(depth=2, event=None)"
+    assert repr(EventWindow(1, 2, predicate=lambda w: True)) == "EventWindow([1, 2])"
     assert Payoff.__slots__ == ("depth", "_fn", "event", "_automaton")
     assert Payoff(2, lambda s: ONE)._automaton is None
 
@@ -808,8 +805,11 @@ def test_a_price_list_fails_on_the_first_missing_gamble_in_rank_order():
 
 # -- the library's input checks ----------------------------------------------
 
-from gtprob.functionals import check_axioms
+from gtprob.forecaster import Protocol2Spec, upper_expectation_p2
+from gtprob.functionals import GambleSpaceError, check_axioms
 from gtprob.laws import scripted_conditional_game
+
+OTHER = OutcomeSet(["a", "b"])
 
 INPUT_CHECKS = {
     "payoff_negative_depth": (
@@ -829,6 +829,8 @@ INPUT_CHECKS = {
     "member_window_of_the_wrong_width": (
         lambda: EventWindow(2, 3, predicate=lambda w: True).member_window(("1",)),
         ValueError, "window tuple must have length 2"),
+    "game_with_horizon_zero": (
+        lambda: GameSpec(BIN, Measure.uniform(BIN), 0), ValueError, "horizon must be a positive integer"),
     "game_with_too_few_rounds": (
         lambda: GameSpec(BIN, [Measure.uniform(BIN)] * 2, 3),
         ValueError, "need one pricing functional per round 1..horizon"),
@@ -841,6 +843,38 @@ INPUT_CHECKS = {
         lambda: coin_game(2).content_at(3), ValueError, "round 3 outside 1..2"),
     "empty_outcome_set": (
         lambda: OutcomeSet([]), ValueError, "outcome set must be non-empty"),
+    "extreal_plus_an_int": (
+        lambda: ONE + 1, TypeError, "unsupported operand type(s) for +: 'ExtReal' and 'int'"),
+    "extreal_minus_an_int": (
+        lambda: ONE - 1, TypeError, "unsupported operand type(s) for -: 'ExtReal' and 'int'"),
+    "extreal_below_an_int": (
+        lambda: ONE < 1, TypeError, "'<' not supported between instances of 'ExtReal' and 'int'"),
+    "extreal_at_most_an_int": (
+        lambda: ONE <= 1, TypeError, "'<=' not supported between instances of 'ExtReal' and 'int'"),
+    "extreal_above_an_int": (
+        lambda: ONE > 1, TypeError, "'>' not supported between instances of 'ExtReal' and 'int'"),
+    "extreal_at_least_an_int": (
+        lambda: ONE >= 1, TypeError, "'>=' not supported between instances of 'ExtReal' and 'int'"),
+    "finite_part_of_an_infinity": (
+        lambda: INF.finite, ValueError, "inf is not finite"),
+    "index_of_an_unknown_label": (
+        lambda: BIN.index("z"), GambleSpaceError, "unknown outcome 'z'; labels are ('0', '1')"),
+    "gamble_with_too_few_values": (
+        lambda: Gamble(BIN, [ZERO]), ValueError, "gamble must assign a value to every outcome"),
+    "measure_with_too_many_weights": (
+        lambda: Measure(BIN, ["1/3", "1/3", "1/3"]), ValueError, "need one weight per outcome"),
+    "envelope_member_on_another_set": (
+        lambda: Envelope(BIN, [Measure.uniform(OTHER)]), GambleSpaceError, "envelope member on a different outcome set"),
+    "table_entry_on_another_set": (
+        lambda: TableContent(BIN, [(Gamble.of(OTHER, [0, 1]), 1)]),
+        GambleSpaceError, "table entry on a different outcome set"),
+    "forecaster_functional_on_another_set": (
+        lambda: Protocol2Spec(BIN, [("c",)], {"c": Measure.uniform(OTHER)}),
+        ValueError, "functional for 'c' must live on the shared outcome set"),
+    "two_phase_conditioning_past_its_depth": (
+        lambda: upper_expectation_p2(Protocol2Spec(BIN, [("c",)] * 2, {"c": Measure.uniform(BIN)}), lambda pairs: ONE, 1,
+                                     (("c", "0"), ("c", "1"))),
+        ValueError, "conditioning history longer than the payoff depth"),
     "empty_envelope": (
         lambda: Envelope(BIN, []), ValueError, "envelope needs at least one measure"),
     "empty_audit_suite": (

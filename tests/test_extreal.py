@@ -60,6 +60,7 @@ def test_ordering_is_total():
     assert values[0] == NEG_INF and values[-1] == INF
     for a, b in product(PROBE, repeat=2):
         assert (a < b) + (a == b) + (a > b) == 1
+    assert ONE.__eq__(1) is NotImplemented and ONE != 1
 
 
 def test_add_commutative_associative_exhaustive():
@@ -113,6 +114,9 @@ def test_rejects_finite_floats_and_bools():
     with pytest.raises(TypeError):
         ext(True)
     assert ext(float("inf")) == INF
+    assert ext(float("-inf")) == NEG_INF
+    with pytest.raises(TypeError, match=r"^cannot interpret \[1\] as an extended real$"):
+        ext([1])
 
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)

@@ -32,11 +32,9 @@ from gtprob.forecaster import (
     embed,
     lift_payoff,
     pair_label,
-    restrict_to_clearing,
     split_label,
     upper_expectation_p2,
     upper_prob_phi,
-    verify_p2_supermartingale,
 )
 
 BIN = OutcomeSet(["0", "1"])
@@ -75,6 +73,7 @@ def test_singleton_menu_reduces_to_the_plain_functional():
 
 def test_menu_with_coin_and_sup_prices_prediction_blind_gambles_at_max():
     spec = coin_sup_spec(1)
+    assert repr(spec) == "Protocol2Spec(|X|=2, menus=[2])"
     game = embed(spec)
     content = game.content_at(1)
     f = Gamble.of(BIN, [0, 1])
@@ -127,6 +126,35 @@ def test_native_two_phase_past_the_horizon_names_the_missing_round():
     spec = singleton_spec(3)
     with pytest.raises(ValueError, match=r"^round 4 outside 1\.\.3$"):
         upper_expectation_p2(spec, lambda pairs: ONE, 4)
+
+
+def restrict_to_clearing(spec, sm):
+    """Values of an embedded-game table on the clearing situations."""
+    out = {}
+    for s, v in sm.table.items():
+        pairs = tuple(split_label(lab) for lab in s)
+        if all(p in spec.menu_at(i + 1) for i, (p, _x) in enumerate(pairs)):
+            out[pairs] = v
+    return out
+
+
+def verify_p2_supermartingale(spec, values, depth):
+    """The two-phase inequality on clearing situations: for every history
+    and every menu prediction, the priced children stay at or below the
+    current value."""
+    def history_ok(s):
+        if len(s) == depth:
+            return True
+        menu = spec.menu_at(len(s) + 1)
+        for p in menu:
+            kids = [values[s + ((p, x),)] for x in spec.outcomes.labels]
+            if spec.contents[p].eval_seq(kids) > values[s]:
+                return False
+            if not all(history_ok(s + ((p, x),)) for x in spec.outcomes.labels):
+                return False
+        return True
+
+    return history_ok(())
 
 
 def test_embedded_table_restricts_to_a_two_phase_supermartingale():

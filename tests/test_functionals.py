@@ -82,6 +82,12 @@ def test_gambles_compare_by_outcome_set_and_values():
     assert len({g, Gamble.of(BIN, [0, 1]), Gamble.of(BIN, [1, 0])}) == 2
     assert repr(g) == "Gamble(0: 0, 1: 1)"
     assert repr(SupContent(BIN)) == "SupContent(['0', '1'])"
+    assert repr(BIN) == "OutcomeSet(['0', '1'])"
+    assert repr(Measure(BIN, {"0": "1/3", "1": "2/3"})) == "Measure(0: 1/3, 1: 2/3)"
+    assert repr(Envelope(BIN, [{"0": 1, "1": 0}, {"0": 0, "1": 1}])) == "Envelope(2 measures on ['0', '1'])"
+    # The base class leaves pricing to its subclasses.
+    with pytest.raises(NotImplementedError):
+        OuterContent(BIN).eval(g)
 
 
 def test_measure_rejects_bad_weights():

@@ -13,9 +13,7 @@ from gtprob.gametree import (
     Strategy,
     Supermartingale,
     capital_process,
-    cut_le,
     format_situation,
-    in_cut_interval,
     is_prefix,
     parse_situation,
     shift_strategy,
@@ -23,6 +21,7 @@ from gtprob.gametree import (
     translate_strategy,
     verify_supermartingale,
 )
+from oracles import cut_le, in_cut_interval, member_above
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -62,15 +61,16 @@ def test_cut_rejects_comparable_members():
     with pytest.raises(ValueError, match=r"\('0', '1', '1'\) < \('0', '1', '1', "):
         Cut([("0", "1", "1")] + level[20:40])
     cut = Cut([("0",), ("1", "0"), ("1", "1")])
-    assert cut.member_above(("1", "0", "1")) == ("1", "0")
-    assert cut.member_above(EMPTY) is None
+    assert repr(cut) == "Cut([('0',), ('1', '0'), ('1', '1')])"
+    assert member_above(cut, ("1", "0", "1")) == ("1", "0")
+    assert member_above(cut, EMPTY) is None
 
 
 def test_cut_accepts_a_whole_level():
     level = list(BIN.tuples(12))
     cut = Cut(level)
     assert len(cut) == 4096
-    assert cut.member_above(level[-1] + ("0",)) == level[-1]
+    assert member_above(cut, level[-1] + ("0",)) == level[-1]
 
 
 def test_cut_order_and_intervals():
@@ -143,6 +143,7 @@ def test_coin_step_table_verifies_exactly():
     sm = Supermartingale({EMPTY: ONE, ("0",): ZERO, ("1",): ext(2)}, 1)
     res = verify_supermartingale(game, sm)
     assert res.ok and res.martingale
+    assert repr(sm) == "Supermartingale(depth=1, 3 nodes)"
 
 
 def test_one_numerator_unit_of_slack_is_not_a_martingale():

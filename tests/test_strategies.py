@@ -9,8 +9,6 @@ from gtprob.gametree import (
     EMPTY,
     GameSpec,
     Supermartingale,
-    in_cut_interval,
-    cut_le,
     format_situation,
     verify_supermartingale,
 )
@@ -23,6 +21,7 @@ from gtprob.strategies import (
     levy_strategy,
     mixture,
 )
+from oracles import cut_le, in_cut_interval, member_above
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -296,7 +295,7 @@ def test_levy_growth_floor_across_cycles():
     # Check the exit-cut capitals: at the k-th exit along the distinguished
     # path the capital is at least (b/a)^k.
     for k in (1, 2):
-        exit_node = res.trace.sigma[k].member_above(path)
+        exit_node = member_above(res.trace.sigma[k], path)
         assert exit_node is not None
         assert res.table.value(exit_node) >= ext(Fraction(b, a) ** k)
     assert verify_supermartingale(game, res.table).ok

@@ -263,7 +263,8 @@ def grid() -> list[list[str]]:
         add(["law", spec, "mixing", "--system", system, "--events", event, "--delta", delta,
              "--gap", gap, "--max-prefix", prefix])
     add(["law", "p2.json", "mixing", "--system", "sys_a.json", "--events", "e3.json", "--gap", "x"])
-    add(["expect", "ab.json", "--payoff", "e_w1"])
+    for payoff in ("e_w1", "leading_ones:8", "pay_lo4.json"):
+        add(["expect", "ab.json", "--payoff", payoff])
     add(["expect", "gap.json", "--payoff", "e_w1"])
     add(["law", "p2.json", "kolmogorov", "--event", "w1=1"])
     add(["law", "coin.json", "kolmogorov"])

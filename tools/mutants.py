@@ -244,13 +244,6 @@ MUTANTS = [
         "e.start > n + gap",
         ("test_forecaster.py", "test_cli.py"),
     ),
-    Mutant(
-        "two-phase-verify-allows-a-rise",
-        "forecaster.py",
-        "if spec.contents[p].eval_seq(kids) > values[s]:",
-        "if spec.contents[p].eval_seq(kids) > values[s] + ONE:",
-        ("test_forecaster.py",),
-    ),
     # -- capital tables filled in one pass ---------------------------------------
     Mutant(
         "default-base-counts-the-first-label",
@@ -435,6 +428,20 @@ MUTANTS = [
         "cli.py",
         "except ForecastError as exc:",
         "except () as exc:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "leading-ones-shorthand-without-a-one-admitted",
+        "cli.py",
+        '        if "1" not in game.outcomes:\n            raise SchemaError("/payoff", "leading_ones shorthand',
+        '        if False:\n            raise SchemaError("/payoff", "leading_ones shorthand',
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "leading-ones-payoff-without-a-one-admitted",
+        "serialize.py",
+        '            if "1" not in game.outcomes:\n',
+        "            if False:\n",
         ("test_cli.py",),
     ),
     Mutant(
