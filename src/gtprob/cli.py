@@ -238,11 +238,7 @@ def cmd_simulate(args, game: GameSpec) -> int:
         a, b, slack = _strategy_numbers(name, "levy:a,b[,dyadic]")
         if xi is None:
             raise SchemaError("/payoff", "the levy construction needs --payoff")
-        try:
-            res = levy_strategy(game, xi, a, b, slack=slack[0] if slack else "none")
-        except AssertionError as exc:  # the game priced a conditional below zero
-            print(exc)
-            return 1
+        res = levy_strategy(game, xi, a, b, slack=slack[0] if slack else "none")
         cond = res.cond_table
         words = ("exit", "enter")
     else:
@@ -319,11 +315,7 @@ def cmd_law_ergodic(args, game: GameSpec) -> int:
 
 def cmd_law_classify(args, game: GameSpec) -> int:
     event = _parse_event(args.event, game)
-    try:
-        report = zero_one_classify(game, event)
-    except AssertionError as exc:  # a functional broke the complement identity
-        print(exc)
-        return 1
+    report = zero_one_classify(game, event)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0
 
@@ -410,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse ``argv``, load the spec once and check its kind, then run the
-    handler on it; an input error at any of these steps exits 2."""
+    handler on it; an input error at any of these steps exits 2, and a
+    violated property (an ``AssertionError``) is printed and exits 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -427,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc.args[0])
     except (OSError, ValueError) as exc:  # SchemaError, DepthCapError and JSONDecodeError too
         return _fail(str(exc))
+    except AssertionError as exc:  # a violated property, e.g. a negative Lévy conditional
+        print(exc)
+        return 1
 
 
 def entry() -> None:

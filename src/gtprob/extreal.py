@@ -113,15 +113,7 @@ class ExtReal:
             return NotImplemented
         return self._v <= other._v
 
-    def __gt__(self, other: "ExtReal") -> bool:
-        if not isinstance(other, ExtReal):
-            return NotImplemented
-        return self._v > other._v
-
-    def __ge__(self, other: "ExtReal") -> bool:
-        if not isinstance(other, ExtReal):
-            return NotImplemented
-        return self._v >= other._v
+    # Python reflects a > b to b < a and a >= b to b <= a; an int operand still raises TypeError.
 
     # -- formatting ------------------------------------------------------
 

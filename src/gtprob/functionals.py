@@ -30,8 +30,9 @@ Built-in functionals:
 
 Each functional prices a whole tree level (:meth:`OuterContent.price_level`):
 the built-ins run an integer form on numerators over one denominator, and
-any other functional prices node by node through ``eval_seq``.  The audit
-adds, scales and orders gambles on such numerators, and prices through ``eval_seq``.
+any other functional prices node by node through its own ``eval_seq``.  A
+built-in prices a single gamble as one node of that level, and the audit
+adds, scales and orders gambles on numerators and prices them the same way.
 """
 
 from __future__ import annotations
@@ -174,16 +175,18 @@ class Gamble:
 class OuterContent:
     """Base class for pricing functionals on gambles over one outcome set.
 
-    Subclasses implement :meth:`eval_seq` on a value sequence aligned with
-    the outcome order; :meth:`eval` is the public, space-checked entry.
-    ``declared_level`` records what the functional claims to be; the claim
-    is audited, not trusted (see :func:`check_axioms`).
+    A subclass gives an integer form or implements :meth:`eval_seq` on a
+    value sequence aligned with the outcome order; :meth:`eval` is the
+    public, space-checked entry.  ``declared_level`` records what the
+    functional claims to be; the claim is audited, not trusted (see
+    :func:`check_axioms`).
 
     ``form`` is the integer form ``(q, rows)`` that prices children ``c``
     at ``max(sum(a*c) for a in rows) / q`` (``rows`` None: the plain
     maximum), or None to price through ``eval_seq``.  A subclass of a
     built-in inherits its form; one that prices otherwise sets
-    ``self.form = None`` after the built-in's ``__init__``.
+    ``self.form = None`` after the built-in's ``__init__`` and defines
+    ``eval_seq``.
     """
 
     declared_level: str = OUTER_CONTENT
@@ -212,7 +215,10 @@ class OuterContent:
         return self.eval_seq(f.values)
 
     def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
-        raise NotImplementedError
+        """One gamble, priced as one node of :meth:`price_level`."""
+        if self.form is None:
+            raise NotImplementedError
+        return _read_out(*self.price_level(*_numerators(list(values))))[0]
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._key() == other._key()
@@ -256,27 +262,6 @@ class Measure(OuterContent):
         """Skip validation; for auditing deliberately defective weightings."""
         return cls(outcomes, probs, validate=False)
 
-    def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
-        acc = Fraction(0)
-        saw_pos_inf = False
-        saw_neg_inf = False
-        for p, v in zip(self.probs, values):
-            if not p:
-                continue
-            raw = v._v  # hot loop; the class check sidesteps slow
-            if raw.__class__ is float:  # Fraction-vs-float comparisons
-                if raw > 0:
-                    saw_pos_inf = True
-                else:
-                    saw_neg_inf = True
-            else:
-                acc += p * raw
-        if saw_pos_inf:
-            return INF
-        if saw_neg_inf:
-            return NEG_INF
-        return ExtReal(acc)
-
     def _key(self):
         return (self.outcomes, self.probs)
 
@@ -286,9 +271,9 @@ class Measure(OuterContent):
 
 
 def _price_with_infinities(rows: list[list[int]], children: list) -> int | float:
-    """``Measure.eval_seq`` on numerators, per row, then the maximum:
-    ``+inf`` if a child of nonzero weight is ``+inf``, else ``-inf`` if
-    one is ``-inf``, else the weighted sum."""
+    """The price of one node with an infinite child, per row, then the
+    maximum: ``+inf`` if a child of nonzero weight is ``+inf``, else
+    ``-inf`` if one is ``-inf``, else the weighted sum."""
     prices = []
     for row in rows:
         pairs = [(a, v) for a, v in zip(row, children) if a]
@@ -325,9 +310,6 @@ class SupContent(OuterContent):
 
     declared_level = SUPEREXPECTATION
     form = (1, None)
-
-    def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
-        return max(values)
 
     def __repr__(self) -> str:
         return f"SupContent({list(self.outcomes.labels)!r})"
@@ -533,7 +515,8 @@ def check_axioms(content: OuterContent, gambles: Sequence[Gamble] | None = None)
     The suite and the audit constants are put over one denominator, times
     the audit scalars' denominators so that ``c * f`` stays integral; sums,
     scalings, order tests and cache keys run on tuples of integer numerators
-    (infinities stay floats), read out only to be priced or printed.
+    (infinities stay floats), each priced as one node of ``price_level`` and
+    read out only to be printed.
     """
     suite = list(gambles) if gambles is not None else default_grid(content.outcomes)
     if not suite:
@@ -558,7 +541,7 @@ def check_axioms(content: OuterContent, gambles: Sequence[Gamble] | None = None)
     def price(f: tuple) -> ExtReal | None:
         if f not in cache:
             try:
-                cache[f] = content.eval_seq(_read_out(list(f), den))
+                cache[f] = _read_out(*content.price_level(list(f), den))[0]
             except UnknownGambleError:
                 cache[f] = None
         return cache[f]

@@ -25,7 +25,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import ExtReal, INF, ZERO, _numerators, _over, ext, scale
+from gtprob.extreal import ExtReal, INF, ZERO, _numerators, _over, _read_out, ext, scale
 from gtprob.functionals import Gamble, OutcomeSet, OuterContent
 
 __all__ = [
@@ -299,11 +299,11 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     the children's numerators, and the prices are compared with the parent
     numerators over one denominator per pair of levels.  Returns the
     first violation in (depth, rank) order as a witness rather than
-    raising, its price recomputed by ``eval_seq`` on that node's children.
+    raising, with the price that sweep computed.
     A second flag reports whether equality holds everywhere (a martingale).
     """
     sm.require_within(game.horizon)
-    top, k = sm.depth, len(game.outcomes)
+    top = sm.depth
     equality = True
     children = [sm.value(EMPTY)]
     below = _numerators(children)
@@ -316,12 +316,11 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
         except KeyError:
             children = [sm.value(s) for s in game.outcomes.tuples(d + 1)]
         below = _numerators(children)
-        (lhs, rhs), _ = _over([content.price_level(*below), above])
+        (lhs, rhs), den = _over([content.price_level(*below), above])
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if a > b:
                 s = next(islice(game.outcomes.tuples(d), i, None))
-                price = content.eval_seq(children[i * k : (i + 1) * k])
-                return VerifyResult(False, False, (s, price, parents[i]), top)
+                return VerifyResult(False, False, (s, _read_out([a], den)[0], parents[i]), top)
             if a != b:
                 equality = False
     return VerifyResult(True, equality, None, top)

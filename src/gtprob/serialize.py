@@ -25,7 +25,7 @@ Formats:
 * forecasting system: ``{"kind": "constant", "value": p}``, ``{"kind":
   "table", "rule": {situation: p}}``, ``{"kind": "last-outcome", "map":
   {outcome: p}, "initial": p}``; ``"value"`` and ``"initial"`` are
-  required and not null.
+  required and not null; every prediction ``p`` is a string.
 """
 
 from __future__ import annotations
@@ -349,10 +349,12 @@ def protocol2_from_json(obj: Any, where: str = "") -> Protocol2Spec:
 
 
 def _symbol(raw: Any, where: str, message: str) -> str:
-    """A prediction symbol; absent or null is refused at ``where``."""
+    """A prediction string; null (with ``message``) or any other value is refused at ``where``."""
     if raw is None:
         raise SchemaError(where, message)
-    return str(raw)
+    if not isinstance(raw, str):
+        raise SchemaError(where, f"not a prediction string: {raw!r}")
+    return raw
 
 
 def forecasting_system_from_json(

@@ -3,10 +3,36 @@
 The paper's constructions run between cuts; these helpers state the cut
 order, cut time-intervals and window-event unions directly from their
 definitions, so the tests can check the library's traces against them.
+``reference_price`` prices one gamble by each built-in functional's rule
+on ``Fraction`` values, the slow oracle for the library's integer forms.
 """
 
+from fractions import Fraction
+
 from gtprob.expectation import EventWindow
+from gtprob.extreal import INF, NEG_INF, ExtReal
+from gtprob.functionals import Envelope, Measure, OuterContent, SupContent
 from gtprob.gametree import Cut, Situation, is_prefix
+
+
+def reference_price(content: OuterContent, values) -> ExtReal:
+    """One gamble priced on Fractions: a measure's weighted sum over its
+    nonzero weights, where ``+inf`` dominates and then ``-inf``; the
+    maximum for ``SupContent``; the maximum over an envelope's members;
+    ``content.eval_seq`` for any other functional."""
+    values = list(values)
+    if type(content) is Measure:
+        live = [(p, v) for p, v in zip(content.probs, values) if p]
+        if any(v == INF for _, v in live):
+            return INF
+        if any(v == NEG_INF for _, v in live):
+            return NEG_INF
+        return ExtReal(sum((p * v.finite for p, v in live), Fraction(0)))
+    if type(content) is SupContent:
+        return max(values)
+    if type(content) is Envelope:
+        return max(reference_price(m, values) for m in content.measures)
+    return content.eval_seq(values)
 
 
 def member_above(cut: Cut, s: Situation) -> Situation | None:

@@ -597,6 +597,22 @@ INPUT_ERRORS = {
         lambda tmp, coin: mixing_argv(tmp, system={"kind": "last-outcome", "map": {"0": None, "1": "b"}, "initial": "a"}),
         "/system/map/0: last-outcome system needs a prediction",
     ),
+    "constant_system_numeric_symbol": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "constant", "value": 1}),
+        "/system/value: not a prediction string: 1",
+    ),
+    "table_system_numeric_symbol": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "table", "rule": {"": "a", "0": 1, "1": "b"}}),
+        "/system/rule/0: not a prediction string: 1",
+    ),
+    "last_outcome_system_list_symbol": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "last-outcome", "map": {"0": "a", "1": ["b"]}, "initial": "a"}),
+        "/system/map/1: not a prediction string: ['b']",
+    ),
+    "last_outcome_system_boolean_initial": (
+        lambda tmp, coin: mixing_argv(tmp, system={"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": True}),
+        "/system/initial: not a prediction string: True",
+    ),
     "forecaster_spec_past_the_outcome_cap": (
         lambda tmp, coin: mixing_argv(tmp, spec=dict(P2_SPEC, outcomes=[str(i) for i in range(6)])),
         "/: outcome set of size 6 exceeds the cap 4",

@@ -17,7 +17,7 @@ from gtprob.expectation import (
     upper_probability,
     upper_table,
 )
-from oracles import union_of
+from oracles import reference_price, union_of
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -262,7 +262,7 @@ def test_martingale_identity_at_every_interior_node():
                 content = game.content_at(d + 1)
                 for s in game.outcomes.tuples(d):
                     kids = [table.value(s + (x,)) for x in BIN.labels]
-                    assert content.eval_seq(kids) == table.value(s)
+                    assert reference_price(content, kids) == table.value(s)
             res = verify_supermartingale(game, table)
             assert res.ok and res.martingale
 
@@ -396,13 +396,13 @@ from gtprob.functionals import Gamble, TableContent, extend_bounded_below
 
 
 def reference_table(game, leaves):
-    """Node-by-node backward recursion through each round's own eval_seq."""
+    """Node-by-node backward recursion through each round's reference price."""
     table = dict(leaves)
     depth = len(next(iter(leaves)))
     for d in range(depth - 1, -1, -1):
         content = game.content_at(d + 1)
         for s in game.outcomes.tuples(d):
-            table[s] = content.eval_seq([table[s + (x,)] for x in game.outcomes.labels])
+            table[s] = reference_price(content, [table[s + (x,)] for x in game.outcomes.labels])
     return table
 
 
@@ -500,7 +500,7 @@ def snell_touch_price(game, xi):
             if len(u) == depth:
                 return floor
             kids = [envelope(u + (x,)) for x in game.outcomes.labels]
-            return max(floor, game.content_at(len(u) + 1).eval_seq(kids))
+            return max(floor, reference_price(game.content_at(len(u) + 1), kids))
 
         return envelope(EMPTY)
 
@@ -537,7 +537,7 @@ def scan_touch_price(game, xi):
     """The memoized top-down recursion the level sweep replaced: for each
     (situation, touched level) state, an ascending scan over the touched
     levels returns the first admissible value, pricing the children
-    through each round's own ``eval_seq``."""
+    through each round's ``reference_price``."""
     span = xi.depth
     leaf_vals = {s: xi.value(s) for s in game.outcomes.tuples(span)}
     thresholds = sorted({Fraction(0)} | {v.finite for v in leaf_vals.values() if v.finite > 0})
@@ -557,7 +557,7 @@ def scan_touch_price(game, xi):
                 content = game.content_at(len(s) + 1)
                 for j in range(len(thresholds)):
                     kids = [value(s + (x,), max(theta, j)) for x in game.outcomes.labels]
-                    candidate = max(ext(thresholds[j]), content.eval_seq(kids))
+                    candidate = max(ext(thresholds[j]), reference_price(content, kids))
                     if j + 1 == len(thresholds) or candidate < ext(thresholds[j + 1]):
                         break
                 memo[s, theta] = candidate

@@ -36,6 +36,7 @@ from gtprob.forecaster import (
     upper_expectation_p2,
     upper_prob_phi,
 )
+from oracles import reference_price
 
 BIN = OutcomeSet(["0", "1"])
 COIN = Measure.uniform(BIN)
@@ -148,7 +149,7 @@ def verify_p2_supermartingale(spec, values, depth):
         menu = spec.menu_at(len(s) + 1)
         for p in menu:
             kids = [values[s + ((p, x),)] for x in spec.outcomes.labels]
-            if spec.contents[p].eval_seq(kids) > values[s]:
+            if reference_price(spec.contents[p], kids) > values[s]:
                 return False
             if not all(history_ok(s + ((p, x),)) for x in spec.outcomes.labels):
                 return False

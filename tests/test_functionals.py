@@ -3,10 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ext, scale
+from gtprob.extreal import INF, NEG_INF, ONE, ZERO, _numerators, _read_out, ext, scale
 from gtprob.functionals import (
     AUDIT_CONSTANTS,
     AUDIT_SCALARS,
@@ -29,6 +29,7 @@ from gtprob.functionals import (
     default_grid,
     extend_bounded_below,
 )
+from oracles import reference_price
 
 BIN = OutcomeSet(["0", "1"])
 COIN = Measure.uniform(BIN)
@@ -190,7 +191,7 @@ def test_extension_sup_stabilizes():
 
 def test_extension_of_a_negative_weight_is_not_the_builtin():
     # Clamping -inf at a prices (1, a) at 3/2 - a/2, which rises as a drops:
-    # the extension refuses the weighting, and eval_seq's rule gives -inf.
+    # the extension refuses the weighting, and the measure's rule gives -inf.
     m = Measure.unchecked(BIN, [Fraction(3, 2), Fraction(-1, 2)])
     g = Gamble(BIN, [ONE, NEG_INF])
     assert m.eval(g) == NEG_INF
@@ -285,6 +286,41 @@ def test_extension_of_a_builtin_with_nonnegative_weights_is_the_builtin(columns)
         assert extend_bounded_below(outcomes, content).eval(g) == content.eval(g)
 
 
+signed_weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def priced_gambles(draw):
+    """A built-in on K = 1..4 outcomes, its measures unchecked with zero and
+    negative weights, and a gamble that may hold both infinities."""
+    k = draw(st.integers(1, 4))
+    outcomes = OutcomeSet([str(i) for i in range(k)])
+    measure = lambda: Measure.unchecked(outcomes, draw(st.lists(signed_weights, min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(["measure", "envelope", "sup"]))
+    if kind == "measure":
+        content = measure()
+    elif kind == "envelope":
+        content = Envelope(outcomes, [measure() for _ in range(draw(st.integers(1, 3)))])
+    else:
+        content = SupContent(outcomes)
+    return content, draw(st.lists(gamble_values, min_size=k, max_size=k))
+
+
+TRI = OutcomeSet(["a", "b", "c"])
+
+
+@example((Measure.unchecked(TRI, [0, Fraction(-1, 2), Fraction(3, 2)]), [INF, NEG_INF, ONE]))
+@example((Measure.unchecked(TRI, [Fraction(-1), 0, 2]), [INF, NEG_INF, ONE]))
+@example((Measure.unchecked(TRI, [0, 0, 0]), [INF, ext(3), NEG_INF]))
+@given(priced_gambles())
+def test_builtins_price_a_gamble_as_the_fraction_rules_do(case):
+    content, values = case
+    expected = reference_price(content, values)
+    assert content.eval_seq(values) == expected
+    assert content.eval(Gamble(content.outcomes, values)) == expected
+    assert _read_out(*content.price_level(*_numerators(values)))[0] == expected
+
+
 # -- the audit against the reference audit on Gamble arithmetic ---------------
 
 
@@ -296,7 +332,7 @@ def reference_audit(content: OuterContent, gambles) -> AxiomReport:
     def price(g):
         if g.values not in cache:
             try:
-                cache[g.values] = content.eval(g)
+                cache[g.values] = reference_price(content, g.values)
             except UnknownGambleError:
                 cache[g.values] = None
         return cache[g.values]

@@ -21,7 +21,7 @@ from gtprob.gametree import (
     translate_strategy,
     verify_supermartingale,
 )
-from oracles import cut_le, in_cut_interval, member_above
+from oracles import cut_le, in_cut_interval, member_above, reference_price
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -368,12 +368,12 @@ from gtprob.functionals import Envelope, TableContent, extend_bounded_below
 
 
 def node_by_node_verify(game, sm):
-    """Every interior node priced through its round's own eval_seq."""
+    """Every interior node priced through its round's reference price."""
     equality = True
     for d in range(sm.depth):
         content = game.content_at(d + 1)
         for s in game.outcomes.tuples(d):
-            lhs = content.eval_seq([sm.value(s + (x,)) for x in game.outcomes.labels])
+            lhs = reference_price(content, [sm.value(s + (x,)) for x in game.outcomes.labels])
             rhs = sm.value(s)
             if lhs > rhs:
                 return False, False, (s, lhs, rhs)

@@ -19,6 +19,7 @@ from gtprob.laws import (
     zero_one_classify,
 )
 from gtprob.strategies import levy_strategy
+from oracles import reference_price
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -86,7 +87,7 @@ def test_levy_experiment_martingale_identity_along_paths():
             s = row.path[:n]
             content = game.content_at(n + 1)
             kids = [upper_expectation(game, xi, s + (x,)) for x in BIN.labels]
-            assert content.eval_seq(kids) == row.values[n]
+            assert reference_price(content, kids) == row.values[n]
 
 
 # -- invariance ---------------------------------------------------------------

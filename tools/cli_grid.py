@@ -119,6 +119,10 @@ FIXTURES = {
     "sys_gap.json": {"kind": "table", "rule": {"": "a"}},
     "sys_mapgap.json": {"kind": "last-outcome", "map": {"0": "a"}, "initial": "a"},
     "sys_off.json": {"kind": "constant", "value": "c"},
+    "sys_num.json": {"kind": "constant", "value": 1},
+    "sys_rulenum.json": {"kind": "table", "rule": {"": "a", "0": 1, "1": "b"}},
+    "sys_maplist.json": {"kind": "last-outcome", "map": {"0": "a", "1": ["b"]}, "initial": "a"},
+    "sys_initbool.json": {"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": True},
     # events
     "e1.json": {"start": 1, "end": 1, "accepts": [["1"]]},
     "e3.json": {"start": 3, "end": 3, "accepts": [["1"]]},
@@ -263,6 +267,8 @@ def grid() -> list[list[str]]:
         add(["law", spec, "mixing", "--system", system, "--events", event, "--delta", delta,
              "--gap", gap, "--max-prefix", prefix])
     add(["law", "p2.json", "mixing", "--system", "sys_a.json", "--events", "e3.json", "--gap", "x"])
+    for system in ("sys_num.json", "sys_rulenum.json", "sys_maplist.json", "sys_initbool.json"):
+        add(["law", "p2.json", "mixing", "--system", system, "--events", "e3.json"])
     for payoff in ("e_w1", "leading_ones:8", "pay_lo4.json"):
         add(["expect", "ab.json", "--payoff", payoff])
     add(["expect", "gap.json", "--payoff", "e_w1"])

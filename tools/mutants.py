@@ -286,7 +286,7 @@ MUTANTS = [
         "verify-witness-one-level-up",
         "gametree.py",
         "s = next(islice(game.outcomes.tuples(d), i, None))",
-        "s = next(islice(game.outcomes.tuples(d - 1), i // k, None))",
+        "s = next(islice(game.outcomes.tuples(d - 1), i // len(game.outcomes), None))",
         ("test_gametree.py", "test_cli.py"),
     ),
     # -- the scripted fixture and classification ------------------------------
@@ -472,6 +472,35 @@ MUTANTS = [
         "nonneg = [f for f in vectors if min(f) >= 0]",
         "nonneg = [f for f in vectors if min(f) > 0]",
         ("test_functionals.py",),
+    ),
+    # -- one pricing path for a single gamble -----------------------------------
+    Mutant(
+        "one-node-guard-dropped",
+        "functionals.py",
+        "        if self.form is None:\n            raise NotImplementedError\n",
+        "",
+        ("test_functionals.py",),
+    ),
+    Mutant(
+        "audit-reads-out-over-the-input-den",
+        "functionals.py",
+        "cache[f] = _read_out(*content.price_level(list(f), den))[0]",
+        "cache[f] = _read_out(content.price_level(list(f), den)[0], den)[0]",
+        ("test_functionals.py",),
+    ),
+    Mutant(
+        "verify-witness-priced-from-rhs",
+        "gametree.py",
+        "(s, _read_out([a], den)[0], parents[i])",
+        "(s, _read_out([b], den)[0], parents[i])",
+        ("test_gametree.py", "test_cli.py"),
+    ),
+    Mutant(
+        "non-string-prediction-admitted",
+        "serialize.py",
+        "    if not isinstance(raw, str):\n",
+        "    if False:\n",
+        ("test_cli.py",),
     ),
     # -- sizes checked before work -------------------------------------------------
     Mutant(
