@@ -13,70 +13,12 @@ explicit forecaster.
 All arithmetic is exact rational; nothing rounds.
 """
 
-from gtprob.extreal import ExtReal, ext, scale, INF, NEG_INF, ZERO, ONE
-from gtprob.functionals import (
-    OutcomeSet,
-    Gamble,
-    OuterContent,
-    Measure,
-    SupContent,
-    Envelope,
-    TableContent,
-    check_axioms,
-    extend_bounded_below,
-)
-from gtprob.gametree import (
-    EMPTY,
-    Situation,
-    Cut,
-    GameSpec,
-    Strategy,
-    Supermartingale,
-    BudgetViolation,
-    capital_process,
-    verify_supermartingale,
-    translate_strategy,
-    shift_strategy,
-    stop_when_covered,
-    format_situation,
-    parse_situation,
-)
-from gtprob.expectation import (
-    Payoff,
-    EventWindow,
-    indicator,
-    upper_expectation,
-    lower_expectation,
-    upper_table,
-    upper_probability,
-    lower_probability,
-    sup_variant_upper_expectation,
-    determinacy_check,
-)
-from gtprob.strategies import (
-    enumerate_rationals,
-    enumerate_intervals,
-    CutTrace,
-    doob_upcrossing,
-    levy_strategy,
-    levy_capital_trace,
-    mixture,
-)
-from gtprob.laws import (
-    levy_experiment,
-    kolmogorov_invariance,
-    ergodic_bound,
-    scripted_conditional_game,
-    zero_one_classify,
-)
-from gtprob.forecaster import (
-    Protocol2Spec,
-    ForecastingSystem,
-    embed,
-    chi_phi,
-    upper_expectation_p2,
-    upper_prob_phi,
-    delta_mixing_check,
-)
+from gtprob.extreal import *
+from gtprob.functionals import *
+from gtprob.gametree import *
+from gtprob.expectation import *
+from gtprob.strategies import *
+from gtprob.laws import *
+from gtprob.forecaster import *
 
 __version__ = "0.1.0"

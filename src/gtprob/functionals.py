@@ -183,10 +183,10 @@ class OuterContent:
 
     ``form`` is the integer form ``(q, rows)`` that prices children ``c``
     at ``max(sum(a*c) for a in rows) / q`` (``rows`` None: the plain
-    maximum), or None to price through ``eval_seq``.  A subclass of a
-    built-in inherits its form; one that prices otherwise sets
-    ``self.form = None`` after the built-in's ``__init__`` and defines
-    ``eval_seq``.
+    maximum), or None to price through ``eval_seq``.  An envelope prices
+    by its members' forms, one row per member.  A subclass of a built-in
+    inherits its form; one that prices otherwise sets ``self.form = None``
+    after the built-in's ``__init__`` and defines ``eval_seq``.
     """
 
     declared_level: str = OUTER_CONTENT
@@ -333,13 +333,8 @@ class Envelope(OuterContent):
         if not built:
             raise ValueError("envelope needs at least one measure")
         self.measures = tuple(built)
-        forms = [m.form for m in built]
-        if None not in forms:
-            q = lcm(*(mq for mq, _ in forms))
-            self.form = q, [[a * (q // mq) for a in row] for mq, rows in forms for row in rows]
-
-    def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
-        return max(m.eval_seq(values) for m in self.measures)
+        q = lcm(*(m.form[0] for m in built))
+        self.form = q, [[a * (q // m.form[0]) for a in row] for m in built for row in m.form[1]]
 
     def _key(self):
         return (self.outcomes, tuple(m.probs for m in self.measures))
@@ -386,11 +381,12 @@ class ExtendedContent(OuterContent):
     """Extension of a bounded-below functional to all gambles.
 
     Evaluates ``F(max(f, a))`` for a clamp level ``a`` marching down by
-    doubling steps below the least finite coordinate.  Two consecutive
-    equal values certify the limit for every built-in functional (their
-    clamped value is a monotone convex function of the clamp level, so
-    equality at two points means constancy further down); sixty-four
-    strictly decreasing doublings are taken as divergence to ``-inf``.
+    doubling steps below the least finite coordinate.  The doubling rule is
+    a heuristic for a callable: two consecutive equal values are taken as
+    the limit (exact for a monotone convex function of the clamp level),
+    and sixty-four strictly decreasing doublings as divergence to ``-inf``.
+    :func:`extend_bounded_below` returns a built-in with nonnegative
+    weights itself, whose rule is the limit.
     """
 
     _MAX_DOUBLINGS = 64
@@ -427,16 +423,23 @@ class ExtendedContent(OuterContent):
 
 def extend_bounded_below(
     outcomes: OutcomeSet, partial: Callable[[Gamble], ExtReal] | OuterContent
-) -> ExtendedContent:
+) -> OuterContent:
     """Extend a functional defined on bounded-below gambles to all gambles.
 
     ``partial`` must satisfy axioms 1..4 on its domain.  The extension
     prices ``f`` as the limit of ``partial(max(f, a))`` as the clamp level
     ``a`` decreases; on a finite outcome set the clamp is inactive except
     on ``-inf`` coordinates once ``a`` is below the least finite value.
+    A functional on ``outcomes`` with an integer form and no negative
+    weight already prices ``-inf`` coordinates by that limit, and is
+    returned itself; any other is wrapped in an :class:`ExtendedContent`.
     """
-    fn = partial.eval if isinstance(partial, OuterContent) else partial
-    return ExtendedContent(outcomes, fn)
+    if isinstance(partial, OuterContent):
+        form = partial.form
+        if form is not None and partial.outcomes == outcomes and all(a >= 0 for row in form[1] or () for a in row):
+            return partial
+        partial = partial.eval
+    return ExtendedContent(outcomes, partial)
 
 
 # -- axiom audit -------------------------------------------------------

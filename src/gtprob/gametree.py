@@ -301,15 +301,16 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     first violation in (depth, rank) order as a witness rather than
     raising, with the price that sweep computed.
     A second flag reports whether equality holds everywhere (a martingale).
+    The depth cap holds on the interior levels, checked before the first.
     """
     sm.require_within(game.horizon)
     top = sm.depth
+    config.require_dense(top - 1, what="level sweep")
     equality = True
     children = [sm.value(EMPTY)]
     below = _numerators(children)
     for d in range(top):
         content = game.content_at(d + 1)
-        config.require_dense(d, what="level sweep")
         parents, above = children, below
         try:
             children = list(map(sm.table.__getitem__, game.outcomes.tuples(d + 1)))

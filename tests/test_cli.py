@@ -341,6 +341,19 @@ def test_depth_cap_exits_two_and_names_its_variable(tmp_path):
     )
 
 
+def test_verify_meets_the_depth_cap_before_a_root_violation(tmp_path, capsys, monkeypatch):
+    spec = write_json(tmp_path, "coin4.json", dict(COIN_SPEC, horizon=4))
+    table = write_text(tmp_path, "t.csv", DEPTH_FOUR_TABLE.replace("\n,1\n", "\n,0\n", 1))
+    argv = ["verify", spec, "--supermartingale", table]
+    assert run(capsys, argv) == (1, "□: 1 > 0\n", "")
+    monkeypatch.setenv("GTP_MAX_DEPTH", "2")
+    assert run(capsys, argv) == (
+        2,
+        "",
+        "error: dense level sweep to depth 3 exceeds the cap 2; raise GTP_MAX_DEPTH to allow it\n",
+    )
+
+
 def parser_exit(capsys, argv):
     """Exit code, stdout and stderr of a command line the parser ends."""
     with pytest.raises(SystemExit) as info:

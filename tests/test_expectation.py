@@ -431,7 +431,7 @@ def kernel_cases(draw):
         "unchecked": unchecked,
         "envelope": envelope,
         "sup": lambda: SupContent(outcomes),
-        "extended": lambda: extend_bounded_below(outcomes, measure()),
+        "extended": lambda: extend_bounded_below(outcomes, measure().eval),
     }
     kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=depth, max_size=depth))
     contents = [makers[kind]() for kind in kinds]
@@ -593,7 +593,7 @@ def touch_cases(draw):
     contents = [makers[kind]() for kind in kinds]
     if draw(st.booleans()):
         # One round priced through eval_seq rather than on numerators.
-        contents[draw(st.integers(0, depth - 1))] = extend_bounded_below(outcomes, measure())
+        contents[draw(st.integers(0, depth - 1))] = extend_bounded_below(outcomes, measure().eval)
     # A small pool of levels with mixed denominators keeps the scan quick.
     level = st.fractions(min_value=-6, max_value=12, max_denominator=6)
     pool = draw(st.lists(level, min_size=1, max_size=6))

@@ -3,6 +3,7 @@ import graphlib
 import importlib
 import pkgutil
 from pathlib import Path
+from types import ModuleType
 
 import gtprob
 
@@ -16,8 +17,21 @@ def test_every_exported_name_resolves():
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = importlib.import_module(node.module)
-            missing = [a.name for a in node.names if not hasattr(module, a.name)]
+            names = [n for a in node.names for n in (module.__all__ if a.name == "*" else [a.name])]
+            missing = [name for name in names if not hasattr(gtprob, name)]
             assert not missing, f"gtprob imports {missing} from {node.module}"
+
+
+# The modules whose __all__ is gtprob's public API; serialize and cli are not re-exported.
+EXPORTED = ("extreal", "functionals", "gametree", "expectation", "strategies", "laws", "forecaster")
+
+
+def test_gtprob_exports_exactly_its_modules_all():
+    union = [name for m in EXPORTED for name in importlib.import_module(f"gtprob.{m}").__all__]
+    assert len(union) == len(set(union)), "two modules' __all__ share a name"
+    public = {n for n, v in vars(gtprob).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert public == set(union)
+    assert "__version__" in vars(gtprob)
 
 
 def gtprob_modules(node: ast.AST) -> list[str]:

@@ -391,7 +391,7 @@ def forecaster_cases(draw):
         "envelope": lambda: Envelope(outcomes, [measure(), measure()]),
         "sup": lambda: SupContent(outcomes),
         "table": table,
-        "extended": lambda: extend_bounded_below(outcomes, measure()),
+        "extended": lambda: extend_bounded_below(outcomes, measure().eval),
     }
     contents = {p: makers[draw(st.sampled_from(sorted(makers)))]() for p in symbols}
     menus = [

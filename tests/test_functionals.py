@@ -199,6 +199,18 @@ def test_extension_of_a_negative_weight_is_not_the_builtin():
         extend_bounded_below(BIN, m).eval(g)
 
 
+def test_extension_of_a_builtin_is_the_builtin_past_sixty_four_doublings():
+    # F(max(f, a)) = max(0, a/10**30 + 1 - 1/10**30) = 0 for every a <= -10**30,
+    # but the clamp loop sees 64 strictly falling doublings before it gets there.
+    k3 = OutcomeSet(["a", "b", "c"])
+    tiny = Fraction(1, 10**30)
+    env = Envelope(k3, [[0, 1, 0], [tiny, 0, 1 - tiny]])
+    g = Gamble(k3, [NEG_INF, ZERO, ONE])
+    assert extend_bounded_below(k3, env) is env
+    assert extend_bounded_below(k3, env).eval(g) == env.eval(g) == ZERO
+    assert extend_bounded_below(k3, env.eval).eval(g) == NEG_INF
+
+
 def test_extension_agrees_with_full_measure_on_infinite_gambles():
     extended = extend_bounded_below(BIN, bounded_coin)
     for values in product([NEG_INF, ext(-2), ZERO, ONE, INF], repeat=2):
@@ -431,7 +443,7 @@ def audited(kind: str, outcomes: OutcomeSet, suite: list[Gamble]) -> OuterConten
     if kind == "sub-probability":
         return Measure.unchecked(outcomes, [Fraction(1, 2)] + [Fraction(0)] * (k - 1))
     if kind == "extended-measure":
-        return extend_bounded_below(outcomes, uniform)
+        return extend_bounded_below(outcomes, uniform.eval)
     if kind == "min-table":
         return TableContent(outcomes, [(g, min(g.values)) for g in default_grid(outcomes)])
     if kind == "gappy-max-table":

@@ -407,7 +407,7 @@ def verify_cases(draw):
         "unchecked": unchecked,
         "envelope": envelope,
         "sup": lambda: SupContent(outcomes),
-        "extended": lambda: extend_bounded_below(outcomes, measure()),
+        "extended": lambda: extend_bounded_below(outcomes, measure().eval),
         "table": measure,  # priced by this measure, then swapped for a price list
     }
     kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=depth, max_size=depth))

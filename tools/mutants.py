@@ -289,6 +289,13 @@ MUTANTS = [
         "s = next(islice(game.outcomes.tuples(d - 1), i // len(game.outcomes), None))",
         ("test_gametree.py", "test_cli.py"),
     ),
+    Mutant(
+        "verify-caps-the-leaf-level",
+        "gametree.py",
+        'config.require_dense(top - 1, what="level sweep")',
+        'config.require_dense(top, what="level sweep")',
+        ("test_gametree.py",),
+    ),
     # -- the scripted fixture and classification ------------------------------
     Mutant(
         "scripted-resolution-flipped",
@@ -501,6 +508,21 @@ MUTANTS = [
         "    if not isinstance(raw, str):\n",
         "    if False:\n",
         ("test_cli.py",),
+    ),
+    Mutant(
+        "extension-of-a-negative-weight-is-the-builtin",
+        "functionals.py",
+        "all(a >= 0 for row in form[1] or () for a in row)",
+        "True",
+        ("test_functionals.py",),
+    ),
+    # -- the public API: each module's __all__ ------------------------------------
+    Mutant(
+        "package-drops-a-module-api",
+        "__init__.py",
+        "from gtprob.laws import *\n",
+        "",
+        ("test_exports.py",),
     ),
     # -- sizes checked before work -------------------------------------------------
     Mutant(

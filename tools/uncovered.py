@@ -22,7 +22,8 @@ line only they reach is listed as never run; so is the
 The tracer makes the suite about three times slower, so Hypothesis deadlines are
 switched off for the run, and the wall-time budgets of
 ``tests/test_acceptance.py`` may fail; a failing test still traces every
-line it ran.  The summary line reports pytest's exit status.  Uses only the
+line it ran.  The summary line names each test that failed under the
+tracer, or else gives pytest's exit status.  Uses only the
 standard library besides pytest and Hypothesis, which the tests need
 anyway; not part of the test suite.
 """
@@ -119,6 +120,17 @@ def _unrun(path: Path, lines: set[int]) -> tuple[int, list[ast.stmt]]:
     return len(stmts), [s for s in stmts if id(s) not in ran]
 
 
+class _Failures:
+    """A pytest plugin that keeps the node ids of failed tests, in order."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed and report.nodeid not in self.ids:
+            self.ids.append(report.nodeid)
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
@@ -130,9 +142,10 @@ def main(argv: list[str]) -> int:
         settings.load_profile("uncovered")
 
     demos = sorted((ROOT / "demos").glob("*.py"))
+    failures = _Failures()
 
     def run_all() -> int:
-        status = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *argv])
+        status = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *argv], plugins=[failures])
         for demo in demos:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
                 runpy.run_path(str(demo), run_name="__main__")
@@ -149,7 +162,8 @@ def main(argv: list[str]) -> int:
             source = path.read_text().splitlines()
             for node in sorted(unrun, key=lambda n: n.lineno):
                 print(f"  {node.lineno}: {source[node.lineno - 1].strip()[:90]}")
-    print(f"{missed} of {total} statements in src/gtprob never ran (pytest exit {int(status)}, {len(demos)} demos)")
+    tests = f"{', '.join(failures.ids)} failed under the tracer" if failures.ids else f"pytest exit {int(status)}"
+    print(f"{missed} of {total} statements in src/gtprob never ran ({tests}, {len(demos)} demos)")
     return 0
 
 
