@@ -184,9 +184,11 @@ class OuterContent:
     ``form`` is the integer form ``(q, rows)`` that prices children ``c``
     at ``max(sum(a*c) for a in rows) / q`` (``rows`` None: the plain
     maximum), or None to price through ``eval_seq``.  An envelope prices
-    by its members' forms, one row per member.  A subclass of a built-in
-    inherits its form; one that prices otherwise sets ``self.form = None``
-    after the built-in's ``__init__`` and defines ``eval_seq``.
+    by its members' forms, one row per member, so each member must keep
+    its :class:`Measure` form.  A subclass of a built-in inherits its form;
+    one that prices otherwise sets ``self.form = None`` after the
+    built-in's ``__init__`` and defines ``eval_seq``, and cannot be an
+    envelope member.
     """
 
     declared_level: str = OUTER_CONTENT

@@ -295,7 +295,7 @@ def test_extension_of_a_builtin_with_nonnegative_weights_is_the_builtin(columns)
     g = Gamble(outcomes, values)
     one = Measure.unchecked(outcomes, first)
     for content in (one, Envelope(outcomes, [one, Measure.unchecked(outcomes, second)]), SupContent(outcomes)):
-        assert extend_bounded_below(outcomes, content).eval(g) == content.eval(g)
+        assert extend_bounded_below(outcomes, content.eval).eval(g) == content.eval(g)
 
 
 signed_weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
