@@ -18,15 +18,16 @@ The resulting table prices its own children exactly at every node, i.e.
 the conditional upper expectation is a martingale in the situation
 argument; tests assert this identity rather than assuming it.
 
-One kernel runs every sweep, and each round's functional prices
-its level through ``OuterContent.price_level``.  Measure, envelope and
-supremum rounds work on integer numerators over a common denominator,
-with a ``Fraction`` built only at read-out and no finite value ever in a
-float; any other functional is priced node by node through its own
-``eval_seq``.  Situations of one depth in one state of a payoff's
-automaton share their conditional values, so an indicator's, a constant's
-and a capped run's expectations and running-maximum price are swept on
-its state lattice; other payoffs, and every payoff's tables, on the tree.
+One kernel runs every sweep, and each round's functional prices its level
+through ``OuterContent.price_level``.  Measure, envelope and supremum
+rounds work on integer numerators over a common denominator, with a
+``Fraction`` built only at read-out and no finite value ever in a float;
+an embedded forecaster round prices each menu symbol's sections by that
+symbol's rule, and any other functional node by node through ``eval_seq``.
+Situations of one depth in one state of a payoff's automaton share their
+conditional values, so an indicator's, a constant's and a capped run's
+expectations and running-maximum price are swept on its state lattice;
+other payoffs, and every payoff's tables, on the tree.
 
 Lower expectation is the negation dual, swept on negated numerators.
 Upper/lower probability route an event's indicator through the same

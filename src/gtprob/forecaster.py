@@ -16,12 +16,12 @@ coincide with upper expectations of the lifted payoff in the embedded
 game; tests assert the round trip exactly.
 
 A forecasting system is a rule mapping outcome histories to predictions.
-Fixing one turns the protocol back into the outcome tree.  An outcome
-event's upper probability, that of the embedded event pinning every
-prediction coordinate up to the window's end to the rule, is swept there:
-a node takes the largest over its menu symbols ``q`` of the price under
-``q`` of its children, a child off the rule being worth the off-rule
-constant ``Z(d+1)``: ``Z(end) = 0``, ``Z(d) = max over q of c_q(Z(d+1)·1)``.
+An outcome event's upper probability under one is that of the embedded
+event pinning every prediction coordinate up to the window's end to the
+rule, swept in the embedded game on that event's lattice: the histories on
+the rule, and below the conditioning prefix one off-rule node per depth,
+where every child whose symbol is off the rule goes.  That node is worth 0
+at the window's end and, above, the round's price of the one below it.
 The mixing check quantifies over all outcome prefixes (minus an explicit
 exception list) and all supplied events whose window clears the declared
 gap; the quantifier over *all* sufficiently remote events is not finitely
@@ -35,10 +35,10 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import ExtReal, ONE, ZERO, _over, _read_out, ext
+from gtprob.extreal import ExtReal, ONE, ZERO, _over, ext
 from gtprob.functionals import OutcomeSet, OuterContent
 from gtprob.gametree import GameSpec, Situation, format_situation
-from gtprob.expectation import EventWindow, Payoff
+from gtprob.expectation import EventWindow, Payoff, _sweep
 
 __all__ = [
     "Protocol2Spec",
@@ -116,7 +116,8 @@ class Protocol2Spec:
 
 class EmbeddedContent(OuterContent):
     """Round functional of the embedded game: worst case over the round's
-    menu of the selected functional applied to the outcome section."""
+    menu of the selected functional applied to the outcome section, priced
+    a level at a time by each symbol's ``price_level`` on its sections."""
 
     def __init__(self, spec: Protocol2Spec, round_no: int, product: OutcomeSet):
         super().__init__(product)
@@ -133,13 +134,14 @@ class EmbeddedContent(OuterContent):
         levels = {self.spec.contents[p].declared_level for p in self.menu}
         return "superexpectation" if levels == {"superexpectation"} else "outer-content"
 
-    def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
-        best = None
-        for p in self.menu:
-            section = [values[i] for i in self._sections[p]]
-            v = self.spec.contents[p].eval_seq(section)
-            best = v if best is None else max(best, v)
-        return best
+    def price_level(self, nums: list, den: int) -> tuple[list, int]:
+        k = len(self.outcomes.labels)
+        priced = [
+            self.spec.contents[p].price_level([nums[i + j] for i in range(0, len(nums), k) for j in section], den)
+            for p, section in self._sections.items()
+        ]
+        levels, den = _over(priced)
+        return (levels[0] if len(levels) == 1 else list(map(max, *levels))), den
 
     def _key(self):
         return (self.outcomes, self.round_no, self.menu, id(self.spec))
@@ -268,34 +270,30 @@ def chi_phi(phi: ForecastingSystem, chi: Sequence[str]) -> PairPath:
 def _phi_levels(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -> list[list[ExtReal]]:
     """Upper probabilities of ``event`` under ``phi`` at the outcome
     histories from ``prefix`` to the window's end, one level per depth in
-    base-K rank order.  A child off the rule is worth ``Z(d+1)``, carried
-    as one extra parent wherever the embedded game holds nodes off the
-    rule, so each functional is asked for the embedded sweep's gambles."""
-    spec, top, end = phi.spec, len(prefix), event.end
+    base-K rank order; each level's off-rule node, its last, is dropped."""
+    spec, top = phi.spec, len(prefix)
+    bottom = max(event.end, top)
     event.require_within(spec.horizon)
-    config.require_dense(end - top, what="conditional expectation sweep")
-    k, rules, nums = len(spec.outcomes), {}, []
-    for rest in spec.outcomes.tuples(max(end - top, 0)):
-        # Ask the rule in the order the embedded event's leaf scan does.
-        for h in (prefix + rest[:n] for n in range(len(rest))):
-            if h not in rules:
-                rules[h] = phi.predict(h)
-        nums.append(int(event.member(prefix + rest)))
-    den, z = 1, 0
-    kept = [_read_out(nums, den)]
-    for d in range(end - 1, top - 1, -1):
-        extra = [z] * k if d > top and len(spec.all_predictions) > 1 else []
-        preds = [rules[prefix + h] for h in spec.outcomes.tuples(d - top)]
-        priced = []
-        for q in dict.fromkeys(spec.menu_at(d + 1)):
-            children = [x if preds[j // k] == q else z for j, x in enumerate(nums)]
-            priced.append(spec.contents[q].price_level(children + extra, den))
-        levels, den = _over(priced)
-        nums = levels[0] if len(levels) == 1 else list(map(max, *levels))
-        if extra:
-            z = nums.pop()
-        kept.append(_read_out(nums, den))
-    return kept[::-1]
+    config.require_dense(event.end - top, what="conditional expectation sweep")
+    symbols, k, preds, leaves = spec.all_predictions, len(spec.outcomes), [[] for _ in range(top, bottom)], []
+
+    def scan(h: Situation) -> None:
+        # Depth first: the rule is asked in the embedded event's leaf-scan order.
+        if len(h) == bottom:
+            leaves.append(ONE if event.member(h) else ZERO)
+            return
+        preds[len(h) - top].append(phi.predict(h))
+        for x in spec.outcomes.labels:
+            scan(h + (x,))
+
+    scan(prefix)
+    off, kids = len(symbols) > 1, []
+    for d, row in enumerate(preds):
+        width = k ** (d + 1)  # the off-rule node's index one depth down
+        row += [None] * (off and d > 0)  # the off-rule node: every child is off the rule
+        kids.append([r * k + j if q == p else width for r, p in enumerate(row) for q in symbols for j in range(k)])
+    levels = _sweep(embed(spec), leaves + [ZERO] * (off and bottom > top), top, bottom, bottom, kids=kids)
+    return [level[: k**i] for i, level in enumerate(levels)]
 
 
 def upper_prob_phi(

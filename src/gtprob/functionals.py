@@ -28,11 +28,11 @@ Built-in functionals:
 * :class:`TableContent`: an explicit, finite price list supplied by the
   user, carried as an unverified claim for the audit harness.
 
-Each functional prices a whole tree level (:meth:`OuterContent.price_level`):
-the built-ins run an integer form on numerators over one denominator, and
-any other functional prices node by node through its own ``eval_seq``.  A
-built-in prices a single gamble as one node of that level, and the audit
-adds, scales and orders gambles on numerators and prices them the same way.
+Each functional prices a whole tree level (:meth:`OuterContent.price_level`)
+by an integer form on numerators over one denominator (the built-ins), by
+an override (the forecaster's embedded round), or node by node through its
+own ``eval_seq``.  The first two price one gamble as one node of a level;
+so does the audit, which adds, scales and orders gambles on numerators.
 """
 
 from __future__ import annotations
@@ -175,15 +175,15 @@ class Gamble:
 class OuterContent:
     """Base class for pricing functionals on gambles over one outcome set.
 
-    A subclass gives an integer form or implements :meth:`eval_seq` on a
-    value sequence aligned with the outcome order; :meth:`eval` is the
-    public, space-checked entry.  ``declared_level`` records what the
-    functional claims to be; the claim is audited, not trusted (see
-    :func:`check_axioms`).
+    A subclass gives an integer form, overrides :meth:`price_level`, or
+    implements :meth:`eval_seq` on a value sequence aligned with the
+    outcome order; :meth:`eval` is the public, space-checked entry.
+    ``declared_level`` records what the functional claims to be; the claim
+    is audited, not trusted (see :func:`check_axioms`).
 
     ``form`` is the integer form ``(q, rows)`` that prices children ``c``
     at ``max(sum(a*c) for a in rows) / q`` (``rows`` None: the plain
-    maximum), or None to price through ``eval_seq``.  An envelope prices
+    maximum), or None to price otherwise.  An envelope prices
     by its members' forms, one row per member, so each member must keep
     its :class:`Measure` form.  A subclass of a built-in inherits its form;
     one that prices otherwise sets ``self.form = None`` after the
@@ -218,7 +218,7 @@ class OuterContent:
 
     def eval_seq(self, values: Sequence[ExtReal]) -> ExtReal:
         """One gamble, priced as one node of :meth:`price_level`."""
-        if self.form is None:
+        if self.form is None and type(self).price_level is OuterContent.price_level:
             raise NotImplementedError
         return _read_out(*self.price_level(*_numerators(list(values))))[0]
 

@@ -5,12 +5,16 @@ order, cut time-intervals and window-event unions directly from their
 definitions, so the tests can check the library's traces against them.
 ``reference_price`` prices one gamble by each built-in functional's rule
 on ``Fraction`` values, the slow oracle for the library's integer forms.
+``reference_phi_levels`` sweeps a forecasting system's outcome tree with a
+level loop of its own, the oracle for the embedded game's sweep.
 """
 
 from fractions import Fraction
 
+from gtprob import config
 from gtprob.expectation import EventWindow
-from gtprob.extreal import INF, NEG_INF, ExtReal
+from gtprob.extreal import INF, NEG_INF, ExtReal, _over, _read_out
+from gtprob.forecaster import EmbeddedContent, pair_label
 from gtprob.functionals import Envelope, Measure, OuterContent, SupContent
 from gtprob.gametree import Cut, Situation, is_prefix
 
@@ -19,7 +23,9 @@ def reference_price(content: OuterContent, values) -> ExtReal:
     """One gamble priced on Fractions: a measure's weighted sum over its
     nonzero weights, where ``+inf`` dominates and then ``-inf``; the
     maximum for ``SupContent``; the maximum over an envelope's members;
-    ``content.eval_seq`` for any other functional."""
+    for an embedded round, the maximum over its menu of each symbol's
+    price of its outcome section; ``content.eval_seq`` for any other
+    functional."""
     values = list(values)
     if type(content) is Measure:
         live = [(p, v) for p, v in zip(content.probs, values) if p]
@@ -32,7 +38,48 @@ def reference_price(content: OuterContent, values) -> ExtReal:
         return max(values)
     if type(content) is Envelope:
         return max(reference_price(m, values) for m in content.measures)
+    if type(content) is EmbeddedContent:
+        spec, index = content.spec, content.outcomes.index
+        return max(
+            reference_price(spec.contents[p], [values[index(pair_label(p, x))] for x in spec.outcomes.labels])
+            for p in content.menu
+        )
     return content.eval_seq(values)
+
+
+def reference_phi_levels(phi, event: EventWindow, prefix: Situation) -> list[list[ExtReal]]:
+    """Upper probabilities of ``event`` under ``phi`` at the outcome
+    histories from ``prefix`` to the window's end, one level per depth in
+    base-K rank order, swept on the outcome tree.  A node takes the largest
+    over its menu symbols ``q`` of the price under ``q`` of its children, a
+    child off the rule being worth the off-rule constant ``Z(d+1)``:
+    ``Z(end) = 0``, ``Z(d) = max over q of c_q(Z(d+1)·1)``.  ``Z`` is
+    carried as one extra parent wherever the embedded game holds nodes off
+    the rule, so each functional is asked for the embedded sweep's gambles."""
+    spec, top, end = phi.spec, len(prefix), event.end
+    event.require_within(spec.horizon)
+    config.require_dense(end - top, what="conditional expectation sweep")
+    k, rules, nums = len(spec.outcomes), {}, []
+    for rest in spec.outcomes.tuples(max(end - top, 0)):
+        for h in (prefix + rest[:n] for n in range(len(rest))):
+            if h not in rules:
+                rules[h] = phi.predict(h)
+        nums.append(int(event.member(prefix + rest)))
+    den, z = 1, 0
+    kept = [_read_out(nums, den)]
+    for d in range(end - 1, top - 1, -1):
+        extra = [z] * k if d > top and len(spec.all_predictions) > 1 else []
+        preds = [rules[prefix + h] for h in spec.outcomes.tuples(d - top)]
+        priced = []
+        for q in dict.fromkeys(spec.menu_at(d + 1)):
+            children = [x if preds[j // k] == q else z for j, x in enumerate(nums)]
+            priced.append(spec.contents[q].price_level(children + extra, den))
+        levels, den = _over(priced)
+        nums = levels[0] if len(levels) == 1 else list(map(max, *levels))
+        if extra:
+            z = nums.pop()
+        kept.append(_read_out(nums, den))
+    return kept[::-1]
 
 
 def member_above(cut: Cut, s: Situation) -> Situation | None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtprob.config import DepthCapError
-from gtprob.extreal import ONE, ZERO, ext
+from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ext
 from gtprob.functionals import (
     Envelope,
     ExtendedContent,
@@ -27,6 +27,7 @@ from gtprob.forecaster import (
     ForecastingSystem,
     MixingReport,
     Protocol2Spec,
+    _phi_levels,
     chi_phi,
     delta_mixing_check,
     embed,
@@ -36,7 +37,7 @@ from gtprob.forecaster import (
     upper_expectation_p2,
     upper_prob_phi,
 )
-from oracles import reference_price
+from oracles import reference_phi_levels, reference_price
 
 BIN = OutcomeSet(["0", "1"])
 COIN = Measure.uniform(BIN)
@@ -357,11 +358,13 @@ def settle(fn):
 
 
 @st.composite
-def forecaster_cases(draw):
+def forecaster_cases(draw, deep=False):
+    """A spec, a forecasting table and events on one window.  ``deep``
+    lets the horizon reach 5 and the system be a last-outcome rule."""
     k = draw(st.sampled_from([2, 3]))
     outcomes = OutcomeSet([str(i) for i in range(k)])
     symbols = ["a", "b", "c"][: draw(st.integers(1, 3))]
-    horizon = draw(st.integers(1, 4 if k * len(symbols) <= 6 else 3))
+    horizon = draw(st.integers(1, 5 if deep else 4 if k * len(symbols) <= 6 else 3))
     weight = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1)])
     odd = st.sampled_from([Fraction(-1, 2), Fraction(3, 4), Fraction(2), Fraction(-5, 3)])
 
@@ -410,6 +413,9 @@ def forecaster_cases(draw):
         else:
             rule.pop(h, None)
     phi = ForecastingSystem.from_table(spec, rule)
+    if deep and draw(st.booleans()):
+        by_outcome = {x: draw(st.sampled_from(symbols)) for x in outcomes.labels}
+        phi = ForecastingSystem.last_outcome(spec, by_outcome, draw(st.sampled_from(menus[0])))
     start = draw(st.integers(1, horizon))
     end = draw(st.integers(start, horizon))
     windows = list(outcomes.tuples(end - start + 1))
@@ -447,6 +453,44 @@ def test_mixing_report_matches_the_embedded_game(case, data):
     assert got == expected
     if isinstance(got, MixingReport):
         assert str(got) == str(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forecaster_cases(deep=True), st.data())
+def test_every_level_of_the_embedded_sweep_matches_the_level_loop(case, data):
+    phi, events = case
+    horizon = phi.spec.horizon
+    path = tuple(data.draw(st.lists(st.sampled_from(phi.spec.outcomes.labels), min_size=horizon, max_size=horizon)))
+    for event in events:
+        # Prefixes shorter than, as long as and longer than the window.
+        for n in sorted({0, event.end - 1, event.end, min(event.end + 1, horizon)}):
+            assert settle(lambda: _phi_levels(phi, event, path[:n])) == settle(
+                lambda: reference_phi_levels(phi, event, path[:n])
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(forecaster_cases(), st.data())
+def test_an_embedded_round_prices_a_gamble_as_its_menu_sections_do(case, data):
+    spec = case[0].spec
+    content = embed(spec).content_at(data.draw(st.integers(1, spec.horizon)))
+    grid = [NEG_INF, ext(-1), ZERO, ext("1/2"), ONE, INF]
+    values = data.draw(st.lists(st.sampled_from(grid), min_size=len(content.outcomes), max_size=len(content.outcomes)))
+    assert settle(lambda: content.eval_seq(values)) == settle(lambda: reference_price(content, values))
+
+
+def test_an_embedded_round_audits_as_before():
+    envelope = Envelope(BIN, [{"0": "1/3", "1": "2/3"}, {"0": 1, "1": 0}])
+    spec = spec_with([("c", "u")], {"c": envelope, "u": Measure.unchecked(BIN, ["3/2", "-1/2"])})
+    # The default grid on four pair outcomes holds both infinities.
+    assert str(check_axioms(embed(spec).content_at(1))) == "\n".join([
+        "monotone: FAIL (10256 checks) [f=(-inf, -inf, 0, 0) <= g=(-inf, -inf, 0, 1) but E(f)=0 > E(g)=-1/2]",
+        "homogeneous: pass (768 checks)",
+        "subadditive: pass (65536 checks)",
+        "normalized: pass (5 checks)",
+        "countable-subadditive (finite surrogate): pass (500 checks)",
+        "claimed level: superexpectation; audited level: not-an-outer-content",
+    ])
 
 
 def test_off_rule_constant_is_priced_where_the_embedded_game_prices_it():

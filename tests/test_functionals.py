@@ -91,6 +91,22 @@ def test_gambles_compare_by_outcome_set_and_values():
         OuterContent(BIN).eval(g)
 
 
+def test_a_formless_functional_prices_a_gamble_through_its_own_level_rule():
+    class Doubled(OuterContent):
+        """Twice the largest child, priced a level at a time only."""
+
+        def price_level(self, nums, den):
+            return [2 * max(nums[i : i + 2]) for i in range(0, len(nums), 2)], den
+
+    class Bare(OuterContent):
+        pass
+
+    g = Gamble.of(BIN, ["1/3", "-1/2"])
+    assert Doubled(BIN).eval(g) == Doubled(BIN).eval_seq(g.values) == ext("2/3")
+    with pytest.raises(NotImplementedError):
+        Bare(BIN).eval(g)
+
+
 def test_measure_rejects_bad_weights():
     with pytest.raises(ValueError):
         Measure(BIN, {"0": "1/2", "1": "1/3"})

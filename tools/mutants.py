@@ -217,18 +217,32 @@ MUTANTS = [
     ),
     # -- the forecaster -----------------------------------------------------------
     Mutant(
-        "off-rule-children-worth-zero",
+        "off-rule-children-join-the-first-history",
         "forecaster.py",
-        "            z = nums.pop()\n",
-        "            nums.pop()\n",
+        "r * k + j if q == p else width",
+        "r * k + j if q == p else 0",
         ("test_forecaster.py",),
     ),
     Mutant(
         "embedded-round-takes-the-cheapest-menu-symbol",
         "forecaster.py",
-        "v = self.spec.contents[p].eval_seq(section)\n            best = v if best is None else max(best, v)",
-        "v = self.spec.contents[p].eval_seq(section)\n            best = v if best is None else min(best, v)",
+        "list(map(max, *levels))",
+        "list(map(min, *levels))",
         ("test_forecaster.py",),
+    ),
+    Mutant(
+        "embedded-section-gather-shifted-by-one",
+        "forecaster.py",
+        "[nums[i + j] for i in range(0, len(nums), k) for j in section]",
+        "[nums[i + j - 1] for i in range(0, len(nums), k) for j in section]",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "off-rule-node-kept-in-the-levels",
+        "forecaster.py",
+        "[level[: k**i] for i, level in enumerate(levels)]",
+        "[level[: k**i + 1] for i, level in enumerate(levels)]",
+        ("test_forecaster.py", "test_cli.py"),
     ),
     Mutant(
         "mixing-violation-at-delta",
@@ -484,8 +498,16 @@ MUTANTS = [
     Mutant(
         "one-node-guard-dropped",
         "functionals.py",
-        "        if self.form is None:\n            raise NotImplementedError\n",
+        "        if self.form is None and type(self).price_level is OuterContent.price_level:\n"
+        "            raise NotImplementedError\n",
         "",
+        ("test_functionals.py",),
+    ),
+    Mutant(
+        "one-node-guard-ignores-an-own-level-rule",
+        "functionals.py",
+        "if self.form is None and type(self).price_level is OuterContent.price_level:",
+        "if self.form is None:",
         ("test_functionals.py",),
     ),
     Mutant(
