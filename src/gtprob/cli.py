@@ -39,9 +39,9 @@ from gtprob.expectation import (
     Payoff,
     indicator,
     lower_expectation,
+    path_values,
     sup_variant_upper_expectation,
     upper_expectation,
-    upper_table,
 )
 from gtprob.forecaster import ForecastError, Protocol2Spec, delta_mixing_check
 from gtprob.laws import (
@@ -219,7 +219,7 @@ def cmd_simulate(args, game: GameSpec) -> int:
         raise SchemaError("/strategy", "--base applies to the doob construction only")
     if plain and (args.table or args.cuts):
         raise SchemaError("/strategy", "--table and --cuts apply to the doob/levy constructions only")
-    res = cond = None  # the construction's result; the conditional column's table
+    res = cond = None  # the construction's result; the conditional column
     if plain:
         last = game.outcomes.labels[-1]
         strat = Strategy.double_on(game, last) if name == "doubling" else Strategy.do_nothing(game)
@@ -239,7 +239,7 @@ def cmd_simulate(args, game: GameSpec) -> int:
         if xi is None:
             raise SchemaError("/payoff", "the levy construction needs --payoff")
         res = levy_strategy(game, xi, a, b, slack=slack[0] if slack else "none")
-        cond = res.cond_table
+        cond = [res.cond_table.value(s) for s in prefixes]  # the shifted payoff's, which the ride follows
         words = ("exit", "enter")
     else:
         raise SchemaError(
@@ -248,8 +248,8 @@ def cmd_simulate(args, game: GameSpec) -> int:
         )
     if res is not None:
         capitals = [res.table.value(s) for s in prefixes]
-    if cond is None and xi is not None:
-        cond = upper_table(game, xi)
+    if cond is None:
+        cond = [""] * len(prefixes) if xi is None else path_values(game, xi, [path])[0]
 
     rows = []
     for n, s in enumerate(prefixes):
@@ -260,8 +260,7 @@ def cmd_simulate(args, game: GameSpec) -> int:
                 note = f"{words[0]} {k}"
             if s in res.trace.tau[k]:
                 note = f"{words[1]} {k}"
-        value = "" if cond is None else str(cond.value(s))
-        rows.append([str(n), format_situation(s, game.outcomes), str(capitals[n]), value, note])
+        rows.append([str(n), format_situation(s, game.outcomes), str(capitals[n]), str(cond[n]), note])
 
     if args.table:
         _write_file(args.table, "/table", supermartingale_to_csv(res.table, game.outcomes))

@@ -26,8 +26,9 @@ an embedded forecaster round prices each menu symbol's sections by that
 symbol's rule, and any other functional node by node through ``eval_seq``.
 Situations of one depth in one state of a payoff's automaton share their
 conditional values, so an indicator's, a constant's and a capped run's
-expectations and running-maximum price are swept on its state lattice;
-other payoffs, and every payoff's tables, on the tree.
+expectations, values along paths and running-maximum price are swept on
+its state lattice; other payoffs, and every payoff's tables, on the tree.
+``path_values`` reads every path from one sweep, one node per level.
 
 Lower expectation is the negation dual, swept on negated numerators.
 Upper/lower probability route an event's indicator through the same
@@ -61,6 +62,7 @@ __all__ = [
     "upper_expectation",
     "lower_expectation",
     "upper_table",
+    "path_values",
     "upper_probability",
     "lower_probability",
     "sup_variant_upper_expectation",
@@ -334,6 +336,22 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     levels = _sweep(game, xi.leaf_values(game), 0, xi.depth, xi.depth)
     table = dict(zip(game.all_situations(xi.depth), chain.from_iterable(levels)))
     return Supermartingale(table, xi.depth)
+
+
+def path_values(game: GameSpec, xi: Payoff, paths: Iterable[Situation]) -> list[list[ExtReal]]:
+    """The values ``upper_table(game, xi)`` holds at every prefix of each
+    path, from one sweep of the state lattice if ``xi`` has one, else of
+    the tree; the paths are checked after the sweep."""
+    leaves, kids = xi._lattice(game, EMPTY)
+    levels = _sweep(game, leaves, 0, xi.depth, xi.depth, kids=kids)
+    k, index, rows = len(game.outcomes), game.outcomes.index, []
+    for path in paths:
+        path, i, row = game.validate_situation(path), 0, [levels[0][0]]
+        for d, x in enumerate(path[: xi.depth]):
+            i = i * k + index(x) if kids is None else kids[d][i * k + index(x)]
+            row.append(levels[d + 1][i])
+        rows.append(row + row[-1:] * (len(path) - xi.depth))  # past the payoff's depth, the leaf's value
+    return rows
 
 
 def upper_probability(game: GameSpec, event: EventWindow, s: Situation = EMPTY) -> ExtReal:

@@ -36,6 +36,7 @@ from gtprob.expectation import (
     Payoff,
     indicator,
     lower_probability,
+    path_values,
     upper_probability,
     upper_table,
 )
@@ -124,12 +125,10 @@ def require_levy_path(xi: Payoff, path: Situation) -> None:
 def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> LevyExperimentReport:
     """Conditional upper expectations along each path, with the exact
     terminal check, plus event-reaching flags for indicator payoffs."""
-    table = upper_table(game, xi)
     report = LevyExperimentReport(game.outcomes)
-    for raw in paths:
-        path = game.validate_situation(tuple(raw))
+    for raw, values in zip(paths, path_values(game, xi, paths)):
+        path = tuple(raw)
         require_levy_path(xi, path)
-        values = [table.value(path[:n]) for n in range(xi.depth + 1)]
         terminal_ok = values[-1] == xi.value(path)
         row = LevyPathRow(path, values, terminal_ok)
         if xi.event is not None:

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -163,6 +164,16 @@ def test_simulate_doubling_and_levy(coin_file, capsys):
     assert rows[-1].split(",")[2] == "2"
     assert rows[0].split(",")[4] == "enter 1"
     assert rows[-1].split(",")[4] == "exit 1"
+
+
+def test_the_levy_column_reads_the_shifted_payoff_the_others_the_payoffs_own(coin_file, capsys):
+    # The ride follows const:-2 raised by one minus its least leaf, the
+    # constant 1; the other strategies list the payoff's own -2.
+    for strategy, value in [("levy:1/3,2/3", "1"), ("doob:1/3,2/3", "-2"), ("donothing", "-2")]:
+        argv = ["simulate", coin_file, "--strategy", strategy, "--payoff", "const:-2", "--path", "1,0,1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert [r.split(",")[3] for r in out.splitlines()[1:]] == [value] * 4
 
 
 def test_simulate_writes_table_and_cut_sidecar(coin_file, tmp_path, capsys):
@@ -339,6 +350,37 @@ def test_depth_cap_exits_two_and_names_its_variable(tmp_path):
         "error: dense payoff tabulation to depth 5 exceeds the cap 3; "
         "raise GTP_MAX_DEPTH to allow it\n"
     )
+
+
+def _limit_cpu_and_memory():
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_path_reads_sweep_a_lattice_payoff_without_its_tree(tmp_path):
+    # 4**14 leaves lie below the root, and e_w14's lattice has a handful
+    # of states; a read that tabulated the tree would meet the CPU limit.
+    content = {"type": "measure", "probs": dict.fromkeys("0123", "1/4")}
+    spec = write_json(tmp_path, "k4.json", {"outcomes": list("0123"), "horizon": 14, "content": content})
+    path = ",".join("01230123012301")
+    expected = ["1/4"] * 14 + ["1"]
+    commands = [
+        ["law", spec, "levy", "--payoff", "e_w14", "--paths", path],
+        ["simulate", spec, "--strategy", "donothing", "--payoff", "e_w14", "--path", path],
+    ]
+    for command in commands:
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtprob.cli", *command],
+            capture_output=True, text=True, env=SRC_ENV, preexec_fn=_limit_cpu_and_memory, timeout=60,
+        )
+        elapsed = time.monotonic() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert elapsed < 2
+        if command[0] == "law":
+            assert json.loads(proc.stdout)["paths"][0]["values"] == expected
+        else:
+            assert [r.split(",")[3] for r in proc.stdout.splitlines()[1:]] == expected
 
 
 def test_verify_meets_the_depth_cap_before_a_root_violation(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from gtprob.expectation import (
     indicator,
     lower_expectation,
     lower_probability,
+    path_values,
     sup_variant_upper_expectation,
     upper_expectation,
     upper_probability,
@@ -747,6 +748,12 @@ def test_quotient_sweep_matches_the_dense_sweep(case):
     for s in situations:
         assert outcome(lambda: upper_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s))
         assert outcome(lambda: lower_expectation(game, xi, s)) == outcome(lambda: dense_value(game, xi, s, True))
+    # The situations read as paths, on the lattice and on the tree: the one
+    # sweep fails as the dense root sweep does, else each prefix's value is
+    # the dense sweep's below it.
+    dense_rows = outcome(lambda: [[dense_value(game, xi, s[:n]) for n in range(len(s) + 1)] for s in situations])
+    for payoff in (xi, Payoff(xi.depth, xi.value)):
+        assert outcome(lambda: path_values(game, payoff, situations)) == dense_rows
     # The running-maximum price on the lattice, against a rule-only copy on
     # the tree and, on small trees priced by built-ins, the memoized scan.
     touch = outcome(lambda: sup_variant_upper_expectation(game, xi))

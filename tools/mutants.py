@@ -115,6 +115,28 @@ MUTANTS = [
         "return v",
         EXPECTATION,
     ),
+    # -- path reads from one sweep ---------------------------------------------
+    Mutant(
+        "path-tree-index-drops-the-outcome",
+        "expectation.py",
+        "i = i * k + index(x) if kids is None",
+        "i = i * k if kids is None",
+        EXPECTATION,
+    ),
+    Mutant(
+        "path-lattice-index-read-as-the-tree-index",
+        "expectation.py",
+        "else kids[d][i * k + index(x)]",
+        "else i * k + index(x)",
+        EXPECTATION,
+    ),
+    Mutant(
+        "path-padded-with-the-root-value",
+        "expectation.py",
+        "row + row[-1:] * (len(path) - xi.depth)",
+        "row + row[:1] * (len(path) - xi.depth)",
+        EXPECTATION,
+    ),
     # -- the single sources: a round's fan-out, event membership, the band ----
     Mutant(
         "price-level-fan-out-off-by-one",
