@@ -71,6 +71,13 @@ __all__ = [
 ]
 
 
+class _Leaves(dict):
+    """A table payoff's leaves; a lookup runs in C, a missing leaf is named."""
+
+    def __missing__(self, s: Situation):
+        raise KeyError(f"payoff table has no entry for {s!r}")
+
+
 class Payoff:
     """A global payoff depending on the first ``depth`` outcomes.
 
@@ -102,18 +109,11 @@ class Payoff:
 
     @classmethod
     def from_table(cls, values: Mapping[Situation, object], depth: int) -> "Payoff":
-        table = {tuple(s): ext(v) for s, v in values.items()}
+        table = _Leaves((tuple(s), ext(v)) for s, v in values.items())
         for s in table:
             if len(s) != depth:
                 raise ValueError(f"table key {s!r} does not have depth {depth}")
-
-        def fn(s: Situation) -> ExtReal:
-            try:
-                return table[s]
-            except KeyError:
-                raise KeyError(f"payoff table has no entry for {s!r}")
-
-        return cls(depth, fn)
+        return cls(depth, table.__getitem__)
 
     @classmethod
     def constant(cls, value, depth: int) -> "Payoff":
@@ -168,8 +168,8 @@ class Payoff:
 
     def leaf_values(self, game: GameSpec, s: Situation = EMPTY) -> list[ExtReal]:
         """The payoff at every leaf below ``s``, in rank order, once the horizon and cap hold."""
-        fn = self._fn
-        return [fn(s + rest) for rest in game.outcomes.tuples(self._span(game, s))]
+        rests = game.outcomes.tuples(self._span(game, s))
+        return list(map(self._fn, map(s.__add__, rests) if s else rests))
 
     def _lattice(self, game: GameSpec, s: Situation) -> tuple[list[ExtReal], list[list[int]] | None]:
         """The leaves below ``s`` and, per depth from ``s`` down, each node's

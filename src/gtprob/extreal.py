@@ -22,6 +22,9 @@ here rounds, and there is no floating-point mode.
 
 Serialized form: ``"p/q"`` in lowest terms (plain ``"p"`` when q is 1),
 ``"inf"``, ``"-inf"``.  :func:`ext` parses it back bit-exactly.
+
+Sweeps cross into integer numerators (:func:`_numerators`) at every node, so that boundary reads
+``Fraction``'s ``_numerator`` and ``_denominator`` slots (CPython 3.10 to 3.13), not its properties.
 """
 
 from __future__ import annotations
@@ -182,12 +185,15 @@ ONE = ExtReal(Fraction(1))
 
 
 def _numerators(values: list[ExtReal]) -> tuple[list, int]:
-    """Numerators over the least common denominator; infinities stay."""
+    """Numerators over the least common denominator; infinities stay.
+
+    Every finite ``_v`` is a ``Fraction``; its slots are read, since its
+    properties cost a Python call per value."""
     raw = [v._v for v in values]
-    den = lcm(*{r.denominator for r in raw if r.__class__ is not float})
+    den = lcm(*{r._denominator for r in raw if r.__class__ is not float})
     if den == 1:
-        return [r if r.__class__ is float else r.numerator for r in raw], den
-    return [r if r.__class__ is float else r.numerator * (den // r.denominator) for r in raw], den
+        return [r if r.__class__ is float else r._numerator for r in raw], den
+    return [r if r.__class__ is float else r._numerator * (den // r._denominator) for r in raw], den
 
 
 def _read_out(nums: list, den: int) -> list[ExtReal]:
@@ -196,7 +202,7 @@ def _read_out(nums: list, den: int) -> list[ExtReal]:
         n: (INF if n > 0 else NEG_INF) if n.__class__ is float else ExtReal(Fraction(n, den))
         for n in set(nums)
     }
-    return [memo[n] for n in nums]
+    return list(map(memo.__getitem__, nums))
 
 
 def _over(levels: list[tuple[list, int]]) -> tuple[list[list], int]:

@@ -282,8 +282,9 @@ def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
 
 
 def supermartingale_to_csv(sm: Supermartingale, outcomes: OutcomeSet) -> str:
-    join = outcomes.sep.join
-    rows = ([join(s), str(sm.table[s])] for s in sorted(sm.table, key=lambda u: (len(u), u)))
+    join, table = outcomes.sep.join, sm.table
+    text = {i: str(v) for i, v in {id(v): v for v in table.values()}.items()}  # once per shared value object
+    rows = ([join(s), text[id(table[s])]] for s in sorted(table, key=lambda u: (len(u), u)))
     return csv_text(["situation", "value"], rows)
 
 

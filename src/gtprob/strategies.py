@@ -305,7 +305,7 @@ class _LevyMachine:
         if cap.__class__ is not int:
             return cap
         f = state[3]
-        return ExtReal(Fraction(f.numerator * cap, f.denominator * self.den))
+        return ExtReal(Fraction(f._numerator * cap, f._denominator * self.den))
 
 
 def _require_nonnegative(nums, conds: list[ExtReal], sits: list[Situation], outcomes: OutcomeSet) -> None:

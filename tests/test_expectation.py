@@ -817,12 +817,22 @@ from gtprob.functionals import GambleSpaceError, check_axioms
 from gtprob.laws import scripted_conditional_game
 
 OTHER = OutcomeSet(["a", "b"])
+# A table payoff without the leaves 01 and 10: each tabulation names the first missing leaf in rank order.
+PARTIAL = Payoff.from_table({("0", "0"): 1, ("1", "1"): 2}, 2)
 
 INPUT_CHECKS = {
     "payoff_negative_depth": (
         lambda: Payoff(-1, lambda s: ZERO), ValueError, "payoff depth must be nonnegative"),
     "payoff_table_missing_leaf": (
         lambda: Payoff.from_table({("0",): 1}, 1).value(("1",)), KeyError, "payoff table has no entry for ('1',)"),
+    "payoff_table_missing_leaf_at_the_root": (
+        lambda: upper_expectation(coin_game(2), PARTIAL), KeyError, "payoff table has no entry for ('0', '1')"),
+    "payoff_table_missing_leaf_below_a_situation": (
+        lambda: upper_expectation(coin_game(2), PARTIAL, ("1",)), KeyError, "payoff table has no entry for ('1', '0')"),
+    "payoff_table_missing_leaf_in_its_table": (
+        lambda: upper_table(coin_game(2), PARTIAL), KeyError, "payoff table has no entry for ('0', '1')"),
+    "payoff_table_missing_leaf_in_its_leaves": (
+        lambda: PARTIAL.leaf_values(coin_game(2), ("1",)), KeyError, "payoff table has no entry for ('1', '0')"),
     "payoff_value_at_the_wrong_depth": (
         lambda: Payoff.constant(1, 2).value(("0",)), ValueError, "payoff is settled at depth 2, got 1"),
     "window_with_both_sources": (

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ext, scale
+from gtprob.extreal import INF, NEG_INF, ONE, ZERO, _numerators, _read_out, ext, scale
 
 # Small exhaustive probe set covering every convention edge.
 PROBE = [NEG_INF, ext(-1), ZERO, ext("1/2"), ONE, ext(2), INF]
@@ -146,3 +147,33 @@ def test_scale_distributes_over_finite_add(c, a):
 @given(extreals)
 def test_string_round_trip_property(a):
     assert ext(str(a)) == a
+
+
+# -- the integer boundary of the sweeps ---------------------------------------
+
+
+def test_fraction_keeps_the_slots_the_sweeps_read():
+    # _numerators reads these slots, not the properties; a Python that renamed
+    # them would fail here rather than deep inside a sweep.
+    assert Fraction(6, 4)._numerator == 3 and Fraction(6, 4)._denominator == 2
+
+
+boundary_values = st.lists(
+    st.one_of(
+        st.just(INF), st.just(NEG_INF), st.just(ZERO),
+        rationals.map(ext),
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)).map(ext),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+@given(boundary_values)
+def test_numerators_match_the_public_properties(values):
+    finite = [v.finite for v in values if v.is_finite]
+    den = 1
+    for r in finite:
+        den = den * r.denominator // gcd(den, r.denominator)
+    nums = [v.finite.numerator * (den // v.finite.denominator) if v.is_finite else v._v for v in values]
+    assert _numerators(values) == (nums, den)
+    assert _read_out(*_numerators(values)) == values

@@ -614,6 +614,35 @@ MUTANTS = [
         "if accepts is None and predicate is None:",
         ("test_expectation.py",),
     ),
+    # -- the integer boundary and table payoffs --------------------------------
+    Mutant(
+        "numerators-lcm-of-the-numerators",
+        "extreal.py",
+        "lcm(*{r._denominator for r in raw",
+        "lcm(*{r._numerator for r in raw",
+        ("test_extreal.py", "test_expectation.py"),
+    ),
+    Mutant(
+        "leaf-values-prefix-guard-inverted",
+        "expectation.py",
+        "map(s.__add__, rests) if s else rests",
+        "map(s.__add__, rests) if not s else rests",
+        EXPECTATION,
+    ),
+    Mutant(
+        "missing-table-leaf-named-by-its-parent",
+        "expectation.py",
+        'raise KeyError(f"payoff table has no entry for {s!r}")',
+        'raise KeyError(f"payoff table has no entry for {s[:-1]!r}")',
+        ("test_expectation.py",),
+    ),
+    Mutant(
+        "csv-rows-share-the-first-value-text",
+        "serialize.py",
+        "text[id(table[s])]",
+        "next(iter(text.values()))",
+        ("test_serialize.py",),
+    ),
 ]
 
 
