@@ -27,7 +27,8 @@ symbol's rule, and any other functional node by node through ``eval_seq``.
 Situations of one depth in one state of a payoff's automaton share their
 conditional values, so an indicator's, a constant's and a capped run's
 expectations, values along paths and running-maximum price are swept on
-its state lattice; other payoffs, and every payoff's tables, on the tree.
+its state lattice; other payoffs, and every payoff's tables, on the tree,
+a table payoff's from its leaf level, tabulated once per outcome order.
 ``path_values`` reads every path from one sweep, one node per level.
 
 Lower expectation is the negation dual, swept on negated numerators.
@@ -72,7 +73,10 @@ __all__ = [
 
 
 class _Leaves(dict):
-    """A table payoff's leaves; a lookup runs in C, a missing leaf is named."""
+    """A table payoff's leaves; a lookup runs in C, a missing leaf is named.
+    ``levels`` keeps the tabulated root leaf level per outcome-label order."""
+
+    __slots__ = ("levels",)
 
     def __missing__(self, s: Situation):
         raise KeyError(f"payoff table has no entry for {s!r}")
@@ -81,8 +85,9 @@ class _Leaves(dict):
 class Payoff:
     """A global payoff depending on the first ``depth`` outcomes.
 
-    Backed by either an explicit leaf table or a rule; rule-backed payoffs
-    can live beyond the dense cap, table materialization is guarded.
+    Backed by either an explicit leaf table, whose leaf level it keeps per
+    outcome order once tabulated, or a rule; rule-backed payoffs can live
+    beyond the dense cap, table materialization is guarded.
     ``event`` is the window an :func:`indicator` payoff indicates, and
     only :func:`indicator` sets it; it is None for every other payoff.
     Indicator, :meth:`constant` and :meth:`leading_ones_capped` payoffs also
@@ -109,10 +114,12 @@ class Payoff:
 
     @classmethod
     def from_table(cls, values: Mapping[Situation, object], depth: int) -> "Payoff":
+        """The payoff of a leaf table; its leaves never change, so its leaf level is kept once tabulated."""
         table = _Leaves((tuple(s), ext(v)) for s, v in values.items())
         for s in table:
             if len(s) != depth:
                 raise ValueError(f"table key {s!r} does not have depth {depth}")
+        table.levels = {}
         return cls(depth, table.__getitem__)
 
     @classmethod
@@ -168,15 +175,31 @@ class Payoff:
 
     def leaf_values(self, game: GameSpec, s: Situation = EMPTY) -> list[ExtReal]:
         """The payoff at every leaf below ``s``, in rank order, once the horizon and cap hold."""
-        rests = game.outcomes.tuples(self._span(game, s))
-        return list(map(self._fn, map(s.__add__, rests) if s else rests))
+        return list(self._leaf_level(game, s)[0])
 
-    def _lattice(self, game: GameSpec, s: Situation) -> tuple[list[ExtReal], list[list[int]] | None]:
-        """The leaves below ``s`` and, per depth from ``s`` down, each node's
-        children's indices in the level below (None on the tree), once the horizon and cap hold.
+    def _leaf_level(self, game: GameSpec, s: Situation = EMPTY) -> tuple[list[ExtReal], list, int]:
+        """``(leaves, nums, den)`` below ``s`` in rank order, once the horizon and cap hold; a table
+        payoff keeps its root level per label order, and a read below ``s`` slices it at rank(s)*K**span."""
+        span, outcomes = self._span(game, s), game.outcomes
+        table = getattr(self._fn, "__self__", None)
+        kept = table.levels.get(outcomes.labels) if table.__class__ is _Leaves else None
+        if kept is not None and span >= 0 and all(map(outcomes.__contains__, s)):
+            k = len(outcomes)
+            i = sum(outcomes.index(x) * k ** (self.depth - 1 - n) for n, x in enumerate(s))  # rank(s)*K**span
+            return kept[0][i : i + k**span], kept[1][i : i + k**span], kept[2]
+        rests = outcomes.tuples(span)
+        leaves = list(map(self._fn, map(s.__add__, rests) if s else rests))
+        level = (leaves, *_numerators(leaves))
+        if table.__class__ is _Leaves and not s:
+            table.levels[outcomes.labels] = level
+        return level
+
+    def _lattice(self, game: GameSpec, s: Situation) -> tuple[tuple, list[list[int]] | None]:
+        """The leaf level below ``s`` (see :meth:`_leaf_level`) and, per depth from ``s`` down, each
+        node's children's indices in the level below (None on the tree), once the horizon and cap hold.
         A lattice level lists its depth's states in order of first appearance in rank order."""
         if self._automaton is None:
-            return self.leaf_values(game, s), None
+            return self._leaf_level(game, s), None
         self._span(game, s)
         state, step, value = self._automaton
         for n, x in enumerate(s, 1):
@@ -186,7 +209,8 @@ class Payoff:
             index: dict = {}
             kids.append([index.setdefault(step(w, n, x), len(index)) for w in states for x in labels])
             states = list(index)
-        return [value(w) for w in states], kids
+        leaves = [value(w) for w in states]
+        return (leaves, *_numerators(leaves)), kids
 
     def __repr__(self) -> str:
         return f"Payoff(depth={self.depth}, event={self.event!r})"
@@ -282,15 +306,14 @@ def indicator(event: EventWindow) -> Payoff:
 
 
 def _sweep(
-    game: GameSpec, leaves: list[ExtReal], top: int, bottom: int, keep: int, negate: bool = False,
-    kids: list[list[int]] | None = None,
+    game: GameSpec, level: tuple[list[ExtReal], list, int], top: int, bottom: int, keep: int,
+    negate: bool = False, kids: list[list[int]] | None = None,
 ) -> list[list[ExtReal]]:
-    """Back ``leaves`` (negated if asked), the values at depth ``bottom``
-    below one situation of depth ``top``, up to depth ``top``: on the tree,
-    or on a lattice whose child indices per depth are ``kids``.  Returns
-    the levels of depths ``top..keep`` as ExtReal lists, index 0 being
-    depth ``top``."""
-    nums, den = _numerators(leaves)
+    """Back ``level = (leaves, nums, den)`` (negated if asked), the values at depth ``bottom``
+    below one situation of depth ``top`` with their numerators over ``den``, up to depth ``top``:
+    on the tree, or on a lattice whose child indices per depth are ``kids``.  Returns the levels
+    of depths ``top..keep`` as ExtReal lists, index 0 being depth ``top``; ``level`` is only read."""
+    leaves, nums, den = level
     if negate:
         nums = [-n for n in nums]
     kept = []
@@ -311,8 +334,8 @@ def _level_values(game: GameSpec, xi: Payoff, s: Situation, negate: bool = False
     s = game.validate_situation(s)
     if len(s) >= xi.depth:
         return xi.value(s[: xi.depth])
-    leaves, kids = xi._lattice(game, s)
-    v = _sweep(game, leaves, len(s), xi.depth, len(s), negate, kids)[0][0]
+    level, kids = xi._lattice(game, s)
+    v = _sweep(game, level, len(s), xi.depth, len(s), negate, kids)[0][0]
     return -v if negate else v
 
 
@@ -333,7 +356,7 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     This is the exact cover of ``xi`` with the least start, and it prices
     its own children exactly at every node.
     """
-    levels = _sweep(game, xi.leaf_values(game), 0, xi.depth, xi.depth)
+    levels = _sweep(game, xi._leaf_level(game), 0, xi.depth, xi.depth)
     table = dict(zip(game.all_situations(xi.depth), chain.from_iterable(levels)))
     return Supermartingale(table, xi.depth)
 
@@ -342,8 +365,8 @@ def path_values(game: GameSpec, xi: Payoff, paths: Iterable[Situation]) -> list[
     """The values ``upper_table(game, xi)`` holds at every prefix of each
     path, from one sweep of the state lattice if ``xi`` has one, else of
     the tree; the paths are checked after the sweep."""
-    leaves, kids = xi._lattice(game, EMPTY)
-    levels = _sweep(game, leaves, 0, xi.depth, xi.depth, kids=kids)
+    level, kids = xi._lattice(game, EMPTY)
+    levels = _sweep(game, level, 0, xi.depth, xi.depth, kids=kids)
     k, index, rows = len(game.outcomes), game.outcomes.index, []
     for path in paths:
         path, i, row = game.validate_situation(path), 0, [levels[0][0]]
@@ -394,8 +417,7 @@ def sup_variant_upper_expectation(game: GameSpec, xi: Payoff) -> ExtReal:
     finite-valued; nonpositive levels are covered for free because capital
     is nonnegative.
     """
-    leaves, kids = xi._lattice(game, EMPTY)
-    nums, den = _numerators(leaves)
+    (_, nums, den), kids = xi._lattice(game, EMPTY)
     if float in map(type, nums):
         s = next(s for s in game.outcomes.tuples(xi.depth) if not xi.value(s).is_finite)
         at = format_situation(s, game.outcomes) or "□"
@@ -445,11 +467,12 @@ def determinacy_check(game: GameSpec, xi: Payoff, depth: int) -> DeterminacyRepo
     """List every situation up to ``depth`` where upper and lower
     expectations disagree; an empty list certifies determinacy at this
     truncation."""
-    if depth > xi.depth:
-        depth = xi.depth
-    leaves = xi.leaf_values(game)
-    up = _sweep(game, leaves, 0, xi.depth, depth)
-    down = _sweep(game, leaves, 0, xi.depth, depth, negate=True)
+    if depth < 0:
+        raise ValueError("determinacy depth must be nonnegative")
+    depth = min(depth, xi.depth)
+    level = xi._leaf_level(game)
+    up = _sweep(game, level, 0, xi.depth, depth)
+    down = _sweep(game, level, 0, xi.depth, depth, negate=True)
     lows = map(ExtReal.__neg__, chain.from_iterable(down))
     gaps = [(s, u, l) for s, u, l in zip(game.all_situations(depth), chain.from_iterable(up), lows) if u != l]
     return DeterminacyReport(game.outcomes, depth, gaps)

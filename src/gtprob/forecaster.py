@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import ExtReal, ONE, ZERO, _over, ext
+from gtprob.extreal import ExtReal, ONE, ZERO, _numerators, _over, ext
 from gtprob.functionals import OutcomeSet, OuterContent
 from gtprob.gametree import GameSpec, Situation, format_situation
 from gtprob.expectation import EventWindow, Payoff, _sweep
@@ -292,7 +292,8 @@ def _phi_levels(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -
         width = k ** (d + 1)  # the off-rule node's index one depth down
         row += [None] * (off and d > 0)  # the off-rule node: every child is off the rule
         kids.append([r * k + j if q == p else width for r, p in enumerate(row) for q in symbols for j in range(k)])
-    levels = _sweep(embed(spec), leaves + [ZERO] * (off and bottom > top), top, bottom, bottom, kids=kids)
+    leaves += [ZERO] * (off and bottom > top)
+    levels = _sweep(embed(spec), (leaves, *_numerators(leaves)), top, bottom, bottom, kids=kids)
     return [level[: k**i] for i, level in enumerate(levels)]
 
 

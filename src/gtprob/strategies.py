@@ -226,18 +226,18 @@ class LevyResult:
     cond_table: Supermartingale
 
 
-def _levy_shift(values: list[ExtReal]) -> Fraction:
-    """Shift constant making a payoff with these leaf values nonnegative.
+def _levy_shift(nums: list, den: int) -> Fraction:
+    """Shift constant making a payoff with leaf numerators ``nums`` over ``den`` nonnegative.
 
     Payoffs that are already nonnegative are not shifted, so entry and exit
     react to the payoff's own conditional values; otherwise the least leaf
     value minus one is subtracted, making the shifted payoff strictly
     positive.
     """
-    if any(v.is_neg_inf for v in values):
+    m = min(nums)
+    if m == _NInf:
         raise ValueError("payoff must be bounded below")
-    m = min((v.finite for v in values if v.is_finite), default=Fraction(0))
-    return Fraction(0) if m >= 0 else m - 1
+    return Fraction(0) if m >= 0 else Fraction(m, den) - 1
 
 
 class _LevyMachine:
@@ -335,13 +335,14 @@ def levy_strategy(
     level order, raises ``AssertionError``.
     """
     a, b = Fraction(a), Fraction(b)
-    leaves = xi.leaf_values(game)
-    shift = _levy_shift(leaves)
+    leaves, nums, den = xi._leaf_level(game)
+    shift = _levy_shift(nums, den)
     if shift:
-        pad = ext(-shift)
-        leaves = [v + pad for v in leaves]
+        lift = int(-shift * den)
+        nums = [n if n.__class__ is float else n + lift for n in nums]
+        leaves = _read_out(nums, den)
     depth, k = xi.depth, len(game.outcomes)
-    conds = _sweep(game, leaves, 0, depth, depth)
+    conds = _sweep(game, (leaves, nums, den), 0, depth, depth)
     machine = _LevyMachine(a, b, slack)
     sits, flat = list(game.all_situations()), list(chain.from_iterable(conds))
     nums = machine.numerators(flat, depth)

@@ -621,6 +621,7 @@ def test_sup_variant_price_equal_to_the_next_level_moves_on():
 # -- the lattice sweep against the dense sweep -----------------------------
 
 from gtprob.expectation import _sweep
+from gtprob.extreal import _numerators
 from gtprob.functionals import UnknownGambleError
 
 
@@ -634,7 +635,8 @@ def outcome(call):
 
 def dense_levels(game, xi, s, keep, negate=False):
     """Every leaf below ``s`` swept whole, ignoring the payoff's automaton."""
-    return _sweep(game, xi.leaf_values(game, s), len(s), xi.depth, keep, negate)
+    leaves = xi.leaf_values(game, s)
+    return _sweep(game, (leaves, *_numerators(leaves)), len(s), xi.depth, keep, negate)
 
 
 def dense_value(game, xi, s, negate=False):
@@ -833,6 +835,8 @@ INPUT_CHECKS = {
         lambda: upper_table(coin_game(2), PARTIAL), KeyError, "payoff table has no entry for ('0', '1')"),
     "payoff_table_missing_leaf_in_its_leaves": (
         lambda: PARTIAL.leaf_values(coin_game(2), ("1",)), KeyError, "payoff table has no entry for ('1', '0')"),
+    "determinacy_at_a_negative_depth": (
+        lambda: determinacy_check(coin_game(2), PARTIAL, -1), ValueError, "determinacy depth must be nonnegative"),
     "payoff_value_at_the_wrong_depth": (
         lambda: Payoff.constant(1, 2).value(("0",)), ValueError, "payoff is settled at depth 2, got 1"),
     "window_with_both_sources": (
@@ -906,3 +910,82 @@ def test_library_input_checks_raise_their_text(call, kind, text):
     with pytest.raises(Exception) as caught:
         call()
     assert (type(caught.value), caught.value.args[0]) == (kind, text)
+
+
+# -- a table payoff's kept leaf level against a fresh copy -------------------
+
+from gtprob.strategies import levy_strategy
+
+
+def levy_signature(res):
+    cuts = [[c.members for c in cuts] for cuts in (res.trace.sigma, res.trace.tau)]
+    return res.table.table, res.cond_table.table, res.shift, res.halted, cuts
+
+
+# Each call reads one payoff; its result on the kept level must equal its result on a fresh copy.
+MEMO_CALLS = {
+    "upper": lambda game, xi, s, d: upper_expectation(game, xi, s),
+    "lower": lambda game, xi, s, d: lower_expectation(game, xi, s),
+    "leaves": lambda game, xi, s, d: xi.leaf_values(game, s[: xi.depth]),
+    "table": lambda game, xi, s, d: upper_table(game, xi).table,
+    "paths": lambda game, xi, s, d: path_values(game, xi, [s, s[:1]]),
+    "determinacy": lambda game, xi, s, d: determinacy_check(game, xi, d).gaps,
+    "touch": lambda game, xi, s, d: sup_variant_upper_expectation(game, xi),
+    "levy": lambda game, xi, s, d: levy_signature(levy_strategy(game, xi, Fraction(1, 2), Fraction(3, 2))),
+}
+
+
+@st.composite
+def memo_cases(draw):
+    k, depth = draw(st.integers(2, 3)), draw(st.integers(1, 5))
+    labels = [str(i) for i in range(k)]
+    orders = [OutcomeSet(labels), OutcomeSet(draw(st.permutations(labels).filter(lambda p: p != labels)))]
+
+    def content(outcomes):
+        kind = draw(st.sampled_from(["measure", "envelope", "sup"]))
+        if kind == "sup":
+            return SupContent(outcomes)
+        measures = [draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)) for _ in range(1 + (kind == "envelope"))]
+        return Envelope(outcomes, [[Fraction(w, sum(m)) for w in m] for m in measures])
+
+    games = [GameSpec(o, content(o), depth + draw(st.integers(0, 1))) for o in orders]
+    finite = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    leaf = finite | st.sampled_from([INF, NEG_INF]) if draw(st.booleans()) else finite
+    leaves = {s: ext(draw(leaf)) for s in orders[0].tuples(depth)}
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        game = draw(st.sampled_from(games))
+        s = tuple(draw(st.lists(st.sampled_from(labels), max_size=game.horizon)))
+        calls.append((draw(st.sampled_from(sorted(MEMO_CALLS))), game, s, draw(st.integers(0, depth))))
+    return leaves, depth, calls
+
+
+def test_the_leaves_a_table_payoff_returns_are_a_copy():
+    game = coin_game(2)
+    xi = Payoff.from_table({l: v for l, v in zip(BIN.tuples(2), [1, 2, 3, 4])}, 2)
+    for _ in range(2):  # the first call tabulates and keeps the level, the second reads it
+        xi.leaf_values(game)[:] = [ZERO] * 4
+        assert upper_expectation(game, xi) == ext("5/2")
+        assert [upper_table(game, xi).value(l) for l in BIN.tuples(2)] == list(map(ext, [1, 2, 3, 4]))
+
+
+def test_a_failed_root_read_keeps_nothing():
+    # Leaf 10 is missing: the root fails on it, the complete subtree below 0 prices.
+    game = coin_game(2)
+    xi = Payoff.from_table({("0", "0"): 1, ("0", "1"): "1/3", ("1", "1"): 2}, 2)
+    for _ in range(2):
+        with pytest.raises(KeyError, match=r"no entry for \('1', '0'\)"):
+            upper_expectation(game, xi)
+        assert upper_expectation(game, xi, ("0",)) == ext("2/3")
+    for name in [name for name in INPUT_CHECKS if name.startswith("payoff_table_missing_leaf")] * 2:
+        test_library_input_checks_raise_their_text(*INPUT_CHECKS[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(memo_cases())
+def test_a_kept_leaf_level_prices_as_a_fresh_table(case):
+    leaves, depth, calls = case
+    xi = Payoff.from_table(leaves, depth)
+    for name, game, s, d in calls:
+        fresh = Payoff.from_table(dict(leaves), depth)
+        assert outcome(lambda: MEMO_CALLS[name](game, xi, s, d)) == outcome(lambda: MEMO_CALLS[name](game, fresh, s, d))

@@ -603,8 +603,8 @@ MUTANTS = [
     Mutant(
         "negative-payoff-depth-admitted",
         "expectation.py",
-        "if depth < 0:",
-        "if depth < -1:",
+        "        if depth < 0:",
+        "        if depth < -1:",
         ("test_expectation.py",),
     ),
     Mutant(
@@ -634,6 +634,42 @@ MUTANTS = [
         "expectation.py",
         'raise KeyError(f"payoff table has no entry for {s!r}")',
         'raise KeyError(f"payoff table has no entry for {s[:-1]!r}")',
+        ("test_expectation.py",),
+    ),
+    Mutant(
+        "negative-determinacy-depth-admitted",
+        "expectation.py",
+        'raise ValueError("determinacy depth must be nonnegative")',
+        "pass",
+        ("test_expectation.py",),
+    ),
+    # -- a table payoff's kept leaf level ----------------------------------------
+    Mutant(
+        "kept-level-read-without-its-label-order",
+        "expectation.py",
+        "table.levels.get(outcomes.labels)",
+        "next(iter(table.levels.values()), None)",
+        ("test_expectation.py",),
+    ),
+    Mutant(
+        "kept-level-sliced-one-subtree-on",
+        "expectation.py",
+        "i = sum(outcomes.index(x)",
+        "i = k**span + sum(outcomes.index(x)",
+        ("test_expectation.py",),
+    ),
+    Mutant(
+        "kept-leaves-returned-uncopied",
+        "expectation.py",
+        "return list(self._leaf_level(game, s)[0])",
+        "return self._leaf_level(game, s)[0]",
+        ("test_expectation.py",),
+    ),
+    Mutant(
+        "subtree-level-kept-as-the-root",
+        "expectation.py",
+        "if table.__class__ is _Leaves and not s:",
+        "if table.__class__ is _Leaves:",
         ("test_expectation.py",),
     ),
     Mutant(
