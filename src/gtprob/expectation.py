@@ -24,11 +24,12 @@ rounds work on integer numerators over a common denominator, with a
 ``Fraction`` built only at read-out and no finite value ever in a float;
 an embedded forecaster round prices each menu symbol's sections by that
 symbol's rule, and any other functional node by node through ``eval_seq``.
-Situations of one depth in one state of a payoff's automaton share their
-conditional values, so an indicator's, a constant's and a capped run's
-expectations, values along paths and running-maximum price are swept on
-its state lattice; other payoffs, and every payoff's tables, on the tree,
-a table payoff's from its leaf level, tabulated once per outcome order.
+An indicator, a constant and a capped run are defined by an automaton
+alone, and the situations of one depth in one of its states share their
+conditional values, so their expectations, values along paths and
+running-maximum price are swept on its state lattice; other payoffs, and
+every payoff's tables, on the tree, whose leaves an automaton reaches one
+step per node and a table payoff reads from its kept leaf level.
 ``path_values`` reads every path from one sweep, one node per level.
 
 Lower expectation is the negation dual, swept on negated numerators.
@@ -73,10 +74,9 @@ __all__ = [
 
 
 class _Leaves(dict):
-    """A table payoff's leaves; a lookup runs in C, a missing leaf is named.
-    ``levels`` keeps the tabulated root leaf level per outcome-label order."""
+    """A table payoff's leaves; a lookup runs in C, a missing leaf is named."""
 
-    __slots__ = ("levels",)
+    __slots__ = ()
 
     def __missing__(self, s: Situation):
         raise KeyError(f"payoff table has no entry for {s!r}")
@@ -85,17 +85,16 @@ class _Leaves(dict):
 class Payoff:
     """A global payoff depending on the first ``depth`` outcomes.
 
-    Backed by either an explicit leaf table, whose leaf level it keeps per
-    outcome order once tabulated, or a rule; rule-backed payoffs can live
-    beyond the dense cap, table materialization is guarded.
-    ``event`` is the window an :func:`indicator` payoff indicates, and
-    only :func:`indicator` sets it; it is None for every other payoff.
-    Indicator, :meth:`constant` and :meth:`leading_ones_capped` payoffs also
-    carry an automaton ``(start, step, value)``: ``step(w, n, x)`` is the state
-    after outcome ``x`` of round ``n``, ``value`` the payoff of a state at ``depth``.
+    Defined by a rule, by a leaf table, whose root leaf level it keeps per
+    outcome order in ``_kept`` once tabulated, or by an automaton ``(start,
+    step, value)``: ``step(w, n, x)`` is the state after outcome ``x`` of round
+    ``n``, ``value`` the payoff of a state at ``depth``.  :func:`indicator`,
+    :meth:`constant` and :meth:`leading_ones_capped` payoffs are automata.
+    A payoff may settle beyond the dense cap; table materialization is guarded.
+    ``event`` is the window an indicator payoff indicates, else None.
     """
 
-    __slots__ = ("depth", "_fn", "event", "_automaton")
+    __slots__ = ("depth", "_fn", "event", "_automaton", "_kept")
 
     def __init__(self, depth: int, fn: Callable[[Situation], ExtReal]):
         if depth < 0:
@@ -104,11 +103,12 @@ class Payoff:
         self._fn = fn
         self.event: EventWindow | None = None
         self._automaton: tuple | None = None
+        self._kept: dict | None = None
 
     @classmethod
-    def _from_automaton(cls, depth: int, fn: Callable[[Situation], ExtReal], start, step, value) -> "Payoff":
-        """A payoff with rule ``fn`` and automaton ``(start, step, value)``; the two agree on every leaf."""
-        xi = cls(depth, fn)
+    def _from_automaton(cls, depth: int, start, step, value) -> "Payoff":
+        """The payoff worth ``value`` of the state the automaton ``(start, step, value)`` reaches at a leaf."""
+        xi = cls(depth, None)
         xi._automaton = (start, step, value)
         return xi
 
@@ -119,13 +119,14 @@ class Payoff:
         for s in table:
             if len(s) != depth:
                 raise ValueError(f"table key {s!r} does not have depth {depth}")
-        table.levels = {}
-        return cls(depth, table.__getitem__)
+        xi = cls(depth, table.__getitem__)
+        xi._kept = {}
+        return xi
 
     @classmethod
     def constant(cls, value, depth: int) -> "Payoff":
         v = ext(value)
-        return cls._from_automaton(depth, lambda s: v, None, lambda w, n, x: w, lambda w: v)
+        return cls._from_automaton(depth, None, lambda w, n, x: w, lambda w: v)
 
     @classmethod
     def leading_ones_capped(cls, cap, depth: int) -> "Payoff":
@@ -143,24 +144,15 @@ class Payoff:
         if depth < top:
             raise ValueError(f"depth {depth} too shallow for cap {cap}")
         values = [ext(min(Fraction(2**n), cap)) for n in range(top + 1)]
-
-        def fn(s: Situation) -> ExtReal:
-            n = 0
-            for x in s:
-                if x != "1" or n == top:
-                    break
-                n += 1
-            return values[n]
-
         # The state is (leading ones so far, whether the run may still grow).
         step = lambda w, n, x: (w[0] + 1, True) if w[1] and x == "1" and w[0] < top else (w[0], False)
-        return cls._from_automaton(depth, fn, (0, True), step, lambda w: values[w[0]])
+        return cls._from_automaton(depth, (0, True), step, lambda w: values[w[0]])
 
     def value(self, leaf: Situation) -> ExtReal:
         leaf = tuple(leaf)
         if len(leaf) != self.depth:
             raise ValueError(f"payoff is settled at depth {self.depth}, got {len(leaf)}")
-        return self._fn(leaf)
+        return self._fn(leaf) if self._automaton is None else self._automaton[2](self._state(leaf))
 
     def require_within(self, horizon: int) -> None:
         if self.depth > horizon:
@@ -173,25 +165,35 @@ class Payoff:
         config.require_dense(span, what="payoff tabulation")
         return span
 
-    def leaf_values(self, game: GameSpec, s: Situation = EMPTY) -> list[ExtReal]:
-        """The payoff at every leaf below ``s``, in rank order, once the horizon and cap hold."""
-        return list(self._leaf_level(game, s)[0])
+    def _state(self, s: Situation):
+        """The automaton's state after the outcomes of ``s``."""
+        state, step, _ = self._automaton
+        for n, x in enumerate(s, 1):
+            state = step(state, n, x)
+        return state
 
     def _leaf_level(self, game: GameSpec, s: Situation = EMPTY) -> tuple[list[ExtReal], list, int]:
-        """``(leaves, nums, den)`` below ``s`` in rank order, once the horizon and cap hold; a table
-        payoff keeps its root level per label order, and a read below ``s`` slices it at rank(s)*K**span."""
+        """``(leaves, nums, den)`` below ``s`` in rank order, once the horizon and cap hold.  A table
+        payoff keeps its root level per label order and slices a read below ``s`` at rank(s)*K**span;
+        an automaton steps once per node of the tree below ``s``, so ``value`` meets every leaf."""
         span, outcomes = self._span(game, s), game.outcomes
-        table = getattr(self._fn, "__self__", None)
-        kept = table.levels.get(outcomes.labels) if table.__class__ is _Leaves else None
-        if kept is not None and span >= 0 and all(map(outcomes.__contains__, s)):
+        kept = None if self._kept is None else self._kept.get(outcomes.labels)
+        if kept is not None:
             k = len(outcomes)
             i = sum(outcomes.index(x) * k ** (self.depth - 1 - n) for n, x in enumerate(s))  # rank(s)*K**span
             return kept[0][i : i + k**span], kept[1][i : i + k**span], kept[2]
-        rests = outcomes.tuples(span)
-        leaves = list(map(self._fn, map(s.__add__, rests) if s else rests))
+        if self._automaton is None:
+            rests = outcomes.tuples(span)
+            leaves = list(map(self._fn, map(s.__add__, rests) if s else rests))
+        else:
+            _, step, value = self._automaton
+            states, labels = [self._state(s)], outcomes.labels
+            for n in range(len(s) + 1, self.depth + 1):
+                states = [step(w, n, x) for w in states for x in labels]
+            leaves = list(map(value, states))
         level = (leaves, *_numerators(leaves))
-        if table.__class__ is _Leaves and not s:
-            table.levels[outcomes.labels] = level
+        if self._kept is not None and not s:
+            self._kept[outcomes.labels] = level
         return level
 
     def _lattice(self, game: GameSpec, s: Situation) -> tuple[tuple, list[list[int]] | None]:
@@ -201,10 +203,8 @@ class Payoff:
         if self._automaton is None:
             return self._leaf_level(game, s), None
         self._span(game, s)
-        state, step, value = self._automaton
-        for n, x in enumerate(s, 1):
-            state = step(state, n, x)
-        states, kids, labels = [state], [], game.outcomes.labels
+        _, step, value = self._automaton
+        states, kids, labels = [self._state(s)], [], game.outcomes.labels
         for n in range(len(s) + 1, self.depth + 1):
             index: dict = {}
             kids.append([index.setdefault(step(w, n, x), len(index)) for w in states for x in labels])
@@ -289,11 +289,8 @@ class EventWindow:
 
 def indicator(event: EventWindow) -> Payoff:
     """The 0/1 payoff of an event, settled at its window's end; it carries the event."""
-    xi = Payoff._from_automaton(
-        event.end, lambda s: ONE if event.member(s) else ZERO,
-        (), lambda w, n, x: w + (x,) if n >= event.start else w,  # the part of the window seen so far
-        lambda w: ONE if event.member_window(w) else ZERO,
-    )
+    step = lambda w, n, x: w + (x,) if n >= event.start else w  # the part of the window seen so far
+    xi = Payoff._from_automaton(event.end, (), step, lambda w: ONE if event.member_window(w) else ZERO)
     xi.event = event
     return xi
 

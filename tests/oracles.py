@@ -6,14 +6,17 @@ definitions, so the tests can check the library's traces against them.
 ``reference_price`` prices one gamble by each built-in functional's rule
 on ``Fraction`` values, the slow oracle for the library's integer forms.
 ``reference_phi_levels`` sweeps a forecasting system's outcome tree with a
-level loop of its own, the oracle for the embedded game's sweep.
+level loop of its own, the oracle for the embedded game's sweep.  The
+``reference_indicator``, ``reference_constant`` and ``reference_leading_ones``
+rules give a leaf's value from its definition, the oracles for the payoffs
+that the library defines by an automaton.
 """
 
 from fractions import Fraction
 
 from gtprob import config
 from gtprob.expectation import EventWindow
-from gtprob.extreal import INF, NEG_INF, ExtReal, _over, _read_out
+from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ExtReal, _over, _read_out, ext
 from gtprob.forecaster import EmbeddedContent, pair_label
 from gtprob.functionals import Envelope, Measure, OuterContent, SupContent
 from gtprob.gametree import Cut, Situation, is_prefix
@@ -45,6 +48,31 @@ def reference_price(content: OuterContent, values) -> ExtReal:
             for p in content.menu
         )
     return content.eval_seq(values)
+
+
+def reference_indicator(event: EventWindow):
+    """The rule of an event's indicator: 1 on a leaf in ``event``, else 0."""
+    return lambda leaf: ONE if event.member(leaf) else ZERO
+
+
+def reference_constant(value):
+    """The rule of a constant payoff."""
+    v = ext(value)
+    return lambda leaf: v
+
+
+def reference_leading_ones(cap):
+    """The rule of the capped doubling run: ``2**n`` for the ``n`` leading
+    ``"1"`` outcomes of a leaf, or ``cap`` if that is less."""
+    cap = Fraction(cap)
+
+    def rule(leaf: Situation) -> ExtReal:
+        n = 0
+        while n < len(leaf) and leaf[n] == "1":
+            n += 1
+        return ext(min(Fraction(2**n), cap))
+
+    return rule
 
 
 def reference_phi_levels(phi, event: EventWindow, prefix: Situation) -> list[list[ExtReal]]:

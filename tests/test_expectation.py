@@ -18,7 +18,7 @@ from gtprob.expectation import (
     upper_probability,
     upper_table,
 )
-from oracles import reference_price, union_of
+from oracles import reference_constant, reference_indicator, reference_leading_ones, reference_price, union_of
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -336,7 +336,7 @@ def test_indicator_payoffs_carry_their_event():
     assert repr(indicator(event)) == "Payoff(depth=2, event=EventWindow([2, 2] 'w2=1'))"
     assert repr(Payoff.constant(1, 2)) == "Payoff(depth=2, event=None)"
     assert repr(EventWindow(1, 2, predicate=lambda w: True)) == "EventWindow([1, 2])"
-    assert Payoff.__slots__ == ("depth", "_fn", "event", "_automaton")
+    assert Payoff.__slots__ == ("depth", "_fn", "event", "_automaton", "_kept")
     assert Payoff(2, lambda s: ONE)._automaton is None
 
 
@@ -390,7 +390,7 @@ def test_monotone_in_the_payoff():
 
 # -- the level kernel against a node-by-node reference ---------------------
 
-from hypothesis import settings
+from hypothesis import example, settings
 
 from gtprob.extreal import NEG_INF
 from gtprob.functionals import Gamble, TableContent, extend_bounded_below
@@ -634,8 +634,8 @@ def outcome(call):
 
 
 def dense_levels(game, xi, s, keep, negate=False):
-    """Every leaf below ``s`` swept whole, ignoring the payoff's automaton."""
-    leaves = xi.leaf_values(game, s)
+    """Every leaf below ``s``, read one by one through ``Payoff.value``, swept whole."""
+    leaves = [xi.value(s + rest) for rest in game.outcomes.tuples(xi._span(game, s))]
     return _sweep(game, (leaves, *_numerators(leaves)), len(s), xi.depth, keep, negate)
 
 
@@ -671,16 +671,8 @@ LATTICE_VALUES = st.sampled_from([ext(v) for v in ("-2", "-1/2", "0", "1", "3/2"
 
 def automaton_payoff(depth, start, delta, values):
     """A payoff read off the automaton whose state moves from ``w`` to
-    ``delta[w, n, x]`` on outcome ``x`` of round ``n``; its rule runs the
-    same table along the leaf."""
-
-    def fn(s):
-        w = start
-        for n, x in enumerate(s, 1):
-            w = delta[w, n, x]
-        return values[w]
-
-    return Payoff._from_automaton(depth, fn, start, lambda w, n, x: delta[w, n, x], values.__getitem__)
+    ``delta[w, n, x]`` on outcome ``x`` of round ``n``."""
+    return Payoff._from_automaton(depth, start, lambda w, n, x: delta[w, n, x], values.__getitem__)
 
 
 @st.composite
@@ -765,29 +757,28 @@ def test_quotient_sweep_matches_the_dense_sweep(case):
         assert touch[1] == scan_touch_price(game, xi)
 
 
-def run_automaton(xi, leaf):
-    state, step, value = xi._automaton
-    for n, x in enumerate(leaf, 1):
-        state = step(state, n, x)
-    return value(state)
-
-
 def test_each_factory_automaton_agrees_with_its_rule():
+    # Each factory's leaf values, read one by one and on the tree, against
+    # the reference rule of its kind.
     for depth in range(8):
         leaves = list(BIN.tuples(depth))
-        payoffs = [Payoff.constant(v, depth) for v in (ext("-3/2"), ZERO, INF, NEG_INF)]
+        pairs = [(Payoff.constant(v, depth), reference_constant(v)) for v in (ext("-3/2"), ZERO, INF, NEG_INF)]
         for cap in range(1, 301):
             if 2**depth >= cap:
-                payoffs += [Payoff.leading_ones_capped(c, depth) for c in (cap, Fraction(2 * cap + 1, 3))]
+                caps = (cap, Fraction(2 * cap + 1, 3))
+                pairs += [(Payoff.leading_ones_capped(c, depth), reference_leading_ones(c)) for c in caps]
             else:
                 with pytest.raises(ValueError, match="too shallow"):
                     Payoff.leading_ones_capped(cap, depth)
         for start in range(1, depth + 1):
             odd = EventWindow(start, depth, predicate=lambda w: w.count("1") % 2 == 1)
-            payoffs += [indicator(odd), indicator(odd.complement())]
-            payoffs.append(indicator(EventWindow(start, depth, accepts=[("1",) * (depth - start + 1)])))
-        for xi in payoffs:
-            assert [run_automaton(xi, leaf) for leaf in leaves] == [xi.value(leaf) for leaf in leaves]
+            ones = EventWindow(start, depth, accepts=[("1",) * (depth - start + 1)])
+            pairs += [(indicator(event), reference_indicator(event)) for event in (odd, odd.complement(), ones)]
+        for xi, rule in pairs:
+            expected = [rule(leaf) for leaf in leaves]
+            assert [xi.value(leaf) for leaf in leaves] == expected
+            if depth:
+                assert xi._leaf_level(coin_game(depth))[0] == expected
 
 
 def test_a_price_list_fails_on_the_gamble_the_dense_sweep_fails_on():
@@ -833,8 +824,6 @@ INPUT_CHECKS = {
         lambda: upper_expectation(coin_game(2), PARTIAL, ("1",)), KeyError, "payoff table has no entry for ('1', '0')"),
     "payoff_table_missing_leaf_in_its_table": (
         lambda: upper_table(coin_game(2), PARTIAL), KeyError, "payoff table has no entry for ('0', '1')"),
-    "payoff_table_missing_leaf_in_its_leaves": (
-        lambda: PARTIAL.leaf_values(coin_game(2), ("1",)), KeyError, "payoff table has no entry for ('1', '0')"),
     "determinacy_at_a_negative_depth": (
         lambda: determinacy_check(coin_game(2), PARTIAL, -1), ValueError, "determinacy depth must be nonnegative"),
     "payoff_value_at_the_wrong_depth": (
@@ -926,7 +915,7 @@ def levy_signature(res):
 MEMO_CALLS = {
     "upper": lambda game, xi, s, d: upper_expectation(game, xi, s),
     "lower": lambda game, xi, s, d: lower_expectation(game, xi, s),
-    "leaves": lambda game, xi, s, d: xi.leaf_values(game, s[: xi.depth]),
+    "leaves": lambda game, xi, s, d: xi._leaf_level(game, s[: xi.depth])[0],
     "table": lambda game, xi, s, d: upper_table(game, xi).table,
     "paths": lambda game, xi, s, d: path_values(game, xi, [s, s[:1]]),
     "determinacy": lambda game, xi, s, d: determinacy_check(game, xi, d).gaps,
@@ -960,15 +949,6 @@ def memo_cases(draw):
     return leaves, depth, calls
 
 
-def test_the_leaves_a_table_payoff_returns_are_a_copy():
-    game = coin_game(2)
-    xi = Payoff.from_table({l: v for l, v in zip(BIN.tuples(2), [1, 2, 3, 4])}, 2)
-    for _ in range(2):  # the first call tabulates and keeps the level, the second reads it
-        xi.leaf_values(game)[:] = [ZERO] * 4
-        assert upper_expectation(game, xi) == ext("5/2")
-        assert [upper_table(game, xi).value(l) for l in BIN.tuples(2)] == list(map(ext, [1, 2, 3, 4]))
-
-
 def test_a_failed_root_read_keeps_nothing():
     # Leaf 10 is missing: the root fails on it, the complete subtree below 0 prices.
     game = coin_game(2)
@@ -981,8 +961,14 @@ def test_a_failed_root_read_keeps_nothing():
         test_library_input_checks_raise_their_text(*INPUT_CHECKS[name])
 
 
+# The level kept under the order 0, 1 lists leaf 00 first; under 1, 0 the first leaf is 11.
+ORDER_GAMES = [GameSpec(o, Measure(o, ["1/3", "2/3"]), 2) for o in (OutcomeSet(["0", "1"]), OutcomeSet(["1", "0"]))]
+BOTH_ORDERS = (dict(zip(BIN.tuples(2), map(ext, [1, 2, 3, 4]))), 2, [("table", g, EMPTY, 0) for g in ORDER_GAMES * 2])
+
+
 @settings(max_examples=80, deadline=None)
 @given(memo_cases())
+@example(BOTH_ORDERS)
 def test_a_kept_leaf_level_prices_as_a_fresh_table(case):
     leaves, depth, calls = case
     xi = Payoff.from_table(leaves, depth)

@@ -68,8 +68,15 @@ MUTANTS = [
     Mutant(
         "lattice-state-not-advanced-along-s",
         "expectation.py",
-        "            state = step(state, n, x)\n",
-        "            pass\n",
+        "[self._state(s)], [], game.outcomes.labels",
+        "[self._automaton[0]], [], game.outcomes.labels",
+        EXPECTATION,
+    ),
+    Mutant(
+        "state-returns-the-start-state",
+        "expectation.py",
+        "            state = step(state, n, x)\n        return state\n",
+        "            state = step(state, n, x)\n        return self._automaton[0]\n",
         EXPECTATION,
     ),
     Mutant(
@@ -97,8 +104,8 @@ MUTANTS = [
     Mutant(
         "cap-dropped-on-the-lattice",
         "expectation.py",
-        "        self._span(game, s)\n        state, step, value",
-        "        state, step, value",
+        "        self._span(game, s)\n        _, step, value",
+        "        _, step, value",
         ("test_cli.py",),
     ),
     Mutant(
@@ -643,12 +650,27 @@ MUTANTS = [
         "pass",
         ("test_expectation.py",),
     ),
+    # -- an automaton's tree walk ------------------------------------------------
+    Mutant(
+        "tree-walk-starts-at-depth-len-s",
+        "expectation.py",
+        "for n in range(len(s) + 1, self.depth + 1):\n                states = [step(w, n, x)",
+        "for n in range(len(s), self.depth):\n                states = [step(w, n, x)",
+        EXPECTATION,
+    ),
+    Mutant(
+        "tree-walk-values-the-merged-states",
+        "expectation.py",
+        "leaves = list(map(value, states))",
+        "leaves = list(map({w: value(w) for w in dict.fromkeys(states)}.__getitem__, states))",
+        EXPECTATION,
+    ),
     # -- a table payoff's kept leaf level ----------------------------------------
     Mutant(
         "kept-level-read-without-its-label-order",
         "expectation.py",
-        "table.levels.get(outcomes.labels)",
-        "next(iter(table.levels.values()), None)",
+        "self._kept.get(outcomes.labels)",
+        "next(iter(self._kept.values()), None)",
         ("test_expectation.py",),
     ),
     Mutant(
@@ -659,17 +681,17 @@ MUTANTS = [
         ("test_expectation.py",),
     ),
     Mutant(
-        "kept-leaves-returned-uncopied",
+        "subtree-level-kept-as-the-root",
         "expectation.py",
-        "return list(self._leaf_level(game, s)[0])",
-        "return self._leaf_level(game, s)[0]",
+        "if self._kept is not None and not s:",
+        "if self._kept is not None:",
         ("test_expectation.py",),
     ),
     Mutant(
-        "subtree-level-kept-as-the-root",
+        "kept-filled-by-a-read-below-a-situation",
         "expectation.py",
-        "if table.__class__ is _Leaves and not s:",
-        "if table.__class__ is _Leaves:",
+        "if self._kept is not None and not s:",
+        "if self._kept is not None and s:",
         ("test_expectation.py",),
     ),
     Mutant(
