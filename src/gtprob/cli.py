@@ -249,7 +249,7 @@ def cmd_simulate(args, game: GameSpec) -> int:
     if res is not None:
         capitals = [res.table.value(s) for s in prefixes]
     if cond is None:
-        cond = [""] * len(prefixes) if xi is None else path_values(game, xi, [path])[0]
+        cond = [""] * len(prefixes) if xi is None else path_values(game, xi)(path)
 
     rows = []
     for n, s in enumerate(prefixes):

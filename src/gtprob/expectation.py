@@ -24,13 +24,14 @@ rounds work on integer numerators over a common denominator, with a
 ``Fraction`` built only at read-out and no finite value ever in a float;
 an embedded forecaster round prices each menu symbol's sections by that
 symbol's rule, and any other functional node by node through ``eval_seq``.
-An indicator, a constant and a capped run are defined by an automaton
-alone, and the situations of one depth in one of its states share their
-conditional values, so their expectations, values along paths and
-running-maximum price are swept on its state lattice; other payoffs, and
-every payoff's tables, on the tree, whose leaves an automaton reaches one
-step per node and a table payoff reads from its kept leaf level.
-``path_values`` reads every path from one sweep, one node per level.
+An indicator, a constant, a capped run and a forecaster's on-rule event
+are defined by an automaton alone, and the situations of one depth in one
+of its states share their conditional values, so their expectations,
+values along paths and running-maximum price are swept on its state
+lattice; other payoffs, and every payoff's tables, on the tree, whose
+leaves an automaton reaches one step per node and a table payoff reads
+from its kept leaf level.  ``path_values`` sweeps once and returns a
+reader that walks any path down the sweep, one node per level.
 
 Lower expectation is the negation dual, swept on negated numerators.
 Upper/lower probability route an event's indicator through the same
@@ -358,20 +359,22 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     return Supermartingale(table, xi.depth)
 
 
-def path_values(game: GameSpec, xi: Payoff, paths: Iterable[Situation]) -> list[list[ExtReal]]:
-    """The values ``upper_table(game, xi)`` holds at every prefix of each
-    path, from one sweep of the state lattice if ``xi`` has one, else of
-    the tree; the paths are checked after the sweep."""
+def path_values(game: GameSpec, xi: Payoff) -> Callable[[Situation], list[ExtReal]]:
+    """One sweep of the state lattice if ``xi`` has one, else of the tree,
+    and a reader of the values ``upper_table(game, xi)`` holds at every
+    prefix of a path, which checks the path and walks it one node per level."""
     level, kids = xi._lattice(game, EMPTY)
     levels = _sweep(game, level, 0, xi.depth, xi.depth, kids=kids)
-    k, index, rows = len(game.outcomes), game.outcomes.index, []
-    for path in paths:
+    k, index = len(game.outcomes), game.outcomes.index
+
+    def read(path: Situation) -> list[ExtReal]:
         path, i, row = game.validate_situation(path), 0, [levels[0][0]]
         for d, x in enumerate(path[: xi.depth]):
             i = i * k + index(x) if kids is None else kids[d][i * k + index(x)]
             row.append(levels[d + 1][i])
-        rows.append(row + row[-1:] * (len(path) - xi.depth))  # past the payoff's depth, the leaf's value
-    return rows
+        return row + row[-1:] * (len(path) - xi.depth)  # past the payoff's depth, the leaf's value
+
+    return read
 
 
 def upper_probability(game: GameSpec, event: EventWindow, s: Situation = EMPTY) -> ExtReal:

@@ -15,13 +15,12 @@ natively (alternating a worst-case-over-menu step with a priced step)
 coincide with upper expectations of the lifted payoff in the embedded
 game; tests assert the round trip exactly.
 
-A forecasting system is a rule mapping outcome histories to predictions.
-An outcome event's upper probability under one is that of the embedded
-event pinning every prediction coordinate up to the window's end to the
-rule, swept in the embedded game on that event's lattice: the histories on
-the rule, and below the conditioning prefix one off-rule node per depth,
-where every child whose symbol is off the rule goes.  That node is worth 0
-at the window's end and, above, the round's price of the one below it.
+A forecasting system's rule reads the state of a small automaton: one state
+for a constant system, the last outcome for a last-outcome one, the history
+for a table.  An outcome event's upper probability under a system is that of
+the embedded event pinning every prediction up to the window's end to the
+rule, an automaton payoff on the system's states plus one absorbing off-rule
+state worth 0, swept by the one kernel on its state lattice.
 The mixing check quantifies over all outcome prefixes (minus an explicit
 exception list) and all supplied events whose window clears the declared
 gap; the quantifier over *all* sufficiently remote events is not finitely
@@ -32,13 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from gtprob import config
-from gtprob.extreal import ExtReal, ONE, ZERO, _numerators, _over, ext
+from gtprob.extreal import ExtReal, ONE, ZERO, _over, ext
 from gtprob.functionals import OutcomeSet, OuterContent
-from gtprob.gametree import GameSpec, Situation, format_situation
-from gtprob.expectation import EventWindow, Payoff, _sweep
+from gtprob.gametree import EMPTY, GameSpec, Situation, format_situation
+from gtprob.expectation import EventWindow, Payoff, path_values, upper_expectation
 
 __all__ = [
     "Protocol2Spec",
@@ -193,8 +193,8 @@ def upper_expectation_p2(
         best = None
         for p in menu:
             content = spec.contents[p]
-            kids = [value(s + ((p, x),)) for x in spec.outcomes.labels]
-            v = content.eval_seq(kids)
+            children = [value(s + ((p, x),)) for x in spec.outcomes.labels]
+            v = content.eval_seq(children)
             best = v if best is None else max(best, v)
         return best
 
@@ -209,15 +209,15 @@ class ForecastError(ValueError):
 
 
 class ForecastingSystem:
-    """A rule mapping outcome histories to predictions, one per round."""
+    """A rule mapping a state of the automaton ``(start, step)`` to a prediction each round, ``step(w, x)``
+    being the state after outcome ``x``; by default the state is the outcome history."""
 
-    def __init__(self, spec: Protocol2Spec, rule: Callable[[Situation], str]):
-        self.spec = spec
-        self._rule = rule
+    def __init__(self, spec: Protocol2Spec, rule: Callable, start=EMPTY, step=lambda w, x: w + (x,)):
+        self.spec, self._rule, self._start, self._step = spec, rule, start, step
 
     @classmethod
     def constant(cls, spec: Protocol2Spec, symbol: str) -> "ForecastingSystem":
-        return cls(spec, lambda s: symbol)
+        return cls(spec, lambda w: symbol, None, lambda w, x: None)
 
     @classmethod
     def from_table(cls, spec: Protocol2Spec, table: Mapping[Situation, str]) -> "ForecastingSystem":
@@ -225,7 +225,7 @@ class ForecastingSystem:
 
         def rule(s: Situation) -> str:
             try:
-                return fixed[tuple(s)]
+                return fixed[s]
             except KeyError:
                 history = format_situation(s, spec.outcomes) or "□"
                 raise ForecastError(f"forecasting table has no entry for history {history}")
@@ -237,17 +237,17 @@ class ForecastingSystem:
         cls, spec: Protocol2Spec, by_outcome: Mapping[str, str], initial: str
     ) -> "ForecastingSystem":
         """Predict from the most recent outcome; ``initial`` opens play."""
-
-        def rule(s: Situation) -> str:
-            return initial if not s else by_outcome[s[-1]]
-
-        return cls(spec, rule)
+        return cls(spec, lambda w: initial if w is None else by_outcome[w], None, lambda w, x: x)
 
     def predict(self, history: Situation) -> str:
-        p = self._rule(tuple(history))
-        menu = self.spec.menu_at(len(history) + 1)
+        return self._on_menu(reduce(self._step, history, self._start), len(history) + 1)
+
+    def _on_menu(self, w, n: int) -> str:
+        """The prediction in state ``w`` for round ``n``, refused off the round's menu."""
+        p = self._rule(w)
+        menu = self.spec.menu_at(n)
         if p not in menu:
-            raise ForecastError(f"rule returned {p!r} at round {len(history) + 1}, menu is {menu}")
+            raise ForecastError(f"rule returned {p!r} at round {n}, menu is {menu}")
         return p
 
 
@@ -259,52 +259,57 @@ def chi_phi(phi: ForecastingSystem, chi: Sequence[str]) -> PairPath:
     if len(chi) > phi.spec.horizon:
         raise ValueError("outcome path longer than the horizon")
     out: list[tuple[str, str]] = []
+    w = phi._start
     for n, x in enumerate(chi):
-        p = phi.predict(chi[:n])
+        p = phi._on_menu(w, n + 1)
         if x not in phi.spec.outcomes:
             raise ValueError(f"situation uses unknown outcome {pair_label(p, x)!r}")
         out.append((p, x))
+        w = phi._step(w, x)
     return tuple(out)
 
 
-def _phi_levels(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -> list[list[ExtReal]]:
-    """Upper probabilities of ``event`` under ``phi`` at the outcome
-    histories from ``prefix`` to the window's end, one level per depth in
-    base-K rank order; each level's off-rule node, its last, is dropped."""
-    spec, top = phi.spec, len(prefix)
-    bottom = max(event.end, top)
+def _on_rule(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -> Payoff:
+    """``event`` with every prediction on ``phi``'s rule, as an automaton payoff of the embedded game: the
+    state is ``phi``'s state, its prediction there and the part of the window seen so far, or None (worth
+    0) off the rule.  Raises first if the window, the cap or a prediction below ``prefix`` is refused."""
+    spec, end, rule, advance, checked = phi.spec, event.end, phi._rule, phi._step, set()
     event.require_within(spec.horizon)
-    config.require_dense(event.end - top, what="conditional expectation sweep")
-    symbols, k, preds, leaves = spec.all_predictions, len(spec.outcomes), [[] for _ in range(top, bottom)], []
+    config.require_dense(end - len(prefix), what="conditional expectation sweep")
 
-    def scan(h: Situation) -> None:
-        # Depth first: the rule is asked in the embedded event's leaf-scan order.
-        if len(h) == bottom:
-            leaves.append(ONE if event.member(h) else ZERO)
-            return
-        preds[len(h) - top].append(phi.predict(h))
-        for x in spec.outcomes.labels:
-            scan(h + (x,))
+    def check(w, n: int) -> None:
+        # Depth first, so the first refused history is the embedded game's (the lattice asks breadth first).
+        if n < end and (w, n) not in checked:
+            checked.add((w, n))
+            phi._on_menu(w, n + 1)
+            for x in spec.outcomes.labels:
+                check(advance(w, x), n + 1)
 
-    scan(prefix)
-    off, kids = len(symbols) > 1, []
-    for d, row in enumerate(preds):
-        width = k ** (d + 1)  # the off-rule node's index one depth down
-        row += [None] * (off and d > 0)  # the off-rule node: every child is off the rule
-        kids.append([r * k + j if q == p else width for r, p in enumerate(row) for q in symbols for j in range(k)])
-    leaves += [ZERO] * (off and bottom > top)
-    levels = _sweep(embed(spec), (leaves, *_numerators(leaves)), top, bottom, bottom, kids=kids)
-    return [level[: k**i] for i, level in enumerate(levels)]
+    check(reduce(advance, prefix, phi._start), len(prefix))
+    pairs = {pair_label(p, x): (p, x) for p in spec.all_predictions for x in spec.outcomes.labels}
+
+    def step(v, n: int, label: str):
+        if v is not None:
+            p, x = pairs[label]
+            if p == v[1]:
+                w = advance(v[0], x)
+                return w, rule(w) if n < end else None, v[2] + (x,) if n >= event.start else v[2]
+        return None
+
+    value = lambda v: ONE if v is not None and event.member_window(v[2]) else ZERO
+    return Payoff._from_automaton(end, (phi._start, rule(phi._start), ()), step, value)
 
 
 def upper_prob_phi(
     phi: ForecastingSystem, event: EventWindow, chi_prefix: Sequence[str] = ()
 ) -> ExtReal:
     """Upper probability of an outcome event under a fixed forecasting
-    system, conditional on an outcome prefix: the embedded game's value at
-    the interleaved prefix, swept on the outcome tree below the prefix."""
-    chi_phi(phi, chi_prefix)  # refuses unknown outcomes and off-menu predictions
-    return _phi_levels(phi, event, tuple(chi_prefix))[0][0]
+    system, conditional on an outcome prefix: the embedded game's upper
+    expectation of the on-rule event at the interleaved prefix, swept on
+    that event's state lattice."""
+    at = tuple(pair_label(p, x) for p, x in chi_phi(phi, chi_prefix))  # refuses off-menu predictions first
+    xi = _on_rule(phi, event, tuple(chi_prefix))
+    return upper_expectation(embed(phi.spec), xi, at)
 
 
 # -- mixing ----------------------------------------------------------------------
@@ -350,7 +355,8 @@ def delta_mixing_check(
     ``n <= max_prefix`` raises the upper probability of each supplied
     event whose window starts at or past ``n + gap`` by at most
     ``delta``.  Each event is swept once from the root, and every prefix
-    reads its conditional from that table (past the window's end, its leaf).
+    reads its conditional from that sweep by walking the interleaved prefix
+    down the on-rule event's lattice (past the window's end, its leaf).
 
     Also evaluates the two-sided dichotomy on the supplied events: upper
     probability 0 or at least ``1 - delta``.  Both checks are finite
@@ -360,20 +366,20 @@ def delta_mixing_check(
     skip = {tuple(s) for s in exceptions}
     report = MixingReport(phi.spec.outcomes, delta)
     config.require_dense(max_prefix, what="mixing prefix enumeration")
-    tables = [_phi_levels(phi, event, ()) for event in events]
-    k = len(phi.spec.outcomes)
+    game = embed(phi.spec)
+    readers = [path_values(game, _on_rule(phi, event, EMPTY)) for event in events]
     worst: ExtReal | None = None
     for n in range(1, max_prefix + 1):
         remote = [(idx, e) for idx, e in enumerate(events) if e.start >= n + gap]
         if not remote:
             continue
-        for rank, prefix in enumerate(phi.spec.outcomes.tuples(n)):
+        for prefix in phi.spec.outcomes.tuples(n):
             if prefix in skip:
                 continue
-            chi_phi(phi, prefix)
+            at = tuple(pair_label(p, x) for p, x in chi_phi(phi, prefix))
             for idx, event in remote:
-                cond = tables[idx][min(n, event.end)][rank // k ** max(n - event.end, 0)]
-                margin = cond - tables[idx][0][0]
+                row = readers[idx](at)
+                cond, margin = row[n], row[n] - row[0]
                 report.rows.append((n, event.label or f"event{idx}", prefix, cond, margin))
                 if worst is None or margin > worst:
                     worst = margin
@@ -382,7 +388,7 @@ def delta_mixing_check(
                     report.violations += 1
     report.worst_margin = worst if worst is not None else ZERO
     for idx, event in enumerate(events):
-        v = tables[idx][0][0]
+        v = readers[idx](EMPTY)[0]
         ok = v == ZERO or v >= ONE - ext(delta)
         report.dichotomy.append((event.label or f"event{idx}", v, ok))
     return report

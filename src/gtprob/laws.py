@@ -126,7 +126,7 @@ def levy_experiment(game: GameSpec, xi: Payoff, paths: Sequence[Situation]) -> L
     """Conditional upper expectations along each path, with the exact
     terminal check, plus event-reaching flags for indicator payoffs."""
     report = LevyExperimentReport(game.outcomes)
-    for raw, values in zip(paths, path_values(game, xi, paths)):
+    for raw, values in zip(paths, list(map(path_values(game, xi), paths))):
         path = tuple(raw)
         require_levy_path(xi, path)
         terminal_ok = values[-1] == xi.value(path)

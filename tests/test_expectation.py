@@ -747,7 +747,7 @@ def test_quotient_sweep_matches_the_dense_sweep(case):
     # the dense sweep's below it.
     dense_rows = outcome(lambda: [[dense_value(game, xi, s[:n]) for n in range(len(s) + 1)] for s in situations])
     for payoff in (xi, Payoff(xi.depth, xi.value)):
-        assert outcome(lambda: path_values(game, payoff, situations)) == dense_rows
+        assert outcome(lambda: list(map(path_values(game, payoff), situations))) == dense_rows
     # The running-maximum price on the lattice, against a rule-only copy on
     # the tree and, on small trees priced by built-ins, the memoized scan.
     touch = outcome(lambda: sup_variant_upper_expectation(game, xi))
@@ -917,7 +917,7 @@ MEMO_CALLS = {
     "lower": lambda game, xi, s, d: lower_expectation(game, xi, s),
     "leaves": lambda game, xi, s, d: xi._leaf_level(game, s[: xi.depth])[0],
     "table": lambda game, xi, s, d: upper_table(game, xi).table,
-    "paths": lambda game, xi, s, d: path_values(game, xi, [s, s[:1]]),
+    "paths": lambda game, xi, s, d: list(map(path_values(game, xi), [s, s[:1]])),
     "determinacy": lambda game, xi, s, d: determinacy_check(game, xi, d).gaps,
     "touch": lambda game, xi, s, d: sup_variant_upper_expectation(game, xi),
     "levy": lambda game, xi, s, d: levy_signature(levy_strategy(game, xi, Fraction(1, 2), Fraction(3, 2))),

@@ -21,13 +21,13 @@ from gtprob.functionals import (
     extend_bounded_below,
 )
 from gtprob.gametree import verify_supermartingale
-from gtprob.expectation import EventWindow, Payoff, indicator, upper_expectation, upper_table
+from gtprob.expectation import EventWindow, Payoff, indicator, path_values, upper_expectation, upper_table
 from gtprob.forecaster import (
     ForecastError,
     ForecastingSystem,
     MixingReport,
     Protocol2Spec,
-    _phi_levels,
+    _on_rule,
     chi_phi,
     delta_mixing_check,
     embed,
@@ -359,8 +359,9 @@ def settle(fn):
 
 @st.composite
 def forecaster_cases(draw, deep=False):
-    """A spec, a forecasting table and events on one window.  ``deep``
-    lets the horizon reach 5 and the system be a last-outcome rule."""
+    """A spec, a forecasting system and events on one window.  The system is
+    a table or a constant; ``deep`` lets the horizon reach 5 and the system
+    be a last-outcome rule too."""
     k = draw(st.sampled_from([2, 3]))
     outcomes = OutcomeSet([str(i) for i in range(k)])
     symbols = ["a", "b", "c"][: draw(st.integers(1, 3))]
@@ -413,7 +414,11 @@ def forecaster_cases(draw, deep=False):
         else:
             rule.pop(h, None)
     phi = ForecastingSystem.from_table(spec, rule)
-    if deep and draw(st.booleans()):
+    kind = draw(st.sampled_from(["table", "constant", "last-outcome"][: 2 + deep]))
+    if kind == "constant":
+        # Always on the first round's menu, not always on a later one's.
+        phi = ForecastingSystem.constant(spec, draw(st.sampled_from(menus[0])))
+    elif kind == "last-outcome":
         by_outcome = {x: draw(st.sampled_from(symbols)) for x in outcomes.labels}
         phi = ForecastingSystem.last_outcome(spec, by_outcome, draw(st.sampled_from(menus[0])))
     start = draw(st.integers(1, horizon))
@@ -459,13 +464,27 @@ def test_mixing_report_matches_the_embedded_game(case, data):
 @given(forecaster_cases(deep=True), st.data())
 def test_every_level_of_the_embedded_sweep_matches_the_level_loop(case, data):
     phi, events = case
-    horizon = phi.spec.horizon
-    path = tuple(data.draw(st.lists(st.sampled_from(phi.spec.outcomes.labels), min_size=horizon, max_size=horizon)))
+    spec, horizon = phi.spec, phi.spec.horizon
+    path = tuple(data.draw(st.lists(st.sampled_from(spec.outcomes.labels), min_size=horizon, max_size=horizon)))
+
+    def interleaved(h):
+        return tuple(pair_label(p, x) for p, x in chi_phi(phi, h))
+
+    def root_levels(event):
+        # The mixing check's read: one root sweep, walked down to every outcome history.
+        read = path_values(embed(spec), _on_rule(phi, event, ()))
+        return [[read(interleaved(h))[d] for h in spec.outcomes.tuples(d)] for d in range(event.end + 1)]
+
+    def reference_at(prefix, event):
+        chi_phi(phi, prefix)  # upper_prob_phi refuses an off-menu prediction along the prefix first
+        return reference_phi_levels(phi, event, prefix)[0][0]
+
     for event in events:
+        assert settle(lambda: root_levels(event)) == settle(lambda: reference_phi_levels(phi, event, ()))
         # Prefixes shorter than, as long as and longer than the window.
         for n in sorted({0, event.end - 1, event.end, min(event.end + 1, horizon)}):
-            assert settle(lambda: _phi_levels(phi, event, path[:n])) == settle(
-                lambda: reference_phi_levels(phi, event, path[:n])
+            assert settle(lambda: upper_prob_phi(phi, event, path[:n])) == settle(
+                lambda: reference_at(path[:n], event)
             )
 
 
@@ -540,6 +559,36 @@ def test_first_failing_history_matches_the_embedded_scan():
     expected = (ForecastError, "forecasting table has no entry for history 0")
     assert settle(lambda: upper_prob_phi(phi, event)) == expected
     assert settle(lambda: embedded_upper_prob(phi, event)) == expected
+
+
+class CountingMap(dict):
+    """A dict that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_a_last_outcome_system_is_swept_on_its_states_not_its_histories():
+    # Fourteen rounds hold 2**14 histories but three states of the system.
+    spec = spec_with([("a", "b")] * 14, {"a": Measure(BIN, [Fraction(1, 3), Fraction(2, 3)]), "b": SUP})
+    by_outcome = CountingMap({"0": "a", "1": "b"})
+    phi = ForecastingSystem.last_outcome(spec, by_outcome, "a")
+    event = EventWindow(11, 14, predicate=lambda w: w.count("1") >= 2)
+    assert upper_prob_phi(phi, event) == ext("1594322/1594323")
+    assert by_outcome.reads < 200
+    by_outcome.reads = 0
+    delta_mixing_check(phi, Fraction(0), 1, [event], max_prefix=2)
+    assert by_outcome.reads < 200
+
+
+def test_a_constant_symbol_off_a_later_menu_is_refused():
+    # The system has one state, yet its symbol is checked against every round's menu.
+    phi = ForecastingSystem.constant(spec_with([("c", "s"), ("s",)], {"c": COIN, "s": SUP}), "c")
+    with pytest.raises(ForecastError, match=r"^rule returned 'c' at round 2, menu is \('s',\)$"):
+        upper_prob_phi(phi, EventWindow.coordinate_is(2, "1"))
 
 
 def test_unknown_outcome_in_a_prefix_is_named_with_its_prediction():

@@ -62,6 +62,9 @@ TABLE_ROUND = {
 }
 K3 = {"type": "measure", "probs": {"lo": "1/3", "1": "1/3", "hi": "1/3"}}
 P2 = {"outcomes": ["0", "1"], "predictions": [["a", "b"]] * 3, "contents": {"a": COIN, "b": M13}}
+ENVELOPE = {"type": "envelope", "measures": [{"0": "1/3", "1": "2/3"}, {"0": "3/4", "1": "1/4"}]}
+P3H8 = {"outcomes": ["0", "1"], "predictions": [["a", "b", "c"]] * 8,
+        "contents": {"a": M13, "b": {"type": "sup"}, "c": ENVELOPE}}
 
 
 def _table_csv(rows: dict[str, str]) -> str:
@@ -106,6 +109,7 @@ FIXTURES = {
     "huge.json": {"outcomes": ["0", "1"], "horizon": 10**30, "content": COIN},
     # forecaster specs
     "p2.json": P2,
+    "p3h8.json": P3H8,
     "p2h.json": dict(P2, horizon=3),
     "p2h2.json": dict(P2, horizon=2),
     "p2str.json": dict(P2, horizon="3"),
@@ -123,12 +127,21 @@ FIXTURES = {
     "sys_rulenum.json": {"kind": "table", "rule": {"": "a", "0": 1, "1": "b"}},
     "sys_maplist.json": {"kind": "last-outcome", "map": {"0": "a", "1": ["b"]}, "initial": "a"},
     "sys_initbool.json": {"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": True},
+    # off the menu at 1 (round 2) and at 00 (round 3): the first failure in depth-first order is 00
+    "sys_twofail.json": {"kind": "table", "rule": {"": "a", "0": "a", "1": "c", "00": "c", "01": "a", "10": "a", "11": "a"}},
+    "sys_c.json": {"kind": "constant", "value": "c"},
+    "sys_last3.json": {"kind": "last-outcome", "map": {"0": "c", "1": "b"}, "initial": "a"},
+    "sys_table8.json": {"kind": "table", "rule": {
+        "".join(h): "abc"[(h.count("1") + len(h)) % 3] for d in range(8) for h in itertools.product("01", repeat=d)
+    }},
     # events
     "e1.json": {"start": 1, "end": 1, "accepts": [["1"]]},
     "e3.json": {"start": 3, "end": 3, "accepts": [["1"]]},
     "e23.json": {"start": 2, "end": 3, "accepts": [["1", "1"], ["0", "1"]]},
     "e34.json": {"start": 3, "end": 4, "accepts": []},
     "e9.json": {"start": 9, "end": 9, "accepts": [["1"]]},
+    "e68.json": {"start": 6, "end": 8, "accepts": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"], ["1", "1", "1"]]},
+    "e8.json": {"start": 8, "end": 8, "accepts": [["0"]]},
     "ebad.json": {"start": 3, "end": 3, "accepts": [[["1"]]]},
     # payoffs
     "pay_table2.json": {"kind": "table", "depth": 2, "values": {"00": "0", "01": "1", "10": "2", "11": "-1"}},
@@ -267,8 +280,14 @@ def grid() -> list[list[str]]:
         add(["law", spec, "mixing", "--system", system, "--events", event, "--delta", delta,
              "--gap", gap, "--max-prefix", prefix])
     add(["law", "p2.json", "mixing", "--system", "sys_a.json", "--events", "e3.json", "--gap", "x"])
-    for system in ("sys_num.json", "sys_rulenum.json", "sys_maplist.json", "sys_initbool.json"):
+    for system in ("sys_num.json", "sys_rulenum.json", "sys_maplist.json", "sys_initbool.json", "sys_twofail.json"):
         add(["law", "p2.json", "mixing", "--system", system, "--events", "e3.json"])
+    # Deeper lattices under a constant, a last-outcome and a full-table system.
+    for system, (delta, gap, prefix) in itertools.product(
+        ("sys_c.json", "sys_last3.json", "sys_table8.json"), (("0", "1", "2"), ("1/10", "-3", "4"), ("1/2", "-3", "8"))
+    ):
+        add(["law", "p3h8.json", "mixing", "--system", system, "--events", "e68.json;e8.json", "--delta", delta,
+             "--gap", gap, "--max-prefix", prefix])
     for payoff in ("e_w1", "leading_ones:8", "pay_lo4.json"):
         add(["expect", "ab.json", "--payoff", payoff])
     add(["expect", "gap.json", "--payoff", "e_w1"])

@@ -246,10 +246,45 @@ MUTANTS = [
     ),
     # -- the forecaster -----------------------------------------------------------
     Mutant(
-        "off-rule-children-join-the-first-history",
+        "off-rule-state-worth-one",
         "forecaster.py",
-        "r * k + j if q == p else width",
-        "r * k + j if q == p else 0",
+        "ONE if v is not None and event.member_window(v[2]) else ZERO",
+        "ONE if v is None or event.member_window(v[2]) else ZERO",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "rule-check-keyed-by-state-alone",
+        "forecaster.py",
+        "if n < end and (w, n) not in checked:\n            checked.add((w, n))",
+        "if n < end and w not in checked:\n            checked.add(w)",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "rule-check-starts-at-the-start-state",
+        "forecaster.py",
+        "check(reduce(advance, prefix, phi._start), len(prefix))",
+        "check(phi._start, len(prefix))",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "window-part-grows-before-its-start",
+        "forecaster.py",
+        "v[2] + (x,) if n >= event.start else v[2]",
+        "v[2] + (x,) if n >= event.start - 1 else v[2]",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "next-prediction-read-from-the-parent-state",
+        "forecaster.py",
+        "return w, rule(w) if n < end else None",
+        "return w, rule(v[0]) if n < end else None",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "rule-asked-at-the-window-end",
+        "forecaster.py",
+        "return w, rule(w) if n < end else None",
+        "return w, rule(w)",
         ("test_forecaster.py",),
     ),
     Mutant(
@@ -267,10 +302,10 @@ MUTANTS = [
         ("test_forecaster.py",),
     ),
     Mutant(
-        "off-rule-node-kept-in-the-levels",
+        "mixing-conditional-read-one-level-up",
         "forecaster.py",
-        "[level[: k**i] for i, level in enumerate(levels)]",
-        "[level[: k**i + 1] for i, level in enumerate(levels)]",
+        "cond, margin = row[n], row[n] - row[0]",
+        "cond, margin = row[n - 1], row[n - 1] - row[0]",
         ("test_forecaster.py", "test_cli.py"),
     ),
     Mutant(
