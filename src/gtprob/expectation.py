@@ -355,8 +355,7 @@ def upper_table(game: GameSpec, xi: Payoff) -> Supermartingale:
     its own children exactly at every node.
     """
     levels = _sweep(game, xi._leaf_level(game), 0, xi.depth, xi.depth)
-    table = dict(zip(game.all_situations(xi.depth), chain.from_iterable(levels)))
-    return Supermartingale(table, xi.depth)
+    return Supermartingale(zip(game.all_situations(xi.depth), chain.from_iterable(levels)), xi.depth)
 
 
 def path_values(game: GameSpec, xi: Payoff) -> Callable[[Situation], list[ExtReal]]:

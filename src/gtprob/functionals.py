@@ -79,9 +79,15 @@ class UnknownGambleError(KeyError):
 
 class OutcomeSet:
     """Ordered finite set of distinct outcome labels; ``sep`` joins them in
-    a situation's text ("" if every label is one character, else ",")."""
+    a situation's text ("" if every label is one character, else ",").
 
-    __slots__ = ("labels", "_index", "sep")
+    The set keeps, for its lifetime, every level of label tuples that a
+    whole-tree build enumerated (``_level``), so the tables built on it share
+    their situation keys.  The depth cap bounds that store, as it bounds the
+    tables that hold the same tuples; one-shot walks stream ``tuples``.
+    """
+
+    __slots__ = ("labels", "_index", "sep", "_levels")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -97,6 +103,7 @@ class OutcomeSet:
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
         self.sep = "" if all(len(lab) == 1 for lab in labels) else ","
+        self._levels: dict[int, tuple[tuple[str, ...], ...]] = {}
 
     def index(self, label: str) -> int:
         try:
@@ -125,6 +132,13 @@ class OutcomeSet:
     def tuples(self, length: int):
         """All label tuples of the given length, in lexicographic order."""
         return itertools.product(self.labels, repeat=length)
+
+    def _level(self, length: int) -> tuple[tuple[str, ...], ...]:
+        """``tuples(length)`` as a tuple, made on first use and kept."""
+        level = self._levels.get(length)
+        if level is None:
+            level = self._levels.setdefault(length, tuple(self.tuples(length)))
+        return level
 
 
 class Gamble:

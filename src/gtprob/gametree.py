@@ -21,7 +21,7 @@ extended-real conventions; the subtree relocations below rely on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gtprob import config
@@ -146,10 +146,18 @@ class GameSpec:
         return self.contents[min(n, len(self.contents)) - 1]
 
     def all_situations(self, max_depth: int | None = None) -> Iterator[Situation]:
-        """All situations of depth 0..max_depth (default horizon), by level."""
+        """All situations of depth 0..max_depth (default horizon), by level.
+
+        The depth must lie in 0..horizon, then under the depth cap, checked
+        on every call.  The levels are those the outcome set keeps for its
+        lifetime, so every table built from them shares its situation keys;
+        the cap bounds that store as it bounds the tables.
+        """
         top = self.horizon if max_depth is None else max_depth
+        if not 0 <= top <= self.horizon:
+            raise ValueError(f"tree depth {top} outside 0..{self.horizon}")
         config.require_dense(top, what="tree sweep")
-        return chain.from_iterable(map(self.outcomes.tuples, range(top + 1)))
+        return chain.from_iterable(map(self.outcomes._level, range(top + 1)))
 
     def require_depth_independent(self, what: str) -> None:
         if not self.depth_independent:
@@ -176,12 +184,13 @@ class Supermartingale:
     """A capital table on situations up to a depth, constant beyond it.
 
     The defining inequality is checked by :func:`verify_supermartingale`,
-    never assumed.
+    never assumed.  ``table`` is a mapping or an iterable of
+    ``(situation, value)`` pairs; either way the table is a new dict.
     """
 
     __slots__ = ("table", "depth")
 
-    def __init__(self, table: Mapping[Situation, ExtReal], depth: int):
+    def __init__(self, table: Mapping[Situation, ExtReal] | Iterable[tuple[Situation, ExtReal]], depth: int):
         self.table = dict(table)
         self.depth = depth
 
@@ -190,12 +199,12 @@ class Supermartingale:
         cls, game: GameSpec, fn: Callable[[Situation], ExtReal], depth: int | None = None
     ) -> "Supermartingale":
         d = game.horizon if depth is None else depth
-        return cls({s: fn(s) for s in game.all_situations(d)}, d)
+        return cls(((s, fn(s)) for s in game.all_situations(d)), d)
 
     @classmethod
     def constant(cls, game: GameSpec, value, depth: int | None = None) -> "Supermartingale":
         d = game.horizon if depth is None else depth
-        return cls(dict.fromkeys(game.all_situations(d), ext(value)), d)
+        return cls(zip(game.all_situations(d), repeat(ext(value))), d)
 
     def require_within(self, horizon: int) -> None:
         if self.depth > horizon:
@@ -312,15 +321,16 @@ def verify_supermartingale(game: GameSpec, sm: Supermartingale) -> VerifyResult:
     for d in range(top):
         content = game.content_at(d + 1)
         parents, above = children, below
+        level = game.outcomes._level(d + 1)
         try:
-            children = list(map(sm.table.__getitem__, game.outcomes.tuples(d + 1)))
+            children = list(map(sm.table.__getitem__, level))
         except KeyError:
-            children = [sm.value(s) for s in game.outcomes.tuples(d + 1)]
+            children = [sm.value(s) for s in level]
         below = _numerators(children)
         (lhs, rhs), den = _over([content.price_level(*below), above])
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if a > b:
-                s = next(islice(game.outcomes.tuples(d), i, None))
+                s = game.outcomes._level(d)[i]
                 return VerifyResult(False, False, (s, _read_out([a], den)[0], parents[i]), top)
             if a != b:
                 equality = False

@@ -175,7 +175,7 @@ def doob_upcrossing(
             raise ValueError(f"base table fails verification at {res.witness_str(game.outcomes)}")
 
     k, span = len(game.outcomes), base.depth - len(origin)
-    sits = [origin + t for d in range(span + 1) for t in game.outcomes.tuples(d)]
+    sits = [origin + t for t in chain.from_iterable(map(game.outcomes._level, range(span + 1)))]
     nums, den = _numerators(list(map(base.value, sits)) + [ExtReal(a), ExtReal(b)])
     an, bn = nums[-2:]
     # The phase p is odd while hunting upcross (p + 1) // 2 and even while
@@ -362,13 +362,12 @@ def levy_strategy(
         values.append(values[(g - 1) // k])
     # The result keeps both tables; keyed by the same situation tuples,
     # the conditional one costs its dict and values only.
-    cond_table = dict(zip(sits, flat))
     return LevyResult(
-        Supermartingale(dict(zip(sits, values)), game.horizon),
+        Supermartingale(zip(sits, values), game.horizon),
         _cut_trace(machine.sigma, machine.tau),
         shift,
         frozenset(machine.halted),
-        Supermartingale(cond_table, depth),
+        Supermartingale(zip(sits, flat), depth),
     )
 
 

@@ -356,6 +356,20 @@ def test_depth_cap_guards_dense_sweeps(monkeypatch):
     assert sum(1 for _ in game.all_situations(3)) == 15
 
 
+def test_table_depth_outside_the_horizon_is_refused():
+    from gtprob.config import DepthCapError
+
+    game = coin_game(horizon=3)
+    with pytest.raises(ValueError, match=r"^tree depth 5 outside 0\.\.3$"):
+        Supermartingale.constant(game, 1, depth=5)
+    with pytest.raises(ValueError, match=r"^tree depth -2 outside 0\.\.3$"):
+        Supermartingale.from_fn(game, lambda s: ONE, depth=-2)
+    # The horizon is checked before the depth cap, as for a payoff.
+    with pytest.raises(ValueError) as info:
+        GameSpec(BIN, Measure.uniform(BIN), 40).all_situations(41)
+    assert not isinstance(info.value, DepthCapError)
+
+
 # -- the level-by-level check against the node-by-node loop ------------------
 
 from hypothesis import given, settings
@@ -467,6 +481,47 @@ def test_missing_node_keeps_the_table_error():
     del sm.table[("1", "0")]
     with pytest.raises(KeyError, match=r"table has no entry for situation \('1', '0'\)"):
         verify_supermartingale(game, sm)
+
+
+# -- one enumeration per outcome set -----------------------------------------
+
+
+def test_whole_tree_tables_share_their_situation_keys():
+    k3 = OutcomeSet(["lo", "1", "hi"])
+    game = GameSpec(k3, Measure.uniform(k3), 3)
+    tables = [
+        upper_table(game, Payoff(3, lambda s: ext(s.count("hi")))),
+        upper_table(game, Payoff(3, lambda s: ext(s.count("lo")))),
+        Supermartingale.from_fn(game, lambda s: ext(len(s))),
+    ]
+    for s in [EMPTY, ("1",), ("hi", "lo", "1")]:
+        a, b, c = (next(u for u in t.table if u == s) for t in tables)
+        assert a is b is c
+
+
+def test_levels_asked_out_of_order_are_the_lexicographic_products():
+    k3 = OutcomeSet(["lo", "1", "hi"])
+    for n in (3, 1, 5, 3):
+        assert k3._level(n) == tuple(itertools.product(k3.labels, repeat=n))
+    for n in range(7):
+        assert k3._level(n) == tuple(itertools.product(k3.labels, repeat=n))
+
+
+def test_a_kept_level_never_skips_the_depth_cap(monkeypatch):
+    fresh = OutcomeSet(["0", "1"])
+    game = GameSpec(fresh, Measure.uniform(fresh), 5)
+    assert len(Supermartingale.constant(game, 1, 5).table) == 63
+    monkeypatch.setenv("GTP_MAX_DEPTH", "3")
+    with pytest.raises(DepthCapError):
+        game.all_situations(5)
+
+
+def test_a_handed_table_is_copied():
+    table = {EMPTY: ONE}
+    sm = Supermartingale(table, 0)
+    table[EMPTY] = ZERO
+    table[("0",)] = ONE
+    assert sm.table == {EMPTY: ONE}
 
 
 # -- stopping in one pass against the prefix scan -----------------------------

@@ -348,9 +348,39 @@ MUTANTS = [
     Mutant(
         "constant-one-level-deep",
         "gametree.py",
-        "dict.fromkeys(game.all_situations(d), ext(value))",
-        "dict.fromkeys(game.all_situations(d + 1), ext(value))",
+        "zip(game.all_situations(d), repeat(ext(value)))",
+        "zip(game.all_situations(d + 1), repeat(ext(value)))",
         ("test_gametree.py", "test_strategies.py"),
+    ),
+    # -- one enumeration per outcome set -----------------------------------------
+    Mutant(
+        "kept-level-skips-the-depth-cap",
+        "gametree.py",
+        '        config.require_dense(top, what="tree sweep")\n',
+        "        if top not in self.outcomes._levels:\n"
+        '            config.require_dense(top, what="tree sweep")\n',
+        ("test_gametree.py",),
+    ),
+    Mutant(
+        "table-depth-past-the-horizon-admitted",
+        "gametree.py",
+        "if not 0 <= top <= self.horizon:",
+        "if not 0 <= top:",
+        ("test_gametree.py",),
+    ),
+    Mutant(
+        "missing-level-kept-one-length-short",
+        "functionals.py",
+        "self._levels.setdefault(length, ",
+        "self._levels.setdefault(length - 1, ",
+        ("test_gametree.py",),
+    ),
+    Mutant(
+        "table-keeps-the-callers-dict",
+        "gametree.py",
+        "        self.table = dict(table)\n",
+        "        self.table = table if isinstance(table, dict) else dict(table)\n",
+        ("test_gametree.py",),
     ),
     # -- verification -------------------------------------------------------------
     Mutant(
@@ -363,8 +393,8 @@ MUTANTS = [
     Mutant(
         "verify-witness-one-level-up",
         "gametree.py",
-        "s = next(islice(game.outcomes.tuples(d), i, None))",
-        "s = next(islice(game.outcomes.tuples(d - 1), i // len(game.outcomes), None))",
+        "s = game.outcomes._level(d)[i]",
+        "s = game.outcomes._level(d - 1)[i // len(game.outcomes)]",
         ("test_gametree.py", "test_cli.py"),
     ),
     Mutant(
@@ -636,10 +666,11 @@ MUTANTS = [
     Mutant(
         "upper-table-fills-leaves-first",
         "expectation.py",
-        "    table = dict(zip(game.all_situations(xi.depth), chain.from_iterable(levels)))\n",
+        "    return Supermartingale(zip(game.all_situations(xi.depth), chain.from_iterable(levels)), xi.depth)\n",
         "    table = {}\n"
         "    for d in range(xi.depth, -1, -1):\n"
-        "        table.update(zip(game.outcomes.tuples(d), levels[d]))\n",
+        "        table.update(zip(game.outcomes.tuples(d), levels[d]))\n"
+        "    return Supermartingale(table, xi.depth)\n",
         ("test_gametree.py",),
     ),
     Mutant(
