@@ -17,10 +17,11 @@ game; tests assert the round trip exactly.
 
 A forecasting system's rule reads the state of a small automaton: one state
 for a constant system, the last outcome for a last-outcome one, the history
-for a table.  An outcome event's upper probability under a system is that of
-the embedded event pinning every prediction up to the window's end to the
-rule, an automaton payoff on the system's states plus one absorbing off-rule
-state worth 0, swept by the one kernel on its state lattice.
+for a table.  An event's upper probability under a system is that of the
+embedded event pinning every prediction up to the window's end to the rule:
+an automaton payoff on the system's states and one off-rule state worth 0,
+swept by the one kernel on its lattice, which checks each prediction on its
+round's menu (a system refused at several histories names the shallowest).
 The mixing check quantifies over all outcome prefixes (minus an explicit
 exception list) and all supplied events whose window clears the declared
 gap; the quantifier over *all* sufficiently remote events is not finitely
@@ -38,7 +39,7 @@ from gtprob import config
 from gtprob.extreal import ExtReal, ONE, ZERO, _over, ext
 from gtprob.functionals import OutcomeSet, OuterContent
 from gtprob.gametree import EMPTY, GameSpec, Situation, format_situation
-from gtprob.expectation import EventWindow, Payoff, path_values, upper_expectation
+from gtprob.expectation import EventWindow, Payoff, indicator, path_values, upper_expectation
 
 __all__ = [
     "Protocol2Spec",
@@ -271,21 +272,12 @@ def chi_phi(phi: ForecastingSystem, chi: Sequence[str]) -> PairPath:
 
 def _on_rule(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -> Payoff:
     """``event`` with every prediction on ``phi``'s rule, as an automaton payoff of the embedded game: the
-    state is ``phi``'s state, its prediction there and the part of the window seen so far, or None (worth
-    0) off the rule.  Raises first if the window, the cap or a prediction below ``prefix`` is refused."""
-    spec, end, rule, advance, checked = phi.spec, event.end, phi._rule, phi._step, set()
+    state is ``phi``'s state, its next prediction, checked on its round's menu, and ``event``'s indicator
+    state, or None (worth 0) off the rule.  Raises first if the window or the cap below ``prefix`` fails."""
+    spec, end, advance = phi.spec, event.end, phi._step
     event.require_within(spec.horizon)
     config.require_dense(end - len(prefix), what="conditional expectation sweep")
-
-    def check(w, n: int) -> None:
-        # Depth first, so the first refused history is the embedded game's (the lattice asks breadth first).
-        if n < end and (w, n) not in checked:
-            checked.add((w, n))
-            phi._on_menu(w, n + 1)
-            for x in spec.outcomes.labels:
-                check(advance(w, x), n + 1)
-
-    check(reduce(advance, prefix, phi._start), len(prefix))
+    start, window, in_event = indicator(event)._automaton
     pairs = {pair_label(p, x): (p, x) for p in spec.all_predictions for x in spec.outcomes.labels}
 
     def step(v, n: int, label: str):
@@ -293,11 +285,11 @@ def _on_rule(phi: ForecastingSystem, event: EventWindow, prefix: Situation) -> P
             p, x = pairs[label]
             if p == v[1]:
                 w = advance(v[0], x)
-                return w, rule(w) if n < end else None, v[2] + (x,) if n >= event.start else v[2]
+                return w, phi._on_menu(w, n + 1) if n < end else None, window(v[2], n, x)
         return None
 
-    value = lambda v: ONE if v is not None and event.member_window(v[2]) else ZERO
-    return Payoff._from_automaton(end, (phi._start, rule(phi._start), ()), step, value)
+    value = lambda v: ZERO if v is None else in_event(v[2])
+    return Payoff._from_automaton(end, (phi._start, phi._on_menu(phi._start, 1), start), step, value)
 
 
 def upper_prob_phi(

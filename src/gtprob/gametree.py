@@ -342,12 +342,14 @@ def translate_strategy(sm: Supermartingale, s: Situation, t: Situation) -> Super
 
     The result is ``S'(t v) = S(s v)`` with ``+inf`` everywhere off the
     ``t`` subtree (infinite capital prices any round, so the inequality
-    holds trivially there).  Requires ``|s| = |t|`` so per-round pricing
-    stays aligned; the result then verifies whenever the input does.
+    holds trivially there).  Requires ``|s| = |t|``, at most the table's
+    depth, so per-round pricing stays aligned; the result verifies whenever the input does.
     """
     s, t = tuple(s), tuple(t)
     if len(s) != len(t):
         raise ValueError(f"translate needs equal depths, got {len(s)} and {len(t)}")
+    if len(s) > sm.depth:
+        raise ValueError(f"translate from depth {len(s)} lies below the table's depth {sm.depth}")
     table = dict.fromkeys(sm.table, INF)
     table.update((t + u[len(s) :], v) for u, v in sm.table.items() if is_prefix(s, u))
     return Supermartingale(table, sm.depth)

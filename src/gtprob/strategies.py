@@ -154,7 +154,7 @@ def doob_upcrossing(
     check_base: bool = True,
 ) -> DoobResult:
     """Additive upcross capture of the ``(a, b)`` band for a positive base
-    table normalized to 1 at ``origin``.
+    table normalized to 1 at ``origin``, which lies no deeper than the table.
 
     Off the origin's subtree the table is ``+inf``.  Within it, the result
     mirrors the base's increments while hunting an upcross and freezes
@@ -165,6 +165,8 @@ def doob_upcrossing(
     a, b = Fraction(a), Fraction(b)
     require_band(a, b)
     origin = game.validate_situation(origin)
+    if len(origin) > base.depth:
+        raise ValueError(f"origin at depth {len(origin)} lies below the table's depth {base.depth}")
     if base.value(origin) != ONE:
         raise ValueError(f"base must be 1 at the origin, got {base.value(origin)}")
     if check_base:

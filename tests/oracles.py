@@ -83,16 +83,16 @@ def reference_phi_levels(phi, event: EventWindow, prefix: Situation) -> list[lis
     child off the rule being worth the off-rule constant ``Z(d+1)``:
     ``Z(end) = 0``, ``Z(d) = max over q of c_q(Z(d+1)·1)``.  ``Z`` is
     carried as one extra parent wherever the embedded game holds nodes off
-    the rule, so each functional is asked for the embedded sweep's gambles."""
+    the rule, so each functional is asked for the embedded sweep's gambles.
+    A system refused at several histories is named at the first in (depth,
+    rank) order, the shallowest."""
     spec, top, end = phi.spec, len(prefix), event.end
     event.require_within(spec.horizon)
     config.require_dense(end - top, what="conditional expectation sweep")
-    k, rules, nums = len(spec.outcomes), {}, []
-    for rest in spec.outcomes.tuples(max(end - top, 0)):
-        for h in (prefix + rest[:n] for n in range(len(rest))):
-            if h not in rules:
-                rules[h] = phi.predict(h)
-        nums.append(int(event.member(prefix + rest)))
+    k, span = len(spec.outcomes), max(end - top, 0)
+    # The rule is asked depth by depth, in rank order, before any leaf is read.
+    rules = {prefix + h: phi.predict(prefix + h) for d in range(span) for h in spec.outcomes.tuples(d)}
+    nums = [int(event.member(prefix + rest)) for rest in spec.outcomes.tuples(span)]
     den, z = 1, 0
     kept = [_read_out(nums, den)]
     for d in range(end - 1, top - 1, -1):

@@ -318,6 +318,10 @@ def lift_event(phi, event):
 
 def embedded_upper_prob(phi, event, prefix=()):
     at = tuple(pair_label(p, x) for p, x in chi_phi(phi, prefix))
+    # Ask the rule below the prefix depth by depth, in rank order, as the on-rule lattice does.
+    for d in range(event.end - len(prefix)):
+        for h in phi.spec.outcomes.tuples(d):
+            phi.predict(tuple(prefix) + h)
     return upper_expectation(embed(phi.spec), indicator(lift_event(phi, event)), at)
 
 
@@ -551,7 +555,8 @@ def test_first_failing_history_matches_the_embedded_scan():
     rule[("0", "1")] = "x"
     phi = ForecastingSystem.from_table(spec, rule)
     event = EventWindow.coordinate_is(3, "1")
-    expected = (ForecastError, "rule returned 'x' at round 3, menu is ('a',)")
+    # Refused at round 2 after 1 and at round 3 after 01: the shallower refusal is named.
+    expected = (ForecastError, "rule returned 'x' at round 2, menu is ('a',)")
     assert settle(lambda: upper_prob_phi(phi, event)) == expected
     assert settle(lambda: embedded_upper_prob(phi, event)) == expected
     del rule[("0",)]
@@ -589,6 +594,23 @@ def test_a_constant_symbol_off_a_later_menu_is_refused():
     phi = ForecastingSystem.constant(spec_with([("c", "s"), ("s",)], {"c": COIN, "s": SUP}), "c")
     with pytest.raises(ForecastError, match=r"^rule returned 'c' at round 2, menu is \('s',\)$"):
         upper_prob_phi(phi, EventWindow.coordinate_is(2, "1"))
+
+
+def test_a_root_prediction_off_the_first_menu_is_refused():
+    # The empty prefix interleaves to no pair, so only the on-rule event checks round 1's prediction.
+    phi = ForecastingSystem.constant(spec_with([("c",), ("c", "s")], {"c": COIN, "s": SUP}), "s")
+    with pytest.raises(ForecastError, match=r"^rule returned 's' at round 1, menu is \('c',\)$"):
+        upper_prob_phi(phi, EventWindow.coordinate_is(2, "1"))
+
+
+def test_a_constant_system_sweeps_past_the_recursion_limit(monkeypatch):
+    # 1,100 rounds: the lattice lists one state per round, with no recursion per round.
+    monkeypatch.setenv("GTP_MAX_DEPTH", "3000")
+    n = 1100
+    spec = spec_with([("a", "b")] * n, {"a": Measure(BIN, [Fraction(1, 3), Fraction(2, 3)]), "b": SUP})
+    phi = ForecastingSystem.constant(spec, "a")
+    event = EventWindow(n - 3, n, predicate=lambda w: w.count("1") >= 2)
+    assert upper_prob_phi(phi, event) == ext("8/9")
 
 
 def test_unknown_outcome_in_a_prefix_is_named_with_its_prediction():

@@ -252,6 +252,14 @@ def test_translate_needs_equal_depths():
         translate_strategy(doubling_table(game), ("0",), ("1", "1"))
 
 
+def test_translate_refuses_a_situation_below_the_table():
+    # The table holds no level at depth 3, so it has nothing to relocate to t.
+    sm = Supermartingale.constant(coin_game(3), 1, depth=1)
+    with pytest.raises(ValueError, match=r"^translate from depth 3 lies below the table's depth 1$"):
+        translate_strategy(sm, ("1", "0", "0"), ("0", "1", "1"))
+    assert translate_strategy(sm, ("1",), ("0",)).table == {EMPTY: INF, ("0",): ONE, ("1",): INF}
+
+
 def test_shift_at_root_is_identity():
     game = coin_game()
     sm = doubling_table(game)

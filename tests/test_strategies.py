@@ -132,6 +132,16 @@ def test_doob_requires_valid_band_and_base():
         doob_upcrossing(game, Supermartingale.constant(game, 2), Fraction(0), Fraction(1))
 
 
+def test_doob_refuses_an_origin_below_the_base_table():
+    # The base holds no level at the origin's depth, so the whole table would be +inf.
+    game = coin_game(3)
+    base = Supermartingale.constant(game, 1, depth=1)
+    with pytest.raises(ValueError, match=r"^origin at depth 2 lies below the table's depth 1$"):
+        doob_upcrossing(game, base, Fraction(1, 2), 2, origin=("1", "0"), check_base=False)
+    res = doob_upcrossing(game, base, Fraction(1, 2), 2, origin=("1",), check_base=False)
+    assert res.table.table == {EMPTY: INF, ("0",): INF, ("1",): ONE}
+
+
 def test_doob_phase_floors_hold_at_every_node():
     # Frozen floor b + (k-1)(b-a) on [sigma_k, tau_k]; moving floor k(b-a)
     # on [tau_k, sigma_(k+1)].  Membership recomputed from the emitted cuts,

@@ -127,7 +127,7 @@ FIXTURES = {
     "sys_rulenum.json": {"kind": "table", "rule": {"": "a", "0": 1, "1": "b"}},
     "sys_maplist.json": {"kind": "last-outcome", "map": {"0": "a", "1": ["b"]}, "initial": "a"},
     "sys_initbool.json": {"kind": "last-outcome", "map": {"0": "a", "1": "b"}, "initial": True},
-    # off the menu at 1 (round 2) and at 00 (round 3): the first failure in depth-first order is 00
+    # off the menu at 1 (round 2) and at 00 (round 3): the first failure in (depth, rank) order is 1
     "sys_twofail.json": {"kind": "table", "rule": {"": "a", "0": "a", "1": "c", "00": "c", "01": "a", "10": "a", "11": "a"}},
     "sys_c.json": {"kind": "constant", "value": "c"},
     "sys_last3.json": {"kind": "last-outcome", "map": {"0": "c", "1": "b"}, "initial": "a"},

@@ -244,47 +244,75 @@ MUTANTS = [
         "        if False:\n",
         ("test_strategies.py", "test_cli.py"),
     ),
+    Mutant(
+        "doob-origin-below-the-table-admitted",
+        "strategies.py",
+        "if len(origin) > base.depth:",
+        "if False:",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "doob-origin-at-the-table-depth-refused",
+        "strategies.py",
+        "if len(origin) > base.depth:",
+        "if len(origin) >= base.depth:",
+        ("test_strategies.py",),
+    ),
+    Mutant(
+        "translate-below-the-table-admitted",
+        "gametree.py",
+        "if len(s) > sm.depth:",
+        "if False:",
+        ("test_gametree.py",),
+    ),
+    Mutant(
+        "translate-at-the-table-depth-refused",
+        "gametree.py",
+        "if len(s) > sm.depth:",
+        "if len(s) >= sm.depth:",
+        ("test_gametree.py",),
+    ),
     # -- the forecaster -----------------------------------------------------------
     Mutant(
         "off-rule-state-worth-one",
         "forecaster.py",
-        "ONE if v is not None and event.member_window(v[2]) else ZERO",
-        "ONE if v is None or event.member_window(v[2]) else ZERO",
-        ("test_forecaster.py",),
-    ),
-    Mutant(
-        "rule-check-keyed-by-state-alone",
-        "forecaster.py",
-        "if n < end and (w, n) not in checked:\n            checked.add((w, n))",
-        "if n < end and w not in checked:\n            checked.add(w)",
-        ("test_forecaster.py",),
-    ),
-    Mutant(
-        "rule-check-starts-at-the-start-state",
-        "forecaster.py",
-        "check(reduce(advance, prefix, phi._start), len(prefix))",
-        "check(phi._start, len(prefix))",
-        ("test_forecaster.py",),
-    ),
-    Mutant(
-        "window-part-grows-before-its-start",
-        "forecaster.py",
-        "v[2] + (x,) if n >= event.start else v[2]",
-        "v[2] + (x,) if n >= event.start - 1 else v[2]",
+        "ZERO if v is None else in_event(v[2])",
+        "ONE if v is None else in_event(v[2])",
         ("test_forecaster.py",),
     ),
     Mutant(
         "next-prediction-read-from-the-parent-state",
         "forecaster.py",
-        "return w, rule(w) if n < end else None",
-        "return w, rule(v[0]) if n < end else None",
+        "phi._on_menu(w, n + 1) if n < end",
+        "phi._on_menu(v[0], n + 1) if n < end",
         ("test_forecaster.py",),
     ),
     Mutant(
         "rule-asked-at-the-window-end",
         "forecaster.py",
-        "return w, rule(w) if n < end else None",
-        "return w, rule(w)",
+        "phi._on_menu(w, n + 1) if n < end else None,",
+        "phi._on_menu(w, n + 1),",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "next-prediction-skips-the-menu-check",
+        "forecaster.py",
+        "phi._on_menu(w, n + 1) if n < end",
+        "phi._rule(w) if n < end",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "next-prediction-checked-on-this-rounds-menu",
+        "forecaster.py",
+        "phi._on_menu(w, n + 1) if n < end",
+        "phi._on_menu(w, n) if n < end",
+        ("test_forecaster.py",),
+    ),
+    Mutant(
+        "root-prediction-unchecked",
+        "forecaster.py",
+        "(phi._start, phi._on_menu(phi._start, 1), start)",
+        "(phi._start, phi._rule(phi._start), start)",
         ("test_forecaster.py",),
     ),
     Mutant(
@@ -715,6 +743,13 @@ MUTANTS = [
         'raise ValueError("determinacy depth must be nonnegative")',
         "pass",
         ("test_expectation.py",),
+    ),
+    Mutant(
+        "window-part-grows-before-its-start",
+        "expectation.py",
+        "w + (x,) if n >= event.start else w",
+        "w + (x,) if n >= event.start - 1 else w",
+        EXPECTATION + ("test_forecaster.py",),
     ),
     # -- an automaton's tree walk ------------------------------------------------
     Mutant(
