@@ -82,9 +82,10 @@ class OutcomeSet:
     a situation's text ("" if every label is one character, else ",").
 
     The set keeps, for its lifetime, every level of label tuples that a
-    whole-tree build enumerated (``_level``), so the tables built on it share
-    their situation keys.  The depth cap bounds that store, as it bounds the
-    tables that hold the same tuples; one-shot walks stream ``tuples``.
+    whole-tree build enumerated (``_level``), so the tables built on it, and
+    those decoded from CSV in level order, share their situation keys.  The
+    depth cap bounds that store, as it bounds the tables that hold the same
+    tuples (a decoded table: its rows); one-shot walks stream ``tuples``.
     """
 
     __slots__ = ("labels", "_index", "sep", "_levels")

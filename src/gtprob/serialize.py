@@ -3,7 +3,9 @@
 Numbers travel as exact strings: ``"p/q"`` in lowest terms (plain integers
 as ``"p"``), ``"inf"``, ``"-inf"``.  Every format below is read here; the
 capital table is the one also written, by :func:`supermartingale_to_csv`,
-which sorts its rows so identical tables produce byte-identical files.
+which sorts its rows so identical tables produce byte-identical files.  The
+decoder streams them; a table comes back in level order on the outcome
+set's kept levels (``OutcomeSet._level``), which the rows read bound.
 
 Formats:
 
@@ -50,7 +52,7 @@ from gtprob.functionals import (
     SupContent,
     TableContent,
 )
-from gtprob.gametree import GameSpec, Situation, Supermartingale, parse_situation
+from gtprob.gametree import GameSpec, Supermartingale, parse_situation
 from gtprob.expectation import EventWindow, Payoff, indicator
 from gtprob.forecaster import ForecastingSystem, Protocol2Spec
 
@@ -284,42 +286,42 @@ def csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
 def supermartingale_to_csv(sm: Supermartingale, outcomes: OutcomeSet) -> str:
     join, table = outcomes.sep.join, sm.table
     text = {i: str(v) for i, v in {id(v): v for v in table.values()}.items()}  # once per shared value object
-    rows = ([join(s), text[id(table[s])]] for s in sorted(table, key=lambda u: (len(u), u)))
+    rows = ([join(s), text[id(table[s])]] for s in sorted(sorted(table), key=len))  # stable: (len, tuple) order
     return csv_text(["situation", "value"], rows)
 
 
 def supermartingale_from_csv(text: str, outcomes: OutcomeSet) -> Supermartingale:
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != ["situation", "value"]:
-        raise SchemaError("/csv", "expected header 'situation,value'")
     sep, known = outcomes.sep, set(outcomes.labels)
     values: dict[str, ExtReal] = {}
-    table: dict[Situation, ExtReal] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise SchemaError(f"/csv/{i}", f"expected two columns, got {row!r}")
-        key, raw = row
-        s = tuple(key.split(sep)) if sep else tuple(key)
-        if not known.issuperset(s):
-            # The root under multi-character labels, or an unknown label.
-            try:
-                s = parse_situation(key, outcomes)
-            except ValueError as exc:
-                raise SchemaError(f"/csv/{i}", str(exc)) from exc
-        if s in table:
-            raise SchemaError(f"/csv/{i}", f"duplicate situation {key!r}")
-        if raw not in values:
-            values[raw] = _extreal(raw, f"/csv/{i}")
-        table[s] = values[raw]
-    if not table:
+    rows: dict[str, ExtReal] = {}  # keyed by the situation's text, one-to-one with the situation
+    i = 0  # the last row read whole; a reader error names the next
+    try:
+        header, i = next(reader, None), 1
+        if header != ["situation", "value"]:
+            raise SchemaError("/csv", "expected header 'situation,value'")
+        for i, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise SchemaError(f"/csv/{i}", f"expected two columns, got {row!r}")
+            key, raw = row
+            if not known.issuperset(key.split(sep) if sep else key):
+                with _at(f"/csv/{i}"):  # the root under multi-character labels, or an unknown label
+                    parse_situation(key, outcomes)
+            if key in rows:
+                raise SchemaError(f"/csv/{i}", f"duplicate situation {key!r}")
+            if raw not in values:
+                values[raw] = _extreal(raw, f"/csv/{i}")
+            rows[key] = values[raw]
+    except csv.Error as exc:
+        raise SchemaError(f"/csv/{i + 1}", str(exc)) from exc
+    if not rows:
         raise SchemaError("/csv", "table is empty")
-    counts = Counter(map(len, table))
+    counts = Counter(key.count(sep) + (key != "") if sep else len(key) for key in rows)
     depth = max(counts)
-    for d in range(depth + 1):
+    for d in range(depth + 1):  # total by counting, so each kept tuple up to the depth has a row
         if counts[d] != len(outcomes) ** d:
             raise SchemaError("/csv", f"table is not total at depth {d}")
-    return Supermartingale(table, depth)
+    return Supermartingale(((s, rows[sep.join(s)]) for d in range(depth + 1) for s in outcomes._level(d)), depth)
 
 
 # -- forecaster specs ----------------------------------------------------------------

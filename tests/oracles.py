@@ -9,17 +9,24 @@ on ``Fraction`` values, the slow oracle for the library's integer forms.
 level loop of its own, the oracle for the embedded game's sweep.  The
 ``reference_indicator``, ``reference_constant`` and ``reference_leading_ones``
 rules give a leaf's value from its definition, the oracles for the payoffs
-that the library defines by an automaton.
+that the library defines by an automaton.  ``reference_table_to_csv`` and
+``reference_table_from_csv`` are the capital-table CSV codec written plainly:
+a sort key per row, every row read into a list before any is checked, and
+one new situation tuple per row.
 """
 
+import csv
+import io
+from collections import Counter
 from fractions import Fraction
 
 from gtprob import config
 from gtprob.expectation import EventWindow
 from gtprob.extreal import INF, NEG_INF, ONE, ZERO, ExtReal, _over, _read_out, ext
 from gtprob.forecaster import EmbeddedContent, pair_label
-from gtprob.functionals import Envelope, Measure, OuterContent, SupContent
-from gtprob.gametree import Cut, Situation, is_prefix
+from gtprob.functionals import Envelope, Measure, OutcomeSet, OuterContent, SupContent
+from gtprob.gametree import Cut, Situation, Supermartingale, is_prefix, parse_situation
+from gtprob.serialize import SchemaError, _extreal
 
 
 def reference_price(content: OuterContent, values) -> ExtReal:
@@ -148,3 +155,43 @@ def union_of(events):
     start, end = min(e.start for e in events), max(e.end for e in events)
     member = lambda w: any(e.member_window(w[e.start - start : e.end - start + 1]) for e in events)
     return EventWindow(start, end, predicate=member, label="union")
+
+
+def reference_table_to_csv(sm: Supermartingale, outcomes: OutcomeSet) -> str:
+    """A capital table as CSV: a ``situation,value`` header, then one row per
+    situation in ``(length, label tuple)`` order, each line ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["situation", "value"])
+    for s in sorted(sm.table, key=lambda u: (len(u), u)):
+        writer.writerow([outcomes.sep.join(s), str(sm.table[s])])
+    return buf.getvalue()
+
+
+def reference_table_from_csv(text: str, outcomes: OutcomeSet) -> Supermartingale:
+    """A capital table read back from CSV, refused with the codec's texts:
+    the header, then each row in order (two columns, known labels, no
+    duplicate, a value), then totality at each depth up to the deepest row."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != ["situation", "value"]:
+        raise SchemaError("/csv", "expected header 'situation,value'")
+    table: dict[Situation, ExtReal] = {}
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise SchemaError(f"/csv/{i}", f"expected two columns, got {row!r}")
+        key, raw = row
+        try:
+            s = parse_situation(key, outcomes)
+        except ValueError as exc:
+            raise SchemaError(f"/csv/{i}", str(exc)) from exc
+        if s in table:
+            raise SchemaError(f"/csv/{i}", f"duplicate situation {key!r}")
+        table[s] = _extreal(raw, f"/csv/{i}")
+    if not table:
+        raise SchemaError("/csv", "table is empty")
+    counts = Counter(map(len, table))
+    depth = max(counts)
+    for d in range(depth + 1):
+        if counts[d] != len(outcomes) ** d:
+            raise SchemaError("/csv", f"table is not total at depth {d}")
+    return Supermartingale(table, depth)

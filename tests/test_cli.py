@@ -728,6 +728,10 @@ INPUT_ERRORS = {
         lambda tmp, coin: ["verify", coin, "--supermartingale", write_text(tmp, "t.csv", "situation,value\n,1\n0,0\n1,2\n0,5\n")],
         "/csv/5: duplicate situation '0'",
     ),
+    "csv_field_too_large": (
+        lambda tmp, coin: ["verify", coin, "--supermartingale", write_text(tmp, "t.csv", 'situation,value\n,"' + "x" * 140_000 + '"\n')],
+        "/csv/2: field larger than field limit (131072)",
+    ),
     "payoff_coordinate_not_an_integer": (
         lambda tmp, coin: ["expect", coin, "--payoff", "e_wx"],
         "/payoff: not an integer: 'x'",

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtprob.extreal import INF, ext
 from gtprob.functionals import Envelope, Gamble, Measure, OutcomeSet, SupContent, TableContent
@@ -13,6 +17,7 @@ from gtprob.serialize import (
     _extreal,
     _fraction,
     content_from_json,
+    csv_text,
     forecasting_system_from_json,
     game_from_json,
     payoff_from_json,
@@ -21,6 +26,7 @@ from gtprob.serialize import (
     supermartingale_to_csv,
     window_from_json,
 )
+from oracles import reference_table_from_csv, reference_table_to_csv
 
 BIN = OutcomeSet(["0", "1"])
 
@@ -176,6 +182,17 @@ def test_supermartingale_csv_round_trip_with_multi_character_labels():
         (BIN, "situation,value\n0,1\n1,1\n", "/csv", "table is not total at depth 0"),
         (BIN, "situation,value\n,1\n0,0\n1,2\n0,5\n", "/csv/5", "duplicate situation '0'"),
         (WORDS, 'situation,value\n,1\nup,1\n"",2\n', "/csv/4", "duplicate situation ''"),
+        *(
+            pytest.param(
+                BIN, text.replace("X", "x" * 140_000), where, "field larger than field limit (131072)",
+                id=f"oversized-field-{where}",
+            )
+            for text, where in [
+                ('situation,value\n,"X"\n', "/csv/2"),
+                ('"X",value\n,1\n', "/csv/1"),
+                ('situation,value\n,1\n0,1\n1,"X"\n', "/csv/4"),
+            ]
+        ),
     ],
 )
 def test_supermartingale_csv_errors_name_their_row(labels, text, where, message):
@@ -183,6 +200,82 @@ def test_supermartingale_csv_errors_name_their_row(labels, text, where, message)
         supermartingale_from_csv(text, labels)
     assert info.value.where == where
     assert str(info.value) == f"{where}: {message}"
+
+
+def test_decoded_tables_share_their_situation_keys():
+    for outcomes in (OutcomeSet(["lo", "1", "hi"]), OutcomeSet(["1", "0"])):
+        game = GameSpec(outcomes, Measure.uniform(outcomes), 3)
+        text = supermartingale_to_csv(Supermartingale.from_fn(game, lambda s: ext(len(s))), outcomes)
+        back = supermartingale_from_csv(text, outcomes)
+        kept = [s for d in range(4) for s in outcomes._level(d)]
+        assert len(back.table) == len(kept)
+        assert all(u is s for u, s in zip(back.table, kept))
+
+
+# Outcome sets for the codec property: single-character labels sorted and
+# not, multi-character labels whose text order is not their level order,
+# and labels with a quote character, which the CSV writer quotes.
+CSV_LABELS = (["0", "1"], ["1", "0"], ["c", "a", "b"], ["up", "down", "flat"], ['"', "q"], ['say"', "no"])
+CSV_VALUES = ("0", "1/2", "-3/4", "7", "inf", "-inf")
+
+
+@st.composite
+def csv_tables(draw):
+    """A total table on one of ``CSV_LABELS`` at depth 0..3, its rows in any
+    order, its values shared objects or fresh objects of equal value."""
+    outcomes = OutcomeSet(draw(st.sampled_from(CSV_LABELS)))
+    depth = draw(st.integers(0, 3))
+    pool = [ext(v) for v in draw(st.lists(st.sampled_from(CSV_VALUES), min_size=1, max_size=4))]
+    sits = draw(st.permutations([s for d in range(depth + 1) for s in outcomes.tuples(d)]))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=len(sits), max_size=len(sits)))
+    table = {s: ext(str(pool[i])) if fresh else pool[i] for s, (i, fresh) in zip(sits, picks)}
+    return outcomes, Supermartingale(table, depth)
+
+
+def _decoded(decode, text, outcomes):
+    """``decode``'s table as its depth and value texts, or its error text."""
+    try:
+        sm = decode(text, outcomes)
+    except SchemaError as exc:
+        return str(exc)
+    return sm.depth, {s: str(v) for s, v in sm.table.items()}
+
+
+def _corrupt(rows: list[list[str]], kind: str, j: int, k: int, sep: str) -> None:
+    """Corrupt the parsed CSV ``rows`` in place: ``kind`` at data row ``j``;
+    a duplicate of row ``j`` goes in at row ``k``."""
+    if kind == "drop":
+        del rows[j]
+    elif kind == "duplicate":
+        rows.insert(k, list(rows[j]))
+    elif kind == "label":
+        rows[j][0] = sep.join(rows[j][0].split(sep)[:-1] + ["?"]) if sep else rows[j][0][:-1] + "?"
+    elif kind == "value":
+        rows[j][1] = "1/0x"
+    elif kind == "column":
+        rows[j].append("5")
+    else:
+        rows[0] = ["situation", "price"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_tables(), st.data())
+def test_csv_codec_matches_the_reference(case, data):
+    outcomes, sm = case
+    text = supermartingale_to_csv(sm, outcomes)
+    assert text == reference_table_to_csv(sm, outcomes)
+    expected = (sm.depth, {s: str(v) for s, v in sm.table.items()})
+    assert _decoded(supermartingale_from_csv, text, outcomes) == expected
+    assert _decoded(reference_table_from_csv, text, outcomes) == expected
+    rows = list(csv.reader(io.StringIO(text)))
+    kinds = ("drop", "duplicate", "label", "value", "column", "header")
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+        if len(rows) == 1:  # the header alone is left
+            kind = "header"
+        j = data.draw(st.integers(1, max(len(rows) - 1, 1)))
+        _corrupt(rows, kind, j, data.draw(st.integers(1, len(rows))), outcomes.sep)
+    broken = csv_text(rows[0], rows[1:])
+    assert _decoded(supermartingale_from_csv, broken, outcomes) == _decoded(reference_table_from_csv, broken, outcomes)
 
 
 def test_protocol2_parsing_and_errors():

@@ -32,6 +32,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -39,6 +40,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +63,7 @@ TABLE_ROUND = {
     ],
 }
 K3 = {"type": "measure", "probs": {"lo": "1/3", "1": "1/3", "hi": "1/3"}}
+WORDS = {"type": "measure", "probs": {"up": "1/2", "down": "1/4", "flat": "1/4"}}
 P2 = {"outcomes": ["0", "1"], "predictions": [["a", "b"]] * 3, "contents": {"a": COIN, "b": M13}}
 ENVELOPE = {"type": "envelope", "measures": [{"0": "1/3", "1": "2/3"}, {"0": "3/4", "1": "1/4"}]}
 P3H8 = {"outcomes": ["0", "1"], "predictions": [["a", "b", "c"]] * 8,
@@ -68,11 +71,20 @@ P3H8 = {"outcomes": ["0", "1"], "predictions": [["a", "b", "c"]] * 8,
 
 
 def _table_csv(rows: dict[str, str]) -> str:
-    return "situation,value\n" + "".join(f"{s},{v}\n" for s, v in rows.items())
+    return "situation,value\n" + "".join(f'"{s}",{v}\n' if "," in s else f"{s},{v}\n" for s, v in rows.items())
 
 
 def _tree(depth: int, value) -> dict[str, str]:
     return {"".join(s): value(s) for d in range(depth + 1) for s in itertools.product("01", repeat=d)}
+
+
+def _words_martingale() -> str:
+    """A depth-2 martingale under ``WORDS``, its rows in level order (up,
+    down, flat), which is not the text order the encoder writes."""
+    factor = {"up": Fraction(3, 2), "down": Fraction(1, 2), "flat": Fraction(1, 2)}
+    rows = {",".join(s): str(math.prod(factor[x] for x in s)) for d in range(3)
+            for s in itertools.product(factor, repeat=d)}
+    return _table_csv(rows)
 
 
 FIXTURES = {
@@ -90,6 +102,7 @@ FIXTURES = {
         ],
     },
     "k3.json": {"outcomes": ["lo", "1", "hi"], "horizon": 3, "content": K3},
+    "words.json": {"outcomes": ["up", "down", "flat"], "horizon": 2, "content": WORDS},
     "k3r.json": {"outcomes": ["lo", "1", "hi"], "horizon": 3, "contents": [
         K3, {"type": "sup"}, {"type": "envelope", "measures": [K3["probs"], {"lo": "1/2", "1": "0", "hi": "1/2"}]},
     ]},
@@ -169,6 +182,8 @@ FIXTURES = {
     "t_deep_root2.csv": _table_csv(_tree(3, lambda s: "2" if not s else "1")),
     "t_dup.csv": "situation,value\n,1\n0,0\n1,2\n0,5\n",
     "t_label.csv": "situation,value\n,1\n2,1\n",
+    "t_words.csv": _words_martingale(),
+    "t_big.csv": 'situation,value\n,"' + "x" * 140_000 + '"\n',  # past the csv module's field limit
     "notjson.json": "{",
 }
 
@@ -288,6 +303,12 @@ def grid() -> list[list[str]]:
     ):
         add(["law", "p3h8.json", "mixing", "--system", system, "--events", "e68.json;e8.json", "--delta", delta,
              "--gap", gap, "--max-prefix", prefix])
+    # Multi-character labels whose text order is not their level order.
+    for table in TABLES:
+        add(["verify", "words.json", "--supermartingale", table])
+    for strategy, path in itertools.product(("doob:1/2,2", "doob:4/5,6/5", "doob:2,1"), ("up,down", "flat,up")):
+        add(["simulate", "words.json", "--strategy", strategy, "--path", path, "--base", "t_words.csv"])
+        add(["simulate", "words.json", "--strategy", strategy, "--path", path, "--table", f"{OUT}/table.csv"])
     for payoff in ("e_w1", "leading_ones:8", "pay_lo4.json"):
         add(["expect", "ab.json", "--payoff", payoff])
     add(["expect", "gap.json", "--payoff", "e_w1"])

@@ -802,6 +802,41 @@ MUTANTS = [
         "next(iter(text.values()))",
         ("test_serialize.py",),
     ),
+    Mutant(
+        "csv-sorted-by-length-only",
+        "serialize.py",
+        "sorted(sorted(table), key=len)",
+        "sorted(table, key=len)",
+        ("test_serialize.py",),
+    ),
+    Mutant(
+        "csv-decoded-levels-one-short",
+        "serialize.py",
+        "for d in range(depth + 1) for s in outcomes._level(d)",
+        "for d in range(depth) for s in outcomes._level(d)",
+        ("test_serialize.py",),
+    ),
+    Mutant(
+        "csv-duplicate-row-admitted",
+        "serialize.py",
+        "            if key in rows:\n",
+        "            if False:\n",
+        ("test_serialize.py",),
+    ),
+    Mutant(
+        "csv-reader-error-uncaught",
+        "serialize.py",
+        "except csv.Error as exc:",
+        "except () as exc:",
+        ("test_serialize.py", "test_cli.py"),
+    ),
+    Mutant(
+        "csv-reader-error-names-the-last-row-read",
+        "serialize.py",
+        'SchemaError(f"/csv/{i + 1}", str(exc))',
+        'SchemaError(f"/csv/{i}", str(exc))',
+        ("test_serialize.py",),
+    ),
 ]
 
 
