@@ -191,6 +191,8 @@ class Supermartingale:
     __slots__ = ("table", "depth")
 
     def __init__(self, table: Mapping[Situation, ExtReal] | Iterable[tuple[Situation, ExtReal]], depth: int):
+        if depth < 0:
+            raise ValueError("table depth must be nonnegative")
         self.table = dict(table)
         self.depth = depth
 

@@ -149,26 +149,21 @@ def doob_upcrossing(
     base: Supermartingale,
     a: Fraction,
     b: Fraction,
-    origin: Situation = EMPTY,
     *,
     check_base: bool = True,
 ) -> DoobResult:
     """Additive upcross capture of the ``(a, b)`` band for a positive base
-    table normalized to 1 at ``origin``, which lies no deeper than the table.
+    table normalized to 1 at the root.
 
-    Off the origin's subtree the table is ``+inf``.  Within it, the result
-    mirrors the base's increments while hunting an upcross and freezes
-    while hunting the next drop; each completed upcross banks at least
-    ``b - a``.  One pass runs down the origin's subtree with the base,
-    ``a`` and ``b`` over one denominator.
+    The result mirrors the base's increments while hunting an upcross and
+    freezes while hunting the next drop; each completed upcross banks at
+    least ``b - a``.  One pass runs down the tree to the base's depth with
+    the base, ``a`` and ``b`` over one denominator.
     """
     a, b = Fraction(a), Fraction(b)
     require_band(a, b)
-    origin = game.validate_situation(origin)
-    if len(origin) > base.depth:
-        raise ValueError(f"origin at depth {len(origin)} lies below the table's depth {base.depth}")
-    if base.value(origin) != ONE:
-        raise ValueError(f"base must be 1 at the origin, got {base.value(origin)}")
+    if base.value(EMPTY) != ONE:
+        raise ValueError(f"base must be 1 at the origin, got {base.value(EMPTY)}")
     if check_base:
         if base.min_value() < ZERO:
             raise ValueError("base table must be nonnegative")
@@ -176,16 +171,16 @@ def doob_upcrossing(
         if not res.ok:
             raise ValueError(f"base table fails verification at {res.witness_str(game.outcomes)}")
 
-    k, span = len(game.outcomes), base.depth - len(origin)
-    sits = [origin + t for t in chain.from_iterable(map(game.outcomes._level, range(span + 1)))]
+    k = len(game.outcomes)
+    sits = list(chain.from_iterable(map(game.outcomes._level, range(base.depth + 1))))
     nums, den = _numerators(list(map(base.value, sits)) + [ExtReal(a), ExtReal(b)])
     an, bn = nums[-2:]
     # The phase p is odd while hunting upcross (p + 1) // 2 and even while
-    # hunting drop p // 2; the base is 1 at the origin.  In level order the
+    # hunting drop p // 2; the base is 1 at the root.  In level order the
     # children of node g are nodes g*K+1 .. g*K+K.
-    sigma: dict[int, set[Situation]] = {1: {origin}} if b < 1 else {}
-    tau: dict[int, set[Situation]] = {0: {origin}}
-    phases, active = ([2], set()) if b < 1 else ([1], {origin})
+    sigma: dict[int, set[Situation]] = {1: {EMPTY}} if b < 1 else {}
+    tau: dict[int, set[Situation]] = {0: {EMPTY}}
+    phases, active = ([2], set()) if b < 1 else ([1], {EMPTY})
     caps = [den]
     for g in range((len(sits) - 1) // k):
         v, p, bs = caps[g], phases[g], nums[g]
@@ -210,9 +205,8 @@ def doob_upcrossing(
             caps.append(x)
             phases.append(q)
 
-    table = dict.fromkeys(base.table, INF)
-    table.update(zip(sits, _read_out(caps, den)))
-    return DoobResult(Supermartingale(table, base.depth), _cut_trace(sigma, tau), frozenset(active), base, game)
+    table = Supermartingale(zip(sits, _read_out(caps, den)), base.depth)
+    return DoobResult(table, _cut_trace(sigma, tau), frozenset(active), base, game)
 
 
 # -- multiplicative engine -------------------------------------------------
@@ -463,8 +457,7 @@ def mixture(parts: Sequence[DoobResult]) -> MixtureResult:
     weights = [1 << (n - 1 - i) for i in range(n)]
     sums = _int_round([weights + [0]], flat, n + 1)
     den <<= n
-    combined = dict.fromkeys(keys)
-    combined.update(zip(sits, _read_out(sums, den)))
+    combined = Supermartingale(zip(sits, _read_out(sums, den)), depth)
 
     # Increment certificate in the pooled-weight form.
     k, moves = len(game.outcomes), flat[n :: n + 1]
@@ -487,4 +480,4 @@ def mixture(parts: Sequence[DoobResult]) -> MixtureResult:
         f"series truncated at {len(tables)} parts; omitted tail starts below "
         f"{bound} (weight 2**-{len(tables)} times the omitted parts' start bound)"
     )
-    return MixtureResult(Supermartingale(combined, depth), bound, note)
+    return MixtureResult(combined, bound, note)

@@ -4,7 +4,7 @@ import pytest
 
 from gtprob.extreal import INF, ONE, ZERO, ext, scale
 from gtprob.functionals import Envelope, Measure, OutcomeSet, SupContent
-from gtprob.gametree import EMPTY, GameSpec, verify_supermartingale
+from gtprob.gametree import EMPTY, GameSpec, Supermartingale, verify_supermartingale
 from gtprob.expectation import (
     EventWindow,
     Payoff,
@@ -816,6 +816,9 @@ PARTIAL = Payoff.from_table({("0", "0"): 1, ("1", "1"): 2}, 2)
 INPUT_CHECKS = {
     "payoff_negative_depth": (
         lambda: Payoff(-1, lambda s: ZERO), ValueError, "payoff depth must be nonnegative"),
+    "table_at_a_negative_depth": (
+        lambda: verify_supermartingale(coin_game(2), Supermartingale({(): ONE}, -1)),
+        ValueError, "table depth must be nonnegative"),
     "payoff_table_missing_leaf": (
         lambda: Payoff.from_table({("0",): 1}, 1).value(("1",)), KeyError, "payoff table has no entry for ('1',)"),
     "payoff_table_missing_leaf_at_the_root": (

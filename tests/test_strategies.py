@@ -108,21 +108,6 @@ def test_doob_hand_simulation_on_step_multiplier_base():
     assert verify_supermartingale(game, res.table).ok
 
 
-def test_doob_off_origin_subtree_is_infinite():
-    game = coin_game(3)
-    base = step_multiplier_base(game)
-    normalized = Supermartingale(  # value 1 at ("1",)
-        {s: scale(Fraction(2, 3), v) for s, v in base.table.items()}, base.depth
-    )
-    res = doob_upcrossing(
-        game, normalized, Fraction(4, 5), Fraction(6, 5), origin=("1",), check_base=False
-    )
-    assert res.table.value(("0",)) == INF
-    assert res.table.value(EMPTY) == INF
-    assert res.table.value(("1",)) == ONE
-    assert verify_supermartingale(game, res.table).ok
-
-
 def test_doob_requires_valid_band_and_base():
     game = coin_game(2)
     base = step_multiplier_base(game)
@@ -132,14 +117,14 @@ def test_doob_requires_valid_band_and_base():
         doob_upcrossing(game, Supermartingale.constant(game, 2), Fraction(0), Fraction(1))
 
 
-def test_doob_refuses_an_origin_below_the_base_table():
-    # The base holds no level at the origin's depth, so the whole table would be +inf.
+def test_doob_and_mixture_keep_their_tree_not_the_base_keys():
+    # A base that also holds a situation past its depth: the constructions
+    # write the tree's situations to the base's depth, each with a value.
     game = coin_game(3)
-    base = Supermartingale.constant(game, 1, depth=1)
-    with pytest.raises(ValueError, match=r"^origin at depth 2 lies below the table's depth 1$"):
-        doob_upcrossing(game, base, Fraction(1, 2), 2, origin=("1", "0"), check_base=False)
-    res = doob_upcrossing(game, base, Fraction(1, 2), 2, origin=("1",), check_base=False)
-    assert res.table.table == {EMPTY: INF, ("0",): INF, ("1",): ONE}
+    base = Supermartingale({EMPTY: ONE, ("0",): ONE, ("1",): ONE, ("0", "0"): ONE}, 1)
+    res = doob_upcrossing(game, base, Fraction(1, 2), 2, check_base=False)
+    assert list(res.table.table) == [EMPTY, ("0",), ("1",)]
+    assert None not in mixture([res]).table.table.values()
 
 
 def test_doob_phase_floors_hold_at_every_node():
@@ -389,7 +374,7 @@ from hypothesis import strategies as st
 from gtprob.expectation import upper_table
 from gtprob.extreal import NEG_INF
 from gtprob.functionals import Envelope, Gamble, SupContent, TableContent
-from gtprob.gametree import Cut, is_prefix, translate_strategy
+from gtprob.gametree import Cut
 
 
 def _reference_cuts(sigma, tau):
@@ -400,11 +385,12 @@ def _reference_cuts(sigma, tau):
     )
 
 
-def reference_doob(game, base, a, b, origin):
-    """Node-by-node upcross loop on ExtReals, with phases keyed by situation."""
+def reference_doob(game, base, a, b):
+    """Node-by-node upcross loop on ExtReals from the root, with phases
+    keyed by situation; the table comes out in breadth-first order."""
     ea, eb = ext(a), ext(b)
     values, phases, active = {}, {}, set()
-    sigma, tau = {}, {0: {origin}}
+    sigma, tau = {}, {0: {EMPTY}}
 
     def settle(s, phase):
         kind, k = phase
@@ -417,12 +403,13 @@ def reference_doob(game, base, a, b, origin):
             return ("active", k + 1)
         return phase
 
-    values[origin] = ONE
-    phases[origin] = settle(origin, ("active", 1))
-    if phases[origin][0] == "active":
-        active.add(origin)
-    for s in sorted(base.table, key=lambda u: (len(u), u)):
-        if len(s) >= base.depth or not is_prefix(origin, s):
+    values[EMPTY] = ONE
+    phases[EMPTY] = settle(EMPTY, ("active", 1))
+    if phases[EMPTY][0] == "active":
+        active.add(EMPTY)
+    queue = [EMPTY]
+    for s in queue:
+        if len(s) == base.depth:
             continue
         for x in game.outcomes.labels:
             sx = s + (x,)
@@ -433,8 +420,8 @@ def reference_doob(game, base, a, b, origin):
             phases[sx] = settle(sx, phases[s])
             if phases[sx][0] == "active" and values[sx].is_finite:
                 active.add(sx)
-    table = {u: values.get(u, INF) for u in base.table}
-    return table, _reference_cuts(sigma, tau), active
+            queue.append(sx)
+    return values, _reference_cuts(sigma, tau), active
 
 
 class ReferenceLevyMachine:
@@ -569,16 +556,8 @@ def construction_cases(draw):
     # The base may also hold -inf (check_base=False): +inf - (-inf) = +inf.
     base_special = special + ([NEG_INF] if draw(st.booleans()) else [])
     raw = {s: pick(pool, base_special, 0.15) for s in game.all_situations()}
-    if depth > 1 and draw(st.booleans()):
-        # A relocated table: +inf off the target subtree.
-        m = draw(st.integers(1, min(depth - 1, 2)))
-        s, t = draw(st.lists(st.sampled_from(list(outcomes.tuples(m))), min_size=2, max_size=2, unique=True))
-        raw[s] = ONE
-        base, origin = translate_strategy(Supermartingale(raw, depth), s, t), t
-    else:
-        origin = draw(st.sampled_from(list(game.all_situations(min(depth, 2)))))
-        raw[origin] = ONE
-        base = Supermartingale(raw, depth)
+    raw[EMPTY] = ONE
+    base = Supermartingale(raw, depth)
     bands = draw(st.lists(st.tuples(band, band).filter(lambda ab: ab[0] < ab[1]), min_size=1, max_size=4))
     # Payoff: shifted when negative; zero subtrees halt plain rides.
     payoff_depth = draw(st.integers(1, depth))
@@ -594,17 +573,17 @@ def construction_cases(draw):
     levy = (a, b, draw(st.sampled_from(["none", "dyadic"])))
     path = draw(st.sampled_from(list(outcomes.tuples(depth))))
     bump = draw(st.none() | st.tuples(st.integers(0, 3), st.sampled_from(list(game.all_situations()))))
-    return game, base, origin, bands, xi, levy, path, bump
+    return game, base, bands, xi, levy, path, bump
 
 
 @settings(max_examples=80, deadline=None)
 @given(construction_cases())
 def test_constructions_match_node_by_node_loops(case):
-    game, base, origin, bands, xi, (a, b, slack), path, bump = case
+    game, base, bands, xi, (a, b, slack), path, bump = case
     parts = []
     for lo, hi in bands:
-        res = doob_upcrossing(game, base, lo, hi, origin=origin, check_base=False)
-        table, (sigma, tau), active = reference_doob(game, base, lo, hi, origin)
+        res = doob_upcrossing(game, base, lo, hi, check_base=False)
+        table, (sigma, tau), active = reference_doob(game, base, lo, hi)
         assert list(res.table.table.items()) == list(table.items())
         assert res.trace.sigma == sigma and res.trace.tau == tau
         assert res.active == active
@@ -644,6 +623,20 @@ def test_constructions_match_node_by_node_loops(case):
     assert [st.conditional for st in steps] == [shifted(s) for s in (path[:n] for n in range(len(path) + 1))]
 
 
+def test_doob_over_a_base_infinite_on_a_subtree():
+    # 1 at the root, +inf on the whole 0 subtree: a move from the root
+    # reaches +inf there at once and follows the step base on the 1 subtree.
+    game = coin_game(4)
+    step = step_multiplier_base(game)
+    base = Supermartingale.from_fn(game, lambda s: INF if s[:1] == ("0",) else step.value(s))
+    for lo, hi in [(Fraction(4, 5), Fraction(6, 5)), (Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(2))]:
+        res = doob_upcrossing(game, base, lo, hi, check_base=False)
+        table, (sigma, tau), active = reference_doob(game, base, lo, hi)
+        assert list(res.table.table.items()) == list(table.items())
+        assert (res.trace.sigma, res.trace.tau, res.active) == (sigma, tau, active)
+        assert res.table.value(("0", "1")) == (INF if EMPTY in res.active else ONE)
+
+
 def test_constructions_with_huge_numerators_beside_infinities():
     # The second outcome carries no weight, so +inf and 0 conditionals sit
     # below finite ones; over the common denominator 3**700 the value 1 has
@@ -681,7 +674,7 @@ def test_constructions_with_huge_numerators_beside_infinities():
     parts = []
     for lo, hi in [(Fraction(1, 2), Fraction(2)), (Fraction(0), Fraction(1, 2))]:
         res = doob_upcrossing(game, base, lo, hi, check_base=False)
-        table, (sigma, tau), active = reference_doob(game, base, lo, hi, EMPTY)
+        table, (sigma, tau), active = reference_doob(game, base, lo, hi)
         assert list(res.table.table.items()) == list(table.items())
         assert (res.trace.sigma, res.trace.tau, res.active) == (sigma, tau, active)
         parts.append(res)

@@ -245,17 +245,17 @@ MUTANTS = [
         ("test_strategies.py", "test_cli.py"),
     ),
     Mutant(
-        "doob-origin-below-the-table-admitted",
+        "doob-table-one-level-short",
         "strategies.py",
-        "if len(origin) > base.depth:",
-        "if False:",
+        "range(base.depth + 1))))",
+        "range(base.depth))))",
         ("test_strategies.py",),
     ),
     Mutant(
-        "doob-origin-at-the-table-depth-refused",
+        "mixture-table-zipped-one-node-off",
         "strategies.py",
-        "if len(origin) > base.depth:",
-        "if len(origin) >= base.depth:",
+        "Supermartingale(zip(sits, _read_out(sums, den)), depth)",
+        "Supermartingale(zip(sits[1:], _read_out(sums, den)), depth)",
         ("test_strategies.py",),
     ),
     Mutant(
@@ -402,6 +402,13 @@ MUTANTS = [
         "self._levels.setdefault(length, ",
         "self._levels.setdefault(length - 1, ",
         ("test_gametree.py",),
+    ),
+    Mutant(
+        "table-negative-depth-admitted",
+        "gametree.py",
+        "if depth < 0:",
+        "if False:",
+        ("test_expectation.py",),
     ),
     Mutant(
         "table-keeps-the-callers-dict",
